@@ -31,8 +31,6 @@ from .equilibrium import (
     enumerate_pne,
     is_pne,
     potential_minimizer,
-    price_of_anarchy,
-    price_of_stability,
     social_optimum,
 )
 from .gadgets import (
@@ -43,7 +41,7 @@ from .gadgets import (
     build_pos_nharmonic,
     verify_gadget,
 )
-from .network import Edge, NetworkModel, enumerate_paths, to_game
+from .network import Edge, NetworkModel, to_game
 from .potential import alpha, alpha_table, harmonic, potential, potential_by_permutation
 from .protocols import (
     GeneralizedWeightedShapley,
@@ -94,7 +92,6 @@ __all__ = [
     "build_pos_nharmonic",
     "check_budget_balance",
     "classify",
-    "enumerate_paths",
     "enumerate_pne",
     "gws_share",
     "harmonic",
@@ -103,8 +100,6 @@ __all__ = [
     "potential",
     "potential_by_permutation",
     "potential_minimizer",
-    "price_of_anarchy",
-    "price_of_stability",
     "private_cost",
     "private_costs",
     "shapley_share",

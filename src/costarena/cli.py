@@ -219,7 +219,7 @@ def cmd_dynamics(args) -> int:
         "sweeps": result.sweeps,
         "steps": [{
             "player": s.player, "old": s.old, "new": s.new,
-            "phi": fraction_to_str(s.phi),
+            "phi": None if s.phi is None else fraction_to_str(s.phi),
             "cost_before": fraction_to_str(s.cost_before),
             "cost_after": fraction_to_str(s.cost_after),
         } for s in result.trace],

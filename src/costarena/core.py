@@ -69,6 +69,11 @@ def full_mask(n: int) -> int:
 # Cost functions
 # ---------------------------------------------------------------------------
 
+def _check_player_count(n: int) -> None:
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise ValidationError(f"float cost {value!r} rejected; use Fraction, int or 'p/q'")
@@ -91,8 +96,7 @@ class SetCostFunction:
     __slots__ = ("n", "_table", "_anon", "_hash", "_expanded")
 
     def __init__(self, n: int, table: Iterable, *, _anon=None):
-        if not 1 <= n <= MAX_PLAYERS:
-            raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
+        _check_player_count(n)
         self.n = n
         self._anon = _anon
         self._hash = None
@@ -114,6 +118,7 @@ class SetCostFunction:
         Keys are bitmasks or iterables of player indices; omitted sets
         default to cost 0 (rejected afterwards if that breaks monotonicity).
         """
+        _check_player_count(n)  # before sizing the table by it
         table = [Fraction(0)] * (1 << n)
         for key, value in entries.items():
             mask = key if isinstance(key, int) else player_mask(key)
@@ -279,8 +284,7 @@ class GameModel:
                            tuple(tuple(frozenset(s) for s in sset)
                                  for sset in self.strategy_sets))
         object.__setattr__(self, "cost_fns", tuple(self.cost_fns))
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise ValidationError(f"player count {self.n} out of range 1..{MAX_PLAYERS}")
+        _check_player_count(self.n)
         if len(set(self.resources)) != len(self.resources):
             raise ValidationError("duplicate resource ids")
         if len(self.cost_fns) != len(self.resources):
@@ -355,7 +359,11 @@ def users_of(model: GameModel, profile: Profile, r: str) -> int:
     return mask
 
 
+def usage_cost(model: GameModel, usage) -> Fraction:
+    """Total cost over resources, given each resource's user mask."""
+    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), Fraction(0))
+
+
 def social_cost(model: GameModel, profile: Profile) -> Fraction:
     """Total cost over resources: sum of C^r applied to r's user set."""
-    usage = model.usage_masks(profile)
-    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), Fraction(0))
+    return usage_cost(model, model.usage_masks(profile))

@@ -1,10 +1,14 @@
 """Equilibrium computation: best-response dynamics, exhaustive pure Nash
-enumeration, social optimum, and the anarchy/stability price ratios.
+enumeration, social optimum and the anarchy/stability price ratios.
 
-All exhaustive operations iterate the profile space in lexicographic order
-of strategy indices and break ties lexicographically, so reports are
-reproducible. The profile-space size is capped (default 10^7, overridable
-through the ARENA_MAX_PROFILES environment variable).
+Every exhaustive operation runs on one walk, ``_walk``, which visits the
+profile space in lexicographic order of strategy indices together with
+each profile's usage masks, and every stability question runs on one
+deviation routine, ``_deviation_cost``. ``analyze`` takes the equilibria,
+their social costs and the optimum from a single walk. Ties break
+lexicographically, so reports are reproducible. The profile-space size is
+capped (default 10^7, overridable through the ARENA_MAX_PROFILES
+environment variable).
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Profile, social_cost
+from .core import CapExceededError, GameModel, Profile, usage_cost
 from .potential import potential
-from .protocols import Protocol
+from .protocols import Protocol, ShapleyProtocol
 
 ZERO = Fraction(0)
 DEFAULT_PROFILE_CAP = 10 ** 7
@@ -41,15 +46,16 @@ def profile_cap() -> int:
     return cap
 
 
-def _check_cap(model: GameModel) -> None:
+def _walk(model: GameModel):
+    """Yield ``(profile, usage masks)`` for every profile, in lexicographic
+    order; raises CapExceededError before the first one if the space is
+    larger than the cap."""
     size = model.profile_space_size()
     cap = profile_cap()
     if size > cap:
         raise CapExceededError(f"profile space has {size} profiles, cap is {cap}")
-
-
-def _iter_profiles(model: GameModel):
-    return itertools.product(*(range(len(s)) for s in model.strategy_sets))
+    for profile in itertools.product(*(range(len(s)) for s in model.strategy_sets)):
+        yield profile, model.usage_masks(profile)
 
 
 def _deviation_cost(model: GameModel, protocol: Protocol, usage, i: int,
@@ -57,12 +63,31 @@ def _deviation_cost(model: GameModel, protocol: Protocol, usage, i: int,
     """Cost player i would pay after unilaterally switching to ``strategy``,
     given the usage masks of the current profile."""
     bit = 1 << i
-    ridx = model._strategy_ridx[i][strategy]
     fns = model.cost_fns
     total = ZERO
-    for r in ridx:
+    for r in model._strategy_ridx[i][strategy]:
         total += protocol.share(fns[r], usage[r] | bit, i)
     return total
+
+
+def _stable(model: GameModel, protocol: Protocol, profile: Profile, usage) -> bool:
+    """No player can strictly lower its cost by a unilateral switch."""
+    for i, current in enumerate(profile):
+        cost_now = _deviation_cost(model, protocol, usage, i, current)
+        for s in range(len(model.strategy_sets[i])):
+            if s != current and _deviation_cost(model, protocol, usage, i, s) < cost_now:
+                return False
+    return True
+
+
+def _best_response(model: GameModel, protocol: Protocol, usage, i: int,
+                   current: int) -> tuple[int, list[Fraction]]:
+    """i's best strategy and its cost under each of its strategies."""
+    costs = [_deviation_cost(model, protocol, usage, i, s)
+             for s in range(len(model.strategy_sets[i]))]
+    best_c = min(costs)
+    best = current if costs[current] == best_c else costs.index(best_c)
+    return best, costs
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -72,15 +97,8 @@ def best_response(model: GameModel, protocol: Protocol, profile: Profile,
     Keeps the current strategy when it ties the minimum; otherwise picks
     the lowest-index minimizer.
     """
-    model.validate_profile(profile)
     usage = model.usage_masks(profile)
-    current = profile[i]
-    costs = [_deviation_cost(model, protocol, usage, i, s)
-             for s in range(len(model.strategy_sets[i]))]
-    best_c = min(costs)
-    if costs[current] == best_c:
-        return current
-    return costs.index(best_c)
+    return _best_response(model, protocol, usage, i, profile[i])[0]
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,7 @@ class BrdStep:
     player: int
     old: int
     new: int
-    phi: Fraction
+    phi: Fraction | None
     cost_before: Fraction
     cost_after: Fraction
 
@@ -113,8 +131,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     shuffled order with ``schedule="random"``. The run converges when a
     full sweep accepts no change; ``max_steps`` bounds accepted changes
     (default 10x the profile-space size, comfortably above the number of
-    distinct potential values). Each trace entry records the potential of
-    the profile after the change.
+    distinct potential values). Under the Shapley protocol each trace entry
+    records the potential of the profile after the change; under any other
+    protocol ``phi`` is None, since that potential is not one for it.
     """
     model.validate_profile(start)
     if max_steps is None:
@@ -122,6 +141,7 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     if schedule not in ("round-robin", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
+    shapley = isinstance(protocol, ShapleyProtocol)
 
     profile = list(start)
     trace: list[BrdStep] = []
@@ -137,86 +157,38 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
             if changes >= max_steps:
                 return BrdResult(tuple(profile), False, tuple(trace), sweeps)
             current = profile[i]
-            best_s = best_response(model, protocol, tuple(profile), i)
+            usage = model.usage_masks(tuple(profile))
+            best_s, costs = _best_response(model, protocol, usage, i, current)
             if best_s != current:
-                usage = model.usage_masks(tuple(profile))
-                cost_now = _deviation_cost(model, protocol, usage, i, current)
-                cost_new = _deviation_cost(model, protocol, usage, i, best_s)
                 profile[i] = best_s
                 changes += 1
                 dirty = True
-                trace.append(BrdStep(i, current, best_s,
-                                     potential(model, tuple(profile)),
-                                     cost_now, cost_new))
+                phi = potential(model, tuple(profile)) if shapley else None
+                trace.append(BrdStep(i, current, best_s, phi,
+                                     costs[current], costs[best_s]))
         if not dirty:
             return BrdResult(tuple(profile), True, tuple(trace), sweeps)
 
 
 def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
     """No player can strictly lower its cost by a unilateral switch."""
-    model.validate_profile(profile)
-    usage = model.usage_masks(profile)
-    for i in range(model.n):
-        cost_now = _deviation_cost(model, protocol, usage, i, profile[i])
-        for s in range(len(model.strategy_sets[i])):
-            if s != profile[i] and _deviation_cost(model, protocol, usage, i, s) < cost_now:
-                return False
-    return True
+    return _stable(model, protocol, profile, model.usage_masks(profile))
 
 
 def enumerate_pne(model: GameModel, protocol: Protocol) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order."""
-    _check_cap(model)
-    out = []
-    fns = model.cost_fns
-    ridx = model._strategy_ridx
-    counts = model.strategy_counts()
-    for profile in _iter_profiles(model):
-        usage = model.usage_masks(profile)
-        stable = True
-        for i in range(model.n):
-            bit = 1 << i
-            cost_now = ZERO
-            for r in ridx[i][profile[i]]:
-                cost_now += protocol.share(fns[r], usage[r], i)
-            for s in range(counts[i]):
-                if s == profile[i]:
-                    continue
-                c = ZERO
-                for r in ridx[i][s]:
-                    c += protocol.share(fns[r], usage[r] | bit, i)
-                if c < cost_now:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(profile)
-    return out
+    return [p for p, usage in _walk(model) if _stable(model, protocol, p, usage)]
 
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
     """Profile of minimum social cost; lexicographically first on ties."""
-    _check_cap(model)
-    best_p = None
-    best_c = None
-    for profile in _iter_profiles(model):
-        c = social_cost(model, profile)
-        if best_c is None or c < best_c:
-            best_p, best_c = profile, c
-    return best_p, best_c
+    return min(((p, usage_cost(model, usage)) for p, usage in _walk(model)),
+               key=itemgetter(1))
 
 
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
-    _check_cap(model)
-    best_p = None
-    best_v = None
-    for profile in _iter_profiles(model):
-        v = potential(model, profile)
-        if best_v is None or v < best_v:
-            best_p, best_v = profile, v
-    return best_p
+    return min((p for p, _ in _walk(model)), key=lambda p: potential(model, p))
 
 
 def _ratio(target: Fraction, opt: Fraction):
@@ -225,33 +197,14 @@ def _ratio(target: Fraction, opt: Fraction):
     return target / opt
 
 
-def price_of_anarchy(model: GameModel, protocol: Protocol):
-    """Worst equilibrium cost over optimum cost.
-
-    None when no pure Nash equilibrium exists; 1 when both costs are 0;
-    infinite when only the optimum is 0.
-    """
-    pne = enumerate_pne(model, protocol)
-    if not pne:
-        return None
-    _, opt = social_optimum(model)
-    worst = max(social_cost(model, p) for p in pne)
-    return _ratio(worst, opt)
-
-
-def price_of_stability(model: GameModel, protocol: Protocol):
-    """Best equilibrium cost over optimum cost; conventions as above."""
-    pne = enumerate_pne(model, protocol)
-    if not pne:
-        return None
-    _, opt = social_optimum(model)
-    best = min(social_cost(model, p) for p in pne)
-    return _ratio(best, opt)
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the exhaustive analysis of one game produces."""
+    """Everything the exhaustive analysis of one game produces.
+
+    ``poa`` and ``pos`` are the worst and best equilibrium cost over the
+    optimum cost: None when no pure Nash equilibrium exists, 1 when both
+    costs are 0, infinite when only the optimum is 0.
+    """
 
     protocol: str
     pne: tuple[Profile, ...]
@@ -265,15 +218,21 @@ class AnalysisReport:
 
 def analyze(model: GameModel, protocol: Protocol, *,
             with_potential: bool = False) -> AnalysisReport:
-    """Enumerate equilibria and assemble the full report in one pass."""
-    pne = enumerate_pne(model, protocol)
-    opt_p, opt_c = social_optimum(model)
-    costs = tuple(social_cost(model, p) for p in pne)
+    """Equilibria, their costs, the optimum and both ratios in one walk."""
+    pne, costs = [], []
+    opt_p = opt_c = None
+    for profile, usage in _walk(model):
+        cost = usage_cost(model, usage)
+        if opt_c is None or cost < opt_c:
+            opt_p, opt_c = profile, cost
+        if _stable(model, protocol, profile, usage):
+            pne.append(profile)
+            costs.append(cost)
     if pne:
         poa = _ratio(max(costs), opt_c)
         pos = _ratio(min(costs), opt_c)
     else:
         poa = pos = None
     potentials = tuple(potential(model, p) for p in pne) if with_potential else None
-    return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_c,
+    return AnalysisReport(protocol.name, tuple(pne), tuple(costs), opt_p, opt_c,
                           poa, pos, potentials)

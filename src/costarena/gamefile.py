@@ -52,13 +52,35 @@ def parse_fraction(value) -> Fraction:
     raise ValidationError(f"bad rational {value!r}")
 
 
+def _is(value, kind) -> bool:
+    # JSON true/false are Python ints; never accept them as counts or ids
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not _is(value, kind):
         raise ValidationError(f"{where}: key {key!r} has wrong type")
     return value
+
+
+def _list_of(value, kind, where) -> list:
+    """``value`` if it is a JSON list whose items are all of ``kind``."""
+    if not isinstance(value, list) or not all(_is(v, kind) for v in value):
+        raise ValidationError(f"{where}: expected a list of "
+                              f"{'strings' if kind is str else 'integers'}")
+    return value
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # the decoder recurses once per nesting level
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +116,8 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
             raise ValidationError("table cost must be a list")
         mapping = {}
         for e in entries:
-            members = _require(e, "set", list, "table entry")
-            if not all(isinstance(i, int) and 0 <= i < n for i in members):
+            members = _list_of(_require(e, "set", None, "table entry"), int, "table entry set")
+            if not all(0 <= i < n for i in members):
                 raise ValidationError(f"bad player ids in table entry {members!r}")
             mask = 0
             for i in members:
@@ -134,7 +156,7 @@ def game_from_json(obj) -> GameModel:
     for sset in strategies:
         if not isinstance(sset, list):
             raise ValidationError("each player's strategy list must be a list")
-        ssets.append(tuple(frozenset(strat) for strat in sset))
+        ssets.append(tuple(frozenset(_list_of(strat, str, "strategy")) for strat in sset))
     return GameModel(n=n, resources=tuple(ids), strategy_sets=tuple(ssets),
                      cost_fns=tuple(fns))
 
@@ -155,6 +177,9 @@ def network_to_json(nm: NetworkModel) -> dict:
 def network_from_json(obj) -> NetworkModel:
     net = _require(obj, "network", dict, "file")
     terminals = _require(net, "terminals", list, "network")
+    for t in terminals:
+        if len(_list_of(t, str, "terminal pair")) != 2:
+            raise ValidationError(f"terminal pair {t!r} must name two vertices")
     n = len(terminals)
     edges = []
     for e in _require(net, "edges", list, "network"):
@@ -169,10 +194,15 @@ def network_from_json(obj) -> NetworkModel:
         raw = net["forced"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ValidationError("forced must list one entry per player")
-        forced = tuple(None if fs is None else tuple(frozenset(s) for s in fs)
+        for fs in raw:
+            if fs is not None and not isinstance(fs, list):
+                raise ValidationError("each forced entry must be null or a list")
+        forced = tuple(None if fs is None else
+                       tuple(frozenset(_list_of(s, str, "forced strategy")) for s in fs)
                        for fs in raw)
     return NetworkModel(
-        vertices=tuple(_require(net, "vertices", list, "network")),
+        vertices=tuple(_list_of(_require(net, "vertices", None, "network"), str,
+                                "vertices")),
         edges=tuple(edges),
         terminals=tuple((t[0], t[1]) for t in terminals),
         forced=forced,
@@ -182,11 +212,7 @@ def network_from_json(obj) -> NetworkModel:
 def load_game(path: str) -> tuple[GameModel, NetworkModel | None]:
     """Read a game file; returns the flattened game plus the network form
     when the file used one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    obj = _read_json(path)
     if isinstance(obj, dict) and "network" in obj:
         nm = network_from_json(obj)
         return to_game(nm), nm
@@ -217,12 +243,12 @@ def weight_system_from_json(obj) -> WeightSystem:
     else:
         raise ValidationError("lambda must be a list or an object")
     blocks = _require(obj, "blocks", list, "weight system")
-    return WeightSystem(tuple(weights), tuple(tuple(b) for b in blocks))
+    return WeightSystem(tuple(weights),
+                        tuple(tuple(_list_of(b, int, "block")) for b in blocks))
 
 
 def load_weight_system(path: str) -> WeightSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weight_system_from_json(json.load(fh))
+    return weight_system_from_json(_read_json(path))
 
 
 def table_protocol_from_json(obj) -> TableProtocol:
@@ -243,10 +269,11 @@ def table_protocol_from_json(obj) -> TableProtocol:
     protocol = TableProtocol(fallback=fallback)
     for entry in _require(obj, "entries", list, "share table"):
         f = cost_from_json(n, _require(entry, "cost", dict, "share entry"))
-        users_list = _require(entry, "users", list, "share entry")
+        users_list = _list_of(_require(entry, "users", None, "share entry"), int,
+                              "share entry users")
         users = 0
         for i in users_list:
-            if not isinstance(i, int) or not 0 <= i < n:
+            if not 0 <= i < n:
                 raise ValidationError(f"bad user id {i!r} in share entry")
             users |= 1 << i
         raw_shares = _require(entry, "shares", dict, "share entry")
@@ -262,5 +289,4 @@ def table_protocol_from_json(obj) -> TableProtocol:
 
 
 def load_table_protocol(path: str) -> TableProtocol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_protocol_from_json(json.load(fh))
+    return table_protocol_from_json(_read_json(path))

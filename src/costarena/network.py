@@ -3,9 +3,10 @@ strategies are simple s-t paths.
 
 Multi-edges and self-contained free edges are allowed; an edge is a
 (id, tail, head, cost function) record and paths are reported as tuples of
-edge ids in walk order. Path enumeration is DFS with adjacency sorted by
-(head vertex, edge id), so path order is deterministic, and is capped at
-10^5 paths per terminal pair.
+edge ids in walk order. Path enumeration is DFS on an explicit stack, so
+path length is not bounded by Python's recursion limit, with adjacency
+sorted by (head vertex, edge id), so path order is deterministic; it is
+capped at 10^5 paths per terminal pair.
 """
 
 from __future__ import annotations
@@ -94,27 +95,27 @@ class NetworkModel:
         if s not in self._out or t not in self._out:
             raise ValidationError(f"unknown terminal {s!r} or {t!r}")
         out = self._out
+        if s == t:
+            return [()]
         found: list[tuple[str, ...]] = []
-        stack: list[str] = []
+        trail: list[Edge] = []      # edges of the current path
         visited = {s}
-
-        def walk(v: str) -> None:
-            if v == t:
-                found.append(tuple(stack))
+        pending = [iter(out[s])]    # per vertex on the path, its untried edges
+        while pending:
+            e = next(pending[-1], None)
+            if e is None:
+                pending.pop()
+                if trail:
+                    visited.discard(trail.pop().head)
+            elif e.head == t:
+                found.append(tuple(x.id for x in trail) + (e.id,))
                 if len(found) > PATH_CAP:
                     raise CapExceededError(
                         f"more than {PATH_CAP} simple {s!r} -> {t!r} paths")
-                return
-            for e in out[v]:
-                if e.head in visited:
-                    continue
+            elif e.head not in visited:
                 visited.add(e.head)
-                stack.append(e.id)
-                walk(e.head)
-                stack.pop()
-                visited.discard(e.head)
-
-        walk(s)
+                trail.append(e)
+                pending.append(iter(out[e.head]))
         return found
 
     def player_paths(self, i: int) -> list[tuple[str, ...]]:
@@ -133,11 +134,6 @@ class NetworkModel:
                     f"forced strategy {sorted(want)} of player {i} is not a simple path")
             chosen.append(path)
         return chosen
-
-
-def enumerate_paths(nm: NetworkModel, s: str, t: str) -> list[tuple[str, ...]]:
-    """Module-level alias for ``NetworkModel.paths``."""
-    return nm.paths(s, t)
 
 
 def to_game(nm: NetworkModel) -> GameModel:

@@ -96,6 +96,50 @@ def test_analyze_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("prefix", ["gws", "table"])
+def test_invalid_protocol_json_exits_2(tmp_path, capsys, prefix):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops")
+    rc, doc, err = run(capsys, "analyze", tension_file(tmp_path),
+                       "--protocol", f"{prefix}:{bad}")
+    assert rc == 2
+    assert doc is None
+    assert err.startswith("error:") and "invalid JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def edge_network(terminals):
+    return {"network": {
+        "vertices": ["s", "t"],
+        "edges": [{"id": "e", "from": "s", "to": "t",
+                   "cost": {"anonymous": ["0/1", "1/1"]}}],
+        "terminals": terminals}}
+
+
+def one_player_game(**changes):
+    doc = {"players": 1,
+           "resources": [{"id": "r", "cost": {"anonymous": ["0/1", "1/1"]}}],
+           "strategies": [[["r"]]]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    one_player_game(players=True),
+    one_player_game(strategies=[[[["r"]]]]),
+    edge_network([5]),
+    edge_network(["st"]),
+], ids=["players-true", "nested-strategy", "terminal-int", "terminal-string"])
+def test_malformed_game_files_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert rc == 2
+    assert out is None
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_unknown_protocol(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", tension_file(tmp_path),
                      "--protocol", "nucleolus")
@@ -211,6 +255,18 @@ def test_dynamics_explicit_start(tmp_path, capsys):
     assert len(doc["steps"]) == 1
     assert doc["steps"][0]["player"] == 1
     assert doc["steps"][0]["phi"] == "3/4"
+
+
+def test_dynamics_phi_is_null_without_shapley_potential(tmp_path, capsys):
+    # the Shapley potential is no potential for weighted shares
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"lambda": ["2/1", "1/1"], "blocks": [[0, 1]]}))
+    rc, doc, _ = run(capsys, "dynamics", tension_file(tmp_path),
+                     "--start", "0,1", "--protocol", f"gws:{weights}")
+    assert rc == 0
+    assert doc["final"] == [0, 0]
+    assert doc["steps"]
+    assert all(step["phi"] is None for step in doc["steps"])
 
 
 def test_dynamics_random_start_reproducible(tmp_path, capsys):

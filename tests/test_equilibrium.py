@@ -18,14 +18,18 @@ from costarena.equilibrium import (
     enumerate_pne,
     is_pne,
     potential_minimizer,
-    price_of_anarchy,
-    price_of_stability,
     profile_cap,
     social_optimum,
 )
 from costarena.potential import potential
-from costarena.protocols import ShapleyProtocol, TableProtocol, private_cost
-from costarena.randomgames import random_game
+from costarena.protocols import (
+    GeneralizedWeightedShapley,
+    ShapleyProtocol,
+    TableProtocol,
+    WeightSystem,
+    private_cost,
+)
+from costarena.randomgames import COST_CLASSES, corpus, random_game
 
 F = Fraction
 SHAPLEY = ShapleyProtocol()
@@ -216,30 +220,33 @@ def test_social_optimum_tension_game():
 # ---------------------------------------------------------------------------
 
 def test_ratios_on_tension_game():
-    g = tension_game()
-    assert price_of_anarchy(g, SHAPLEY) == F(3, 2)
-    assert price_of_stability(g, SHAPLEY) == F(3, 2)
+    report = analyze(tension_game(), SHAPLEY)
+    assert report.poa == F(3, 2)
+    assert report.pos == F(3, 2)
 
 
 def test_ratios_undefined_without_equilibria():
     g, t = chase_game()
-    assert price_of_anarchy(g, t) is None
-    assert price_of_stability(g, t) is None
+    report = analyze(g, t)
+    assert report.poa is None
+    assert report.pos is None
 
 
 def test_ratio_conventions_zero_optimum():
     g, t = freeloader_game()
     assert sorted(enumerate_pne(g, t)) == [(0,), (1,)]
     assert social_optimum(g) == ((0,), F(0))
-    assert price_of_anarchy(g, t) == INFINITE
-    assert price_of_stability(g, t) == F(1)
+    report = analyze(g, t)
+    assert report.poa == INFINITE
+    assert report.pos == F(1)
 
 
 def test_ratio_all_zero_costs():
     f = SetCostFunction.zero(1)
     g = GameModel(1, ("r",), ((frozenset({"r"}), frozenset()),), (f,))
-    assert price_of_anarchy(g, SHAPLEY) == 1
-    assert price_of_stability(g, SHAPLEY) == 1
+    report = analyze(g, SHAPLEY)
+    assert report.poa == 1
+    assert report.pos == 1
 
 
 def test_ratios_bracket_every_equilibrium():
@@ -274,6 +281,54 @@ def test_analyze_report_contents():
 def test_analyze_without_potential_flag():
     g = tension_game()
     assert analyze(g, SHAPLEY).potentials is None
+
+
+def reference_analysis(model, protocol):
+    """Brute force over itertools.product, one is_pne and one social_cost
+    per profile: (pne, pne costs, optimum, optimum cost, poa, pos)."""
+    profiles = list(itertools.product(*(range(len(s)) for s in model.strategy_sets)))
+    cost = {p: social_cost(model, p) for p in profiles}
+    pne = [p for p in profiles if is_pne(model, protocol, p)]
+    opt = profiles[0]
+    for p in profiles:
+        if cost[p] < cost[opt]:
+            opt = p
+
+    def ratio(c):
+        if cost[opt] == 0:
+            return 1 if c == 0 else INFINITE
+        return c / cost[opt]
+
+    costs = [cost[p] for p in pne]
+    poa = ratio(max(costs)) if pne else None
+    pos = ratio(min(costs)) if pne else None
+    return pne, costs, opt, cost[opt], poa, pos
+
+
+def reference_cases():
+    for cost_class in COST_CLASSES:
+        for g in corpus(31, 40, cost_class, max_players=5):
+            yield g, SHAPLEY
+            weights = tuple(F(1 + i % 3, 1 + i % 2) for i in range(g.n))
+            blocks = (tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2)))
+            yield g, GeneralizedWeightedShapley(
+                WeightSystem(weights, tuple(b for b in blocks if b)))
+    yield tension_game(), SHAPLEY
+    yield chase_game()
+    yield freeloader_game()
+
+
+def test_analyze_matches_brute_force_reference():
+    for g, protocol in reference_cases():
+        report = analyze(g, protocol, with_potential=True)
+        pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
+        assert report.pne == tuple(pne)
+        assert report.pne_costs == tuple(costs)
+        assert (report.optimum, report.optimum_cost) == (opt, opt_c)
+        assert (report.poa, report.pos) == (poa, pos)
+        assert report.potentials == tuple(potential(g, p) for p in pne)
+        assert enumerate_pne(g, protocol) == pne
+        assert social_optimum(g) == (opt, opt_c)
 
 
 # ---------------------------------------------------------------------------

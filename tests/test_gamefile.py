@@ -95,6 +95,8 @@ def test_cost_from_json_validation():
                                      {"set": [0, 1], "cost": "1/1"}]})
     with pytest.raises(ValidationError):
         cost_from_json(2, {})
+    with pytest.raises(ValidationError):  # JSON true is not player 1
+        cost_from_json(2, {"table": [{"set": [True], "cost": "0/1"}]})
 
 
 def test_omitted_sets_default_to_zero():
@@ -129,6 +131,9 @@ def test_game_from_json_requires_keys():
         game_from_json({"players": 1})
     with pytest.raises(ValidationError):
         game_from_json({"players": "2", "resources": [], "strategies": []})
+    with pytest.raises(ValidationError):  # checked before sizing a 2^n table
+        game_from_json({"players": -1, "strategies": [],
+                        "resources": [{"id": "r", "cost": {"table": []}}]})
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +158,13 @@ def test_network_from_json_validation():
     doc["network"]["forced"] = [None]  # wrong length
     with pytest.raises(ValidationError):
         network_from_json(doc)
+    doc["network"]["forced"] = [5, None]
+    with pytest.raises(ValidationError):
+        network_from_json(doc)
+    doc["network"]["forced"] = None
+    doc["network"]["vertices"][0] = [doc["network"]["vertices"][0]]
+    with pytest.raises(ValidationError):
+        network_from_json(doc)
 
 
 def test_load_game_dispatches_on_shape(tmp_path):
@@ -172,9 +184,10 @@ def test_load_game_dispatches_on_shape(tmp_path):
 
 def test_load_game_bad_json(tmp_path):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    with pytest.raises(ValidationError):
-        load_game(str(p))
+    for text in ("{not json", "[" * 100000):  # the second nests too deep to decode
+        p.write_text(text)
+        with pytest.raises(ValidationError):
+            load_game(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,9 @@ def test_weight_system_bad_mapping_keys():
                                  "blocks": [[0, 1]]})
     with pytest.raises(ValidationError):
         weight_system_from_json({"lambda": {"zero": "1/1"}, "blocks": [[0]]})
+    for blocks in ([["0"]], [[True]], [0]):
+        with pytest.raises(ValidationError):
+            weight_system_from_json({"lambda": ["1/1"], "blocks": blocks})
 
 
 def test_load_weight_system(tmp_path):
