@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
@@ -75,6 +76,8 @@ def _check_player_count(n: int) -> None:
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # already parsed, e.g. by the file reader
+        return value
     if isinstance(value, float):
         raise ValidationError(f"float cost {value!r} rejected; use Fraction, int or 'p/q'")
     try:
@@ -93,7 +96,7 @@ class SetCostFunction:
     every subset, regardless of representation.
     """
 
-    __slots__ = ("n", "_table", "_anon", "_hash", "_expanded")
+    __slots__ = ("n", "_table", "_anon", "_hash", "_expanded", "_denominator")
 
     def __init__(self, n: int, table: Iterable, *, _anon=None):
         _check_player_count(n)
@@ -101,6 +104,7 @@ class SetCostFunction:
         self._anon = _anon
         self._hash = None
         self._expanded = None
+        self._denominator = None
         if _anon is not None:
             self._table = None
             self._validate_anonymous()
@@ -154,9 +158,11 @@ class SetCostFunction:
                     f"anonymous cost decreases from size {k} to {k + 1}: {v[k]} > {v[k + 1]}")
 
     def _validate_table(self):
-        table = self._table
-        if table[0] != 0:
-            raise ValidationError(f"cost of the empty set is {table[0]}, must be 0")
+        if self._table[0] != 0:
+            raise ValidationError(f"cost of the empty set is {self._table[0]}, must be 0")
+        # compare integers over one denominator instead of Fractions
+        scale = self.denominator
+        table = [v.numerator * (scale // v.denominator) for v in self._table]
         top = full_mask(self.n)
         for mask in range(1 << self.n):
             absent = top & ~mask
@@ -172,6 +178,15 @@ class SetCostFunction:
     def anonymous_values(self):
         """The size-indexed vector if built anonymously, else None."""
         return self._anon
+
+    @property
+    def denominator(self) -> int:
+        """The least L > 0 with L * C(S) an integer for every S: the lcm of
+        all value denominators."""
+        if self._denominator is None:
+            values = self._anon if self._anon is not None else self._table
+            self._denominator = lcm(*(v.denominator for v in values))
+        return self._denominator
 
     def value(self, users: int) -> Fraction:
         if users >> self.n:
@@ -359,11 +374,7 @@ def users_of(model: GameModel, profile: Profile, r: str) -> int:
     return mask
 
 
-def usage_cost(model: GameModel, usage) -> Fraction:
-    """Total cost over resources, given each resource's user mask."""
-    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), Fraction(0))
-
-
 def social_cost(model: GameModel, profile: Profile) -> Fraction:
     """Total cost over resources: sum of C^r applied to r's user set."""
-    return usage_cost(model, model.usage_masks(profile))
+    usage = model.usage_masks(profile)
+    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), Fraction(0))

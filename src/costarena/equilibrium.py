@@ -1,31 +1,38 @@
 """Equilibrium computation: best-response dynamics, exhaustive pure Nash
 enumeration, social optimum and the anarchy/stability price ratios.
 
-Every exhaustive operation runs on one walk, ``_walk``, which visits the
-profile space in lexicographic order of strategy indices together with
-each profile's usage masks, and every stability question runs on one
-deviation routine, ``_deviation_cost``. ``analyze`` takes the equilibria,
-their social costs and the optimum from a single walk. Ties break
-lexicographically, so reports are reproducible. The profile-space size is
-capped (default 10^7, overridable through the ARENA_MAX_PROFILES
-environment variable).
+Every question about one game runs on one compiled kernel, ``_Kernel``.
+Compiling picks a single denominator D for the game, the lcm of every
+cost denominator and of the protocol's ``share_scale`` of every cost
+function, so each cost and each share is an integer multiple of 1/D.
+Strategies become tuples of resource indices. Cost, share and potential
+rows are filled lazily, one (resource, user mask[, player]) entry on first
+touch, never as whole 2^n tables. The walk visits profiles as an
+odometer, in the lexicographic order of ``itertools.product``, and on
+each step updates only the usage masks and the running total of the
+players whose digit changed. Social costs, deviation sums, the optimum
+and the early-exit stability test then compare Python ints; a
+``Fraction`` over D is built only for a value that is reported.
+
+``analyze`` takes the equilibria, their social costs and the optimum from
+one walk. Ties break lexicographically, so reports are reproducible. The
+profile-space size is capped (default 10^7, overridable through the
+ARENA_MAX_PROFILES environment variable).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Profile, usage_cost
-from .potential import potential
+from .core import CapExceededError, GameModel, Profile
 from .protocols import Protocol, ShapleyProtocol
 
-ZERO = Fraction(0)
 DEFAULT_PROFILE_CAP = 10 ** 7
 
 #: Ratio value when the optimum costs 0 but some equilibrium does not.
@@ -46,48 +53,167 @@ def profile_cap() -> int:
     return cap
 
 
-def _walk(model: GameModel):
-    """Yield ``(profile, usage masks)`` for every profile, in lexicographic
-    order; raises CapExceededError before the first one if the space is
-    larger than the cap."""
-    size = model.profile_space_size()
-    cap = profile_cap()
-    if size > cap:
-        raise CapExceededError(f"profile space has {size} profiles, cap is {cap}")
-    for profile in itertools.product(*(range(len(s)) for s in model.strategy_sets)):
-        yield profile, model.usage_masks(profile)
+def _scaled(value: Fraction, scale: int) -> int:
+    """``scale * value`` for a value whose denominator divides ``scale``."""
+    return value.numerator * (scale // value.denominator)
 
 
-def _deviation_cost(model: GameModel, protocol: Protocol, usage, i: int,
-                    strategy: int) -> Fraction:
-    """Cost player i would pay after unilaterally switching to ``strategy``,
-    given the usage masks of the current profile."""
-    bit = 1 << i
-    fns = model.cost_fns
-    total = ZERO
-    for r in model._strategy_ridx[i][strategy]:
-        total += protocol.share(fns[r], usage[r] | bit, i)
-    return total
+class _Row(dict):
+    """Integer row keyed by user mask; a missing entry is computed by
+    ``fill`` on first touch and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = self.fill(mask)
+        return value
 
 
-def _stable(model: GameModel, protocol: Protocol, profile: Profile, usage) -> bool:
-    """No player can strictly lower its cost by a unilateral switch."""
-    for i, current in enumerate(profile):
-        cost_now = _deviation_cost(model, protocol, usage, i, current)
-        for s in range(len(model.strategy_sets[i])):
-            if s != current and _deviation_cost(model, protocol, usage, i, s) < cost_now:
-                return False
-    return True
+class _Kernel:
+    """One game compiled for one protocol (or for none, when only costs
+    and the Shapley potential are asked for).
 
+    ``scale`` is the game's denominator D; ``costs[r][mask]`` is D times
+    the cost of resource r under ``mask``; ``options[i][s]`` pairs each
+    resource of player i's strategy s with the row of i's shares of it,
+    also times D. ``usage`` holds the user masks of the current profile.
+    """
 
-def _best_response(model: GameModel, protocol: Protocol, usage, i: int,
-                   current: int) -> tuple[int, list[Fraction]]:
-    """i's best strategy and its cost under each of its strategies."""
-    costs = [_deviation_cost(model, protocol, usage, i, s)
-             for s in range(len(model.strategy_sets[i]))]
-    best_c = min(costs)
-    best = current if costs[current] == best_c else costs.index(best_c)
-    return best, costs
+    def __init__(self, model: GameModel, protocol: Protocol | None = None):
+        self.model = model
+        self.protocol = protocol
+        fns = model.cost_fns
+        distinct = {id(f): f for f in fns}.values()
+        scales = [f.denominator for f in distinct]
+        if protocol is not None:
+            scales += [protocol.share_scale(f) for f in distinct]
+        self.scale = scale = lcm(*scales)
+        self.strategies = model._strategy_ridx
+        self.costs = [_Row(lambda mask, f=f: _scaled(f.value(mask), scale)) for f in fns]
+        self.usage: list[int] = []
+        if protocol is None:
+            return
+        share = protocol.share
+        rows: dict = {}
+
+        def share_row(r: int, i: int) -> _Row:
+            row = rows.get((r, i))
+            if row is None:
+                f = fns[r]
+                row = rows[r, i] = _Row(lambda mask: _scaled(share(f, mask, i), scale))
+            return row
+
+        self.options = [[tuple((r, share_row(r, i)) for r in strategy)
+                         for strategy in sset]
+                        for i, sset in enumerate(self.strategies)]
+
+    def at(self, profile: Profile) -> "_Kernel":
+        """Point ``usage`` at the masks of ``profile`` (validated)."""
+        self.usage = self.model.usage_masks(profile)
+        return self
+
+    def walk(self, rows):
+        """Yield ``(profile, total)`` for every profile in lexicographic
+        order, where ``total`` is the sum over resources r of
+        ``rows[r][usage[r]]`` and ``self.usage`` holds the profile's masks.
+        Raises CapExceededError before the first profile if the space is
+        larger than the cap."""
+        size = self.model.profile_space_size()
+        cap = profile_cap()
+        if size > cap:
+            raise CapExceededError(f"profile space has {size} profiles, cap is {cap}")
+        strategies = self.strategies
+        usage = self.usage = [0] * len(rows)
+        for i, sset in enumerate(strategies):
+            for r in sset[0]:
+                usage[r] |= 1 << i
+        total = sum(row[mask] for row, mask in zip(rows, usage))
+        counts = [len(sset) for sset in strategies]
+        # moves[i][a]: resources whose bit i flips when digit i steps from a
+        moves = [[tuple(sorted(set(sset[a]) ^ set(sset[(a + 1) % len(sset)])))
+                  for a in range(len(sset))] for sset in strategies]
+        digits = [0] * len(strategies)
+        while True:
+            yield tuple(digits), total
+            i = len(digits) - 1
+            while i >= 0:
+                a = digits[i]
+                bit = 1 << i
+                for r in moves[i][a]:
+                    row = rows[r]
+                    mask = usage[r]
+                    total -= row[mask]
+                    mask ^= bit
+                    usage[r] = mask
+                    total += row[mask]
+                a += 1
+                if a < counts[i]:
+                    digits[i] = a
+                    break
+                digits[i] = 0
+                i -= 1
+            else:
+                return
+
+    def stable(self, profile: Profile) -> bool:
+        """No player can strictly lower its cost by a unilateral switch."""
+        usage = self.usage
+        for i, current in enumerate(profile):
+            options = self.options[i]
+            bit = 1 << i
+            now = 0
+            for r, row in options[current]:
+                now += row[usage[r]]
+            for s, option in enumerate(options):
+                if s != current:
+                    cost = 0
+                    for r, row in option:
+                        cost += row[usage[r] | bit]
+                    if cost < now:
+                        return False
+        return True
+
+    def best_response(self, i: int, current: int) -> tuple[int, list[int]]:
+        """i's best strategy and its scaled cost under each strategy; keeps
+        ``current`` on a tie, else takes the lowest-index minimizer."""
+        usage = self.usage
+        bit = 1 << i
+        costs = [sum(row[usage[r] | bit] for r, row in option)
+                 for option in self.options[i]]
+        best_c = min(costs)
+        best = current if costs[current] == best_c else costs.index(best_c)
+        return best, costs
+
+    def move(self, i: int, old: int, new: int) -> None:
+        """Switch player i from strategy ``old`` to ``new`` in ``usage``."""
+        usage = self.usage
+        bit = 1 << i
+        for r in self.strategies[i][old]:
+            usage[r] &= ~bit
+        for r in self.strategies[i][new]:
+            usage[r] |= bit
+
+    def potential_rows(self) -> list[_Row]:
+        """Per resource, the Shapley potential of each mask times
+        ``self.potential_scale``, from the protocol's memo when it is a
+        ShapleyProtocol."""
+        shapley = self.protocol
+        if not isinstance(shapley, ShapleyProtocol):
+            shapley = ShapleyProtocol()
+        fns = self.model.cost_fns
+        own = [shapley.share_scale(f) for f in fns]
+        self.potential_scale = scale = lcm(*own)
+        return [_Row(lambda m, f=f, k=scale // s: k * shapley.scaled_potential(f, m))
+                for f, s in zip(fns, own)]
+
+    def potential(self, rows: list[_Row]) -> Fraction:
+        """The potential of the current profile, from ``potential_rows()``."""
+        total = sum(row[mask] for row, mask in zip(rows, self.usage))
+        return Fraction(total, self.potential_scale)
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -97,8 +223,7 @@ def best_response(model: GameModel, protocol: Protocol, profile: Profile,
     Keeps the current strategy when it ties the minimum; otherwise picks
     the lowest-index minimizer.
     """
-    usage = model.usage_masks(profile)
-    return _best_response(model, protocol, usage, i, profile[i])[0]
+    return _Kernel(model, protocol).at(profile).best_response(i, profile[i])[0]
 
 
 @dataclass(frozen=True)
@@ -141,7 +266,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     if schedule not in ("round-robin", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
-    shapley = isinstance(protocol, ShapleyProtocol)
+    kernel = _Kernel(model, protocol).at(start)
+    phi_rows = kernel.potential_rows() if isinstance(protocol, ShapleyProtocol) else None
+    scale = kernel.scale
 
     profile = list(start)
     trace: list[BrdStep] = []
@@ -157,38 +284,42 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
             if changes >= max_steps:
                 return BrdResult(tuple(profile), False, tuple(trace), sweeps)
             current = profile[i]
-            usage = model.usage_masks(tuple(profile))
-            best_s, costs = _best_response(model, protocol, usage, i, current)
+            best_s, costs = kernel.best_response(i, current)
             if best_s != current:
+                kernel.move(i, current, best_s)
                 profile[i] = best_s
                 changes += 1
                 dirty = True
-                phi = potential(model, tuple(profile)) if shapley else None
+                phi = None if phi_rows is None else kernel.potential(phi_rows)
                 trace.append(BrdStep(i, current, best_s, phi,
-                                     costs[current], costs[best_s]))
+                                     Fraction(costs[current], scale),
+                                     Fraction(costs[best_s], scale)))
         if not dirty:
             return BrdResult(tuple(profile), True, tuple(trace), sweeps)
 
 
 def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
     """No player can strictly lower its cost by a unilateral switch."""
-    return _stable(model, protocol, profile, model.usage_masks(profile))
+    return _Kernel(model, protocol).at(profile).stable(profile)
 
 
 def enumerate_pne(model: GameModel, protocol: Protocol) -> list[Profile]:
     """All pure Nash equilibria, in lexicographic profile order."""
-    return [p for p, usage in _walk(model) if _stable(model, protocol, p, usage)]
+    kernel = _Kernel(model, protocol)
+    return [p for p, _ in kernel.walk(kernel.costs) if kernel.stable(p)]
 
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
     """Profile of minimum social cost; lexicographically first on ties."""
-    return min(((p, usage_cost(model, usage)) for p, usage in _walk(model)),
-               key=itemgetter(1))
+    kernel = _Kernel(model)
+    profile, cost = min(kernel.walk(kernel.costs), key=itemgetter(1))
+    return profile, Fraction(cost, kernel.scale)
 
 
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
-    return min((p for p, _ in _walk(model)), key=lambda p: potential(model, p))
+    kernel = _Kernel(model)
+    return min(kernel.walk(kernel.potential_rows()), key=itemgetter(1))[0]
 
 
 def _ratio(target: Fraction, opt: Fraction):
@@ -219,20 +350,25 @@ class AnalysisReport:
 def analyze(model: GameModel, protocol: Protocol, *,
             with_potential: bool = False) -> AnalysisReport:
     """Equilibria, their costs, the optimum and both ratios in one walk."""
-    pne, costs = [], []
+    kernel = _Kernel(model, protocol)
+    pne, scaled = [], []
     opt_p = opt_c = None
-    for profile, usage in _walk(model):
-        cost = usage_cost(model, usage)
+    for profile, cost in kernel.walk(kernel.costs):
         if opt_c is None or cost < opt_c:
             opt_p, opt_c = profile, cost
-        if _stable(model, protocol, profile, usage):
+        if kernel.stable(profile):
             pne.append(profile)
-            costs.append(cost)
+            scaled.append(cost)
+    costs = tuple(Fraction(c, kernel.scale) for c in scaled)
+    opt_cost = Fraction(opt_c, kernel.scale)
     if pne:
-        poa = _ratio(max(costs), opt_c)
-        pos = _ratio(min(costs), opt_c)
+        poa = _ratio(max(costs), opt_cost)
+        pos = _ratio(min(costs), opt_cost)
     else:
         poa = pos = None
-    potentials = tuple(potential(model, p) for p in pne) if with_potential else None
-    return AnalysisReport(protocol.name, tuple(pne), tuple(costs), opt_p, opt_c,
+    potentials = None
+    if with_potential:
+        rows = kernel.potential_rows()
+        potentials = tuple(kernel.at(p).potential(rows) for p in pne)
+    return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_cost,
                           poa, pos, potentials)

@@ -34,8 +34,9 @@ class NetworkModel:
     ``forced`` optionally restricts a player to a subset of its paths,
     given as edge-id sets; it models side constraints like "these players
     must use that route" without extra graph machinery. Construction
-    eagerly enumerates every player's paths and fails if any player has
-    none, or if a forced entry is not an actual path.
+    enumerates every player's paths once, one enumeration per distinct
+    terminal pair, and fails if any player has none, or if a forced entry
+    is not an actual path.
     """
 
     vertices: tuple[str, ...]
@@ -72,11 +73,18 @@ class NetworkModel:
                 raise ValidationError(f"player {i} terminals ({s!r}, {t!r}) unknown")
         if self.forced is not None and len(self.forced) != n:
             raise ValidationError("forced list must have one entry per player")
-        # eager path check: every player must be routable
-        for i in range(n):
-            if not self.player_paths(i):
-                s, t = self.terminals[i]
+        # eager path check: every player must be routable; players with the
+        # same terminal pair share one enumeration
+        by_pair: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        routes = []
+        for i, (s, t) in enumerate(self.terminals):
+            if (s, t) not in by_pair:
+                by_pair[s, t] = self.paths(s, t)
+            usable = self._restrict(i, by_pair[s, t])
+            if not usable:
                 raise ValidationError(f"player {i} has no {s!r} -> {t!r} path")
+            routes.append(tuple(usable))
+        object.__setattr__(self, "_routes", tuple(routes))
 
     @property
     def n(self) -> int:
@@ -120,8 +128,10 @@ class NetworkModel:
 
     def player_paths(self, i: int) -> list[tuple[str, ...]]:
         """Player i's usable paths, after applying any forced restriction."""
-        s, t = self.terminals[i]
-        all_paths = self.paths(s, t)
+        return list(self._routes[i])
+
+    def _restrict(self, i: int, all_paths: list) -> list[tuple[str, ...]]:
+        """``all_paths`` narrowed to player i's forced routes, if it has any."""
         restriction = self.forced[i] if self.forced is not None else None
         if restriction is None:
             return all_paths

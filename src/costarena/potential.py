@@ -93,7 +93,7 @@ def potential_by_permutation(model: GameModel, profile: Profile,
     Players join one at a time following ``order``; each entrant is
     charged its share, on every resource it uses, within the users that
     have joined so far. Shares come from the permutation evaluator, so
-    this path is independent of both ``potential`` and the subset-sum
+    this path is independent of both ``potential`` and the potential-based
     share code; the result does not depend on the chosen order.
     """
     model.validate_profile(profile)

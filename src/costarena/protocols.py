@@ -5,15 +5,22 @@ Non-users pay 0, and the shares of the members of a user set sum to the
 full resource cost (budget balance); ``check_budget_balance`` verifies
 both clauses exhaustively.
 
+Every protocol also names a share scale, ``share_scale(f)``: a positive
+integer with ``share_scale(f) * share(f, S, i)`` an integer for every S
+and i. The equilibrium kernel scales a whole game by the lcm of these, so
+its walk adds and compares Python ints only.
+
 The Shapley share of player i in user set S is i's marginal cost averaged
-over all orderings of S. The production implementation uses the
-equivalent subset sum
+over all orderings of S. The production implementation computes it from
+the Hart--Mas-Colell potential, kept as an integer at scale
+D_f = share_scale(f) and memoized per cost function:
 
-    share(i, S) = sum over T subseteq S - {i} of
-                  |T|! (|S| - |T| - 1)! / |S|!  *  (C(T + i) - C(T))
+    Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
-while ``shapley_share_by_permutations`` keeps the literal ordering average
-as an independent cross-check for small sets.
+where every division is exact, and share(i, S) = (Q(S) - Q(S - i)) / D_f.
+Anonymous costs take the closed form C(|S|) / |S|.
+``shapley_share_by_permutations`` keeps the literal ordering average as an
+independent cross-check for small sets.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import lcm
 
 from .core import (
     SetCostFunction,
@@ -51,6 +58,13 @@ class Protocol:
         """Every player's share as a length-n vector (zeros off ``users``)."""
         return tuple(self.share(f, users, i) for i in range(f.n))
 
+    def share_scale(self, f: SetCostFunction) -> int:
+        """A positive integer that turns every share of ``f`` into an
+        integer. This default is exact for any protocol, at the price of
+        evaluating every share once; subclasses give closed forms."""
+        return lcm(*(self.share(f, users, i).denominator
+                     for users in range(1 << f.n) for i in range(f.n)))
+
 
 def _check_arity(f: SetCostFunction, users: int) -> None:
     if users >> f.n:
@@ -64,46 +78,56 @@ def _check_arity(f: SetCostFunction, users: int) -> None:
 class ShapleyProtocol(Protocol):
     """Split each resource's cost by the Shapley value of its user set.
 
-    Shares are memoized per (cost function, user set, player); cost
-    functions hash by semantic value, so structurally equal functions on
-    different resources reuse the same cache rows.
+    Shares are differences of the integer Hart--Mas-Colell potential Q
+    (see the module docstring), memoized per cost function on the
+    instance; cost functions hash by semantic value, so structurally
+    equal functions on different resources share one memo.
     """
 
     name = "shapley"
 
     def __init__(self):
-        self._cache: dict = {}
+        self._potentials: dict = {}
+
+    def share_scale(self, f: SetCostFunction) -> int:
+        return f.denominator * lcm(*range(1, f.n + 1))
+
+    def scaled_potential(self, f: SetCostFunction, users: int) -> int:
+        """Q(users): ``share_scale(f)`` times the potential of ``users``."""
+        scale = self.share_scale(f)
+        anon = f.anonymous_values
+        if anon is not None:
+            # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
+            return sum(c.numerator * (scale // c.denominator) // k
+                       for k, c in enumerate(anon[1:users.bit_count() + 1], 1))
+        memo = self._potentials.get(f)
+        if memo is None:
+            memo = self._potentials[f] = {0: 0}
+        return _hmc_potential(f, users, scale, memo)
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)
         if not (users >> i) & 1:
             return ZERO
-        key = (f, users, i)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if f.anonymous_values is not None:
-            # every member pays the same: C(S) / |S|
             k = users.bit_count()
-            val = f.anonymous_values[k] / k
-        else:
-            val = _shapley_subset_sum(f, users, i)
-        self._cache[key] = val
-        return val
+            return f.anonymous_values[k] / k
+        q = self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
+        return Fraction(q, self.share_scale(f))
 
 
-def _shapley_subset_sum(f: SetCostFunction, users: int, i: int) -> Fraction:
-    s = users.bit_count()
-    fact = [factorial(k) for k in range(s)]
-    denom = factorial(s)
-    bit = 1 << i
-    rest = users & ~bit
-    total = ZERO
-    for t in iter_submasks(rest):
-        tsize = t.bit_count()
-        weight = Fraction(fact[tsize] * fact[s - tsize - 1], denom)
-        total += weight * (f.value(t | bit) - f.value(t))
-    return total
+def _hmc_potential(f: SetCostFunction, users: int, scale: int, memo: dict) -> int:
+    q = memo.get(users)
+    if q is None:
+        c = f.value(users)
+        total = c.numerator * (scale // c.denominator)
+        rest = users
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += _hmc_potential(f, users ^ bit, scale, memo)
+        q = memo[users] = total // users.bit_count()
+    return q
 
 
 def shapley_share(f: SetCostFunction, users: int, i: int) -> Fraction:
@@ -211,6 +235,22 @@ class GeneralizedWeightedShapley(Protocol):
         self.system = system
         self._dividends: dict = {}
         self._cache: dict = {}
+        self._weight_scale = None
+
+    def share_scale(self, f: SetCostFunction) -> int:
+        # lambda_i / lambda(B) = a_i / A(B) with integer weights a over a
+        # common denominator; dividends are multiples of 1 / f.denominator
+        if self._weight_scale is None:
+            common = lcm(*(w.denominator for w in self.system.weights))
+            a = [int(w * common) for w in self.system.weights]
+            sums = set()
+            for block in self.system.blocks:
+                subset = [0]  # A(B) for every B subseteq block, one player at a time
+                for j in block:
+                    subset += [x + a[j] for x in subset]
+                sums.update(subset[1:])
+            self._weight_scale = lcm(*sums)
+        return f.denominator * self._weight_scale
 
     def _dividend_table(self, f: SetCostFunction) -> list:
         tab = self._dividends.get(f)
@@ -295,6 +335,13 @@ class TableProtocol(Protocol):
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
         self.entries[(f, users)] = shares
+
+    def share_scale(self, f: SetCostFunction) -> int:
+        scales = [v.denominator for entry in self.entries.values()
+                  for v in entry.values()]
+        if self.fallback is not None:
+            scales.append(self.fallback.share_scale(f))
+        return lcm(*scales)
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)

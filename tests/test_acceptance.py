@@ -158,7 +158,7 @@ def test_criterion_4_exact_potential_on_corpus():
 
 
 def test_criterion_5_oracle_equivalence():
-    with criterion("criterion 5: subset-sum shares match permutation averages "
+    with criterion("criterion 5: Shapley shares match permutation averages "
                    "on all user sets of 200 random cost functions; closed-form "
                    "potential matches every build-up order for n <= 5"):
         rng = random.Random(501)

@@ -84,6 +84,30 @@ def test_floats_rejected():
         SetCostFunction.anonymous([0, 0.5, 1.0])
 
 
+def test_parsed_fractions_are_stored_as_they_are():
+    third = F(1, 3)
+    assert SetCostFunction.anonymous([0, third, 1]).anonymous_values[1] is third
+    assert SetCostFunction.from_table(2, {(0,): third, (0, 1): 1}).value(0b01) is third
+
+    class Exact(Fraction):
+        pass
+
+    stored = SetCostFunction.anonymous([0, Exact(1, 2)]).anonymous_values[1]
+    assert type(stored) is Fraction and stored == F(1, 2)
+    assert SetCostFunction.anonymous([0, "3/4", 2]).anonymous_values[1] == F(3, 4)
+    with pytest.raises(ValidationError, match="float cost"):
+        SetCostFunction.from_table(1, {(0,): 0.5})
+    with pytest.raises(ValidationError, match="not a rational"):
+        SetCostFunction.anonymous([0, "x"])
+
+
+def test_denominator_is_lcm_of_value_denominators():
+    assert SetCostFunction.anonymous([0, F(1, 2), F(5, 3)]).denominator == 6
+    assert SetCostFunction.zero(3).denominator == 1
+    f = SetCostFunction.from_table(2, {(0,): F(1, 4), (1,): F(1, 6), (0, 1): F(1, 2)})
+    assert f.denominator == 12
+
+
 def test_arity_bounds():
     with pytest.raises(ValidationError):
         SetCostFunction(0, [F(0)])

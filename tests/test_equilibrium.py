@@ -8,7 +8,6 @@ from costarena.core import (
     CapExceededError,
     GameModel,
     SetCostFunction,
-    social_cost,
 )
 from costarena.equilibrium import (
     INFINITE,
@@ -24,6 +23,7 @@ from costarena.equilibrium import (
 from costarena.potential import potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
+    Protocol,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
@@ -283,12 +283,38 @@ def test_analyze_without_potential_flag():
     assert analyze(g, SHAPLEY).potentials is None
 
 
+def reference_profiles(model):
+    return list(itertools.product(*(range(len(s)) for s in model.strategy_sets)))
+
+
+def reference_cost(model, profile):
+    """Social cost straight from each resource's cost function."""
+    usage = model.usage_masks(profile)
+    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), F(0))
+
+
+def reference_costs(model, protocol, profile, i):
+    """Player i's Fraction payment under each of its strategies, the others
+    fixed, from ``private_cost`` (``protocol.share`` summed per resource)."""
+    return [private_cost(model, protocol, profile[:i] + (s,) + profile[i + 1:], i)
+            for s in range(len(model.strategy_sets[i]))]
+
+
+def reference_stable(model, protocol, profile):
+    for i in range(model.n):
+        costs = reference_costs(model, protocol, profile, i)
+        if min(costs) < costs[profile[i]]:
+            return False
+    return True
+
+
 def reference_analysis(model, protocol):
-    """Brute force over itertools.product, one is_pne and one social_cost
-    per profile: (pne, pne costs, optimum, optimum cost, poa, pos)."""
-    profiles = list(itertools.product(*(range(len(s)) for s in model.strategy_sets)))
-    cost = {p: social_cost(model, p) for p in profiles}
-    pne = [p for p in profiles if is_pne(model, protocol, p)]
+    """Brute force over itertools.product in Fraction arithmetic, with no
+    code from the equilibrium module: (pne, pne costs, optimum, optimum
+    cost, poa, pos)."""
+    profiles = reference_profiles(model)
+    cost = {p: reference_cost(model, p) for p in profiles}
+    pne = [p for p in profiles if reference_stable(model, protocol, p)]
     opt = profiles[0]
     for p in profiles:
         if cost[p] < cost[opt]:
@@ -305,14 +331,70 @@ def reference_analysis(model, protocol):
     return pne, costs, opt, cost[opt], poa, pos
 
 
+def reference_brd(model, protocol, start, max_steps, schedule, seed):
+    """Best-response dynamics on ``reference_costs``: (final profile,
+    converged, sweeps, trace of (player, old, new, phi, before, after))."""
+    rng = random.Random(seed) if schedule == "random" else None
+    shapley = isinstance(protocol, ShapleyProtocol)
+    profile, trace, sweeps = tuple(start), [], 0
+    while True:
+        sweeps += 1
+        dirty = False
+        players = list(range(model.n))
+        if rng is not None:
+            rng.shuffle(players)
+        for i in players:
+            if len(trace) >= max_steps:
+                return profile, False, sweeps, trace
+            current = profile[i]
+            costs = reference_costs(model, protocol, profile, i)
+            best = current if costs[current] == min(costs) else costs.index(min(costs))
+            if best != current:
+                profile = profile[:i] + (best,) + profile[i + 1:]
+                dirty = True
+                trace.append((i, current, best,
+                              potential(model, profile) if shapley else None,
+                              costs[current], costs[best]))
+        if not dirty:
+            return profile, True, sweeps, trace
+
+
+class HalfSplit(Protocol):
+    """Even split that only defines ``share``: the kernel has to fall back
+    on the base class's exact share scale."""
+
+    name = "half"
+
+    def share(self, f, users, i):
+        if not (users >> i) & 1:
+            return F(0)
+        return f.value(users) / users.bit_count()
+
+
+def rigged_table(model, rng):
+    """Unvalidated entries over Shapley: some break budget balance and some
+    charge a player outside the user set, with denominators that change D."""
+    table = TableProtocol()
+    for _ in range(3):
+        f = rng.choice(model.cost_fns)
+        users = rng.randrange(1, 1 << model.n)
+        table.set_entry(f, users, {i: F(rng.randint(0, 9), rng.choice((1, 7, 11)))
+                                   for i in range(model.n)}, validate=False)
+    return table
+
+
 def reference_cases():
+    rng = random.Random(77)
     for cost_class in COST_CLASSES:
-        for g in corpus(31, 40, cost_class, max_players=5):
+        for k, g in enumerate(corpus(31, 40, cost_class, max_players=5)):
             yield g, SHAPLEY
             weights = tuple(F(1 + i % 3, 1 + i % 2) for i in range(g.n))
             blocks = (tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2)))
             yield g, GeneralizedWeightedShapley(
                 WeightSystem(weights, tuple(b for b in blocks if b)))
+            if k % 4 == 0:
+                yield g, rigged_table(g, rng)
+                yield g, HalfSplit()
     yield tension_game(), SHAPLEY
     yield chase_game()
     yield freeloader_game()
@@ -329,6 +411,33 @@ def test_analyze_matches_brute_force_reference():
         assert report.potentials == tuple(potential(g, p) for p in pne)
         assert enumerate_pne(g, protocol) == pne
         assert social_optimum(g) == (opt, opt_c)
+        assert all(is_pne(g, protocol, p) == (p in pne) for p in reference_profiles(g))
+
+
+def test_potential_minimizer_matches_brute_force_reference():
+    for cost_class in COST_CLASSES:
+        for g in corpus(32, 40, cost_class, max_players=5):
+            want = min(reference_profiles(g), key=lambda p: potential(g, p))
+            assert potential_minimizer(g) == want
+
+
+def test_brd_matches_fraction_reference():
+    rng = random.Random(5)
+    for k, (g, protocol) in enumerate(reference_cases()):
+        start = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
+        schedule = ("round-robin", "random")[k % 2]
+        res = best_response_dynamics(g, protocol, start, max_steps=30,
+                                     schedule=schedule, seed=k)
+        profile, converged, sweeps, trace = reference_brd(g, protocol, start, 30,
+                                                          schedule, k)
+        assert (res.profile, res.converged, res.sweeps) == (profile, converged, sweeps)
+        assert [(s.player, s.old, s.new, s.phi, s.cost_before, s.cost_after)
+                for s in res.trace] == trace
+        for i in range(g.n):
+            costs = reference_costs(g, protocol, start, i)
+            best = best_response(g, protocol, start, i)
+            assert costs[best] == min(costs)
+            assert best == start[i] or costs[start[i]] > min(costs)
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,33 @@ def test_single_edge_network_private_costs():
                       (("s", "t"),) * n)
     g = to_game(nm)
     assert private_costs(g, ShapleyProtocol(), (0, 0, 0)) == (F(2),) * 3
+
+
+def _count_path_calls(monkeypatch):
+    calls = []
+    enumerate_paths = NetworkModel.paths
+
+    def counted(self, s, t):
+        calls.append((s, t))
+        return enumerate_paths(self, s, t)
+
+    monkeypatch.setattr(NetworkModel, "paths", counted)
+    return calls
+
+
+def test_paths_enumerated_once_per_network(monkeypatch):
+    from costarena.gadgets import build_pos_linear
+    calls = _count_path_calls(monkeypatch)
+    g = to_game(build_pos_linear(4, F(1, 2)))
+    assert len(calls) <= 4
+    assert len(calls) == len(set(calls))
+    assert g.n == 4
+
+
+def test_players_sharing_terminals_share_one_enumeration(monkeypatch):
+    calls = _count_path_calls(monkeypatch)
+    nm = diamond(3)
+    g = to_game(nm)
+    assert calls == [("s", "t")]
+    assert nm.player_paths(2) == [("sa", "at"), ("sb", "bt")]
+    assert all(sset == g.strategy_sets[0] for sset in g.strategy_sets)

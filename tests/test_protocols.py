@@ -363,3 +363,98 @@ def test_protocol_base_share_contract():
     p = Half()
     assert p.shares(f, 0b11) == (F(2), F(2))
     assert p.share(f, 0b01, 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# integer share engine: share scales and the Hart--Mas-Colell potential
+# ---------------------------------------------------------------------------
+
+def random_costs(seed, count=12, max_n=6):
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = 1 + k % max_n
+        if k % 3 == 2:
+            marginals = [F(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(n)]
+            values = [F(0)]
+            for m in marginals:
+                values.append(values[-1] + m)
+            out.append(SetCostFunction.anonymous(values))
+        else:
+            out.append(random_monotone_cost(rng, n, den_max=6))
+    return out
+
+
+def assert_scale_makes_shares_integral(protocol, f):
+    scale = protocol.share_scale(f)
+    assert isinstance(scale, int) and scale > 0
+    for users in range(1 << f.n):
+        for i in range(f.n):
+            try:
+                value = protocol.share(f, users, i)
+            except ProtocolError:
+                continue
+            assert (scale * value).denominator == 1, (users, i, value, scale)
+
+
+def test_share_scale_shapley_and_gws():
+    for f in random_costs(41):
+        n = f.n
+        weights = tuple(F(2 * i + 1, i % 3 + 2) for i in range(n))
+        one_block = WeightSystem(weights, (tuple(range(n)),))
+        blocks = (tuple(range(0, n, 3)), tuple(j for j in range(n) if j % 3))
+        multi = WeightSystem(weights, tuple(b for b in blocks if b))
+        for protocol in (ShapleyProtocol(), GeneralizedWeightedShapley(one_block),
+                         GeneralizedWeightedShapley(multi)):
+            assert_scale_makes_shares_integral(protocol, f)
+
+
+def test_share_scale_tables_and_share_only_subclass():
+    from costarena.protocols import _check_arity
+
+    class Half(Protocol):
+        name = "half"
+
+        def share(self, f, users, i):
+            _check_arity(f, users)
+            if not (users >> i) & 1:
+                return F(0)
+            return f.value(users) / users.bit_count()
+
+    rng = random.Random(43)
+    for f in random_costs(42):
+        n = f.n
+        validated = TableProtocol()
+        loose = TableProtocol()
+        bare = TableProtocol(fallback=None)
+        for users in rng.sample(range(1, 1 << n), min(3, (1 << n) - 1)):
+            members = mask_members(users)
+            dens = rng.choices(range(1, 8), k=len(members) - 1)
+            cuts = sorted(F(rng.randint(0, d), d) for d in dens)
+            parts = [b - a for a, b in zip([F(0)] + cuts, cuts + [F(1)])]
+            validated.set_entry(f, users, {i: f.value(users) * p
+                                           for i, p in zip(members, parts)})
+            off = {i: F(rng.randint(0, 9), rng.randint(1, 13)) for i in range(n)}
+            loose.set_entry(f, users, off, validate=False)
+            bare.set_entry(f, users, off, validate=False)
+        for protocol in (validated, loose, bare, Half()):
+            assert_scale_makes_shares_integral(protocol, f)
+
+
+def test_hmc_share_equals_permutation_average():
+    for f in random_costs(44):
+        p = ShapleyProtocol()
+        for users in range(1 << f.n):
+            for i in range(f.n):
+                assert p.share(f, users, i) == shapley_share_by_permutations(f, users, i)
+
+
+def test_hmc_potential_equals_alpha_formula():
+    from costarena.potential import resource_potential
+    for f in random_costs(45):
+        p = ShapleyProtocol()
+        scale = p.share_scale(f)
+        for users in range(1 << f.n):
+            q = p.scaled_potential(f, users)
+            assert isinstance(q, int)
+            assert F(q, scale) == resource_potential(f, users)
