@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .core import CapExceededError, ValidationError, mask_members, social_cost
 from .equilibrium import INFINITE, analyze, best_response_dynamics, profile_cap
@@ -335,8 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state
+    on the parser, and every call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ProtocolError, OSError) as exc:

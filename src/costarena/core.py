@@ -2,8 +2,10 @@
 
 Players are indexed 0..n-1 and player sets are encoded as bitmasks (bit i
 set means player i is a member), which keeps set algebra exact and gives a
-deterministic iteration order (ascending mask value). All cost values are
-``fractions.Fraction``; nothing in this package touches floating point.
+deterministic iteration order (ascending mask value). A cost function is
+stored in integers, as numerators over one canonical denominator, and
+shows its values as ``fractions.Fraction`` only at the API; nothing in
+this package touches floating point.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
@@ -70,13 +72,13 @@ def full_mask(n: int) -> int:
 # Cost functions
 # ---------------------------------------------------------------------------
 
-def _check_player_count(n: int) -> None:
+def check_player_count(n: int) -> None:
     if not 1 <= n <= MAX_PLAYERS:
         raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
 
 
 def _as_fraction(value) -> Fraction:
-    if type(value) is Fraction:  # already parsed, e.g. by the file reader
+    if type(value) is Fraction:  # kept as given
         return value
     if isinstance(value, float):
         raise ValidationError(f"float cost {value!r} rejected; use Fraction, int or 'p/q'")
@@ -89,31 +91,53 @@ def _as_fraction(value) -> Fraction:
 class SetCostFunction:
     """Non-decreasing set function C: 2^N -> Q>=0 with C(empty) = 0.
 
-    Stored either as an explicit table over all 2^n subsets or, for
-    anonymous costs, as a vector v[0..n] with C(S) = v[|S|]. Both
-    representations answer ``value(mask)`` through the same interface, and
-    equality/hash are semantic: two functions are equal iff they agree on
-    every subset, regardless of representation.
+    Stored in integers: one canonical denominator L (``denominator``, the
+    lcm of the reduced denominators of all values) and the numerators
+    L * C(S), either over all 2^n subsets (a table) or, for anonymous
+    costs, as a vector over sizes 0..n with C(S) = v[|S|]. ``scaled(mask)``
+    reads a numerator; ``value(mask)`` and ``anonymous_values`` are
+    ``Fraction`` views built on first use (or the ``Fraction`` objects the
+    caller passed, kept as given). Validation, equality and hashing run on
+    the integers, and are semantic: two functions are equal iff they agree
+    on every subset, regardless of representation.
     """
 
-    __slots__ = ("n", "_table", "_anon", "_hash", "_expanded", "_denominator")
+    __slots__ = ("n", "denominator", "_scaled", "_anon", "_views", "_expanded", "_hash")
 
-    def __init__(self, n: int, table: Iterable, *, _anon=None):
-        _check_player_count(n)
-        self.n = n
-        self._anon = _anon
-        self._hash = None
-        self._expanded = None
-        self._denominator = None
-        if _anon is not None:
-            self._table = None
-            self._validate_anonymous()
+    def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
+                 denominator: int | None = None):
+        """``values`` are the 2^n table entries, or the n+1 size-indexed
+        entries when ``anonymous``: rationals (``Fraction``, int or
+        string), or, when ``denominator`` is given, integer numerators
+        over it."""
+        if denominator is None:
+            views = tuple(_as_fraction(v) for v in values)
+            denominator = lcm(*(v.denominator for v in views))
+            scaled = [v.numerator * (denominator // v.denominator) for v in views]
         else:
-            self._table = tuple(_as_fraction(v) for v in table)
-            if len(self._table) != 1 << n:
-                raise ValidationError(
-                    f"table has {len(self._table)} entries, expected {1 << n}")
-            self._validate_table()
+            views = None
+            scaled = values
+        if anonymous and len(scaled) < 2:
+            raise ValidationError("anonymous cost needs at least 2 entries (n >= 1)")
+        check_player_count(n)
+        size = n + 1 if anonymous else 1 << n
+        if len(scaled) != size:
+            raise ValidationError(
+                f"{'anonymous cost' if anonymous else 'table'} has {len(scaled)} "
+                f"entries, expected {size}")
+        # canonical L: the lcm of the reduced denominators
+        common = gcd(denominator, *scaled)
+        if common > 1:
+            denominator //= common
+            scaled = [v // common for v in scaled]
+        self.n = n
+        self.denominator = denominator
+        self._scaled = tuple(scaled)
+        self._anon = anonymous
+        self._views = views
+        self._expanded = None
+        self._hash = None
+        self._validate()
 
     @classmethod
     def from_table(cls, n: int, entries) -> "SetCostFunction":
@@ -122,7 +146,7 @@ class SetCostFunction:
         Keys are bitmasks or iterables of player indices; omitted sets
         default to cost 0 (rejected afterwards if that breaks monotonicity).
         """
-        _check_player_count(n)  # before sizing the table by it
+        check_player_count(n)  # before sizing the table by it
         table = [Fraction(0)] * (1 << n)
         for key, value in entries.items():
             mask = key if isinstance(key, int) else player_mask(key)
@@ -138,90 +162,89 @@ class SetCostFunction:
         ``values[k]`` is the cost for any user set of size k; needs n+1
         entries for an n-player function.
         """
-        anon = tuple(_as_fraction(v) for v in values)
-        if len(anon) < 2:
-            raise ValidationError("anonymous cost needs at least 2 entries (n >= 1)")
-        return cls(len(anon) - 1, (), _anon=anon)
+        values = tuple(values)
+        return cls(len(values) - 1, values, anonymous=True)
 
     @classmethod
     def zero(cls, n: int) -> "SetCostFunction":
         """The identically-zero (free) cost function."""
-        return cls.anonymous([0] * (n + 1))
+        return cls(n, [0] * (n + 1), anonymous=True, denominator=1)
 
-    def _validate_anonymous(self):
-        v = self._anon
+    def _fraction(self, scaled: int) -> Fraction:
+        return Fraction(scaled, self.denominator)
+
+    def _validate(self):
+        v = self._scaled
         if v[0] != 0:
-            raise ValidationError(f"cost of the empty set is {v[0]}, must be 0")
-        for k in range(len(v) - 1):
-            if v[k] > v[k + 1]:
-                raise ValidationError(
-                    f"anonymous cost decreases from size {k} to {k + 1}: {v[k]} > {v[k + 1]}")
-
-    def _validate_table(self):
-        if self._table[0] != 0:
-            raise ValidationError(f"cost of the empty set is {self._table[0]}, must be 0")
-        # compare integers over one denominator instead of Fractions
-        scale = self.denominator
-        table = [v.numerator * (scale // v.denominator) for v in self._table]
+            raise ValidationError(
+                f"cost of the empty set is {self._fraction(v[0])}, must be 0")
+        if self._anon:
+            for k in range(self.n):
+                if v[k] > v[k + 1]:
+                    raise ValidationError(
+                        f"anonymous cost decreases from size {k} to {k + 1}: "
+                        f"{self._fraction(v[k])} > {self._fraction(v[k + 1])}")
+            return
         top = full_mask(self.n)
         for mask in range(1 << self.n):
             absent = top & ~mask
-            base = table[mask]
+            base = v[mask]
             while absent:
                 bit = absent & -absent
-                if base > table[mask | bit]:
+                if base > v[mask | bit]:
                     raise ValidationError(
                         f"cost not monotone: C({mask | bit:#b}) < C({mask:#b})")
                 absent ^= bit
 
-    @property
-    def anonymous_values(self):
-        """The size-indexed vector if built anonymously, else None."""
-        return self._anon
+    def _fractions(self) -> tuple:
+        if self._views is None:
+            self._views = tuple(map(self._fraction, self._scaled))
+        return self._views
 
     @property
-    def denominator(self) -> int:
-        """The least L > 0 with L * C(S) an integer for every S: the lcm of
-        all value denominators."""
-        if self._denominator is None:
-            values = self._anon if self._anon is not None else self._table
-            self._denominator = lcm(*(v.denominator for v in values))
-        return self._denominator
+    def anonymous_values(self):
+        """The size-indexed vector (of ``Fraction``) if anonymous, else None."""
+        return self._fractions() if self._anon else None
+
+    def scaled(self, users: int) -> int:
+        """``denominator * value(users)``, an integer."""
+        if users >> self.n:
+            raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
+        return self._scaled[users.bit_count() if self._anon else users]
 
     def value(self, users: int) -> Fraction:
         if users >> self.n:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        if self._anon is not None:
-            return self._anon[users.bit_count()]
-        return self._table[users]
+        return self._fractions()[users.bit_count() if self._anon else users]
 
     __call__ = value
 
     def _full_table(self) -> tuple:
-        if self._table is not None:
-            return self._table
+        """The numerators over all 2^n subsets."""
+        if not self._anon:
+            return self._scaled
         if self._expanded is None:
-            anon = self._anon
-            self._expanded = tuple(anon[m.bit_count()] for m in range(1 << self.n))
+            v = self._scaled
+            self._expanded = tuple(v[m.bit_count()] for m in range(1 << self.n))
         return self._expanded
 
     def __eq__(self, other):
         if not isinstance(other, SetCostFunction):
             return NotImplemented
-        if self.n != other.n:
+        if self.n != other.n or self.denominator != other.denominator:
             return False
-        if self._anon is not None and other._anon is not None:
-            return self._anon == other._anon
+        if self._anon and other._anon:
+            return self._scaled == other._scaled
         return self._full_table() == other._full_table()
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self._full_table()))
+            self._hash = hash((self.n, self.denominator, self._full_table()))
         return self._hash
 
     def __repr__(self):
-        if self._anon is not None:
-            return f"SetCostFunction.anonymous({list(self._anon)!r})"
+        if self._anon:
+            return f"SetCostFunction.anonymous({list(self.anonymous_values)!r})"
         return f"SetCostFunction(n={self.n}, ...)"
 
 
@@ -299,7 +322,7 @@ class GameModel:
                            tuple(tuple(frozenset(s) for s in sset)
                                  for sset in self.strategy_sets))
         object.__setattr__(self, "cost_fns", tuple(self.cost_fns))
-        _check_player_count(self.n)
+        check_player_count(self.n)
         if len(set(self.resources)) != len(self.resources):
             raise ValidationError("duplicate resource ids")
         if len(self.cost_fns) != len(self.resources):

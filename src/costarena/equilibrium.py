@@ -93,7 +93,8 @@ class _Kernel:
             scales += [protocol.share_scale(f) for f in distinct]
         self.scale = scale = lcm(*scales)
         self.strategies = model._strategy_ridx
-        self.costs = [_Row(lambda mask, f=f: _scaled(f.value(mask), scale)) for f in fns]
+        self.costs = [_Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
+                      for f in fns]
         self.usage: list[int] = []
         if protocol is None:
             return

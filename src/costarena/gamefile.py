@@ -27,15 +27,27 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
-from .core import GameModel, SetCostFunction, ValidationError
+from .core import GameModel, SetCostFunction, ValidationError, check_player_count
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
 
 
+#: Largest number of decimal digits in a numerator, a denominator or a
+#: decimal exponent that a file may give; Python converts ints of up to
+#: this many digits to and from strings by default.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # over the interpreter's int-to-string digit limit
+        raise ValidationError(
+            f"a result has more than {MAX_DIGITS} digits and cannot be written") from None
 
 
 def parse_fraction(value) -> Fraction:
@@ -43,18 +55,49 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValidationError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        x = Fraction(value)
+    elif isinstance(value, str):
+        text = value.strip()
+        # checked before Fraction computes 10 ** exponent
+        if abs(_exponent(text)) > MAX_DIGITS:
+            raise ValidationError(f"bad rational {value!r}")
         try:
-            return Fraction(value.strip())
+            x = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational {value!r}") from exc
-    raise ValidationError(f"bad rational {value!r}")
+    else:
+        raise ValidationError(f"bad rational {value!r}")
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ValidationError(f"bad rational: more than {MAX_DIGITS} digits")
+    return x
+
+
+def _exponent(text: str) -> int:
+    """The decimal exponent written at the end of ``text``, else 0."""
+    _, e, tail = text.replace("E", "e").rpartition("e")
+    try:
+        return int(tail) if e else 0
+    except ValueError:  # no exponent; Fraction rejects such a string itself
+        return 0
+
+
+def _rational(value) -> tuple[int, int]:
+    """``parse_fraction(value)`` as (numerator, denominator > 0), not
+    necessarily reduced; plain ASCII "p/q" strings skip ``Fraction``."""
+    if type(value) is str and len(value) <= MAX_DIGITS:
+        p, slash, q = value.partition("/")
+        if slash and value.isascii() and p.isdigit() and q.isdigit():
+            q = int(q)
+            if q:
+                return int(p), q
+    x = parse_fraction(value)
+    return x.numerator, x.denominator
 
 
 def _is(value, kind) -> bool:
     # JSON true/false are Python ints; never accept them as counts or ids
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    return type(value) is kind or (
+        isinstance(value, kind) and not (kind is int and isinstance(value, bool)))
 
 
 def _require(obj, key, kind, where):
@@ -68,7 +111,8 @@ def _require(obj, key, kind, where):
 
 def _list_of(value, kind, where) -> list:
     """``value`` if it is a JSON list whose items are all of ``kind``."""
-    if not isinstance(value, list) or not all(_is(v, kind) for v in value):
+    if not isinstance(value, list) or not (
+            set(map(type, value)) <= {kind} or all(_is(v, kind) for v in value)):
         raise ValidationError(f"{where}: expected a list of "
                               f"{'strings' if kind is str else 'integers'}")
     return value
@@ -78,8 +122,10 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        # the decoder recurses once per nesting level
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals of more than MAX_DIGITS digits; the decoder recurses once
+        # per nesting level
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -109,24 +155,34 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         if len(values) != n + 1:
             raise ValidationError(
                 f"anonymous cost has {len(values)} entries, expected {n + 1}")
-        return SetCostFunction.anonymous([parse_fraction(v) for v in values])
+        return _scaled_cost(n, [_rational(v) for v in values], anonymous=True)
     if "table" in obj:
         entries = obj["table"]
         if not isinstance(entries, list):
             raise ValidationError("table cost must be a list")
-        mapping = {}
+        check_player_count(n)  # before sizing the table by it
+        table = [None] * (1 << n)
         for e in entries:
             members = _list_of(_require(e, "set", None, "table entry"), int, "table entry set")
-            if not all(0 <= i < n for i in members):
-                raise ValidationError(f"bad player ids in table entry {members!r}")
             mask = 0
             for i in members:
+                if not 0 <= i < n:
+                    raise ValidationError(f"bad player ids in table entry {members!r}")
                 mask |= 1 << i
-            if mask in mapping:
+            if table[mask] is not None:
                 raise ValidationError(f"duplicate table entry for set {members!r}")
-            mapping[mask] = parse_fraction(_require(e, "cost", None, "table entry"))
-        return SetCostFunction.from_table(n, mapping)
+            table[mask] = _rational(_require(e, "cost", None, "table entry"))
+        return _scaled_cost(n, table)
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
+
+
+def _scaled_cost(n: int, values: list, anonymous: bool = False) -> SetCostFunction:
+    """The cost function whose values are the (numerator, denominator)
+    pairs in ``values`` (None for 0), handed over as integers over one
+    common denominator."""
+    common = lcm(*{v[1] for v in values if v is not None})
+    return SetCostFunction(n, [0 if v is None else v[0] * (common // v[1]) for v in values],
+                           anonymous=anonymous, denominator=common)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +337,8 @@ def table_protocol_from_json(obj) -> TableProtocol:
         for k, v in raw_shares.items():
             try:
                 i = int(k)
+                if not 0 <= i < n:
+                    raise ValueError
             except ValueError:
                 raise ValidationError(f"bad player id {k!r} in shares") from None
             shares[i] = parse_fraction(v)

@@ -94,16 +94,15 @@ class ShapleyProtocol(Protocol):
 
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
-        scale = self.share_scale(f)
-        anon = f.anonymous_values
-        if anon is not None:
+        per_unit = lcm(*range(1, f.n + 1))  # share_scale(f) // f.denominator
+        if f.anonymous_values is not None:
             # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
-            return sum(c.numerator * (scale // c.denominator) // k
-                       for k, c in enumerate(anon[1:users.bit_count() + 1], 1))
+            return sum(per_unit * f.scaled((1 << k) - 1) // k
+                       for k in range(1, users.bit_count() + 1))
         memo = self._potentials.get(f)
         if memo is None:
             memo = self._potentials[f] = {0: 0}
-        return _hmc_potential(f, users, scale, memo)
+        return _hmc_potential(f.scaled, users, per_unit, memo)
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)
@@ -116,16 +115,15 @@ class ShapleyProtocol(Protocol):
         return Fraction(q, self.share_scale(f))
 
 
-def _hmc_potential(f: SetCostFunction, users: int, scale: int, memo: dict) -> int:
+def _hmc_potential(scaled, users: int, per_unit: int, memo: dict) -> int:
     q = memo.get(users)
     if q is None:
-        c = f.value(users)
-        total = c.numerator * (scale // c.denominator)
+        total = per_unit * scaled(users)
         rest = users
         while rest:
             bit = rest & -rest
             rest ^= bit
-            total += _hmc_potential(f, users ^ bit, scale, memo)
+            total += _hmc_potential(scaled, users ^ bit, per_unit, memo)
         q = memo[users] = total // users.bit_count()
     return q
 
@@ -225,8 +223,8 @@ class GeneralizedWeightedShapley(Protocol):
     top-priority part contains i, dividend(T) * lambda_i / (total lambda
     of that part). Dividends are the alternating-sign (Moebius) transform
     of the cost function, computed once per function by an in-place
-    lattice pass and cached; the T = empty term is skipped since its
-    dividend is C(empty) = 0.
+    lattice pass over its integer numerators (``f.scaled``) and cached;
+    the T = empty term is skipped since its dividend is C(empty) = 0.
     """
 
     name = "gws"
@@ -255,14 +253,14 @@ class GeneralizedWeightedShapley(Protocol):
     def _dividend_table(self, f: SetCostFunction) -> list:
         tab = self._dividends.get(f)
         if tab is None:
-            tab = [f.value(m) for m in range(1 << f.n)]
-            # tab[m] becomes sum over U subseteq m of (-1)^(|m|-|U|) C(U)
+            scaled = [f.scaled(m) for m in range(1 << f.n)]
+            # scaled[m] becomes sum over U subseteq m of (-1)^(|m|-|U|) L * C(U)
             for b in range(f.n):
                 bit = 1 << b
                 for m in range(1 << f.n):
                     if m & bit:
-                        tab[m] = tab[m] - tab[m ^ bit]
-            self._dividends[f] = tab
+                        scaled[m] -= scaled[m ^ bit]
+            tab = self._dividends[f] = [Fraction(d, f.denominator) for d in scaled]
         return tab
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:

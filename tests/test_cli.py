@@ -129,7 +129,10 @@ def one_player_game(**changes):
     one_player_game(strategies=[[[["r"]]]]),
     edge_network([5]),
     edge_network(["st"]),
-], ids=["players-true", "nested-strategy", "terminal-int", "terminal-string"])
+    one_player_game(resources=[{"id": "r", "cost": {"anonymous": ["0/1", "1e5000"]}}]),
+    one_player_game(resources=[{"id": "r", "cost": {"anonymous": ["0/1", "1e-99999999"]}}]),
+], ids=["players-true", "nested-strategy", "terminal-int", "terminal-string",
+        "cost-1e5000", "cost-exponent-8-digits"])
 def test_malformed_game_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
@@ -138,6 +141,38 @@ def test_malformed_game_files_exit_2(tmp_path, capsys, doc):
     assert out is None
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_numbers_over_the_digit_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    # a JSON integer literal of 5001 digits: the decoder refuses it
+    path.write_text(json.dumps(one_player_game()).replace('"1/1"', "1" + "0" * 5000))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, None)
+    assert err.startswith("error:") and "invalid JSON" in err
+    assert len(err.strip().splitlines()) == 1
+    # every value fits, but their sum has 4301 digits
+    big = "9" * 4300 + "/1"
+    path.write_text(json.dumps({
+        "players": 1,
+        "resources": [{"id": r, "cost": {"anonymous": ["0/1", big]}} for r in "ab"],
+        "strategies": [[["a", "b"]]]}))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, None)
+    assert err == "error: a result has more than 4300 digits and cannot be written\n"
+
+
+@pytest.mark.parametrize("key", ["9", "-1", "2"])
+def test_share_keys_outside_players_exit_2(tmp_path, capsys, key):
+    game_path, table_path = chase_files(tmp_path)
+    with open(table_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["entries"][0]["shares"] = {"0": "0/1", key: "2/1"}
+    with open(table_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    rc, out, err = run(capsys, "analyze", game_path, "--protocol", f"table:{table_path}")
+    assert (rc, out) == (2, None)
+    assert err == f"error: bad player id '{key}' in shares\n"
 
 
 def test_analyze_unknown_protocol(tmp_path, capsys):
@@ -326,6 +361,42 @@ def test_verify_bounds_small_runs(capsys):
 def test_missing_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    from costarena import cli
+
+    game_path, table_path = chase_files(tmp_path)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"lambda": ["1/1", "2/1"], "blocks": [[1], [0]]}))
+    calls = [
+        ("analyze", game_path),
+        ("analyze", game_path, "--protocol", f"table:{table_path}"),
+        ("analyze", game_path, "--protocol", f"gws:{weights}"),
+        ("shares", game_path, "--profile", "0,1", "--protocol", f"gws:{weights}"),
+        ("shares", game_path, "--profile", "1,0"),
+        ("gadget", "pos_linear", "--n", "3", "--eps", "1/4"),
+        ("gadget", "poa_unbounded", "--a", "2", "--protocol", f"table:{table_path}"),
+        ("dynamics", game_path, "--protocol", f"table:{table_path}", "--max-steps", "3",
+         "--schedule", "random", "--seed", "4"),
+        ("dynamics", game_path),
+        ("verify-bounds", "--count", "3", "--seed", "5", "--class", "submodular"),
+        ("verify-bounds", "--count", "3"),
+    ]
+
+    def call(argv):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    first = []
+    for argv in calls:  # each call on a newly built parser
+        cli._parser.cache_clear()
+        first.append(call(argv))
+    parser = cli._parser()
+    for argv, expected in zip(calls + calls[::-1], first + first[::-1]):
+        assert call(argv) == expected, argv
+    assert cli._parser() is parser
 
 
 def test_console_entry_matches_module(tmp_path, capsys):

@@ -17,6 +17,7 @@ from costarena.gamefile import (
     load_weight_system,
     network_from_json,
     network_to_json,
+    _rational,
     parse_fraction,
     table_protocol_from_json,
     weight_system_from_json,
@@ -48,12 +49,99 @@ def test_parse_fraction_accepted_forms():
     assert parse_fraction("-2/5") == F(-2, 5)
     # decimal strings parse exactly; only float objects are banned
     assert parse_fraction("1.5") == F(3, 2)
+    assert parse_fraction("1e3") == 1000
+    assert parse_fraction("9" * 4300) == 10 ** 4300 - 1
 
 
 def test_parse_fraction_rejected_forms():
-    for bad in (1.5, True, False, None, "x", "1/0", [1]):
+    # past MAX_DIGITS digits, or an exponent that would make one (checked
+    # before the power is computed)
+    for bad in (1.5, True, False, None, "x", "1/0", [1], 10 ** 4300, "1e5000",
+                "1e-99999999", "1e4301", "99e4299", "1/" + "9" * 4301):
         with pytest.raises(ValidationError):
             parse_fraction(bad)
+
+
+EDGE_STRINGS = (
+    "3/4", " 3/4 ", "-3/4", "+3/4", "03/004", "1_000/3", "3 / 4", "3/0", "0/0",
+    "0/5", "2/4", "7", "", "/", "3/", "/4", "1/2/3", "x/4", "3/4x",
+    "\u0663/\u0664", "\uff13/\uff14", "\u00b2/3", "1.5", "1e3", "1E-2", "e3",
+    "9" * 4300 + "/1", "1/" + "9" * 4300, "9" * 4301 + "/1", "1e4300", "1e4301",
+)
+
+
+def test_fast_rational_path_matches_fraction():
+    # the reader's "p/q" fast path and parse_fraction (Fraction(str)) agree
+    # on every string: the same value, or the same error message
+    for text in EDGE_STRINGS:
+        try:
+            expected = parse_fraction(text)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                _rational(text)
+            assert str(caught.value) == str(exc), text
+            continue
+        p, q = _rational(text)
+        assert q > 0 and F(p, q) == expected, text
+        if len(text) < 50:
+            assert expected == F(text.strip())
+    assert _rational("03/004") == (3, 4)  # fast path, not reduced
+    assert _rational(5) == (5, 1)
+
+
+def test_loaded_cost_equals_fraction_built():
+    table = cost_from_json(2, {"table": [{"set": [0], "cost": "2/4"},
+                                         {"set": [1], "cost": "3/6"},
+                                         {"set": [0, 1], "cost": "10/6"}]})
+    built = SetCostFunction.from_table(2, {(0,): F(1, 2), (1,): F(1, 2), (0, 1): F(5, 3)})
+    anon = cost_from_json(2, {"anonymous": ["0/3", "4/8", "20/12"]})
+    for f in (table, anon):
+        assert f == built and built == f
+        assert hash(f) == hash(built)
+        assert f.denominator == built.denominator == 6
+        assert [f.value(m) for m in range(4)] == [built.value(m) for m in range(4)]
+        assert [f.scaled(m) for m in range(4)] == [0, 3, 3, 10]
+    assert anon.anonymous_values == (0, F(1, 2), F(5, 3))
+    assert anon.anonymous_values == SetCostFunction.anonymous([0, F(1, 2), F(5, 3)]).anonymous_values
+    assert table.anonymous_values is None
+    # a common factor of every numerator and the denominator is divided out
+    assert cost_from_json(1, {"anonymous": ["0/1", "4/2"]}).denominator == 1
+    assert cost_from_json(2, {"table": []}).denominator == 1
+    other = cost_from_json(2, {"table": [{"set": [0], "cost": "1/2"},
+                                         {"set": [1], "cost": "1/3"},
+                                         {"set": [0, 1], "cost": "5/3"}]})
+    assert other != built and other != anon
+
+
+MALFORMED_COSTS = [
+    (2, {"table": [{"set": [], "cost": "1/2"}]},
+     "cost of the empty set is 1/2, must be 0"),
+    (2, {"table": [{"set": [0], "cost": "2/4"}, {"set": [0, 1], "cost": "1/3"}]},
+     "cost not monotone: C(0b11) < C(0b1)"),
+    (3, {"table": [{"set": [2], "cost": "5/1"}, {"set": [1, 2], "cost": "9/2"}]},
+     "cost not monotone: C(0b101) < C(0b100)"),
+    (2, {"table": [{"set": [1], "cost": "0/1"}, {"set": [1], "cost": "1/1"}]},
+     "duplicate table entry for set [1]"),
+    (2, {"table": [{"set": [0, 2], "cost": "1/1"}]},
+     "bad player ids in table entry [0, 2]"),
+    (2, {"table": [{"set": [-1], "cost": "1/1"}]},
+     "bad player ids in table entry [-1]"),
+    (2, {"table": [{"set": [0], "cost": "3/0"}]}, "bad rational '3/0'"),
+    (2, {"table": [{"set": [0], "cost": True}]}, "not an exact rational: True"),
+    (2, {"anonymous": ["1/2", "1/1", "2/1"]}, "cost of the empty set is 1/2, must be 0"),
+    (2, {"anonymous": ["0/1", "6/4", "1/1"]},
+     "anonymous cost decreases from size 1 to 2: 3/2 > 1"),
+    (0, {"anonymous": ["0/1"]}, "anonymous cost needs at least 2 entries (n >= 1)"),
+    (17, {"anonymous": ["0/1"] * 18}, "player count 17 out of range 1..16"),
+    (0, {"table": []}, "player count 0 out of range 1..16"),
+]
+
+
+@pytest.mark.parametrize("n, doc, message", MALFORMED_COSTS)
+def test_malformed_cost_messages(n, doc, message):
+    with pytest.raises(ValidationError) as caught:
+        cost_from_json(n, doc)
+    assert str(caught.value) == message
 
 
 def test_fraction_round_trip():
@@ -184,7 +272,9 @@ def test_load_game_dispatches_on_shape(tmp_path):
 
 def test_load_game_bad_json(tmp_path):
     p = tmp_path / "broken.json"
-    for text in ("{not json", "[" * 100000):  # the second nests too deep to decode
+    # the second nests too deep to decode; the third is an integer literal
+    # of more than MAX_DIGITS digits
+    for text in ("{not json", "[" * 100000, "[1" + "0" * 5000 + "]"):
         p.write_text(text)
         with pytest.raises(ValidationError):
             load_game(str(p))
