@@ -35,7 +35,7 @@ from .gamefile import (
     load_weight_system,
     network_to_json,
 )
-from .potential import harmonic, potential
+from .potential import harmonic
 from .protocols import (
     GeneralizedWeightedShapley,
     Protocol,

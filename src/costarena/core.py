@@ -359,9 +359,6 @@ class GameModel:
         except KeyError:
             raise ValidationError(f"unknown resource id {r!r}") from None
 
-    def strategy_counts(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategy_sets)
-
     def profile_space_size(self) -> int:
         size = 1
         for s in self.strategy_sets:

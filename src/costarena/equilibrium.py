@@ -31,7 +31,7 @@ from math import lcm
 from operator import itemgetter
 
 from .core import CapExceededError, GameModel, Profile
-from .protocols import Protocol, ShapleyProtocol
+from .protocols import Protocol, ProtocolError, ShapleyProtocol
 
 DEFAULT_PROFILE_CAP = 10 ** 7
 
@@ -53,9 +53,14 @@ def profile_cap() -> int:
     return cap
 
 
-def _scaled(value: Fraction, scale: int) -> int:
-    """``scale * value`` for a value whose denominator divides ``scale``."""
-    return value.numerator * (scale // value.denominator)
+def _scaled(value: Fraction, scale: int, protocol: Protocol) -> int:
+    """``scale * value``; a share whose denominator does not divide the
+    game's scale means the protocol's ``share_scale`` is wrong."""
+    factor, rest = divmod(scale, value.denominator)
+    if rest:
+        raise ProtocolError(f"protocol {protocol.name!r} gave share {value}, which is "
+                            f"not a multiple of 1/{scale}: its share_scale is wrong")
+    return value.numerator * factor
 
 
 class _Row(dict):
@@ -105,7 +110,7 @@ class _Kernel:
             row = rows.get((r, i))
             if row is None:
                 f = fns[r]
-                row = rows[r, i] = _Row(lambda mask: _scaled(share(f, mask, i), scale))
+                row = rows[r, i] = _Row(lambda mask: _scaled(share(f, mask, i), scale, protocol))
             return row
 
         self.options = [[tuple((r, share_row(r, i)) for r in strategy)

@@ -21,6 +21,20 @@ where every division is exact, and share(i, S) = (Q(S) - Q(S - i)) / D_f.
 Anonymous costs take the closed form C(|S|) / |S|.
 ``shapley_share_by_permutations`` keeps the literal ordering average as an
 independent cross-check for small sets.
+
+Generalized weighted Shapley shares come from the same recursion,
+``_hmc_potential``, with integer weights a_j (the weights over their common
+denominator; A(R) is their sum over R). For i in block B of user set S, let
+R = S & B and U = the members of S in later blocks; let L = f.denominator
+(so f.scaled = L * C) and W = share_scale(f) / L, the lcm of A over the
+nonempty subsets of each block:
+
+    Q_U(empty) = 0,
+    A(R) * Q_U(R) = W * (f.scaled(R | U) - f.scaled(U)) + sum over j in R of a_j * Q_U(R - j)
+
+and share(i, S) = a_i * (Q_U(R) - Q_U(R - i)) / share_scale(f). Each division
+is exact: Q_U(R) is the sum over nonempty T within R of the game's integer
+dividend L * d(T) times W / A(T), and A(T) divides W.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import (
+    MAX_PLAYERS,
     SetCostFunction,
     ValidationError,
     full_mask,
@@ -40,6 +55,9 @@ from .core import (
 )
 
 ZERO = Fraction(0)
+
+#: lcm(1, ..., n) for every player count n: the Shapley share scale per unit
+_UNIT_SCALES = tuple(lcm(*range(1, n + 1)) for n in range(MAX_PLAYERS + 1))
 
 
 class ProtocolError(ValueError):
@@ -90,19 +108,17 @@ class ShapleyProtocol(Protocol):
         self._potentials: dict = {}
 
     def share_scale(self, f: SetCostFunction) -> int:
-        return f.denominator * lcm(*range(1, f.n + 1))
+        return f.denominator * _UNIT_SCALES[f.n]
 
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
-        per_unit = lcm(*range(1, f.n + 1))  # share_scale(f) // f.denominator
+        per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
         if f.anonymous_values is not None:
             # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
             return sum(per_unit * f.scaled((1 << k) - 1) // k
                        for k in range(1, users.bit_count() + 1))
-        memo = self._potentials.get(f)
-        if memo is None:
-            memo = self._potentials[f] = {0: 0}
-        return _hmc_potential(f.scaled, users, per_unit, memo)
+        return _hmc_potential(lambda mask: per_unit * f.scaled(mask), (1,) * f.n,
+                              users, self._potentials.setdefault(f, {0: 0}))
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)
@@ -115,16 +131,24 @@ class ShapleyProtocol(Protocol):
         return Fraction(q, self.share_scale(f))
 
 
-def _hmc_potential(scaled, users: int, per_unit: int, memo: dict) -> int:
+def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
+    """The integer weighted Hart--Mas-Colell potential Q of the game
+    ``value`` at ``users``: A(R) * Q(R) = value(R) + sum over j in R of
+    a_j * Q(R - j), where a = ``weights`` and A(R) is their sum over R.
+    ``memo`` holds Q(0) = 0 and every Q computed so far for this game;
+    callers scale ``value`` so that each division is exact."""
     q = memo.get(users)
     if q is None:
-        total = per_unit * scaled(users)
+        total = value(users)
+        size = 0
         rest = users
         while rest:
             bit = rest & -rest
             rest ^= bit
-            total += _hmc_potential(scaled, users ^ bit, per_unit, memo)
-        q = memo[users] = total // users.bit_count()
+            a = weights[bit.bit_length() - 1]
+            total += a * _hmc_potential(value, weights, users ^ bit, memo)
+            size += a
+        q = memo[users] = total // size
     return q
 
 
@@ -219,49 +243,37 @@ class WeightSystem:
 class GeneralizedWeightedShapley(Protocol):
     """Weighted Shapley value driven by a weight system.
 
-    The share of i in user set S sums, over coalitions T subseteq S whose
-    top-priority part contains i, dividend(T) * lambda_i / (total lambda
-    of that part). Dividends are the alternating-sign (Moebius) transform
-    of the cost function, computed once per function by an in-place
-    lattice pass over its integer numerators (``f.scaled``) and cached;
-    the T = empty term is skipped since its dividend is C(empty) = 0.
+    The cost dividends that reach i in block B are those of the coalitions
+    T containing i that touch no earlier block. Summed over T's part in
+    later blocks, they are the dividends of the game R -> C(R | U) - C(U)
+    on B, where U is the users in later blocks, so i's share is that
+    game's weighted Shapley value (Kalai--Samet): a difference of its
+    weighted potential Q_U (module docstring), memoized per (cost
+    function, U) on the instance. One block with unit weights is Shapley.
     """
 
     name = "gws"
 
     def __init__(self, system: WeightSystem):
         self.system = system
-        self._dividends: dict = {}
-        self._cache: dict = {}
-        self._weight_scale = None
+        common = lcm(*(w.denominator for w in system.weights))
+        self._weights = a = tuple(w.numerator * (common // w.denominator)
+                                  for w in system.weights)
+        sums = set()
+        for block in system.blocks:
+            subset = [0]  # A(B) for every B within the block, one player at a time
+            for j in block:
+                subset += [x + a[j] for x in subset]
+            sums.update(subset[1:])
+        self._weight_scale = lcm(*sums)
+        masks = system.block_masks()
+        # player -> (its block's mask, the union of the later, disjoint blocks)
+        self._masks = {j: (own, sum(masks[k + 1:]))
+                       for k, own in enumerate(masks) for j in system.blocks[k]}
+        self._potentials: dict = {}
 
     def share_scale(self, f: SetCostFunction) -> int:
-        # lambda_i / lambda(B) = a_i / A(B) with integer weights a over a
-        # common denominator; dividends are multiples of 1 / f.denominator
-        if self._weight_scale is None:
-            common = lcm(*(w.denominator for w in self.system.weights))
-            a = [int(w * common) for w in self.system.weights]
-            sums = set()
-            for block in self.system.blocks:
-                subset = [0]  # A(B) for every B subseteq block, one player at a time
-                for j in block:
-                    subset += [x + a[j] for x in subset]
-                sums.update(subset[1:])
-            self._weight_scale = lcm(*sums)
         return f.denominator * self._weight_scale
-
-    def _dividend_table(self, f: SetCostFunction) -> list:
-        tab = self._dividends.get(f)
-        if tab is None:
-            scaled = [f.scaled(m) for m in range(1 << f.n)]
-            # scaled[m] becomes sum over U subseteq m of (-1)^(|m|-|U|) L * C(U)
-            for b in range(f.n):
-                bit = 1 << b
-                for m in range(1 << f.n):
-                    if m & bit:
-                        scaled[m] -= scaled[m ^ bit]
-            tab = self._dividends[f] = [Fraction(d, f.denominator) for d in scaled]
-        return tab
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)
@@ -270,31 +282,18 @@ class GeneralizedWeightedShapley(Protocol):
                 f"weight system covers {self.system.n} players, cost function {f.n}")
         if not (users >> i) & 1:
             return ZERO
-        key = (f, users, i)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        dividends = self._dividend_table(f)
-        weights = self.system.weights
-        block_masks = self.system.block_masks()
-        ibit = 1 << i
-        total = ZERO
-        for t in iter_submasks(users):
-            if t == 0:
-                continue
-            d = dividends[t]
-            if d == 0:
-                continue
-            for bm in block_masks:
-                top = t & bm
-                if top:
-                    break
-            if not top & ibit:
-                continue
-            wsum = sum((weights[j] for j in mask_members(top)), ZERO)
-            total += d * weights[i] / wsum
-        self._cache[key] = total
-        return total
+        own, after = self._masks[i]
+        later = users & after
+        memo = self._potentials.setdefault((f, later), {0: 0})
+        scale, base = self._weight_scale, f.scaled(later)
+
+        def value(mask: int) -> int:  # the game R -> C(R | U) - C(U), times W * L
+            return scale * (f.scaled(mask | later) - base)
+
+        mine = users & own
+        q = (_hmc_potential(value, self._weights, mine, memo)
+             - _hmc_potential(value, self._weights, mine ^ (1 << i), memo))
+        return Fraction(self._weights[i] * q, self.share_scale(f))
 
 
 def gws_share(f: SetCostFunction, users: int, i: int, w: WeightSystem) -> Fraction:

@@ -24,6 +24,7 @@ from costarena.potential import potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
+    ProtocolError,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
@@ -438,6 +439,23 @@ def test_brd_matches_fraction_reference():
             best = best_response(g, protocol, start, i)
             assert costs[best] == min(costs)
             assert best == start[i] or costs[start[i]] > min(costs)
+
+
+def test_share_scale_too_small_is_an_error():
+    class HalfSplitWrongScale(HalfSplit):
+        def share_scale(self, f):
+            return f.denominator  # too small: a shared b costs 3/2 each
+
+    a, b = SetCostFunction.anonymous([0, 1, 1]), SetCostFunction.anonymous([0, 1, 3])
+    choices = (frozenset({"a"}), frozenset({"b"}))
+    g = GameModel(2, ("a", "b"), (choices, choices), (a, b))
+    protocol = HalfSplitWrongScale()
+    # each player pays 3/2 on the shared b and 1 alone on a
+    assert not is_pne(g, HalfSplit(), (1, 1))
+    with pytest.raises(ProtocolError, match="'half'.*1/1"):
+        is_pne(g, protocol, (1, 1))
+    with pytest.raises(ProtocolError, match="share_scale"):
+        analyze(g, protocol)
 
 
 # ---------------------------------------------------------------------------

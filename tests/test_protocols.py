@@ -235,6 +235,39 @@ def test_gws_budget_balance_random_systems():
         assert check_budget_balance(p, f)
 
 
+def gws_share_by_dividends(f, users, i, w):
+    """Reference: the Moebius dividend d(T) of every coalition T within
+    ``users`` goes to T's members in the earliest block T touches, in
+    proportion to their weights."""
+    total = F(0)
+    for t in range(1, 1 << f.n):
+        if t & ~users or not (t >> i) & 1:
+            continue
+        d = sum((-1) ** (t.bit_count() - s.bit_count()) * f.value(s)
+                for s in range(t + 1) if s & ~t == 0)
+        top = next(t & player_mask(b) for b in w.blocks if t & player_mask(b))
+        if (top >> i) & 1:
+            total += d * w.weights[i] / sum(w.weights[j] for j in mask_members(top))
+    return total
+
+
+def test_gws_matches_dividend_reference():
+    rng = random.Random(2718)
+    systems = [random_weight_system(rng, rng.randint(1, 5)) for _ in range(40)]
+    systems.append(WeightSystem((F(3), F(1, 2), F(2), F(1), F(5, 3)),
+                                ((3,), (0,), (4,), (1,), (2,))))
+    for w in systems:
+        n = w.n
+        p = GeneralizedWeightedShapley(w)  # one instance across cost functions
+        marginals = sorted(F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n))
+        costs = [random_monotone_cost(rng, n), random_monotone_cost(rng, n),
+                 SetCostFunction.anonymous([0] + [sum(marginals[:k + 1]) for k in range(n)])]
+        for f in costs:
+            for users in range(1 << n):
+                for i in range(n):
+                    assert p.share(f, users, i) == gws_share_by_dividends(f, users, i, w)
+
+
 def test_gws_arity_guard():
     f = SetCostFunction.anonymous([0, 1])
     w = WeightSystem.plain(2)
