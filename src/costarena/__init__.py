@@ -12,6 +12,7 @@ generators.
 from .core import (
     GameModel,
     MAX_PLAYERS,
+    MAX_SCALE_BITS,
     Profile,
     SetCostFunction,
     CapExceededError,
@@ -73,6 +74,7 @@ __all__ = [
     "GameModel",
     "GeneralizedWeightedShapley",
     "MAX_PLAYERS",
+    "MAX_SCALE_BITS",
     "NetworkModel",
     "Profile",
     "Protocol",

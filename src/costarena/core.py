@@ -14,9 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import gt
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
+
+#: Most bits that a common denominator may have: a cost function's L, a
+#: weight system's weight scale W and a game's scale D. Each grows as the lcm
+#: of the denominators in its input, so a small file can ask for numbers of
+#: hundreds of thousands of bits; every recorded output needs under 50.
+MAX_SCALE_BITS = 4096
 
 #: A strategy profile: one strategy index per player.
 Profile = tuple[int, ...]
@@ -77,15 +84,45 @@ def check_player_count(n: int) -> None:
         raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
 
 
-def _as_fraction(value) -> Fraction:
+def scale_lcm(values: Iterable[int], what: str) -> int:
+    """The lcm of ``values``, grown one value at a time; raises
+    ValidationError as soon as it passes ``MAX_SCALE_BITS`` bits."""
+    out = 1
+    for v in values:
+        out = lcm(out, v)
+        if out.bit_length() > MAX_SCALE_BITS:
+            raise ValidationError(f"{what} has more than {MAX_SCALE_BITS} bits")
+    return out
+
+
+def _as_fraction(value, what: str = "cost") -> Fraction:
     if type(value) is Fraction:  # kept as given
         return value
     if isinstance(value, float):
-        raise ValidationError(f"float cost {value!r} rejected; use Fraction, int or 'p/q'")
+        raise ValidationError(f"float {what} {value!r} rejected; use Fraction, int or 'p/q'")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational: {value!r}") from exc
+
+
+def _monotone(table: tuple, n: int) -> bool:
+    """True iff ``table[mask] <= table[mask | bit]`` for every mask and bit.
+    Per bit, compares the slices of masks without and with it: strided
+    through the whole table for a low bit, block by block for a high one,
+    so that each of the about 2 * 2^(n/2) passes runs in C."""
+    size = 1 << n
+    for b in range(n):
+        half = 1 << b
+        step = half << 1
+        if half * half <= size // 2:
+            pairs = ((table[o::step], table[o + half::step]) for o in range(half))
+        else:
+            pairs = ((table[s:s + half], table[s + half:s + step])
+                     for s in range(0, size, step))
+        if any(any(map(gt, low, high)) for low, high in pairs):
+            return False
+    return True
 
 
 class SetCostFunction:
@@ -94,15 +131,16 @@ class SetCostFunction:
     Stored in integers: one canonical denominator L (``denominator``, the
     lcm of the reduced denominators of all values) and the numerators
     L * C(S), either over all 2^n subsets (a table) or, for anonymous
-    costs, as a vector over sizes 0..n with C(S) = v[|S|]. ``scaled(mask)``
-    reads a numerator; ``value(mask)`` and ``anonymous_values`` are
-    ``Fraction`` views built on first use (or the ``Fraction`` objects the
-    caller passed, kept as given). Validation, equality and hashing run on
-    the integers, and are semantic: two functions are equal iff they agree
-    on every subset, regardless of representation.
+    costs, as a vector over sizes 0..n with C(S) = v[|S|] (``by_size`` is
+    then True). ``scaled(mask)`` reads a numerator; ``value(mask)`` and
+    ``anonymous_values`` are ``Fraction`` views built on first use (or the
+    ``Fraction`` objects the caller passed, kept as given). Validation,
+    equality and hashing run on the integers, and are semantic: two
+    functions are equal iff they agree on every subset, regardless of
+    representation.
     """
 
-    __slots__ = ("n", "denominator", "_scaled", "_anon", "_views", "_expanded", "_hash")
+    __slots__ = ("n", "denominator", "_scaled", "by_size", "_views", "_expanded", "_hash")
 
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
                  denominator: int | None = None):
@@ -112,7 +150,8 @@ class SetCostFunction:
         over it."""
         if denominator is None:
             views = tuple(_as_fraction(v) for v in values)
-            denominator = lcm(*(v.denominator for v in views))
+            denominator = scale_lcm({v.denominator for v in views},
+                                    "common denominator of a cost function")
             scaled = [v.numerator * (denominator // v.denominator) for v in views]
         else:
             views = None
@@ -133,7 +172,7 @@ class SetCostFunction:
         self.n = n
         self.denominator = denominator
         self._scaled = tuple(scaled)
-        self._anon = anonymous
+        self.by_size = anonymous
         self._views = views
         self._expanded = None
         self._hash = None
@@ -178,14 +217,16 @@ class SetCostFunction:
         if v[0] != 0:
             raise ValidationError(
                 f"cost of the empty set is {self._fraction(v[0])}, must be 0")
-        if self._anon:
+        if self.by_size:
             for k in range(self.n):
                 if v[k] > v[k + 1]:
                     raise ValidationError(
                         f"anonymous cost decreases from size {k} to {k + 1}: "
                         f"{self._fraction(v[k])} > {self._fraction(v[k + 1])}")
             return
-        top = full_mask(self.n)
+        if _monotone(v, self.n):
+            return
+        top = full_mask(self.n)  # find the first violation, for the message
         for mask in range(1 << self.n):
             absent = top & ~mask
             base = v[mask]
@@ -204,24 +245,24 @@ class SetCostFunction:
     @property
     def anonymous_values(self):
         """The size-indexed vector (of ``Fraction``) if anonymous, else None."""
-        return self._fractions() if self._anon else None
+        return self._fractions() if self.by_size else None
 
     def scaled(self, users: int) -> int:
         """``denominator * value(users)``, an integer."""
         if users >> self.n:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        return self._scaled[users.bit_count() if self._anon else users]
+        return self._scaled[users.bit_count() if self.by_size else users]
 
     def value(self, users: int) -> Fraction:
         if users >> self.n:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        return self._fractions()[users.bit_count() if self._anon else users]
+        return self._fractions()[users.bit_count() if self.by_size else users]
 
     __call__ = value
 
     def _full_table(self) -> tuple:
         """The numerators over all 2^n subsets."""
-        if not self._anon:
+        if not self.by_size:
             return self._scaled
         if self._expanded is None:
             v = self._scaled
@@ -233,7 +274,7 @@ class SetCostFunction:
             return NotImplemented
         if self.n != other.n or self.denominator != other.denominator:
             return False
-        if self._anon and other._anon:
+        if self.by_size and other.by_size:
             return self._scaled == other._scaled
         return self._full_table() == other._full_table()
 
@@ -243,7 +284,7 @@ class SetCostFunction:
         return self._hash
 
     def __repr__(self):
-        if self._anon:
+        if self.by_size:
             return f"SetCostFunction.anonymous({list(self.anonymous_values)!r})"
         return f"SetCostFunction(n={self.n}, ...)"
 

@@ -4,9 +4,14 @@ enumeration, social optimum and the anarchy/stability price ratios.
 Every question about one game runs on one compiled kernel, ``_Kernel``.
 Compiling picks a single denominator D for the game, the lcm of every
 cost denominator and of the protocol's ``share_scale`` of every cost
-function, so each cost and each share is an integer multiple of 1/D.
-Strategies become tuples of resource indices. Cost, share and potential
-rows are filled lazily, one (resource, user mask[, player]) entry on first
+function, so each cost and each share is an integer multiple of 1/D. The
+ints come from the layers below without a ``Fraction`` in between: a cost
+row holds (D / f.denominator) * f.scaled(mask), a share row (D /
+share_scale(f)) * protocol.scaled_share(f, mask, i), and a potential row
+the Shapley protocol's integer potential, rescaled the same way. Each of
+these scales must stay within ``core.MAX_SCALE_BITS``. Strategies become
+tuples of resource indices. Cost, share and potential rows are filled
+lazily, one (resource, user mask[, player]) entry on first
 touch, never as whole 2^n tables. The walk visits profiles as an
 odometer, in the lexicographic order of ``itertools.product``, and on
 each step updates only the usage masks and the running total of the
@@ -27,11 +32,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Profile
-from .protocols import Protocol, ProtocolError, ShapleyProtocol
+from .core import CapExceededError, GameModel, Profile, scale_lcm
+from .protocols import Protocol, ShapleyProtocol
 
 DEFAULT_PROFILE_CAP = 10 ** 7
 
@@ -51,16 +55,6 @@ def profile_cap() -> int:
     if cap <= 0:
         raise ValueError("ARENA_MAX_PROFILES must be positive")
     return cap
-
-
-def _scaled(value: Fraction, scale: int, protocol: Protocol) -> int:
-    """``scale * value``; a share whose denominator does not divide the
-    game's scale means the protocol's ``share_scale`` is wrong."""
-    factor, rest = divmod(scale, value.denominator)
-    if rest:
-        raise ProtocolError(f"protocol {protocol.name!r} gave share {value}, which is "
-                            f"not a multiple of 1/{scale}: its share_scale is wrong")
-    return value.numerator * factor
 
 
 class _Row(dict):
@@ -92,25 +86,27 @@ class _Kernel:
         self.model = model
         self.protocol = protocol
         fns = model.cost_fns
-        distinct = {id(f): f for f in fns}.values()
-        scales = [f.denominator for f in distinct]
-        if protocol is not None:
-            scales += [protocol.share_scale(f) for f in distinct]
-        self.scale = scale = lcm(*scales)
+        distinct = {id(f): f for f in fns}
+        own = {} if protocol is None else {
+            key: protocol.share_scale(f) for key, f in distinct.items()}
+        self.scale = scale = scale_lcm(
+            {f.denominator for f in distinct.values()} | set(own.values()),
+            "common denominator of the game")
         self.strategies = model._strategy_ridx
         self.costs = [_Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
                       for f in fns]
         self.usage: list[int] = []
         if protocol is None:
             return
-        share = protocol.share
+        share = protocol.scaled_share
         rows: dict = {}
 
         def share_row(r: int, i: int) -> _Row:
             row = rows.get((r, i))
             if row is None:
                 f = fns[r]
-                row = rows[r, i] = _Row(lambda mask: _scaled(share(f, mask, i), scale, protocol))
+                k = scale // own[id(f)]
+                row = rows[r, i] = _Row(lambda mask: k * share(f, mask, i))
             return row
 
         self.options = [[tuple((r, share_row(r, i)) for r in strategy)
@@ -212,7 +208,7 @@ class _Kernel:
             shapley = ShapleyProtocol()
         fns = self.model.cost_fns
         own = [shapley.share_scale(f) for f in fns]
-        self.potential_scale = scale = lcm(*own)
+        self.potential_scale = scale = scale_lcm(set(own), "common denominator of the game")
         return [_Row(lambda m, f=f, k=scale // s: k * shapley.scaled_potential(f, m))
                 for f, s in zip(fns, own)]
 

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from itertools import chain, repeat
+from operator import floordiv, itemgetter, mul
 
-from .core import GameModel, SetCostFunction, ValidationError, check_player_count
+from .core import GameModel, SetCostFunction, ValidationError, check_player_count, scale_lcm
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
 
@@ -155,34 +157,92 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         if len(values) != n + 1:
             raise ValidationError(
                 f"anonymous cost has {len(values)} entries, expected {n + 1}")
-        return _scaled_cost(n, [_rational(v) for v in values], anonymous=True)
+        pairs = [_rational(v) for v in values]
+        return _scaled_cost(n, [p for p, _ in pairs], [q for _, q in pairs])
     if "table" in obj:
         entries = obj["table"]
         if not isinstance(entries, list):
             raise ValidationError("table cost must be a list")
         check_player_count(n)  # before sizing the table by it
-        table = [None] * (1 << n)
-        for e in entries:
-            members = _list_of(_require(e, "set", None, "table entry"), int, "table entry set")
-            mask = 0
-            for i in members:
-                if not 0 <= i < n:
-                    raise ValidationError(f"bad player ids in table entry {members!r}")
-                mask |= 1 << i
-            if table[mask] is not None:
-                raise ValidationError(f"duplicate table entry for set {members!r}")
-            table[mask] = _rational(_require(e, "cost", None, "table entry"))
-        return _scaled_cost(n, table)
+        masks, nums, dens = _table_in_bulk(n, entries) or _table_checked(n, entries)
+        return _scaled_cost(n, nums, dens, masks)
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
 
 
-def _scaled_cost(n: int, values: list, anonymous: bool = False) -> SetCostFunction:
-    """The cost function whose values are the (numerator, denominator)
-    pairs in ``values`` (None for 0), handed over as integers over one
-    common denominator."""
-    common = lcm(*{v[1] for v in values if v is not None})
-    return SetCostFunction(n, [0 if v is None else v[0] * (common // v[1]) for v in values],
-                           anonymous=anonymous, denominator=common)
+def _table_checked(n: int, entries: list) -> tuple[list, list, list]:
+    """The user masks, numerators and denominators of the table entries,
+    checked one entry at a time; raises at the first malformed entry."""
+    masks, nums, dens = [], [], []
+    seen = set()
+    for e in entries:
+        members = _list_of(_require(e, "set", None, "table entry"), int, "table entry set")
+        mask = 0
+        for i in members:
+            if not 0 <= i < n:
+                raise ValidationError(f"bad player ids in table entry {members!r}")
+            mask |= 1 << i
+        if mask in seen:
+            raise ValidationError(f"duplicate table entry for set {members!r}")
+        seen.add(mask)
+        p, q = _rational(_require(e, "cost", None, "table entry"))
+        masks.append(mask)
+        nums.append(p)
+        dens.append(q)
+    return masks, nums, dens
+
+
+def _table_in_bulk(n: int, entries: list) -> tuple[list, list, list] | None:
+    """What ``_table_checked`` returns, read one field at a time in passes
+    that run in C; None unless every entry is a dict whose "set" lists
+    distinct player ids in ascending order and whose "cost" is an ASCII
+    "p/q" string of at most MAX_DIGITS characters with q > 0, the inputs
+    on which both agree. Anything else is left to ``_table_checked``."""
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        sets = list(map(itemgetter("set"), entries))
+        costs = list(map(itemgetter("cost"), entries))
+    except KeyError:
+        return None
+    if (set(map(type, sets)) != {list} or set(map(type, costs)) != {str}
+            or not set(map(type, chain.from_iterable(sets))) <= {int}):
+        return None
+    masks = list(map(_member_index(n).get, map(tuple, sets)))
+    if None in masks or len(set(masks)) != len(masks):
+        return None
+    if set(map(str.count, costs, repeat("/"))) != {1} or max(map(len, costs)) > MAX_DIGITS:
+        return None
+    text = "/".join(costs)
+    parts = text.split("/")
+    if not (text.isascii() and "".join(parts).isdigit()) or "" in parts:
+        return None
+    dens = list(map(int, parts[1::2]))
+    if 0 in dens:
+        return None
+    return masks, list(map(int, parts[::2])), dens
+
+
+@cache
+def _member_index(n: int) -> dict:
+    """Ascending member tuple -> user mask, for every subset of n players."""
+    members = [()]
+    for i in range(n):
+        members += [m + (i,) for m in members]
+    return dict(zip(members, range(1 << n)))
+
+
+def _scaled_cost(n: int, nums: list, dens: list, masks: list | None = None) -> SetCostFunction:
+    """The cost function with values ``nums[k] / dens[k]``, handed over as
+    integers over one common denominator: the size-indexed values when
+    ``masks`` is None, else a table with value k at ``masks[k]`` and 0
+    elsewhere."""
+    common = scale_lcm(set(dens), "common denominator of a cost function")
+    scaled = list(map(mul, nums, map(floordiv, repeat(common), dens)))
+    if masks is None:
+        return SetCostFunction(n, scaled, anonymous=True, denominator=common)
+    at = dict(zip(masks, scaled))
+    return SetCostFunction(n, list(map(at.get, range(1 << n), repeat(0))),
+                           denominator=common)
 
 
 # ---------------------------------------------------------------------------

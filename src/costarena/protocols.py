@@ -7,8 +7,14 @@ both clauses exhaustively.
 
 Every protocol also names a share scale, ``share_scale(f)``: a positive
 integer with ``share_scale(f) * share(f, S, i)`` an integer for every S
-and i. The equilibrium kernel scales a whole game by the lcm of these, so
-its walk adds and compares Python ints only.
+and i. That integer is ``scaled_share(f, S, i)``, which the equilibrium
+kernel reads: it scales a whole game by the lcm of the share scales, so
+its walk adds and compares Python ints only. A subclass defines ``share``
+only; the base class derives ``scaled_share`` from it and raises
+ProtocolError when ``share_scale(f)`` does not clear the share's
+denominator. Shapley and GWS override ``scaled_share`` with the integer
+potential differences below and build their ``Fraction`` shares from it;
+``TableProtocol`` keeps the derivation.
 
 The Shapley share of player i in user set S is i's marginal cost averaged
 over all orderings of S. The production implementation computes it from
@@ -17,8 +23,11 @@ D_f = share_scale(f) and memoized per cost function:
 
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
-where every division is exact, and share(i, S) = (Q(S) - Q(S - i)) / D_f.
-Anonymous costs take the closed form C(|S|) / |S|.
+where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
+With unit weights the recursion needs no weight lookups and divides by the
+bit count of S (``_unit_potential``). Anonymous costs take the closed form
+D_f * C(|S|) / |S|, exact because |S| divides D_f / f.denominator =
+lcm(1, ..., n).
 ``shapley_share_by_permutations`` keeps the literal ordering average as an
 independent cross-check for small sets.
 
@@ -32,7 +41,7 @@ nonempty subsets of each block:
     Q_U(empty) = 0,
     A(R) * Q_U(R) = W * (f.scaled(R | U) - f.scaled(U)) + sum over j in R of a_j * Q_U(R - j)
 
-and share(i, S) = a_i * (Q_U(R) - Q_U(R - i)) / share_scale(f). Each division
+and scaled_share(i, S) = a_i * (Q_U(R) - Q_U(R - i)). Each division
 is exact: Q_U(R) is the sum over nonempty T within R of the game's integer
 dividend L * d(T) times W / A(T), and A(T) divides W.
 """
@@ -48,10 +57,13 @@ from .core import (
     MAX_PLAYERS,
     SetCostFunction,
     ValidationError,
+    _as_fraction,
+    check_player_count,
     full_mask,
     iter_submasks,
     mask_members,
     player_mask,
+    scale_lcm,
 )
 
 ZERO = Fraction(0)
@@ -65,7 +77,11 @@ class ProtocolError(ValueError):
 
 
 class Protocol:
-    """Interface: ``share(f, users, i)``, zero whenever i is not a user."""
+    """Interface: ``share(f, users, i)``, zero whenever i is not a user.
+
+    A subclass defines ``share`` and may give ``share_scale`` and
+    ``scaled_share`` closed forms; the defaults derive both from ``share``.
+    """
 
     name = "abstract"
 
@@ -78,10 +94,29 @@ class Protocol:
 
     def share_scale(self, f: SetCostFunction) -> int:
         """A positive integer that turns every share of ``f`` into an
-        integer. This default is exact for any protocol, at the price of
-        evaluating every share once; subclasses give closed forms."""
-        return lcm(*(self.share(f, users, i).denominator
-                     for users in range(1 << f.n) for i in range(f.n)))
+        integer. This default is exact for any protocol whose shares of
+        ``f`` do not change, at the price of evaluating every share once
+        per cost function; ``scaled_share`` asks for it on every call, so
+        it is kept on the instance. Subclasses give closed forms."""
+        known = vars(self).setdefault("_share_scales", {})
+        scale = known.get(f)
+        if scale is None:
+            scale = known[f] = scale_lcm(
+                {self.share(f, users, i).denominator
+                 for users in range(1 << f.n) for i in range(f.n)},
+                f"common denominator of the {self.name!r} shares")
+        return scale
+
+    def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
+        """``share(f, users, i) * share_scale(f)``, an integer. A share
+        that ``share_scale(f)`` does not clear means that scale is wrong."""
+        value = self.share(f, users, i)
+        scale = self.share_scale(f)
+        factor, rest = divmod(scale, value.denominator)
+        if rest:
+            raise ProtocolError(f"protocol {self.name!r} gave share {value}, which is "
+                                f"not a multiple of 1/{scale}: its share_scale is wrong")
+        return value.numerator * factor
 
 
 def _check_arity(f: SetCostFunction, users: int) -> None:
@@ -113,22 +148,40 @@ class ShapleyProtocol(Protocol):
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
         per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
-        if f.anonymous_values is not None:
+        if f.by_size:
             # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
             return sum(per_unit * f.scaled((1 << k) - 1) // k
                        for k in range(1, users.bit_count() + 1))
-        return _hmc_potential(lambda mask: per_unit * f.scaled(mask), (1,) * f.n,
-                              users, self._potentials.setdefault(f, {0: 0}))
+        memo = self._potentials.get(f)
+        if memo is None:
+            memo = self._potentials[f] = {0: 0}
+        return _unit_potential(f.scaled, per_unit, users, memo)
 
-    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
+    def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
         if not (users >> i) & 1:
-            return ZERO
-        if f.anonymous_values is not None:
-            k = users.bit_count()
-            return f.anonymous_values[k] / k
-        q = self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
-        return Fraction(q, self.share_scale(f))
+            return 0
+        if f.by_size:
+            return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
+        return self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
+
+    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
+        return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
+
+
+def _unit_potential(value, scale: int, users: int, memo: dict) -> int:
+    """``_hmc_potential`` with every weight 1 and the game ``scale *
+    value``: |R| * Q(R) = scale * value(R) + sum over j in R of Q(R - j)."""
+    q = memo.get(users)
+    if q is None:
+        total = scale * value(users)
+        rest = users
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += _unit_potential(value, scale, users ^ bit, memo)
+        q = memo[users] = total // users.bit_count()
+    return q
 
 
 def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
@@ -203,9 +256,11 @@ class WeightSystem:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights",
+                           tuple(_as_fraction(w, "weight") for w in self.weights))
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         n = len(self.weights)
+        check_player_count(n)  # each block's subset sums are enumerated
         if any(w <= 0 for w in self.weights):
             raise ValidationError("weights must be positive")
         seen: set[int] = set()
@@ -256,7 +311,8 @@ class GeneralizedWeightedShapley(Protocol):
 
     def __init__(self, system: WeightSystem):
         self.system = system
-        common = lcm(*(w.denominator for w in system.weights))
+        common = scale_lcm({w.denominator for w in system.weights},
+                           "common denominator of the weights")
         self._weights = a = tuple(w.numerator * (common // w.denominator)
                                   for w in system.weights)
         sums = set()
@@ -265,7 +321,7 @@ class GeneralizedWeightedShapley(Protocol):
             for j in block:
                 subset += [x + a[j] for x in subset]
             sums.update(subset[1:])
-        self._weight_scale = lcm(*sums)
+        self._weight_scale = scale_lcm(sums, "weight scale")
         masks = system.block_masks()
         # player -> (its block's mask, the union of the later, disjoint blocks)
         self._masks = {j: (own, sum(masks[k + 1:]))
@@ -275,13 +331,13 @@ class GeneralizedWeightedShapley(Protocol):
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * self._weight_scale
 
-    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
+    def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
         if len(self.system.weights) != f.n:
             raise ProtocolError(
                 f"weight system covers {self.system.n} players, cost function {f.n}")
         if not (users >> i) & 1:
-            return ZERO
+            return 0
         own, after = self._masks[i]
         later = users & after
         memo = self._potentials.setdefault((f, later), {0: 0})
@@ -293,7 +349,10 @@ class GeneralizedWeightedShapley(Protocol):
         mine = users & own
         q = (_hmc_potential(value, self._weights, mine, memo)
              - _hmc_potential(value, self._weights, mine ^ (1 << i), memo))
-        return Fraction(self._weights[i] * q, self.share_scale(f))
+        return self._weights[i] * q
+
+    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
+        return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
 
 def gws_share(f: SetCostFunction, users: int, i: int, w: WeightSystem) -> Fraction:
@@ -319,10 +378,21 @@ class TableProtocol(Protocol):
     entries: dict = field(default_factory=dict)
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
     name: str = "table"
+    # lcm of the denominators of every share entered so far: a replaced
+    # entry's stay in it, which leaves it a valid, if larger, scale
+    _entry_scale: int = field(default=1, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for shares in self.entries.values():
+            self._entry_scale = self._with_scales(shares)
+
+    def _with_scales(self, shares: dict) -> int:
+        return scale_lcm({self._entry_scale, *(v.denominator for v in shares.values())},
+                         "common denominator of the share table")
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
-        shares = {i: Fraction(v) for i, v in shares.items()}
+        shares = {i: _as_fraction(v, "share") for i, v in shares.items()}
         if validate:
             if player_mask(shares) != users:
                 raise ValidationError(
@@ -331,14 +401,14 @@ class TableProtocol(Protocol):
                 raise ValidationError(
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
+        self._entry_scale = self._with_scales(shares)
         self.entries[(f, users)] = shares
 
     def share_scale(self, f: SetCostFunction) -> int:
-        scales = [v.denominator for entry in self.entries.values()
-                  for v in entry.values()]
-        if self.fallback is not None:
-            scales.append(self.fallback.share_scale(f))
-        return lcm(*scales)
+        if self.fallback is None:
+            return self._entry_scale
+        return scale_lcm((self._entry_scale, self.fallback.share_scale(f)),
+                         "common denominator of the share table")
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)

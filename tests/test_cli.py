@@ -1,10 +1,12 @@
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from costarena.cli import main
-from costarena.core import GameModel, SetCostFunction
+from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction
 from costarena.gamefile import game_to_json, network_to_json
 from costarena.network import to_game
 
@@ -160,6 +162,47 @@ def test_numbers_over_the_digit_limit_exit_2(tmp_path, capsys):
     rc, out, err = run(capsys, "analyze", str(path))
     assert (rc, out) == (2, None)
     assert err == "error: a result has more than 4300 digits and cannot be written\n"
+
+
+def primes(count):
+    limit = 1_000_000  # holds 78498 primes, more than 2^16
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]][:count]
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_scales_over_the_bit_budget_exit_2(tmp_path, capsys, n):
+    """Distinct prime denominators in a table, or integer weights drawn from
+    1..10^6 in one block, make the lcm grow with every entry; the run stops
+    at the bit budget instead of building it."""
+    # |S| + 1/p_S: monotone, one distinct prime per set
+    table = [{"set": [i for i in range(n) if mask >> i & 1],
+              "cost": f"{mask.bit_count() * p + 1}/{p}"}
+             for mask, p in zip(range(1, 1 << n), primes((1 << n) - 1))]
+    game = {"players": n, "resources": [{"id": "r", "cost": {"table": table}}],
+            "strategies": [[["r"]]] * n}
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(game))
+    game["resources"] = [{"id": "r", "cost": {"anonymous": ["0/1"] * (n + 1)}}]
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps(game))
+    rng = random.Random(n)
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_text(json.dumps({
+        "lambda": [str(rng.randint(1, 10 ** 6)) for _ in range(n)],
+        "blocks": [list(range(n))]}))
+    for argv, what in [(("analyze", str(table_path)), "common denominator of a cost function"),
+                       (("analyze", str(game_path), "--protocol", f"gws:{weights_path}"),
+                        "weight scale")]:
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, None)
+        assert err == f"error: {what} has more than {MAX_SCALE_BITS} bits\n"
 
 
 @pytest.mark.parametrize("key", ["9", "-1", "2"])

@@ -313,3 +313,23 @@ def test_validation_accepts_full_monotone_lattice():
     bad[0b111] = F(1, 2)
     with pytest.raises(ValidationError):
         SetCostFunction(3, bad)
+
+
+def test_monotonicity_check_finds_every_single_dip():
+    """A monotone table with one set moved below its subsets or above its
+    supersets is rejected, naming the first violation in mask order."""
+    rng = random.Random(99)
+    for n in range(1, 9):
+        table = [mask.bit_count() * 4 for mask in range(1 << n)]
+        assert SetCostFunction(n, table).scaled((1 << n) - 1) == 4 * n
+        for _ in range(16):
+            bad = list(table)
+            if n == 1 or rng.random() < 0.5:
+                bad[rng.randrange(1, 1 << n)] -= 5
+            else:
+                bad[rng.randrange(1, (1 << n) - 1)] += 5
+            first = next((m, m | 1 << k) for m in range(1 << n) for k in range(n)
+                         if not m >> k & 1 and bad[m] > bad[m | 1 << k])
+            with pytest.raises(ValidationError) as caught:
+                SetCostFunction(n, bad)
+            assert str(caught.value) == f"cost not monotone: C({first[1]:#b}) < C({first[0]:#b})"

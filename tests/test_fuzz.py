@@ -6,6 +6,10 @@ duplicated (a duplicated object key is written twice, with another
 value), a value swapped for one of another type, or for a huge, negative
 or boolean number. Every mutant must make the CLI exit 0, 2 or 3 with a
 message and no traceback; exit 1 would claim a failed bound check.
+
+Table cost entries get their own mutations, in the shapes that the bulk
+table reader hands to the checked loop; each such mutant must give the
+same exit code and output with the bulk reader as without it.
 """
 
 from __future__ import annotations
@@ -158,3 +162,55 @@ def test_mutated_files_exit_0_2_or_3(tmp_path, capsys):
         assert rc in (0, 2, 3) and "Traceback" not in err, (rc, err, text[:500])
         codes.add(rc)
     assert codes == {0, 2}  # the mutants reach past validation too
+
+
+TABLE_GAME = {
+    "players": 3,
+    "resources": [{"id": "r", "cost": {"table": [
+        {"set": [i for i in range(3) if mask >> i & 1], "cost": f"{mask.bit_count() * 6}/5"}
+        for mask in range(1, 8)]}}],
+    "strategies": [[["r"], []]] * 3,
+}
+
+ENTRY_MUTATIONS = (
+    lambda e, rng: {**e, "set": e["set"][::-1]},
+    lambda e, rng: {**e, "set": e["set"] + e["set"][:1]},
+    lambda e, rng: {**e, "set": e["set"] + [rng.choice([3, -1, True, 1.0])]},
+    lambda e, rng: {**e, "set": []},
+    lambda e, rng: {**e, "note": [None]},
+    lambda e, rng: {k: v for k, v in e.items() if k != rng.choice(["set", "cost"])},
+    lambda e, rng: list(e.items()),
+    lambda e, rng: {**e, "cost": rng.choice([
+        "03/004", "+1/2", " 1/2", "1/0", "1/2/3", "7", "\u0661/\u0662", "\u00b2/1", "/2", "2/",
+        "9" * 4300 + "/1", "1/" + "7" * 4300, "1/" + "7" * 4301])},
+    # diverse denominators: the entries' primes differ from one another
+    lambda e, rng: {**e, "cost": f"{rng.randint(20, 60)}/{rng.choice([7, 11, 13, 17, 19, 23])}"},
+)
+
+
+def test_mutated_table_entries_read_alike_in_bulk(tmp_path, capsys, monkeypatch):
+    rng = random.Random(20261018)
+    path = tmp_path / "table.json"
+    codes = set()
+    for _ in range(120):
+        doc = copy.deepcopy(TABLE_GAME)
+        entries = doc["resources"][0]["cost"]["table"]
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice([k for k, e in enumerate(entries) if type(e) is dict] or [0])
+            if rng.random() < 0.1 or type(entries[k]) is not dict:
+                entries.insert(k, copy.deepcopy(entries[k]))  # a set written twice
+            else:
+                entries[k] = rng.choice(ENTRY_MUTATIONS)(entries[k], rng)
+        rng.shuffle(entries)
+        path.write_text(dumps(doc))
+        outcomes = []
+        with monkeypatch.context() as patch:
+            for _ in range(2):
+                rc = main(["analyze", str(path)])
+                outcomes.append((rc, capsys.readouterr()))
+                patch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
+        rc, captured = outcomes[0]
+        assert rc in (0, 2) and "Traceback" not in captured.err, (rc, captured.err)
+        assert outcomes[0] == outcomes[1]
+        codes.add(rc)
+    assert codes == {0, 2}

@@ -18,6 +18,8 @@ from costarena.gamefile import (
     network_from_json,
     network_to_json,
     _rational,
+    _table_checked,
+    _table_in_bulk,
     parse_fraction,
     table_protocol_from_json,
     weight_system_from_json,
@@ -142,6 +144,87 @@ def test_malformed_cost_messages(n, doc, message):
     with pytest.raises(ValidationError) as caught:
         cost_from_json(n, doc)
     assert str(caught.value) == message
+
+
+TABLE = [{"set": [0], "cost": "1/2"}, {"set": [1], "cost": "2/3"},
+         {"set": [0, 1], "cost": "2/1"}]
+
+
+def table_with(at, entry):
+    return [entry if k == at else dict(e) for k, e in enumerate(TABLE)]
+
+
+# inputs the bulk reader leaves to the checked loop, which accepts them
+ACCEPTED_TABLES = {
+    "unsorted set": table_with(2, {"set": [1, 0], "cost": "2/1"}),
+    "duplicate member": table_with(0, {"set": [0, 0], "cost": "1/2"}),
+    "extra key": table_with(1, {"set": [1], "cost": "2/3", "note": [None]}),
+    "leading zeros": table_with(0, {"set": [0], "cost": "03/004"}),
+    "plus sign": table_with(0, {"set": [0], "cost": "+1/2"}),
+    "space": table_with(0, {"set": [0], "cost": " 1/2"}),
+    "4300-digit parts": table_with(2, {"set": [0, 1], "cost": "9" * 4300 + "/" + "7" * 4300}),
+    "empty set": TABLE + [{"set": [], "cost": "0/1"}],
+    "Arabic-Indic digits": table_with(0, {"set": [0], "cost": "\u0661/\u0662"}),
+    "no entries": [],
+}
+
+
+@pytest.mark.parametrize("entries", ACCEPTED_TABLES.values(), ids=ACCEPTED_TABLES)
+def test_bulk_table_reader_equals_checked_loop(entries, monkeypatch):
+    read = cost_from_json(2, {"table": entries})
+    monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
+    checked = cost_from_json(2, {"table": entries})
+    assert read == checked and read.denominator == checked.denominator
+    assert [read.scaled(m) for m in range(4)] == [checked.scaled(m) for m in range(4)]
+
+
+def test_bulk_table_reader_reads_written_tables():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        doc = cost_to_json(SetCostFunction(n, [0] + sorted(
+            F(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 12))
+            for _ in range((1 << n) - 1))))
+        if "table" in doc:
+            entries = doc["table"]
+            rng.shuffle(entries)
+            bulk = _table_in_bulk(n, entries)
+            assert bulk is not None and bulk == _table_checked(n, entries)
+
+
+REJECTED_TABLES = [
+    ("bool member", table_with(0, {"set": [True], "cost": "1/2"}),
+     "table entry set: expected a list of integers"),
+    ("float member", table_with(0, {"set": [0.0], "cost": "1/2"}),
+     "table entry set: expected a list of integers"),
+    ("set not a list", table_with(0, {"set": "0", "cost": "1/2"}),
+     "table entry set: expected a list of integers"),
+    ("out of range", table_with(1, {"set": [2], "cost": "1/2"}),
+     "bad player ids in table entry [2]"),
+    ("duplicate set", table_with(1, {"set": [0], "cost": "1/2"}),
+     "duplicate table entry for set [0]"),
+    ("zero denominator", table_with(0, {"set": [0], "cost": "1/0"}), "bad rational '1/0'"),
+    ("two slashes", table_with(0, {"set": [0], "cost": "1/2/3"}), "bad rational '1/2/3'"),
+    ("superscript digit", table_with(0, {"set": [0], "cost": "\u00b2/1"}),
+     "bad rational '\u00b2/1'"),
+    ("4301-digit part", table_with(2, {"set": [0, 1], "cost": "1/" + "7" * 4301}),
+     f"bad rational '1/{'7' * 4301}'"),
+    ("not a dict", table_with(1, ["set", [1]]), "table entry: missing key 'set'"),
+    ("missing set", table_with(1, {"cost": "1/2"}), "table entry: missing key 'set'"),
+    ("missing cost", table_with(1, {"set": [1]}), "table entry: missing key 'cost'"),
+    ("not monotone", table_with(2, {"set": [0, 1], "cost": "1/3"}),
+     "cost not monotone: C(0b11) < C(0b1)"),
+]
+
+
+@pytest.mark.parametrize("entries, message", [case[1:] for case in REJECTED_TABLES],
+                         ids=[case[0] for case in REJECTED_TABLES])
+def test_bulk_table_reader_keeps_messages(entries, message, monkeypatch):
+    for _ in range(2):
+        with pytest.raises(ValidationError) as caught:
+            cost_from_json(2, {"table": entries})
+        assert str(caught.value) == message
+        monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
 
 
 def test_fraction_round_trip():

@@ -169,6 +169,8 @@ def test_weight_system_validation():
         WeightSystem((F(1), F(1)), (frozenset({0}),))  # block misses player 1
     with pytest.raises(ValidationError):
         WeightSystem((F(1), F(1)), (frozenset({0, 1}), frozenset({1}),))
+    with pytest.raises(ValidationError, match="player count 17"):
+        WeightSystem.plain(17)  # GWS enumerates the subset sums of each block
     w = WeightSystem.plain(3)
     assert w.n == 3
     assert w.block_of(2) == 0
@@ -313,6 +315,86 @@ def test_budget_balance_detects_bad_sum():
     t.set_entry(f, 0b11, {0: F(1), 1: F(3)}, validate=False)
     assert not check_budget_balance(t, f)
     assert check_budget_balance(ShapleyProtocol(), f)
+
+
+def test_floats_rejected_in_weights_and_share_entries():
+    with pytest.raises(ValidationError, match="float weight 0.1 rejected"):
+        WeightSystem((0.1, 1.0), ((0, 1),))
+    f = SetCostFunction.anonymous([0, 1, 3])
+    t = TableProtocol()
+    with pytest.raises(ValidationError, match="float share 0.5 rejected"):
+        t.set_entry(f, 0b01, {0: 0.5}, validate=False)
+    assert t.entries == {}
+
+
+# ---------------------------------------------------------------------------
+# integer shares
+# ---------------------------------------------------------------------------
+
+class EvenSplit(Protocol):
+    """Defines ``share`` only: the scaled share and the share scale come
+    from the base class."""
+
+    name = "even"
+
+    def share(self, f, users, i):
+        return f.value(users) / users.bit_count() if (users >> i) & 1 else F(0)
+
+
+def test_scaled_share_is_share_times_share_scale():
+    rng = random.Random(4242)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        marginals = sorted(F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n))
+        costs = [random_monotone_cost(rng, n),
+                 SetCostFunction.anonymous([0] + [sum(marginals[:k + 1]) for k in range(n)])]
+        with_fallback, without = TableProtocol(), TableProtocol(fallback=None)
+        for f in costs:
+            for users in range(1 << n):
+                rigged = {i: F(rng.randint(0, 9), rng.randint(1, 5)) for i in range(n)}
+                without.set_entry(f, users, rigged, validate=False)
+                if rng.random() < 0.3:
+                    with_fallback.set_entry(f, users, rigged, validate=False)
+        protocols = [ShapleyProtocol(), GeneralizedWeightedShapley(random_weight_system(rng, n)),
+                     with_fallback, without, EvenSplit()]
+        for p in protocols:
+            for f in costs:
+                scale = p.share_scale(f)
+                for users in range(1 << n):
+                    for i in range(n):
+                        scaled = p.scaled_share(f, users, i)
+                        assert type(scaled) is int
+                        assert scaled == p.share(f, users, i) * scale
+    f = SetCostFunction.anonymous([0, 1, 3])
+    built = TableProtocol({(f, 0b11): {0: F(1, 7), 1: F(20, 7)}}, fallback=None)
+    assert built.share_scale(f) == 7 and built.scaled_share(f, 0b11, 1) == 20
+
+
+def test_default_share_scale_evaluates_the_shares_once():
+    calls = []
+
+    class Counted(EvenSplit):
+        def share(self, f, users, i):
+            calls.append((users, i))
+            return super().share(f, users, i)
+
+    p, f = Counted(), SetCostFunction.anonymous([0, 1, 3, 4])
+    assert p.share_scale(f) == 6 and len(calls) == 3 * 8
+    assert [p.scaled_share(f, users, 0) for users in (0b001, 0b011, 0b111)] == [6, 9, 8]
+    assert p.share_scale(SetCostFunction.anonymous([0, 1, 3, 4])) == 6
+    assert len(calls) == 3 * 8 + 3
+
+
+def test_scaled_share_rejects_a_share_scale_too_small():
+    class WrongScale(EvenSplit):
+        def share_scale(self, f):
+            return f.denominator
+
+    f = SetCostFunction.anonymous([0, 1, 3])
+    assert WrongScale().scaled_share(f, 0b01, 0) == 1
+    with pytest.raises(ProtocolError, match="'even' gave share 3/2, which is not a "
+                                            "multiple of 1/1: its share_scale is wrong"):
+        WrongScale().scaled_share(f, 0b11, 0)
 
 
 # ---------------------------------------------------------------------------
