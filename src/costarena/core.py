@@ -131,16 +131,15 @@ class SetCostFunction:
     Stored in integers: one canonical denominator L (``denominator``, the
     lcm of the reduced denominators of all values) and the numerators
     L * C(S), either over all 2^n subsets (a table) or, for anonymous
-    costs, as a vector over sizes 0..n with C(S) = v[|S|] (``by_size`` is
-    then True). ``scaled(mask)`` reads a numerator; ``value(mask)`` and
-    ``anonymous_values`` are ``Fraction`` views built on first use (or the
-    ``Fraction`` objects the caller passed, kept as given). Validation,
-    equality and hashing run on the integers, and are semantic: two
-    functions are equal iff they agree on every subset, regardless of
-    representation.
+    costs, as a vector over sizes 0..n with C(S) = v[|S|]. ``scaled(mask)``
+    reads a numerator; ``value(mask)`` and ``anonymous_values`` are
+    ``Fraction`` views built on first use (or the ``Fraction`` objects the
+    caller passed, kept as given). Validation, equality and hashing run on
+    the integers, and are semantic: two functions are equal iff they agree
+    on every subset, regardless of representation.
     """
 
-    __slots__ = ("n", "denominator", "_scaled", "by_size", "_views", "_expanded", "_hash")
+    __slots__ = ("n", "denominator", "_scaled", "_anon", "_views", "_expanded", "_hash")
 
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
                  denominator: int | None = None):
@@ -172,7 +171,7 @@ class SetCostFunction:
         self.n = n
         self.denominator = denominator
         self._scaled = tuple(scaled)
-        self.by_size = anonymous
+        self._anon = anonymous
         self._views = views
         self._expanded = None
         self._hash = None
@@ -217,7 +216,7 @@ class SetCostFunction:
         if v[0] != 0:
             raise ValidationError(
                 f"cost of the empty set is {self._fraction(v[0])}, must be 0")
-        if self.by_size:
+        if self._anon:
             for k in range(self.n):
                 if v[k] > v[k + 1]:
                     raise ValidationError(
@@ -245,24 +244,24 @@ class SetCostFunction:
     @property
     def anonymous_values(self):
         """The size-indexed vector (of ``Fraction``) if anonymous, else None."""
-        return self._fractions() if self.by_size else None
+        return self._fractions() if self._anon else None
 
     def scaled(self, users: int) -> int:
         """``denominator * value(users)``, an integer."""
         if users >> self.n:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        return self._scaled[users.bit_count() if self.by_size else users]
+        return self._scaled[users.bit_count() if self._anon else users]
 
     def value(self, users: int) -> Fraction:
         if users >> self.n:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        return self._fractions()[users.bit_count() if self.by_size else users]
+        return self._fractions()[users.bit_count() if self._anon else users]
 
     __call__ = value
 
     def _full_table(self) -> tuple:
         """The numerators over all 2^n subsets."""
-        if not self.by_size:
+        if not self._anon:
             return self._scaled
         if self._expanded is None:
             v = self._scaled
@@ -274,7 +273,7 @@ class SetCostFunction:
             return NotImplemented
         if self.n != other.n or self.denominator != other.denominator:
             return False
-        if self.by_size and other.by_size:
+        if self._anon and other._anon:
             return self._scaled == other._scaled
         return self._full_table() == other._full_table()
 
@@ -284,7 +283,7 @@ class SetCostFunction:
         return self._hash
 
     def __repr__(self):
-        if self.by_size:
+        if self._anon:
             return f"SetCostFunction.anonymous({list(self.anonymous_values)!r})"
         return f"SetCostFunction(n={self.n}, ...)"
 

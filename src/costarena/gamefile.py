@@ -29,6 +29,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
+from math import gcd
 from operator import floordiv, itemgetter, mul
 
 from .core import GameModel, SetCostFunction, ValidationError, check_player_count, scale_lcm
@@ -236,6 +237,10 @@ def _scaled_cost(n: int, nums: list, dens: list, masks: list | None = None) -> S
     integers over one common denominator: the size-indexed values when
     ``masks`` is None, else a table with value k at ``masks[k]`` and 0
     elsewhere."""
+    # reduced first, so that the bit budget applies to the canonical L
+    factors = list(map(gcd, nums, dens))
+    nums = list(map(floordiv, nums, factors))
+    dens = list(map(floordiv, dens, factors))
     common = scale_lcm(set(dens), "common denominator of a cost function")
     scaled = list(map(mul, nums, map(floordiv, repeat(common), dens)))
     if masks is None:

@@ -24,10 +24,9 @@ D_f = share_scale(f) and memoized per cost function:
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
 where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
-With unit weights the recursion needs no weight lookups and divides by the
-bit count of S (``_unit_potential``). Anonymous costs take the closed form
-D_f * C(|S|) / |S|, exact because |S| divides D_f / f.denominator =
-lcm(1, ..., n).
+This is ``_hmc_potential`` below with unit weights. Anonymous costs take
+the closed form D_f * C(|S|) / |S|, exact because |S| divides
+D_f / f.denominator = lcm(1, ..., n).
 ``shapley_share_by_permutations`` keeps the literal ordering average as an
 independent cross-check for small sets.
 
@@ -94,24 +93,22 @@ class Protocol:
 
     def share_scale(self, f: SetCostFunction) -> int:
         """A positive integer that turns every share of ``f`` into an
-        integer. This default is exact for any protocol whose shares of
-        ``f`` do not change, at the price of evaluating every share once
-        per cost function; ``scaled_share`` asks for it on every call, so
-        it is kept on the instance. Subclasses give closed forms."""
-        known = vars(self).setdefault("_share_scales", {})
-        scale = known.get(f)
-        if scale is None:
-            scale = known[f] = scale_lcm(
-                {self.share(f, users, i).denominator
-                 for users in range(1 << f.n) for i in range(f.n)},
-                f"common denominator of the {self.name!r} shares")
-        return scale
+        integer. This default is exact for any protocol, at the price of
+        evaluating every share once; subclasses give closed forms."""
+        return scale_lcm({self.share(f, users, i).denominator
+                          for users in range(1 << f.n) for i in range(f.n)},
+                         f"common denominator of the {self.name!r} shares")
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         """``share(f, users, i) * share_scale(f)``, an integer. A share
-        that ``share_scale(f)`` does not clear means that scale is wrong."""
+        that ``share_scale(f)`` does not clear means that scale is wrong.
+        ``share_scale(f)`` is asked for once per cost function and kept on
+        the instance (``TableProtocol.set_entry`` drops it)."""
         value = self.share(f, users, i)
-        scale = self.share_scale(f)
+        known = vars(self).setdefault("_share_scales", {})
+        scale = known.get(f)
+        if scale is None:
+            scale = known[f] = self.share_scale(f)
         factor, rest = divmod(scale, value.denominator)
         if rest:
             raise ProtocolError(f"protocol {self.name!r} gave share {value}, which is "
@@ -148,40 +145,23 @@ class ShapleyProtocol(Protocol):
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
         per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
-        if f.by_size:
+        if f._anon:
             # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
             return sum(per_unit * f.scaled((1 << k) - 1) // k
                        for k in range(1, users.bit_count() + 1))
-        memo = self._potentials.get(f)
-        if memo is None:
-            memo = self._potentials[f] = {0: 0}
-        return _unit_potential(f.scaled, per_unit, users, memo)
+        return _hmc_potential(lambda mask: per_unit * f.scaled(mask), (1,) * f.n,
+                              users, self._potentials.setdefault(f, {0: 0}))
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
         if not (users >> i) & 1:
             return 0
-        if f.by_size:
+        if f._anon:
             return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
         return self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
-
-
-def _unit_potential(value, scale: int, users: int, memo: dict) -> int:
-    """``_hmc_potential`` with every weight 1 and the game ``scale *
-    value``: |R| * Q(R) = scale * value(R) + sum over j in R of Q(R - j)."""
-    q = memo.get(users)
-    if q is None:
-        total = scale * value(users)
-        rest = users
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += _unit_potential(value, scale, users ^ bit, memo)
-        q = memo[users] = total // users.bit_count()
-    return q
 
 
 def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
@@ -372,23 +352,13 @@ class TableProtocol(Protocol):
     only needs to pin down the user sets it cares about. ``set_entry``
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
-    protocols in negative tests.
+    protocols in negative tests. Add entries through ``set_entry``: it
+    also drops the share scales that ``scaled_share`` keeps.
     """
 
     entries: dict = field(default_factory=dict)
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
     name: str = "table"
-    # lcm of the denominators of every share entered so far: a replaced
-    # entry's stay in it, which leaves it a valid, if larger, scale
-    _entry_scale: int = field(default=1, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for shares in self.entries.values():
-            self._entry_scale = self._with_scales(shares)
-
-    def _with_scales(self, shares: dict) -> int:
-        return scale_lcm({self._entry_scale, *(v.denominator for v in shares.values())},
-                         "common denominator of the share table")
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
@@ -401,14 +371,15 @@ class TableProtocol(Protocol):
                 raise ValidationError(
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
-        self._entry_scale = self._with_scales(shares)
         self.entries[(f, users)] = shares
+        vars(self).pop("_share_scales", None)  # the memo of scaled_share
 
     def share_scale(self, f: SetCostFunction) -> int:
-        if self.fallback is None:
-            return self._entry_scale
-        return scale_lcm((self._entry_scale, self.fallback.share_scale(f)),
-                         "common denominator of the share table")
+        scales = {v.denominator for entry in self.entries.values()
+                  for v in entry.values()}
+        if self.fallback is not None:
+            scales.add(self.fallback.share_scale(f))
+        return scale_lcm(scales, "common denominator of the share table")
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from costarena.core import GameModel, SetCostFunction, ValidationError
+from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction, ValidationError
 from costarena.gadgets import build_pos_linear
 from costarena.gamefile import (
     cost_from_json,
@@ -154,7 +155,7 @@ def table_with(at, entry):
     return [entry if k == at else dict(e) for k, e in enumerate(TABLE)]
 
 
-# inputs the bulk reader leaves to the checked loop, which accepts them
+# accepted inputs, most of which the bulk reader leaves to the checked loop
 ACCEPTED_TABLES = {
     "unsorted set": table_with(2, {"set": [1, 0], "cost": "2/1"}),
     "duplicate member": table_with(0, {"set": [0, 0], "cost": "1/2"}),
@@ -166,6 +167,7 @@ ACCEPTED_TABLES = {
     "empty set": TABLE + [{"set": [], "cost": "0/1"}],
     "Arabic-Indic digits": table_with(0, {"set": [0], "cost": "\u0661/\u0662"}),
     "no entries": [],
+    "unreduced": table_with(2, {"set": [0, 1], "cost": "14/7"}),
 }
 
 
@@ -190,6 +192,26 @@ def test_bulk_table_reader_reads_written_tables():
             rng.shuffle(entries)
             bulk = _table_in_bulk(n, entries)
             assert bulk is not None and bulk == _table_checked(n, entries)
+
+
+def test_bit_budget_applies_to_reduced_values(monkeypatch):
+    """Each entry is |S| written over its own prime, "|S|p/p": the written
+    denominators take more than MAX_SCALE_BITS bits together, but the
+    values are integers, so L is 1 and both readers load the table."""
+    n = 9
+    sieve = bytearray([1]) * 4000
+    for p in range(2, 64):
+        sieve[p * p::p] = bytes(len(range(p * p, 4000, p)))
+    primes = [p for p in range(2, 4000) if sieve[p]][:(1 << n) - 1]
+    assert len(primes) == (1 << n) - 1 and prod(primes).bit_length() > MAX_SCALE_BITS
+    entries = [{"set": [i for i in range(n) if mask >> i & 1],
+                "cost": f"{mask.bit_count() * p}/{p}"}
+               for mask, p in zip(range(1, 1 << n), primes)]
+    expected = SetCostFunction(n, [mask.bit_count() for mask in range(1 << n)])
+    for _ in range(2):
+        f = cost_from_json(n, {"table": entries})
+        assert f == expected and f.denominator == 1
+        monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
 
 
 REJECTED_TABLES = [

@@ -370,7 +370,7 @@ def test_scaled_share_is_share_times_share_scale():
     assert built.share_scale(f) == 7 and built.scaled_share(f, 0b11, 1) == 20
 
 
-def test_default_share_scale_evaluates_the_shares_once():
+def test_scaled_share_asks_for_the_share_scale_once():
     calls = []
 
     class Counted(EvenSplit):
@@ -379,10 +379,16 @@ def test_default_share_scale_evaluates_the_shares_once():
             return super().share(f, users, i)
 
     p, f = Counted(), SetCostFunction.anonymous([0, 1, 3, 4])
-    assert p.share_scale(f) == 6 and len(calls) == 3 * 8
+    # the default share_scale evaluates all 3 * 8 shares, then each call one
     assert [p.scaled_share(f, users, 0) for users in (0b001, 0b011, 0b111)] == [6, 9, 8]
-    assert p.share_scale(SetCostFunction.anonymous([0, 1, 3, 4])) == 6
     assert len(calls) == 3 * 8 + 3
+    assert p.scaled_share(SetCostFunction.anonymous([0, 1, 3, 4]), 0b111, 1) == 8
+    assert len(calls) == 3 * 8 + 4
+
+    table = TableProtocol()
+    assert table.scaled_share(f, 0b011, 0) == 9
+    table.set_entry(f, 0b011, {0: F(1, 5), 1: F(14, 5)})
+    assert table.share_scale(f) == 30 and table.scaled_share(f, 0b011, 0) == 6
 
 
 def test_scaled_share_rejects_a_share_scale_too_small():
