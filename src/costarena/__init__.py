@@ -43,7 +43,7 @@ from .gadgets import (
     verify_gadget,
 )
 from .network import Edge, NetworkModel, to_game
-from .potential import alpha, alpha_table, harmonic, potential, potential_by_permutation
+from .potential import harmonic, potential
 from .protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -56,9 +56,7 @@ from .protocols import (
     private_cost,
     private_costs,
     shapley_share,
-    shapley_share_by_permutations,
     shapley_shares,
-    shapley_shares_by_permutations,
 )
 
 __version__ = "0.1.0"
@@ -84,8 +82,6 @@ __all__ = [
     "TableProtocol",
     "ValidationError",
     "WeightSystem",
-    "alpha",
-    "alpha_table",
     "analyze",
     "best_response",
     "best_response_dynamics",
@@ -100,14 +96,11 @@ __all__ = [
     "is_anonymous",
     "is_pne",
     "potential",
-    "potential_by_permutation",
     "potential_minimizer",
     "private_cost",
     "private_costs",
     "shapley_share",
-    "shapley_share_by_permutations",
     "shapley_shares",
-    "shapley_shares_by_permutations",
     "social_cost",
     "social_optimum",
     "to_game",

@@ -34,6 +34,7 @@ from .gamefile import (
     load_table_protocol,
     load_weight_system,
     network_to_json,
+    parse_fraction,
 )
 from .potential import harmonic
 from .protocols import (
@@ -93,7 +94,7 @@ def _parse_profile(text: str, n: int) -> tuple[int, ...]:
 def cmd_analyze(args) -> int:
     model, _ = load_game(args.file)
     protocol, _ = resolve_protocol(args.protocol)
-    report = analyze(model, protocol, with_potential=protocol.name == "shapley")
+    report = analyze(model, protocol, with_potential=True)
     doc = {
         "protocol": report.protocol,
         "pne": [{"profile": list(p), "cost": fraction_to_str(c)}
@@ -306,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="generate and verify a worst-case game")
     p.add_argument("kind", choices=KINDS)
     p.add_argument("--n", type=int, help="player count (pos_* kinds)")
-    p.add_argument("--eps", type=Fraction, help="gap parameter, e.g. 1/4")
-    p.add_argument("--a", type=Fraction, help="target ratio (poa_unbounded)")
+    p.add_argument("--eps", type=parse_fraction, help="gap parameter, e.g. 1/4")
+    p.add_argument("--a", type=parse_fraction, help="target ratio (poa_unbounded)")
     p.add_argument("--out", help="write the generated game file here")
     add_protocol(p)
     p.set_defaults(func=cmd_gadget)

@@ -8,8 +8,10 @@ function, so each cost and each share is an integer multiple of 1/D. The
 ints come from the layers below without a ``Fraction`` in between: a cost
 row holds (D / f.denominator) * f.scaled(mask), a share row (D /
 share_scale(f)) * protocol.scaled_share(f, mask, i), and a potential row
-the Shapley protocol's integer potential, rescaled the same way. Each of
-these scales must stay within ``core.MAX_SCALE_BITS``. Strategies become
+(D / share_scale(f)) * protocol.scaled_potential(f, mask) when the
+protocol has that hook (only Shapley does; ``potential_minimizer`` always
+compiles for Shapley). Each of these scales must stay within
+``core.MAX_SCALE_BITS``. Strategies become
 tuples of resource indices. Cost, share and potential rows are filled
 lazily, one (resource, user mask[, player]) entry on first
 touch, never as whole 2^n tables. The walk visits profiles as an
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Profile, scale_lcm
+from .core import CapExceededError, GameModel, Profile, ValidationError, scale_lcm
 from .protocols import Protocol, ShapleyProtocol
 
 DEFAULT_PROFILE_CAP = 10 ** 7
@@ -51,9 +53,9 @@ def profile_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"ARENA_MAX_PROFILES={raw!r} is not an integer") from None
+        raise ValidationError(f"ARENA_MAX_PROFILES={raw!r} is not an integer") from None
     if cap <= 0:
-        raise ValueError("ARENA_MAX_PROFILES must be positive")
+        raise ValidationError("ARENA_MAX_PROFILES must be positive")
     return cap
 
 
@@ -74,7 +76,7 @@ class _Row(dict):
 
 class _Kernel:
     """One game compiled for one protocol (or for none, when only costs
-    and the Shapley potential are asked for).
+    are asked for).
 
     ``scale`` is the game's denominator D; ``costs[r][mask]`` is D times
     the cost of resource r under ``mask``; ``options[i][s]`` pairs each
@@ -87,7 +89,7 @@ class _Kernel:
         self.protocol = protocol
         fns = model.cost_fns
         distinct = {id(f): f for f in fns}
-        own = {} if protocol is None else {
+        self.share_scales = own = {} if protocol is None else {
             key: protocol.share_scale(f) for key, f in distinct.items()}
         self.scale = scale = scale_lcm(
             {f.denominator for f in distinct.values()} | set(own.values()),
@@ -199,23 +201,20 @@ class _Kernel:
         for r in self.strategies[i][new]:
             usage[r] |= bit
 
-    def potential_rows(self) -> list[_Row]:
-        """Per resource, the Shapley potential of each mask times
-        ``self.potential_scale``, from the protocol's memo when it is a
-        ShapleyProtocol."""
-        shapley = self.protocol
-        if not isinstance(shapley, ShapleyProtocol):
-            shapley = ShapleyProtocol()
-        fns = self.model.cost_fns
-        own = [shapley.share_scale(f) for f in fns]
-        self.potential_scale = scale = scale_lcm(set(own), "common denominator of the game")
-        return [_Row(lambda m, f=f, k=scale // s: k * shapley.scaled_potential(f, m))
-                for f, s in zip(fns, own)]
+    def potential_rows(self) -> list[_Row] | None:
+        """Per resource, D times the protocol's potential of each mask, or
+        None when the protocol has no ``scaled_potential``."""
+        potential = self.protocol.scaled_potential
+        if potential is None:
+            return None
+        scale, own = self.scale, self.share_scales
+        return [_Row(lambda m, f=f, k=scale // own[id(f)]: k * potential(f, m))
+                for f in self.model.cost_fns]
 
     def potential(self, rows: list[_Row]) -> Fraction:
         """The potential of the current profile, from ``potential_rows()``."""
         total = sum(row[mask] for row, mask in zip(rows, self.usage))
-        return Fraction(total, self.potential_scale)
+        return Fraction(total, self.scale)
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -258,9 +257,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     shuffled order with ``schedule="random"``. The run converges when a
     full sweep accepts no change; ``max_steps`` bounds accepted changes
     (default 10x the profile-space size, comfortably above the number of
-    distinct potential values). Under the Shapley protocol each trace entry
-    records the potential of the profile after the change; under any other
-    protocol ``phi`` is None, since that potential is not one for it.
+    distinct potential values). When the protocol has a potential
+    (``Protocol.scaled_potential``, only Shapley's), each trace entry
+    records it for the profile after the change; otherwise ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:
@@ -269,7 +268,7 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
     kernel = _Kernel(model, protocol).at(start)
-    phi_rows = kernel.potential_rows() if isinstance(protocol, ShapleyProtocol) else None
+    phi_rows = kernel.potential_rows()
     scale = kernel.scale
 
     profile = list(start)
@@ -320,7 +319,7 @@ def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
 
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
-    kernel = _Kernel(model)
+    kernel = _Kernel(model, ShapleyProtocol())
     return min(kernel.walk(kernel.potential_rows()), key=itemgetter(1))[0]
 
 
@@ -351,7 +350,10 @@ class AnalysisReport:
 
 def analyze(model: GameModel, protocol: Protocol, *,
             with_potential: bool = False) -> AnalysisReport:
-    """Equilibria, their costs, the optimum and both ratios in one walk."""
+    """Equilibria, their costs, the optimum and both ratios in one walk.
+
+    ``with_potential`` also reports each equilibrium's potential under
+    ``protocol``; ``potentials`` stays None for a protocol without one."""
     kernel = _Kernel(model, protocol)
     pne, scaled = [], []
     opt_p = opt_c = None
@@ -368,9 +370,7 @@ def analyze(model: GameModel, protocol: Protocol, *,
         pos = _ratio(min(costs), opt_cost)
     else:
         poa = pos = None
-    potentials = None
-    if with_potential:
-        rows = kernel.potential_rows()
-        potentials = tuple(kernel.at(p).potential(rows) for p in pne)
+    rows = kernel.potential_rows() if with_potential else None
+    potentials = None if rows is None else tuple(kernel.at(p).potential(rows) for p in pne)
     return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_cost,
                           poa, pos, potentials)

@@ -24,11 +24,10 @@ D_f = share_scale(f) and memoized per cost function:
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
 where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
-This is ``_hmc_potential`` below with unit weights. Anonymous costs take
+This is ``_hmc_potential`` below with unit weights, and Q is also the
+protocol's ``scaled_potential``. Anonymous costs take
 the closed form D_f * C(|S|) / |S|, exact because |S| divides
 D_f / f.denominator = lcm(1, ..., n).
-``shapley_share_by_permutations`` keeps the literal ordering average as an
-independent cross-check for small sets.
 
 Generalized weighted Shapley shares come from the same recursion,
 ``_hmc_potential``, with integer weights a_j (the weights over their common
@@ -47,7 +46,6 @@ dividend L * d(T) times W / A(T), and A(T) divides W.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -80,9 +78,18 @@ class Protocol:
 
     A subclass defines ``share`` and may give ``share_scale`` and
     ``scaled_share`` closed forms; the defaults derive both from ``share``.
+
+    ``scaled_potential(f, users)`` is the protocol's exact potential hook:
+    an integer with scaled_potential(f, S) - scaled_potential(f, S - i) =
+    scaled_share(f, S, i) for every i in S and 0 at the empty set. Divided
+    by ``share_scale(f)`` and summed over the resources, it changes by
+    exactly a deviator's cost change, so the equilibrium kernel reads it
+    for potentials. It is None here: a protocol has a potential only if it
+    defines one, and only Shapley does.
     """
 
     name = "abstract"
+    scaled_potential = None
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         raise NotImplementedError
@@ -192,31 +199,6 @@ def shapley_share(f: SetCostFunction, users: int, i: int) -> Fraction:
 
 def shapley_shares(f: SetCostFunction, users: int) -> tuple:
     return ShapleyProtocol().shares(f, users)
-
-
-def shapley_share_by_permutations(f: SetCostFunction, users: int, i: int) -> Fraction:
-    """Literal ordering average; exponential, capped at 8 users."""
-    _check_arity(f, users)
-    if not (users >> i) & 1:
-        return ZERO
-    members = mask_members(users)
-    if len(members) > 8:
-        raise ProtocolError("permutation evaluation capped at 8 users")
-    total = ZERO
-    count = 0
-    for order in itertools.permutations(members):
-        seen = 0
-        for p in order:
-            if p == i:
-                total += f.value(seen | (1 << i)) - f.value(seen)
-                break
-            seen |= 1 << p
-        count += 1
-    return total / count
-
-
-def shapley_shares_by_permutations(f: SetCostFunction, users: int) -> tuple:
-    return tuple(shapley_share_by_permutations(f, users, i) for i in range(f.n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from conftest import record_acceptance
+from oracle import alpha, potential_by_permutation, shapley_shares_by_permutations
 
 from costarena.core import SetCostFunction, users_of
 from costarena.equilibrium import (
@@ -29,12 +30,7 @@ from costarena.gadgets import (
     verify_gadget,
 )
 from costarena.network import to_game
-from costarena.potential import (
-    alpha,
-    harmonic,
-    potential,
-    potential_by_permutation,
-)
+from costarena.potential import harmonic, potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     ShapleyProtocol,
@@ -43,7 +39,6 @@ from costarena.protocols import (
     check_budget_balance,
     private_costs,
     shapley_shares,
-    shapley_shares_by_permutations,
 )
 from costarena.randomgames import corpus, random_cost, random_game
 

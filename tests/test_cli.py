@@ -97,6 +97,17 @@ def test_analyze_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("value", ["bogus", "0"])
+def test_bad_profile_cap_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("ARENA_MAX_PROFILES", value)
+    for argv in (("analyze", tension_file(tmp_path)),
+                 ("gadget", "pos_linear", "--n", "2", "--eps", "1/2"),
+                 ("verify-bounds", "--count", "1")):
+        rc, doc, err = run(capsys, *argv)
+        assert (rc, doc) == (2, None)
+        assert err.startswith("error: ARENA_MAX_PROFILES") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("prefix", ["gws", "table"])
 def test_invalid_protocol_json_exits_2(tmp_path, capsys, prefix):
     bad = tmp_path / "bad.json"
@@ -320,6 +331,15 @@ def test_gadget_bad_parameters(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "gadget", "pos_nharmonic", "--n", "3", "--eps", "1/4")
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, kind", [("--eps", "pos_linear"), ("--a", "poa_unbounded")])
+def test_gadget_parameters_get_the_file_exponent_guard(capsys, flag, kind):
+    # the exponent is refused before Fraction computes 10 ** 5000
+    with pytest.raises(SystemExit) as exc:
+        main(["gadget", kind, "--n", "2", flag, "1e-5000"])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import alpha_potential
+
 from costarena.core import (
     CapExceededError,
     GameModel,
@@ -284,6 +286,17 @@ def test_analyze_without_potential_flag():
     assert analyze(g, SHAPLEY).potentials is None
 
 
+def test_analyze_has_no_potential_for_other_protocols():
+    # only a protocol's own scaled_potential is a potential of its shares
+    g = tension_game()
+    table = TableProtocol()
+    table.set_entry(g.cost_fns[0], 0b11, {0: F(1, 2), 1: F(1)})
+    for protocol in (GeneralizedWeightedShapley(WeightSystem.plain(2)), TableProtocol(),
+                     table, HalfSplit()):
+        report = analyze(g, protocol, with_potential=True)
+        assert report.pne and report.potentials is None
+
+
 def reference_profiles(model):
     return list(itertools.product(*(range(len(s)) for s in model.strategy_sets)))
 
@@ -354,7 +367,7 @@ def reference_brd(model, protocol, start, max_steps, schedule, seed):
                 profile = profile[:i] + (best,) + profile[i + 1:]
                 dirty = True
                 trace.append((i, current, best,
-                              potential(model, profile) if shapley else None,
+                              alpha_potential(model, profile) if shapley else None,
                               costs[current], costs[best]))
         if not dirty:
             return profile, True, sweeps, trace
@@ -409,7 +422,8 @@ def test_analyze_matches_brute_force_reference():
         assert report.pne_costs == tuple(costs)
         assert (report.optimum, report.optimum_cost) == (opt, opt_c)
         assert (report.poa, report.pos) == (poa, pos)
-        assert report.potentials == tuple(potential(g, p) for p in pne)
+        assert report.potentials == (tuple(alpha_potential(g, p) for p in pne)
+                                     if isinstance(protocol, ShapleyProtocol) else None)
         assert enumerate_pne(g, protocol) == pne
         assert social_optimum(g) == (opt, opt_c)
         assert all(is_pne(g, protocol, p) == (p in pne) for p in reference_profiles(g))
@@ -418,7 +432,7 @@ def test_analyze_matches_brute_force_reference():
 def test_potential_minimizer_matches_brute_force_reference():
     for cost_class in COST_CLASSES:
         for g in corpus(32, 40, cost_class, max_players=5):
-            want = min(reference_profiles(g), key=lambda p: potential(g, p))
+            want = min(reference_profiles(g), key=lambda p: alpha_potential(g, p))
             assert potential_minimizer(g) == want
 
 

@@ -4,6 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import (
+    alpha,
+    alpha_potential,
+    alpha_table,
+    potential_by_permutation,
+    resource_potential,
+)
+
 from costarena.core import (
     GameModel,
     SetCostFunction,
@@ -11,16 +19,9 @@ from costarena.core import (
     full_mask,
     social_cost,
 )
-from costarena.potential import (
-    alpha,
-    alpha_table,
-    harmonic,
-    potential,
-    potential_by_permutation,
-    resource_potential,
-)
+from costarena.potential import harmonic, potential
 from costarena.protocols import ShapleyProtocol, private_cost
-from costarena.randomgames import random_game
+from costarena.randomgames import COST_CLASSES, corpus, random_game
 
 F = Fraction
 
@@ -95,6 +96,16 @@ def test_potential_sums_resources():
     assert potential(g, (0, 0), live=0b01) == 1
     assert potential(g, (0, 0), live=0b10) == 3
     assert potential(g, (0, 0), live=0) == 0
+
+
+def test_potential_matches_alpha_formula_for_every_live_mask():
+    rng = random.Random(141)
+    for cost_class in COST_CLASSES:
+        for g in corpus(142, 30, cost_class, max_players=5):
+            for _ in range(2):
+                profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
+                for live in range(1 << g.n):
+                    assert potential(g, profile, live) == alpha_potential(g, profile, live)
 
 
 def test_potential_insertion_chain():

@@ -3,6 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import (
+    resource_potential,
+    shapley_share_by_permutations,
+    shapley_shares_by_permutations,
+)
+
 from costarena.core import (
     GameModel,
     SetCostFunction,
@@ -24,9 +30,7 @@ from costarena.protocols import (
     private_cost,
     private_costs,
     shapley_share,
-    shapley_share_by_permutations,
     shapley_shares,
-    shapley_shares_by_permutations,
 )
 
 F = Fraction
@@ -571,7 +575,6 @@ def test_hmc_share_equals_permutation_average():
 
 
 def test_hmc_potential_equals_alpha_formula():
-    from costarena.potential import resource_potential
     for f in random_costs(45):
         p = ShapleyProtocol()
         scale = p.share_scale(f)
