@@ -7,6 +7,10 @@ on the set of players using it and is split by a cost-sharing protocol
 computed in exact rational arithmetic: equilibria, social optima, prices
 of anarchy and stability, potential values, and the worst-case network
 generators.
+
+Each question has one entry point: shares are asked of a ``Protocol``
+instance (``share`` / ``shares``), and the equilibria, their costs, the
+optimum and both ratios of a game come from one ``analyze`` call.
 """
 
 from .core import (
@@ -29,7 +33,6 @@ from .equilibrium import (
     analyze,
     best_response,
     best_response_dynamics,
-    enumerate_pne,
     is_pne,
     potential_minimizer,
     social_optimum,
@@ -52,11 +55,8 @@ from .protocols import (
     TableProtocol,
     WeightSystem,
     check_budget_balance,
-    gws_share,
     private_cost,
     private_costs,
-    shapley_share,
-    shapley_shares,
 )
 
 __version__ = "0.1.0"
@@ -90,8 +90,6 @@ __all__ = [
     "build_pos_nharmonic",
     "check_budget_balance",
     "classify",
-    "enumerate_pne",
-    "gws_share",
     "harmonic",
     "is_anonymous",
     "is_pne",
@@ -99,8 +97,6 @@ __all__ = [
     "potential_minimizer",
     "private_cost",
     "private_costs",
-    "shapley_share",
-    "shapley_shares",
     "social_cost",
     "social_optimum",
     "to_game",

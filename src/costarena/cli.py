@@ -124,7 +124,6 @@ def cmd_shares(args) -> int:
     model, _ = load_game(args.file)
     protocol, _ = resolve_protocol(args.protocol)
     profile = _parse_profile(args.profile, model.n)
-    model.validate_profile(profile)
     usage = model.usage_masks(profile)
     rows = []
     for rid, f, users in zip(model.resources, model.cost_fns, usage):
@@ -208,7 +207,6 @@ def cmd_dynamics(args) -> int:
         start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
     else:
         start = _parse_profile(args.start, model.n)
-        model.validate_profile(start)
     result = best_response_dynamics(model, protocol, start,
                                     max_steps=args.max_steps,
                                     schedule=args.schedule, seed=args.seed)

@@ -425,13 +425,7 @@ class GameModel:
 
 def users_of(model: GameModel, profile: Profile, r: str) -> int:
     """Bitmask of players whose chosen strategy contains resource ``r``."""
-    model.validate_profile(profile)
-    j = model.resource_index(r)
-    mask = 0
-    for i, si in enumerate(profile):
-        if j in model._strategy_ridx[i][si]:
-            mask |= 1 << i
-    return mask
+    return model.usage_masks(profile)[model.resource_index(r)]
 
 
 def social_cost(model: GameModel, profile: Profile) -> Fraction:

@@ -255,15 +255,17 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
 
     A sweep visits every player once, in index order, or in a seeded
     shuffled order with ``schedule="random"``. The run converges when a
-    full sweep accepts no change; ``max_steps`` bounds accepted changes
-    (default 10x the profile-space size, comfortably above the number of
-    distinct potential values). When the protocol has a potential
+    full sweep accepts no change; ``max_steps`` (not negative) bounds
+    accepted changes (default 10x the profile-space size, comfortably above
+    the number of distinct potential values). When the protocol has a potential
     (``Protocol.scaled_potential``, only Shapley's), each trace entry
     records it for the profile after the change; otherwise ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:
         max_steps = 10 * model.profile_space_size()
+    elif max_steps < 0:
+        raise ValidationError(f"max_steps {max_steps} is negative")
     if schedule not in ("round-robin", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
@@ -302,12 +304,6 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
 def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
     """No player can strictly lower its cost by a unilateral switch."""
     return _Kernel(model, protocol).at(profile).stable(profile)
-
-
-def enumerate_pne(model: GameModel, protocol: Protocol) -> list[Profile]:
-    """All pure Nash equilibria, in lexicographic profile order."""
-    kernel = _Kernel(model, protocol)
-    return [p for p, _ in kernel.walk(kernel.costs) if kernel.stable(p)]
 
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:

@@ -1,9 +1,11 @@
 """Cost-sharing protocols: how a resource's cost is split among its users.
 
 A protocol maps (cost function, user set, player) to the player's share.
-Non-users pay 0, and the shares of the members of a user set sum to the
-full resource cost (budget balance); ``check_budget_balance`` verifies
-both clauses exhaustively.
+There is no module-level share function: shares are asked of a protocol
+instance, which memoizes per cost function, so reuse one instance. Non-users
+pay 0, and the shares of the members of a user set sum to the full resource
+cost (budget balance); ``check_budget_balance`` verifies both clauses
+exhaustively.
 
 Every protocol also names a share scale, ``share_scale(f)``: a positive
 integer with ``share_scale(f) * share(f, S, i)`` an integer for every S
@@ -192,15 +194,6 @@ def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
     return q
 
 
-def shapley_share(f: SetCostFunction, users: int, i: int) -> Fraction:
-    """One-off Shapley share without a protocol instance."""
-    return ShapleyProtocol().share(f, users, i)
-
-
-def shapley_shares(f: SetCostFunction, users: int) -> tuple:
-    return ShapleyProtocol().shares(f, users)
-
-
 # ---------------------------------------------------------------------------
 # Generalized weighted Shapley
 # ---------------------------------------------------------------------------
@@ -317,11 +310,6 @@ class GeneralizedWeightedShapley(Protocol):
         return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
 
-def gws_share(f: SetCostFunction, users: int, i: int, w: WeightSystem) -> Fraction:
-    """One-off generalized weighted Shapley share."""
-    return GeneralizedWeightedShapley(w).share(f, users, i)
-
-
 # ---------------------------------------------------------------------------
 # Explicit share tables
 # ---------------------------------------------------------------------------
@@ -338,9 +326,9 @@ class TableProtocol(Protocol):
     also drops the share scales that ``scaled_share`` keeps.
     """
 
+    name = "table"
     entries: dict = field(default_factory=dict)
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
-    name: str = "table"
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
@@ -431,13 +419,4 @@ def private_cost(model, protocol: Protocol, profile, i: int) -> Fraction:
 def private_costs(model, protocol: Protocol, profile) -> tuple:
     """All players' payments; sums to the social cost for budget-balanced
     protocols."""
-    usage = model.usage_masks(profile)
-    out = []
-    for i in range(model.n):
-        bit = 1 << i
-        total = ZERO
-        for f, users in zip(model.cost_fns, usage):
-            if users & bit:
-                total += protocol.share(f, users, i)
-        out.append(total)
-    return tuple(out)
+    return tuple(private_cost(model, protocol, profile, i) for i in range(model.n))

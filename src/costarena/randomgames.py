@@ -20,7 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .core import GameModel, SetCostFunction, full_mask, mask_members
+from .core import GameModel, SetCostFunction, ValidationError, full_mask, mask_members
 
 ARBITRARY = "arbitrary"
 SUBMODULAR_CLASS = "submodular"
@@ -130,5 +130,7 @@ def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
 
 def corpus(seed: int, count: int, cost_class: str = ARBITRARY, **kwargs) -> list[GameModel]:
     """Deterministic list of ``count`` random games for one seed."""
+    if count < 0:
+        raise ValidationError(f"game count {count} is negative")
     rng = random.Random(seed)
     return [random_game(rng, cost_class, **kwargs) for _ in range(count)]

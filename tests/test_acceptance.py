@@ -19,7 +19,6 @@ from costarena.core import SetCostFunction, users_of
 from costarena.equilibrium import (
     analyze,
     best_response_dynamics,
-    enumerate_pne,
     is_pne,
 )
 from costarena.gadgets import (
@@ -38,7 +37,6 @@ from costarena.protocols import (
     WeightSystem,
     check_budget_balance,
     private_costs,
-    shapley_shares,
 )
 from costarena.randomgames import corpus, random_cost, random_game
 
@@ -161,7 +159,7 @@ def test_criterion_5_oracle_equivalence():
             n = rng.randint(1, 6)
             f = random_cost(rng, n, "arbitrary")
             for users in range(1 << n):
-                assert (shapley_shares(f, users)
+                assert (SHAPLEY.shares(f, users)
                         == shapley_shares_by_permutations(f, users))
 
         rng = random.Random(502)
@@ -230,7 +228,7 @@ def test_criterion_9_stability_and_convergence():
                    "fair splitting, and best-response dynamics converges from "
                    "5 seeded random starts per game"):
         for idx, g in enumerate(corpus_by_class("arbitrary")):
-            assert enumerate_pne(g, SHAPLEY)
+            assert analyze(g, SHAPLEY).pne
             rng = random.Random(9000 + idx)
             for _ in range(5):
                 start = tuple(rng.randrange(len(s)) for s in g.strategy_sets)

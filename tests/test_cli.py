@@ -415,6 +415,15 @@ def test_dynamics_bad_start(tmp_path, capsys):
 # verify-bounds
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [("verify-bounds", "--count", "-3"),
+                                  ("dynamics", None, "--max-steps", "-1")])
+def test_negative_counts_exit_2(tmp_path, capsys, argv):
+    argv = [tension_file(tmp_path) if a is None else a for a in argv]
+    rc, doc, err = run(capsys, *argv)
+    assert (rc, doc) == (2, None)
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_bounds_small_runs(capsys):
     for cls, bound in (("submodular", "pos<=H_n"),
                        ("supermodular", "pos<=n"),

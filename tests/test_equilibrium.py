@@ -10,13 +10,13 @@ from costarena.core import (
     CapExceededError,
     GameModel,
     SetCostFunction,
+    ValidationError,
 )
 from costarena.equilibrium import (
     INFINITE,
     analyze,
     best_response,
     best_response_dynamics,
-    enumerate_pne,
     is_pne,
     potential_minimizer,
     profile_cap,
@@ -168,6 +168,14 @@ def test_brd_step_budget_halts_unstable_run():
     assert len(res.trace) == 12
 
 
+def test_brd_step_budget_is_not_negative():
+    g, t = chase_game()
+    res = best_response_dynamics(g, t, (0, 0), max_steps=0)
+    assert (res.profile, res.converged, res.trace) == ((0, 0), False, ())
+    with pytest.raises(ValidationError, match="max_steps -1"):
+        best_response_dynamics(g, t, (0, 0), max_steps=-1)
+
+
 def test_brd_rejects_unknown_schedule():
     g = tension_game()
     with pytest.raises(ValueError):
@@ -180,14 +188,14 @@ def test_brd_rejects_unknown_schedule():
 
 def test_enumerate_pne_unique_shared_edge():
     g = tension_game()
-    assert enumerate_pne(g, SHAPLEY) == [(0, 0)]
+    assert analyze(g, SHAPLEY).pne == ((0, 0),)
     assert is_pne(g, SHAPLEY, (0, 0))
     assert not is_pne(g, SHAPLEY, (0, 1))
 
 
 def test_enumerate_pne_empty_for_chase_game():
     g, t = chase_game()
-    assert enumerate_pne(g, t) == []
+    assert analyze(g, t).pne == ()
     for profile in itertools.product(range(2), range(2)):
         assert not is_pne(g, t, profile)
 
@@ -196,7 +204,7 @@ def test_shapley_games_always_have_pne():
     rng = random.Random(1234)
     for _ in range(40):
         g = random_game(rng, "arbitrary")
-        pne = enumerate_pne(g, SHAPLEY)
+        pne = analyze(g, SHAPLEY).pne
         assert pne
         mini = potential_minimizer(g)
         assert mini in pne
@@ -237,7 +245,7 @@ def test_ratios_undefined_without_equilibria():
 
 def test_ratio_conventions_zero_optimum():
     g, t = freeloader_game()
-    assert sorted(enumerate_pne(g, t)) == [(0,), (1,)]
+    assert sorted(analyze(g, t).pne) == [(0,), (1,)]
     assert social_optimum(g) == ((0,), F(0))
     report = analyze(g, t)
     assert report.poa == INFINITE
@@ -424,7 +432,7 @@ def test_analyze_matches_brute_force_reference():
         assert (report.poa, report.pos) == (poa, pos)
         assert report.potentials == (tuple(alpha_potential(g, p) for p in pne)
                                      if isinstance(protocol, ShapleyProtocol) else None)
-        assert enumerate_pne(g, protocol) == pne
+        assert analyze(g, protocol).pne == tuple(pne)
         assert social_optimum(g) == (opt, opt_c)
         assert all(is_pne(g, protocol, p) == (p in pne) for p in reference_profiles(g))
 
@@ -494,8 +502,8 @@ def test_enumeration_respects_cap(monkeypatch):
                   (f, SetCostFunction.zero(2)))
     monkeypatch.setenv("ARENA_MAX_PROFILES", "3")
     with pytest.raises(CapExceededError):
-        enumerate_pne(g, SHAPLEY)
+        analyze(g, SHAPLEY)
     with pytest.raises(CapExceededError):
         social_optimum(g)
     monkeypatch.setenv("ARENA_MAX_PROFILES", "4")
-    assert len(enumerate_pne(g, SHAPLEY)) == 4
+    assert len(analyze(g, SHAPLEY).pne) == 4

@@ -26,14 +26,12 @@ from costarena.protocols import (
     WeightSystem,
     check_budget_balance,
     find_share_monotonicity_violation,
-    gws_share,
     private_cost,
     private_costs,
-    shapley_share,
-    shapley_shares,
 )
 
 F = Fraction
+SHAPLEY = ShapleyProtocol()
 
 
 def random_monotone_cost(rng, n, num_max=8, den_max=3):
@@ -55,36 +53,36 @@ def random_monotone_cost(rng, n, num_max=8, den_max=3):
 
 def test_singleton_share_is_full_cost():
     f = SetCostFunction.from_table(2, {(0,): 1, (1,): 3, (0, 1): 4})
-    assert shapley_share(f, 0b01, 0) == 1
-    assert shapley_share(f, 0b10, 1) == 3
+    assert SHAPLEY.share(f, 0b01, 0) == 1
+    assert SHAPLEY.share(f, 0b10, 1) == 3
 
 
 def test_two_player_asymmetric_split():
     f = SetCostFunction.from_table(2, {(0,): 1, (1,): 3, (0, 1): 4})
-    assert shapley_shares(f, 0b11) == (1, 3)
+    assert SHAPLEY.shares(f, 0b11) == (1, 3)
 
 
 def test_anonymous_split_is_even():
     f = SetCostFunction.anonymous([0, 1, 3])
-    assert shapley_shares(f, 0b11) == (F(3, 2), F(3, 2))
+    assert SHAPLEY.shares(f, 0b11) == (F(3, 2), F(3, 2))
 
 
 def test_threshold_edge_split():
     # free below 4 users, 7/2 once all four pile on
     f = SetCostFunction.anonymous([0, 0, 0, 0, F(7, 2)])
-    assert shapley_share(f, 0b1111, 2) == F(7, 8)
+    assert SHAPLEY.share(f, 0b1111, 2) == F(7, 8)
 
 
 def test_non_member_pays_nothing():
     f = SetCostFunction.anonymous([0, 1, 3])
-    assert shapley_share(f, 0b01, 1) == 0
-    assert shapley_shares(f, 0) == (F(0), F(0))
-    assert shapley_shares(f, 0b10) == (F(0), F(1))
+    assert SHAPLEY.share(f, 0b01, 1) == 0
+    assert SHAPLEY.shares(f, 0) == (F(0), F(0))
+    assert SHAPLEY.shares(f, 0b10) == (F(0), F(1))
 
 
 def test_shares_always_full_length():
     f = SetCostFunction.anonymous([0, 2, 2, 2])
-    got = shapley_shares(f, 0b101)
+    got = SHAPLEY.shares(f, 0b101)
     assert len(got) == 3
     assert got == (F(1), F(0), F(1))
 
@@ -92,7 +90,7 @@ def test_shares_always_full_length():
 def test_arity_mismatch_rejected():
     f = SetCostFunction.anonymous([0, 1])
     with pytest.raises(ProtocolError):
-        shapley_share(f, 0b10, 1)
+        SHAPLEY.share(f, 0b10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +108,7 @@ def test_permutation_average_matches_subset_sum():
         n = rng.randint(1, 5)
         f = random_monotone_cost(rng, n)
         for users in range(1 << n):
-            fast = shapley_shares(f, users)
+            fast = SHAPLEY.shares(f, users)
             slow = shapley_shares_by_permutations(f, users)
             assert fast == slow, (f, users)
 
@@ -132,7 +130,7 @@ def test_shares_sum_to_total_cost():
         n = rng.randint(1, 6)
         f = random_monotone_cost(rng, n)
         users = rng.randrange(1 << n)
-        assert sum(shapley_shares(f, users)) == f.value(users)
+        assert sum(SHAPLEY.shares(f, users)) == f.value(users)
 
 
 def test_dummy_player_pays_zero():
@@ -141,8 +139,8 @@ def test_dummy_player_pays_zero():
     for mask in range(8):
         table[tuple(mask_members(mask))] = F((mask & 1) + ((mask >> 1) & 1) * 2)
     f = SetCostFunction.from_table(3, table)
-    assert shapley_share(f, 0b111, 2) == 0
-    assert shapley_shares(f, 0b111) == (F(1), F(2), F(0))
+    assert SHAPLEY.share(f, 0b111, 2) == 0
+    assert SHAPLEY.shares(f, 0b111) == (F(1), F(2), F(0))
 
 
 def test_shares_nonnegative_for_monotone_costs():
@@ -151,7 +149,7 @@ def test_shares_nonnegative_for_monotone_costs():
         n = rng.randint(1, 5)
         f = random_monotone_cost(rng, n)
         users = rng.randrange(1 << n)
-        assert all(s >= 0 for s in shapley_shares(f, users))
+        assert all(s >= 0 for s in SHAPLEY.shares(f, users))
 
 
 def test_protocol_object_caches_consistently():
@@ -185,10 +183,10 @@ def test_plain_weights_reduce_to_shapley():
     for _ in range(25):
         n = rng.randint(1, 4)
         f = random_monotone_cost(rng, n)
-        w = WeightSystem.plain(n)
+        p = GeneralizedWeightedShapley(WeightSystem.plain(n))
         for users in range(1 << n):
             for i in range(n):
-                assert gws_share(f, users, i, w) == shapley_share(f, users, i)
+                assert p.share(f, users, i) == SHAPLEY.share(f, users, i)
 
 
 def test_unequal_weights_single_block():
@@ -215,9 +213,9 @@ def test_ordered_blocks_charge_earliest_block():
 
 def test_gws_non_member_and_empty():
     f = SetCostFunction.anonymous([0, 1, 3])
-    w = WeightSystem((F(2), F(1)), (frozenset({0, 1}),))
-    assert gws_share(f, 0b01, 1, w) == 0
-    assert gws_share(f, 0, 0, w) == 0
+    p = GeneralizedWeightedShapley(WeightSystem((F(2), F(1)), (frozenset({0, 1}),)))
+    assert p.share(f, 0b01, 1) == 0
+    assert p.share(f, 0, 0) == 0
 
 
 def random_weight_system(rng, n):
@@ -276,9 +274,9 @@ def test_gws_matches_dividend_reference():
 
 def test_gws_arity_guard():
     f = SetCostFunction.anonymous([0, 1])
-    w = WeightSystem.plain(2)
+    p = GeneralizedWeightedShapley(WeightSystem.plain(2))
     with pytest.raises(ProtocolError):
-        gws_share(f, 0b1, 0, w)
+        p.share(f, 0b1, 0)
 
 
 # ---------------------------------------------------------------------------

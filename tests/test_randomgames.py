@@ -1,6 +1,8 @@
 import random
 
-from costarena.core import classify
+import pytest
+
+from costarena.core import ValidationError, classify
 from costarena.gamefile import game_to_json
 from costarena.randomgames import COST_CLASSES, corpus, random_cost, random_game
 
@@ -11,6 +13,12 @@ def test_corpus_is_deterministic():
     assert [game_to_json(g) for g in a] == [game_to_json(g) for g in b]
     c = corpus(100, 20, "arbitrary")
     assert [game_to_json(g) for g in a] != [game_to_json(g) for g in c]
+
+
+def test_corpus_count_is_not_negative():
+    assert corpus(99, 0) == []
+    with pytest.raises(ValidationError, match="count -3"):
+        corpus(99, -3)
 
 
 def test_cost_class_guarantees():
