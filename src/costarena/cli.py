@@ -151,6 +151,8 @@ def cmd_gadget(args) -> int:
     case = None
     if args.kind == POS_LINEAR:
         spec = GadgetSpec(POS_LINEAR, n=args.n, eps=args.eps)
+        if protocol.name != "shapley":  # the gadget's ratio holds under Shapley only
+            raise ValidationError("pos_linear needs the shapley protocol")
         nm = build_pos_linear(spec.n, spec.eps)
     elif args.kind == POS_NHARMONIC:
         spec = GadgetSpec(POS_NHARMONIC, n=args.n, eps=args.eps)

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
-from operator import gt
+from operator import floordiv, gt, mul
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
@@ -142,35 +143,40 @@ class SetCostFunction:
     __slots__ = ("n", "denominator", "_scaled", "_anon", "_views", "_expanded", "_hash")
 
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
-                 denominator: int | None = None):
+                 denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
-        entries when ``anonymous``: rationals (``Fraction``, int or
-        string), or, when ``denominator`` is given, integer numerators
-        over it."""
-        if denominator is None:
-            views = tuple(_as_fraction(v) for v in values)
-            denominator = scale_lcm({v.denominator for v in views},
-                                    "common denominator of a cost function")
-            scaled = [v.numerator * (denominator // v.denominator) for v in views]
+        entries when ``anonymous``: rationals (``Fraction``, int or string),
+        or integers with ``values[k] / denominators[k]`` the k-th entry, not
+        necessarily reduced. Only here is each entry reduced, L taken as the
+        lcm of the reduced denominators and every numerator scaled to it."""
+        if denominators is None:
+            views = tuple(map(_as_fraction, values))
+            nums = [v.numerator for v in views]
+            dens = [v.denominator for v in views]
         else:
             views = None
-            scaled = values
-        if anonymous and len(scaled) < 2:
+            nums, dens = list(values), list(denominators)
+            if len(nums) != len(dens):
+                raise ValidationError(
+                    f"cost function has {len(nums)} numerators and {len(dens)} denominators")
+            if min(dens, default=1) <= 0:
+                raise ValidationError(f"cost denominator {min(dens)} is not positive")
+        factors = list(map(gcd, nums, dens))
+        if max(factors, default=1) > 1:  # values are mostly reduced already
+            nums = list(map(floordiv, nums, factors))
+            dens = list(map(floordiv, dens, factors))
+        denominator = scale_lcm(set(dens), "common denominator of a cost function")
+        if anonymous and len(nums) < 2:
             raise ValidationError("anonymous cost needs at least 2 entries (n >= 1)")
         check_player_count(n)
         size = n + 1 if anonymous else 1 << n
-        if len(scaled) != size:
+        if len(nums) != size:
             raise ValidationError(
-                f"{'anonymous cost' if anonymous else 'table'} has {len(scaled)} "
+                f"{'anonymous cost' if anonymous else 'table'} has {len(nums)} "
                 f"entries, expected {size}")
-        # canonical L: the lcm of the reduced denominators
-        common = gcd(denominator, *scaled)
-        if common > 1:
-            denominator //= common
-            scaled = [v // common for v in scaled]
         self.n = n
         self.denominator = denominator
-        self._scaled = tuple(scaled)
+        self._scaled = tuple(map(mul, nums, map(floordiv, repeat(denominator), dens)))
         self._anon = anonymous
         self._views = views
         self._expanded = None
@@ -206,7 +212,7 @@ class SetCostFunction:
     @classmethod
     def zero(cls, n: int) -> "SetCostFunction":
         """The identically-zero (free) cost function."""
-        return cls(n, [0] * (n + 1), anonymous=True, denominator=1)
+        return cls(n, [0] * (n + 1), anonymous=True)
 
     def _fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.denominator)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SetCostFunction, ValidationError, player_mask
+from .core import SetCostFunction, ValidationError, check_player_count, player_mask
 from .equilibrium import analyze
 from .network import Edge, NetworkModel, to_game
 from .potential import harmonic
@@ -65,11 +65,13 @@ class GadgetSpec:
                 raise ValidationError("pos_linear needs n >= 2")
             if self.eps is None or not 0 < self.eps < 1:
                 raise ValidationError("pos_linear needs eps in (0,1)")
+            check_player_count(self.n)  # before a builder sizes anything by n
         elif self.kind == POS_NHARMONIC:
             if self.n is None or self.n < 2 or self.n % 2:
                 raise ValidationError("pos_nharmonic needs even n >= 2")
             if self.eps is None or not 0 < self.eps < Fraction(1, 2):
                 raise ValidationError("pos_nharmonic needs eps in (0,1/2)")
+            check_player_count(self.n)
         else:
             if self.a is None or self.a < 1:
                 raise ValidationError("poa_unbounded needs a >= 1")

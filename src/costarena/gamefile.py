@@ -21,18 +21,22 @@ or a network::
 
 Table cost entries omit zero-cost sets; anything omitted is 0, which the
 cost-function validator then accepts or rejects against monotonicity.
+
+This module only parses: ``SetCostFunction`` reduces the numerators and
+denominators it is handed, checks the bit budget and scales them to one
+canonical denominator.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from math import gcd
-from operator import floordiv, itemgetter, mul
+from operator import itemgetter
 
-from .core import GameModel, SetCostFunction, ValidationError, check_player_count, scale_lcm
+from .core import GameModel, SetCostFunction, ValidationError, check_player_count
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
 
@@ -82,19 +86,6 @@ def _exponent(text: str) -> int:
         return int(tail) if e else 0
     except ValueError:  # no exponent; Fraction rejects such a string itself
         return 0
-
-
-def _rational(value) -> tuple[int, int]:
-    """``parse_fraction(value)`` as (numerator, denominator > 0), not
-    necessarily reduced; plain ASCII "p/q" strings skip ``Fraction``."""
-    if type(value) is str and len(value) <= MAX_DIGITS:
-        p, slash, q = value.partition("/")
-        if slash and value.isascii() and p.isdigit() and q.isdigit():
-            q = int(q)
-            if q:
-                return int(p), q
-    x = parse_fraction(value)
-    return x.numerator, x.denominator
 
 
 def _is(value, kind) -> bool:
@@ -158,15 +149,20 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         if len(values) != n + 1:
             raise ValidationError(
                 f"anonymous cost has {len(values)} entries, expected {n + 1}")
-        pairs = [_rational(v) for v in values]
-        return _scaled_cost(n, [p for p, _ in pairs], [q for _, q in pairs])
+        column = _fractions_in_bulk(values)
+        if column is None:
+            return SetCostFunction(n, list(map(parse_fraction, values)), anonymous=True)
+        return SetCostFunction(n, column[0], anonymous=True, denominators=column[1])
     if "table" in obj:
         entries = obj["table"]
         if not isinstance(entries, list):
             raise ValidationError("table cost must be a list")
         check_player_count(n)  # before sizing the table by it
         masks, nums, dens = _table_in_bulk(n, entries) or _table_checked(n, entries)
-        return _scaled_cost(n, nums, dens, masks)
+        table, denominators = [0] * (1 << n), [1] * (1 << n)  # omitted sets cost 0/1
+        deque(map(table.__setitem__, masks, nums), 0)
+        deque(map(denominators.__setitem__, masks, dens), 0)
+        return SetCostFunction(n, table, denominators=denominators)
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
 
 
@@ -185,19 +181,19 @@ def _table_checked(n: int, entries: list) -> tuple[list, list, list]:
         if mask in seen:
             raise ValidationError(f"duplicate table entry for set {members!r}")
         seen.add(mask)
-        p, q = _rational(_require(e, "cost", None, "table entry"))
+        x = parse_fraction(_require(e, "cost", None, "table entry"))
         masks.append(mask)
-        nums.append(p)
-        dens.append(q)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
     return masks, nums, dens
 
 
 def _table_in_bulk(n: int, entries: list) -> tuple[list, list, list] | None:
     """What ``_table_checked`` returns, read one field at a time in passes
     that run in C; None unless every entry is a dict whose "set" lists
-    distinct player ids in ascending order and whose "cost" is an ASCII
-    "p/q" string of at most MAX_DIGITS characters with q > 0, the inputs
-    on which both agree. Anything else is left to ``_table_checked``."""
+    distinct player ids in ascending order and whose "cost" column
+    ``_fractions_in_bulk`` reads, the inputs on which both agree. Anything
+    else is left to ``_table_checked``."""
     if set(map(type, entries)) != {dict}:
         return None
     try:
@@ -205,22 +201,33 @@ def _table_in_bulk(n: int, entries: list) -> tuple[list, list, list] | None:
         costs = list(map(itemgetter("cost"), entries))
     except KeyError:
         return None
-    if (set(map(type, sets)) != {list} or set(map(type, costs)) != {str}
+    if (set(map(type, sets)) != {list}
             or not set(map(type, chain.from_iterable(sets))) <= {int}):
         return None
     masks = list(map(_member_index(n).get, map(tuple, sets)))
     if None in masks or len(set(masks)) != len(masks):
         return None
-    if set(map(str.count, costs, repeat("/"))) != {1} or max(map(len, costs)) > MAX_DIGITS:
+    column = _fractions_in_bulk(costs)
+    return None if column is None else (masks, *column)
+
+
+def _fractions_in_bulk(texts: list) -> tuple[list, list] | None:
+    """The numerators and denominators of ``texts``, not necessarily
+    reduced, read in passes that run in C; None unless every item is an
+    ASCII "p/q" string of at most MAX_DIGITS characters with q > 0, the
+    inputs on which ``parse_fraction`` gives the same value. Anything else
+    is left to ``parse_fraction``."""
+    if (set(map(type, texts)) != {str} or set(map(str.count, texts, repeat("/"))) != {1}
+            or max(map(len, texts)) > MAX_DIGITS):
         return None
-    text = "/".join(costs)
+    text = "/".join(texts)
     parts = text.split("/")
     if not (text.isascii() and "".join(parts).isdigit()) or "" in parts:
         return None
     dens = list(map(int, parts[1::2]))
     if 0 in dens:
         return None
-    return masks, list(map(int, parts[::2])), dens
+    return list(map(int, parts[::2])), dens
 
 
 @cache
@@ -230,24 +237,6 @@ def _member_index(n: int) -> dict:
     for i in range(n):
         members += [m + (i,) for m in members]
     return dict(zip(members, range(1 << n)))
-
-
-def _scaled_cost(n: int, nums: list, dens: list, masks: list | None = None) -> SetCostFunction:
-    """The cost function with values ``nums[k] / dens[k]``, handed over as
-    integers over one common denominator: the size-indexed values when
-    ``masks`` is None, else a table with value k at ``masks[k]`` and 0
-    elsewhere."""
-    # reduced first, so that the bit budget applies to the canonical L
-    factors = list(map(gcd, nums, dens))
-    nums = list(map(floordiv, nums, factors))
-    dens = list(map(floordiv, dens, factors))
-    common = scale_lcm(set(dens), "common denominator of a cost function")
-    scaled = list(map(mul, nums, map(floordiv, repeat(common), dens)))
-    if masks is None:
-        return SetCostFunction(n, scaled, anonymous=True, denominator=common)
-    at = dict(zip(masks, scaled))
-    return SetCostFunction(n, list(map(at.get, range(1 << n), repeat(0))),
-                           denominator=common)
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,9 @@ class TableProtocol(Protocol):
         vars(self).pop("_share_scales", None)  # the memo of scaled_share
 
     def share_scale(self, f: SetCostFunction) -> int:
-        scales = {v.denominator for entry in self.entries.values()
+        """The lcm of the denominators in ``f``'s own entries and of the
+        fallback's scale; entries for other cost functions do not count."""
+        scales = {v.denominator for (g, _), entry in self.entries.items() if g == f
                   for v in entry.values()}
         if self.fallback is not None:
             scales.add(self.fallback.share_scale(f))

@@ -60,12 +60,13 @@ def _coverage_cost(rng: random.Random, n: int) -> SetCostFunction:
 
 
 def _anonymous_cost(rng: random.Random, n: int, shape: str) -> SetCostFunction:
-    marginals = sorted((_small_fraction(rng, 8) for _ in range(n)),
-                       reverse=(shape == "concave"))
-    values = [Fraction(0)]
-    for m in marginals:
-        values.append(values[-1] + m)
-    return SetCostFunction.anonymous(values)
+    """Anonymous cost whose marginals are sorted ("concave", "convex") or "shuffled"."""
+    marginals = [_small_fraction(rng, 8) for _ in range(n)]
+    if shape == "shuffled":
+        rng.shuffle(marginals)
+    else:
+        marginals.sort(reverse=(shape == "concave"))
+    return SetCostFunction.anonymous(itertools.accumulate(marginals, initial=Fraction(0)))
 
 
 def _pairwise_cost(rng: random.Random, n: int) -> SetCostFunction:
@@ -85,12 +86,7 @@ def _pairwise_cost(rng: random.Random, n: int) -> SetCostFunction:
 def random_cost(rng: random.Random, n: int, cost_class: str = ARBITRARY) -> SetCostFunction:
     if cost_class == ARBITRARY:
         if rng.random() < 0.25:
-            marginals = [_small_fraction(rng, 8) for _ in range(n)]
-            rng.shuffle(marginals)
-            values = [Fraction(0)]
-            for m in marginals:
-                values.append(values[-1] + m)
-            return SetCostFunction.anonymous(values)
+            return _anonymous_cost(rng, n, "shuffled")
         return _monotone_lattice_cost(rng, n)
     if cost_class == SUBMODULAR_CLASS:
         if rng.random() < 0.5:

@@ -215,7 +215,7 @@ def test_scales_over_the_bit_budget_exit_2(tmp_path, capsys, monkeypatch, n):
                 yield v
         return scale_lcm(each(), what)
 
-    monkeypatch.setattr("costarena.gamefile.scale_lcm", counted)
+    monkeypatch.setattr("costarena.core.scale_lcm", counted)
     monkeypatch.setattr("costarena.protocols.scale_lcm", counted)
     for argv, what in [(("analyze", str(table_path)), "common denominator of a cost function"),
                        (("analyze", str(game_path), "--protocol", f"gws:{weights_path}"),
@@ -315,6 +315,30 @@ def test_gadget_pos_nharmonic_rejects_table_protocol(tmp_path, capsys):
                      "--n", "2", "--eps", "1/4",
                      "--protocol", f"table:{table_path}")
     assert rc == 2
+
+
+@pytest.mark.parametrize("kind", ["pos_linear", "pos_nharmonic"])
+def test_gadget_player_cap_exits_2_before_building(capsys, monkeypatch, kind):
+    def never(*args):
+        raise AssertionError("builder called")
+
+    monkeypatch.setattr(f"costarena.cli.build_{kind}", never)
+    monkeypatch.setattr("costarena.cli.WeightSystem.plain", never)
+    rc, out, err = run(capsys, "gadget", kind, "--n", "3000000", "--eps", "1/4")
+    assert (rc, out) == (2, None)
+    assert err == "error: player count 3000000 out of range 1..16\n"
+
+
+def test_gadget_pos_linear_rejects_other_protocols(tmp_path, capsys):
+    # its ratio holds under Shapley only; two blocks give 1, not 5/2
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"lambda": ["1/1"] * 3, "blocks": [[2], [0, 1]]}))
+    _, table_path = chase_files(tmp_path)
+    for protocol in (f"gws:{weights}", f"table:{table_path}"):
+        rc, out, err = run(capsys, "gadget", "pos_linear", "--n", "3", "--eps", "1/2",
+                           "--protocol", protocol)
+        assert (rc, out) == (2, None)
+        assert err == "error: pos_linear needs the shapley protocol\n"
 
 
 def test_gadget_poa_unbounded(capsys):

@@ -110,27 +110,34 @@ def test_denominator_is_lcm_of_value_denominators():
 
 def test_integer_values_over_a_canonical_denominator():
     # numerators over an unreduced denominator: the common factor goes
-    f = SetCostFunction(2, [0, 2, 4, 8], denominator=12)
+    f = SetCostFunction(2, [0, 2, 4, 8], denominators=[12] * 4)
     assert f.denominator == 6
     assert [f.scaled(m) for m in range(4)] == [0, 1, 2, 4]
     assert [f.value(m) for m in range(4)] == [0, F(1, 6), F(1, 3), F(2, 3)]
     g = SetCostFunction.from_table(2, {(0,): F(1, 6), (1,): F(1, 3), (0, 1): F(2, 3)})
     assert f == g and hash(f) == hash(g) and g.denominator == 6
-    anon = SetCostFunction(2, [0, 3, 9], anonymous=True, denominator=6)
+    anon = SetCostFunction(2, [0, 3, 9], anonymous=True, denominators=[6] * 3)
     assert anon.anonymous_values == (0, F(1, 2), F(3, 2))
     assert anon.scaled(0b10) == 1 and anon.denominator == 2
     assert anon == SetCostFunction.from_table(2, {(0,): F(1, 2), (1,): F(1, 2),
                                                   (0, 1): F(3, 2)})
-    assert SetCostFunction(1, [0, 0], denominator=7).denominator == 1
+    assert SetCostFunction(1, [0, 0], denominators=[7] * 2).denominator == 1
+    # one unreduced denominator per entry: each entry is reduced, L is 6
+    h = SetCostFunction(2, [0, 2, 6, 4], denominators=[5, 12, 18, 6])
+    assert h == g and h.denominator == 6 and [h.scaled(m) for m in range(4)] == [0, 1, 2, 4]
+    with pytest.raises(ValidationError, match="3 numerators and 4 denominators"):
+        SetCostFunction(2, [0, 1, 2], denominators=[1] * 4)
+    with pytest.raises(ValidationError, match="not positive"):
+        SetCostFunction(2, [0, 1, 2, 3], denominators=[1, 0, 1, 1])
     with pytest.raises(ValidationError):
         anon.scaled(0b100)
     # the integer validator reports what the Fraction path reports
     with pytest.raises(ValidationError, match="C\\(0b11\\) < C\\(0b1\\)"):
-        SetCostFunction(2, [0, 3, 0, 2], denominator=2)
+        SetCostFunction(2, [0, 3, 0, 2], denominators=[2] * 4)
     with pytest.raises(ValidationError, match="from size 1 to 2: 3/2 > 1"):
-        SetCostFunction(2, [0, 3, 2], anonymous=True, denominator=2)
+        SetCostFunction(2, [0, 3, 2], anonymous=True, denominators=[2] * 3)
     with pytest.raises(ValidationError, match="empty set is 1/3"):
-        SetCostFunction(1, [2, 4], denominator=6)
+        SetCostFunction(1, [2, 4], denominators=[6] * 2)
 
 
 def test_arity_bounds():

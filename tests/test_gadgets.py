@@ -47,6 +47,14 @@ def test_spec_validation():
         GadgetSpec(POA_UNBOUNDED, a=F(1, 2))
 
 
+def test_spec_caps_player_count():
+    # checked before a builder sizes a cost list or a weight system by n
+    for kind, n, eps in [(POS_LINEAR, 17, F(1, 2)), (POS_NHARMONIC, 18, F(1, 4))]:
+        with pytest.raises(ValidationError, match="player count"):
+            GadgetSpec(kind, n=n, eps=eps)
+    assert GadgetSpec(POS_NHARMONIC, n=16, eps=F(1, 4)).n == 16
+
+
 def test_expected_ratios():
     assert GadgetSpec(POS_LINEAR, n=3, eps=F(1, 2)).expected_ratio() == F(5, 2)
     assert (GadgetSpec(POS_NHARMONIC, n=4, eps=F(1, 4)).expected_ratio()

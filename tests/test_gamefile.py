@@ -18,7 +18,7 @@ from costarena.gamefile import (
     load_weight_system,
     network_from_json,
     network_to_json,
-    _rational,
+    _fractions_in_bulk,
     _table_checked,
     _table_in_bulk,
     parse_fraction,
@@ -74,22 +74,35 @@ EDGE_STRINGS = (
 
 
 def test_fast_rational_path_matches_fraction():
-    # the reader's "p/q" fast path and parse_fraction (Fraction(str)) agree
-    # on every string: the same value, or the same error message
+    # the reader's bulk "p/q" column parser and parse_fraction
+    # (Fraction(str)) agree on every string: the bulk parser gives the same
+    # value or leaves the string to parse_fraction, and an anonymous list
+    # loads to the value, or fails with the message, that parse_fraction gives
     for text in EDGE_STRINGS:
         try:
             expected = parse_fraction(text)
         except ValidationError as exc:
+            assert _fractions_in_bulk([text]) is None, text
             with pytest.raises(ValidationError) as caught:
-                _rational(text)
+                cost_from_json(1, {"anonymous": ["0/1", text]})
             assert str(caught.value) == str(exc), text
             continue
-        p, q = _rational(text)
-        assert q > 0 and F(p, q) == expected, text
+        column = _fractions_in_bulk([text])
+        if column is not None:
+            [p], [q] = column
+            assert q > 0 and F(p, q) == expected, text
         if len(text) < 50:
             assert expected == F(text.strip())
-    assert _rational("03/004") == (3, 4)  # fast path, not reduced
-    assert _rational(5) == (5, 1)
+        try:
+            built = SetCostFunction.anonymous([0, expected])
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                cost_from_json(1, {"anonymous": ["0/1", text]})
+            assert str(caught.value) == str(exc), text
+            continue
+        assert cost_from_json(1, {"anonymous": ["0/1", text]}) == built, text
+    assert _fractions_in_bulk(["03/004", "5/1"]) == ([3, 5], [4, 1])  # not reduced
+    assert _fractions_in_bulk([5]) is None
 
 
 def test_loaded_cost_equals_fraction_built():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,6 +18,7 @@ from costarena.core import (
     mask_members,
     player_mask,
 )
+from costarena.equilibrium import analyze
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -562,6 +564,24 @@ def test_share_scale_tables_and_share_only_subclass():
             bare.set_entry(f, users, off, validate=False)
         for protocol in (validated, loose, bare, Half()):
             assert_scale_makes_shares_integral(protocol, f)
+
+
+def test_table_share_scale_reads_only_its_own_entries():
+    f, g = SetCostFunction.anonymous([0, 1, 2]), SetCostFunction.anonymous([0, 1, 3])
+    table = TableProtocol()
+    assert table.share_scale(f) == 2
+    table.set_entry(g, 0b01, {0: F(1, 7)}, validate=False)
+    assert table.share_scale(f) == 2 and table.share_scale(g) == 14
+    # 200 distinct 24-bit primes take more than MAX_SCALE_BITS bits together,
+    # but none is a denominator of f's shares
+    primes = list(islice((p for p in range(1 << 23, 1 << 24)
+                          if all(p % d for d in range(2, 4097))), 200))
+    for k, p in enumerate(primes, 2):
+        table.set_entry(SetCostFunction.anonymous([0, k, k]), 0b01, {0: F(1, p)},
+                        validate=False)
+    assert table.share_scale(f) == 2 and table.scaled_share(f, 0b11, 1) == 2
+    assert analyze(GameModel(2, ("r",), ((frozenset({"r"}),),) * 2, (f,)),
+                   table).optimum_cost == 2
 
 
 def test_hmc_share_equals_permutation_average():
