@@ -76,15 +76,12 @@ def resolve_protocol(spec: str) -> tuple[Protocol, WeightSystem | None]:
         f"unknown protocol {spec!r}; use shapley, gws:<file> or table:<file>")
 
 
-def _parse_profile(text: str, n: int) -> tuple[int, ...]:
+def _parse_profile(text: str) -> tuple[int, ...]:
     try:
-        profile = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"bad profile {text!r}; expected comma-separated "
                               f"indices") from None
-    if len(profile) != n:
-        raise ValidationError(f"profile has {len(profile)} entries, game has {n} players")
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +91,7 @@ def _parse_profile(text: str, n: int) -> tuple[int, ...]:
 def cmd_analyze(args) -> int:
     model, _ = load_game(args.file)
     protocol, _ = resolve_protocol(args.protocol)
-    report = analyze(model, protocol, with_potential=True)
+    report = analyze(model, protocol)
     doc = {
         "protocol": report.protocol,
         "pne": [{"profile": list(p), "cost": fraction_to_str(c)}
@@ -123,7 +120,7 @@ def cmd_analyze(args) -> int:
 def cmd_shares(args) -> int:
     model, _ = load_game(args.file)
     protocol, _ = resolve_protocol(args.protocol)
-    profile = _parse_profile(args.profile, model.n)
+    profile = _parse_profile(args.profile)
     usage = model.usage_masks(profile)
     rows = []
     for rid, f, users in zip(model.resources, model.cost_fns, usage):
@@ -208,7 +205,7 @@ def cmd_dynamics(args) -> int:
         rng = random.Random(seed)
         start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
     else:
-        start = _parse_profile(args.start, model.n)
+        start = _parse_profile(args.start)
     result = best_response_dynamics(model, protocol, start,
                                     max_steps=args.max_steps,
                                     schedule=args.schedule, seed=args.seed)
@@ -243,7 +240,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     protocol = ShapleyProtocol()
-    games = corpus(args.seed, args.count, getattr(args, "cost_class"))
+    games = corpus(args.seed, args.count, args.cost_class)
     violations = []
     checked = []
     for idx, model in enumerate(games):

@@ -11,20 +11,20 @@ share_scale(f)) * protocol.scaled_share(f, mask, i), and a potential row
 (D / share_scale(f)) * protocol.scaled_potential(f, mask) when the
 protocol has that hook (only Shapley does; ``potential_minimizer`` always
 compiles for Shapley). Each of these scales must stay within
-``core.MAX_SCALE_BITS``. Strategies become
-tuples of resource indices. Cost, share and potential rows are filled
-lazily, one (resource, user mask[, player]) entry on first
-touch, never as whole 2^n tables. The walk visits profiles as an
-odometer, in the lexicographic order of ``itertools.product``, and on
-each step updates only the usage masks and the running total of the
-players whose digit changed. Social costs, deviation sums, the optimum
-and the early-exit stability test then compare Python ints; a
-``Fraction`` over D is built only for a value that is reported.
+``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
+Cost, share and potential rows are filled lazily, one (resource, user
+mask[, player]) entry on first touch, never as whole 2^n tables. The walk
+visits profiles as an odometer, in the lexicographic order of
+``itertools.product``, and on each step updates only the usage masks and
+the running total of the players whose digit changed. Social costs,
+deviation sums, the optimum and the early-exit stability test then
+compare Python ints; a ``Fraction`` over D is built only for a value that
+is reported.
 
-``analyze`` takes the equilibria, their social costs and the optimum from
-one walk. Ties break lexicographically, so reports are reproducible. The
-profile-space size is capped (default 10^7, overridable through the
-ARENA_MAX_PROFILES environment variable).
+``analyze`` takes the equilibria, their social costs and potentials, and
+the optimum from one walk. Ties break lexicographically, so reports are
+reproducible. The profile-space size is capped (default 10^7, overridable
+through the ARENA_MAX_PROFILES environment variable).
 """
 
 from __future__ import annotations
@@ -81,15 +81,17 @@ class _Kernel:
     ``scale`` is the game's denominator D; ``costs[r][mask]`` is D times
     the cost of resource r under ``mask``; ``options[i][s]`` pairs each
     resource of player i's strategy s with the row of i's shares of it,
-    also times D. ``usage`` holds the user masks of the current profile.
+    also times D; ``potentials[r][mask]`` is D times the protocol's
+    potential of ``mask`` on r, and ``potentials`` is None when the
+    protocol has no ``scaled_potential`` (or there is no protocol).
+    ``usage`` holds the user masks of the current profile.
     """
 
     def __init__(self, model: GameModel, protocol: Protocol | None = None):
         self.model = model
-        self.protocol = protocol
         fns = model.cost_fns
         distinct = {id(f): f for f in fns}
-        self.share_scales = own = {} if protocol is None else {
+        own = {} if protocol is None else {
             key: protocol.share_scale(f) for key, f in distinct.items()}
         self.scale = scale = scale_lcm(
             {f.denominator for f in distinct.values()} | set(own.values()),
@@ -98,8 +100,13 @@ class _Kernel:
         self.costs = [_Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
                       for f in fns]
         self.usage: list[int] = []
+        self.potentials = None
         if protocol is None:
             return
+        potential = protocol.scaled_potential
+        if potential is not None:
+            self.potentials = [_Row(lambda m, f=f, k=scale // own[id(f)]: k * potential(f, m))
+                               for f in fns]
         share = protocol.scaled_share
         rows: dict = {}
 
@@ -201,20 +208,13 @@ class _Kernel:
         for r in self.strategies[i][new]:
             usage[r] |= bit
 
-    def potential_rows(self) -> list[_Row] | None:
-        """Per resource, D times the protocol's potential of each mask, or
-        None when the protocol has no ``scaled_potential``."""
-        potential = self.protocol.scaled_potential
-        if potential is None:
+    def potential(self) -> Fraction | None:
+        """The protocol's potential of the current profile, or None when
+        the protocol has none."""
+        rows = self.potentials
+        if rows is None:
             return None
-        scale, own = self.scale, self.share_scales
-        return [_Row(lambda m, f=f, k=scale // own[id(f)]: k * potential(f, m))
-                for f in self.model.cost_fns]
-
-    def potential(self, rows: list[_Row]) -> Fraction:
-        """The potential of the current profile, from ``potential_rows()``."""
-        total = sum(row[mask] for row, mask in zip(rows, self.usage))
-        return Fraction(total, self.scale)
+        return Fraction(sum(row[mask] for row, mask in zip(rows, self.usage)), self.scale)
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -270,7 +270,6 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
         raise ValueError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
     kernel = _Kernel(model, protocol).at(start)
-    phi_rows = kernel.potential_rows()
     scale = kernel.scale
 
     profile = list(start)
@@ -293,8 +292,7 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
                 profile[i] = best_s
                 changes += 1
                 dirty = True
-                phi = None if phi_rows is None else kernel.potential(phi_rows)
-                trace.append(BrdStep(i, current, best_s, phi,
+                trace.append(BrdStep(i, current, best_s, kernel.potential(),
                                      Fraction(costs[current], scale),
                                      Fraction(costs[best_s], scale)))
         if not dirty:
@@ -316,7 +314,7 @@ def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
     kernel = _Kernel(model, ShapleyProtocol())
-    return min(kernel.walk(kernel.potential_rows()), key=itemgetter(1))[0]
+    return min(kernel.walk(kernel.potentials), key=itemgetter(1))[0]
 
 
 def _ratio(target: Fraction, opt: Fraction):
@@ -331,7 +329,9 @@ class AnalysisReport:
 
     ``poa`` and ``pos`` are the worst and best equilibrium cost over the
     optimum cost: None when no pure Nash equilibrium exists, 1 when both
-    costs are 0, infinite when only the optimum is 0.
+    costs are 0, infinite when only the optimum is 0. ``potentials`` holds
+    each equilibrium's potential under the protocol, or is None when the
+    protocol has no potential (``Protocol.scaled_potential``).
     """
 
     protocol: str
@@ -344,14 +344,11 @@ class AnalysisReport:
     potentials: tuple[Fraction, ...] | None = None
 
 
-def analyze(model: GameModel, protocol: Protocol, *,
-            with_potential: bool = False) -> AnalysisReport:
-    """Equilibria, their costs, the optimum and both ratios in one walk.
-
-    ``with_potential`` also reports each equilibrium's potential under
-    ``protocol``; ``potentials`` stays None for a protocol without one."""
+def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
+    """Equilibria, their costs and potentials, the optimum and both ratios
+    in one walk; ``potentials`` is None for a protocol without one."""
     kernel = _Kernel(model, protocol)
-    pne, scaled = [], []
+    pne, scaled, potentials = [], [], []
     opt_p = opt_c = None
     for profile, cost in kernel.walk(kernel.costs):
         if opt_c is None or cost < opt_c:
@@ -359,6 +356,7 @@ def analyze(model: GameModel, protocol: Protocol, *,
         if kernel.stable(profile):
             pne.append(profile)
             scaled.append(cost)
+            potentials.append(kernel.potential())
     costs = tuple(Fraction(c, kernel.scale) for c in scaled)
     opt_cost = Fraction(opt_c, kernel.scale)
     if pne:
@@ -366,7 +364,5 @@ def analyze(model: GameModel, protocol: Protocol, *,
         pos = _ratio(min(costs), opt_cost)
     else:
         poa = pos = None
-    rows = kernel.potential_rows() if with_potential else None
-    potentials = None if rows is None else tuple(kernel.at(p).potential(rows) for p in pne)
-    return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_cost,
-                          poa, pos, potentials)
+    return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_cost, poa, pos,
+                          None if kernel.potentials is None else tuple(potentials))

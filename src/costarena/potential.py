@@ -22,18 +22,7 @@ def harmonic(k: int) -> Fraction:
     """H_k = 1 + 1/2 + ... + 1/k as an exact rational (H_0 = 0)."""
     if k < 0:
         raise ValidationError("harmonic number of a negative index")
-    return _harmonic_range(1, k + 1)
-
-
-def _harmonic_range(lo: int, hi: int) -> Fraction:
-    # sum of 1/j for lo <= j < hi, split to keep intermediate terms small
-    if hi - lo <= 8:
-        total = ZERO
-        for j in range(lo, hi):
-            total += Fraction(1, j)
-        return total
-    mid = (lo + hi) // 2
-    return _harmonic_range(lo, mid) + _harmonic_range(mid, hi)
+    return sum((Fraction(1, j) for j in range(1, k + 1)), ZERO)
 
 
 def potential(model: GameModel, profile: Profile, live: int | None = None) -> Fraction:

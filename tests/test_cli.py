@@ -6,6 +6,7 @@ import pytest
 
 from costarena.cli import main
 from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction, scale_lcm
+from costarena.equilibrium import AnalysisReport
 from costarena.gamefile import game_to_json, network_to_json
 from costarena.network import to_game
 
@@ -224,7 +225,7 @@ def test_scales_over_the_bit_budget_exit_2(tmp_path, capsys, monkeypatch, n):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, None)
         assert err == f"error: {what} has more than {MAX_SCALE_BITS} bits\n"
-        assert len(consumed) < 1000 < (1 << n) - 1
+        assert 0 < len(consumed) < 1000 < (1 << n) - 1
 
 
 @pytest.mark.parametrize("key", ["9", "-1", "2"])
@@ -269,6 +270,17 @@ def test_shares_rows(tmp_path, capsys):
                           "shares": ["3/4", "3/4"]}
     assert rows["e2"] == {"id": "e2", "users": [], "cost": "0/1",
                           "shares": ["0/1", "0/1"]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("shares", None, "--profile", "0"), "error: profile has 1 entries, game has 2 players\n"),
+    (("dynamics", None, "--start", "0"), "error: profile has 1 entries, game has 2 players\n"),
+    (("shares", None, "--profile", "0,x"),
+     "error: bad profile '0,x'; expected comma-separated indices\n"),
+])
+def test_bad_profile_messages(tmp_path, capsys, argv, message):
+    argv = [tension_file(tmp_path) if a is None else a for a in argv]
+    assert run(capsys, *argv) == (2, None, message)
 
 
 def test_shares_bad_profile(tmp_path, capsys):
@@ -459,6 +471,27 @@ def test_verify_bounds_small_runs(capsys):
         assert doc["violations"] == []
         assert bound in doc["bounds"]
         assert "all bounds hold" in err
+
+
+def test_verify_bounds_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("costarena.cli.harmonic", lambda n: Fraction(0))
+    rc, doc, err = run(capsys, "verify-bounds", "--count", "3")
+    assert rc == 1
+    assert doc["ok"] is False
+    assert [(v["game"], v["bound"]) for v in doc["violations"]] == [
+        (game, "pos<=n*H_n") for game in range(3)]
+    assert all(set(v) == {"game", "bound", "value"} for v in doc["violations"])
+    assert "3 violations" in err
+
+
+def test_verify_bounds_game_without_equilibrium_exits_1(capsys, monkeypatch):
+    report = AnalysisReport("shapley", (), (), (0,), Fraction(1), None, None)
+    monkeypatch.setattr("costarena.cli.analyze", lambda model, protocol: report)
+    rc, doc, _ = run(capsys, "verify-bounds", "--count", "1")
+    assert (rc, doc["ok"]) == (1, False)
+    assert doc["violations"] == [
+        {"game": 0, "bound": "pne-exists", "value": "0"},
+        {"game": 0, "bound": "pos<=n*H_n", "value": "undefined"}]
 
 
 # ---------------------------------------------------------------------------

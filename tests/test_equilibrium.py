@@ -279,7 +279,7 @@ def test_ratios_bracket_every_equilibrium():
 
 def test_analyze_report_contents():
     g = tension_game()
-    report = analyze(g, SHAPLEY, with_potential=True)
+    report = analyze(g, SHAPLEY)
     assert report.protocol == "shapley"
     assert report.pne == ((0, 0),)
     assert report.pne_costs == (F(3, 2),)
@@ -289,11 +289,6 @@ def test_analyze_report_contents():
     assert report.potentials == (potential(g, (0, 0)),)
 
 
-def test_analyze_without_potential_flag():
-    g = tension_game()
-    assert analyze(g, SHAPLEY).potentials is None
-
-
 def test_analyze_has_no_potential_for_other_protocols():
     # only a protocol's own scaled_potential is a potential of its shares
     g = tension_game()
@@ -301,7 +296,7 @@ def test_analyze_has_no_potential_for_other_protocols():
     table.set_entry(g.cost_fns[0], 0b11, {0: F(1, 2), 1: F(1)})
     for protocol in (GeneralizedWeightedShapley(WeightSystem.plain(2)), TableProtocol(),
                      table, HalfSplit()):
-        report = analyze(g, protocol, with_potential=True)
+        report = analyze(g, protocol)
         assert report.pne and report.potentials is None
 
 
@@ -424,7 +419,7 @@ def reference_cases():
 
 def test_analyze_matches_brute_force_reference():
     for g, protocol in reference_cases():
-        report = analyze(g, protocol, with_potential=True)
+        report = analyze(g, protocol)
         pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
         assert report.pne == tuple(pne)
         assert report.pne_costs == tuple(costs)

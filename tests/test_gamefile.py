@@ -26,7 +26,7 @@ from costarena.gamefile import (
     weight_system_from_json,
     weight_system_to_json,
 )
-from costarena.network import to_game
+from costarena.network import Edge, NetworkModel, to_game
 from costarena.protocols import ProtocolError, WeightSystem
 from costarena.randomgames import corpus
 
@@ -486,3 +486,38 @@ def test_load_table_protocol(tmp_path):
     t = load_table_protocol(str(p))
     f = SetCostFunction.anonymous([0, 1, 2])
     assert t.share(f, 0b11, 1) == 2
+
+
+# ---------------------------------------------------------------------------
+# rejection messages
+# ---------------------------------------------------------------------------
+
+def table_doc_with_users(users):
+    doc = table_doc()
+    doc["entries"][0]["users"] = users
+    return doc
+
+
+def one_edge_network(terminals, forced=None):
+    edge = Edge("e", "s", "t", SetCostFunction.anonymous([0, 1]))
+    return NetworkModel(("s", "t"), (edge,), terminals, forced)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SetCostFunction.from_table(2, {(0, 2): 1}), "user set (0, 2) outside 0..1"),
+    (lambda: GameModel(2, ("r",), ((frozenset({"r"}),),),
+                       (SetCostFunction.anonymous([0, 1, 2]),)),
+     "one strategy set per player required"),
+    (lambda: cost_from_json(2, ["0/1"]), "cost must be an object"),
+    (lambda: table_protocol_from_json(table_doc_with_users([0, 5])),
+     "bad user id 5 in share entry"),
+    (lambda: NetworkModel(("s", "t"), (), ()), "at least one player (terminal pair) required"),
+    (lambda: one_edge_network((("s", "x"),)), "player 0 terminals ('s', 'x') unknown"),
+    (lambda: one_edge_network((("s", "t"),), forced=()),
+     "forced list must have one entry per player"),
+    (lambda: WeightSystem((1, 1), ((0, 2),)), "player 2 out of range in partition"),
+])
+def test_rejections_name_the_fault(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
