@@ -8,7 +8,21 @@ Each digest is the sha256 of what the CLI prints on stdout:
   fixed two-block weight system (``gws:``);
 * ``gadget``: one digest per invocation, for every kind and n = 2..8
   (``poa_unbounded`` takes a = 2..8; ``pos_nharmonic`` needs even n and
-  also runs under the two-block weight system).
+  also runs under the two-block weight system);
+* ``shares``: one digest per cost class and protocol, over every
+  ``STRIDE``-th game of the same corpora, each at ``SAMPLES`` seeded
+  profiles, under ``shapley``, the two-block weight system and a
+  ``table:`` file that gives the first resource's full-set cost to the
+  last player (Shapley elsewhere);
+* ``dynamics``: one digest per cost class, protocol and schedule, over
+  the same games, each from one seeded ``random:`` start per schedule
+  (the seed also orders the ``random`` schedule's sweeps), at most
+  ``MAX_STEPS`` changes a run;
+* ``verify-bounds``: one digest per cost class and seed, ``BOUNDS_COUNT``
+  games each.
+
+The sampled commands are sized to keep the test that checks them near one
+second: the corpus games they visit have at most 144 profiles.
 
 Refactors of the analysis code must leave every digest unchanged. Run
 from the repository root to re-record after an intended output change:
@@ -23,18 +37,29 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
+from functools import cache
 
 from costarena.cli import build_parser
-from costarena.gamefile import game_to_json, weight_system_to_json
+from costarena.core import full_mask
+from costarena.gamefile import cost_to_json, fraction_to_str, game_to_json, weight_system_to_json
 from costarena.protocols import WeightSystem
 from costarena.randomgames import COST_CLASSES, corpus
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_analyze.json")
 SEED, COUNT = 2026, 500
 EPS = "1/4"
+STRIDE, SAMPLES, MAX_STEPS = 10, 2, 200
+SCHEDULES = ("round-robin", "random")
+BOUNDS_SEEDS, BOUNDS_COUNT = (1, 2), 10
+
+
+@cache
+def _corpus(cost_class: str) -> list:
+    return corpus(SEED, COUNT, cost_class)
 
 
 def two_block_system(n: int) -> WeightSystem:
@@ -67,10 +92,21 @@ def _weight_file(tmp: str, n: int) -> str:
                   weight_system_to_json(two_block_system(n)))
 
 
+def _table_file(tmp: str, model) -> str:
+    """A share table over the first resource's cost: its full user set's
+    cost goes to the last player."""
+    f, top = model.cost_fns[0], full_mask(model.n)
+    return _write(os.path.join(tmp, "table.json"), {
+        "players": model.n,
+        "entries": [{"cost": cost_to_json(f), "users": list(range(model.n)),
+                     "shares": {str(model.n - 1): fraction_to_str(f.value(top))}}],
+    })
+
+
 def analyze_digests(tmp: str) -> dict[str, str]:
     digests = {}
     for cost_class in COST_CLASSES:
-        games = corpus(SEED, COUNT, cost_class)
+        games = _corpus(cost_class)
         weights = {n: "gws:" + _weight_file(tmp, n) for n in {g.n for g in games}}
         by_protocol = {"shapley": hashlib.sha256(), "gws": hashlib.sha256()}
         for model in games:
@@ -81,6 +117,41 @@ def analyze_digests(tmp: str) -> dict[str, str]:
         for label, h in by_protocol.items():
             digests[f"{cost_class}/{label}"] = h.hexdigest()
     return digests
+
+
+def sampled_digests(tmp: str) -> dict[str, str]:
+    """``shares`` and ``dynamics`` digests over sampled corpus games."""
+    hashes = {}
+
+    def update(key: str, argv: list[str]) -> None:
+        hashes.setdefault(key, hashlib.sha256()).update(_stdout(argv))
+
+    for cost_class in COST_CLASSES:
+        rng = random.Random(f"{SEED}/{cost_class}")
+        for model in _corpus(cost_class)[::STRIDE]:
+            game = _write(os.path.join(tmp, "game.json"), game_to_json(model))
+            specs = {"shapley": "shapley", "gws": "gws:" + _weight_file(tmp, model.n),
+                     "table": "table:" + _table_file(tmp, model)}
+            profiles = [",".join(str(rng.randrange(len(s))) for s in model.strategy_sets)
+                        for _ in range(SAMPLES)]
+            starts = {schedule: rng.randrange(1000) for schedule in SCHEDULES}
+            for label, spec in specs.items():
+                for profile in profiles:
+                    update(f"shares/{cost_class}/{label}",
+                           ["shares", game, "--profile", profile, "--protocol", spec])
+                for schedule, start in starts.items():
+                    update(f"dynamics/{cost_class}/{label}/{schedule}",
+                           ["dynamics", game, "--start", f"random:{start}",
+                            "--schedule", schedule, "--seed", str(start),
+                            "--max-steps", str(MAX_STEPS), "--protocol", spec])
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+def bounds_digests() -> dict[str, str]:
+    return {f"{cost_class}/seed {seed}": hashlib.sha256(_stdout(
+                ["verify-bounds", "--class", cost_class, "--seed", str(seed),
+                 "--count", str(BOUNDS_COUNT)])).hexdigest()
+            for cost_class in COST_CLASSES for seed in BOUNDS_SEEDS}
 
 
 def gadget_invocations(tmp: str) -> list[list[str]]:
@@ -109,10 +180,18 @@ def compute() -> dict:
         return {"analyze": analyze_digests(tmp), "gadget": gadget_digests(tmp)}
 
 
+def compute_sampled() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        sampled = sampled_digests(tmp)
+    return {section: {key.split("/", 1)[1]: digest for key, digest in sampled.items()
+                      if key.startswith(section + "/")}
+            for section in ("shares", "dynamics")} | {"verify-bounds": bounds_digests()}
+
+
 if __name__ == "__main__":
-    doc = compute()
+    doc = compute() | compute_sampled()
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(doc['analyze'])} analyze and {len(doc['gadget'])} "
-          f"gadget digests to {GOLDEN}", file=sys.stderr)
+    print(f"wrote " + ", ".join(f"{len(v)} {k}" for k, v in doc.items())
+          + f" digests to {GOLDEN}", file=sys.stderr)
