@@ -52,7 +52,7 @@ from costarena.randomgames import COST_CLASSES, corpus
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_analyze.json")
 SEED, COUNT = 2026, 500
 EPS = "1/4"
-STRIDE, SAMPLES, MAX_STEPS = 10, 2, 200
+STRIDE, SAMPLES, MAX_STEPS = 20, 2, 200
 SCHEDULES = ("round-robin", "random")
 BOUNDS_SEEDS, BOUNDS_COUNT = (1, 2), 10
 
