@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import CapExceededError, ValidationError, mask_members, social_cost
-from .equilibrium import INFINITE, analyze, best_response_dynamics, profile_cap
+from .equilibrium import INFINITE, analyze, best_response_dynamics
 from .gadgets import (
     GadgetSpec,
     KINDS,
@@ -349,8 +349,7 @@ def main(argv=None) -> int:
         _note(f"error: {exc}")
         return 2
     except CapExceededError as exc:
-        _note(f"cap exceeded: {exc} (ARENA_MAX_PROFILES overrides; "
-              f"current cap {profile_cap()})")
+        _note(f"cap exceeded: {exc}")
         return 3
 
 

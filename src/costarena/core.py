@@ -97,7 +97,7 @@ def scale_lcm(values: Iterable[int], what: str) -> int:
 
 
 def _as_fraction(value, what: str = "cost") -> Fraction:
-    if type(value) is Fraction:  # kept as given
+    if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise ValidationError(f"float {what} {value!r} rejected; use Fraction, int or 'p/q'")
@@ -133,14 +133,13 @@ class SetCostFunction:
     lcm of the reduced denominators of all values) and the numerators
     L * C(S), either over all 2^n subsets (a table) or, for anonymous
     costs, as a vector over sizes 0..n with C(S) = v[|S|]. ``scaled(mask)``
-    reads a numerator; ``value(mask)`` and ``anonymous_values`` are
-    ``Fraction`` views built on first use (or the ``Fraction`` objects the
-    caller passed, kept as given). Validation, equality and hashing run on
-    the integers, and are semantic: two functions are equal iff they agree
-    on every subset, regardless of representation.
+    reads a numerator; ``value(mask)`` and ``anonymous_values`` build one
+    ``Fraction`` per value asked for. Validation, equality and hashing run
+    on the integers, and are semantic: two functions are equal iff they
+    agree on every subset, regardless of representation.
     """
 
-    __slots__ = ("n", "denominator", "_scaled", "_anon", "_views", "_expanded", "_hash")
+    __slots__ = ("n", "denominator", "_scaled", "_anon", "_hash")
 
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
                  denominators: Iterable[int] | None = None):
@@ -150,11 +149,10 @@ class SetCostFunction:
         necessarily reduced. Only here is each entry reduced, L taken as the
         lcm of the reduced denominators and every numerator scaled to it."""
         if denominators is None:
-            views = tuple(map(_as_fraction, values))
-            nums = [v.numerator for v in views]
-            dens = [v.denominator for v in views]
+            fractions = list(map(_as_fraction, values))
+            nums = [v.numerator for v in fractions]
+            dens = [v.denominator for v in fractions]
         else:
-            views = None
             nums, dens = list(values), list(denominators)
             if len(nums) != len(dens):
                 raise ValidationError(
@@ -178,8 +176,6 @@ class SetCostFunction:
         self.denominator = denominator
         self._scaled = tuple(map(mul, nums, map(floordiv, repeat(denominator), dens)))
         self._anon = anonymous
-        self._views = views
-        self._expanded = None
         self._hash = None
         self._validate()
 
@@ -242,15 +238,10 @@ class SetCostFunction:
                         f"cost not monotone: C({mask | bit:#b}) < C({mask:#b})")
                 absent ^= bit
 
-    def _fractions(self) -> tuple:
-        if self._views is None:
-            self._views = tuple(map(self._fraction, self._scaled))
-        return self._views
-
     @property
     def anonymous_values(self):
         """The size-indexed vector (of ``Fraction``) if anonymous, else None."""
-        return self._fractions() if self._anon else None
+        return tuple(map(self._fraction, self._scaled)) if self._anon else None
 
     def scaled(self, users: int) -> int:
         """``denominator * value(users)``, an integer."""
@@ -259,33 +250,35 @@ class SetCostFunction:
         return self._scaled[users.bit_count() if self._anon else users]
 
     def value(self, users: int) -> Fraction:
-        if users >> self.n:
-            raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
-        return self._fractions()[users.bit_count() if self._anon else users]
+        return Fraction(self.scaled(users), self.denominator)
 
     __call__ = value
 
-    def _full_table(self) -> tuple:
-        """The numerators over all 2^n subsets."""
-        if not self._anon:
-            return self._scaled
-        if self._expanded is None:
-            v = self._scaled
-            self._expanded = tuple(v[m.bit_count()] for m in range(1 << self.n))
-        return self._expanded
+    def _by_size(self) -> tuple | None:
+        """The numerators indexed by the number of users if the cost depends
+        on that number only, else None. An anonymous cost and a table are
+        equal iff both give the same tuple here, so neither equality nor
+        hashing expands an anonymous cost to 2^n entries."""
+        v = self._scaled
+        if self._anon:
+            return v
+        sizes = tuple(v[(1 << k) - 1] for k in range(self.n + 1))
+        if all(x == sizes[m.bit_count()] for m, x in enumerate(v)):
+            return sizes
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, SetCostFunction):
             return NotImplemented
         if self.n != other.n or self.denominator != other.denominator:
             return False
-        if self._anon and other._anon:
+        if self._anon == other._anon:
             return self._scaled == other._scaled
-        return self._full_table() == other._full_table()
+        return self._by_size() == other._by_size()
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.denominator, self._full_table()))
+            self._hash = hash((self.n, self.denominator, self._by_size() or self._scaled))
         return self._hash
 
     def __repr__(self):
@@ -307,19 +300,21 @@ def classify(f: SetCostFunction) -> str:
     i outside Y: non-increasing marginals give "submodular", non-decreasing
     give "supermodular", both give "modular", neither gives "neither".
     """
+    # every value shares the denominator, so numerators compare as values
+    c = f.scaled
     sub = sup = True
     top = full_mask(f.n)
     for y in range(1 << f.n):
-        fy = f.value(y)
+        fy = c(y)
         outside = top & ~y
         for x in iter_submasks(y):
-            fx = f.value(x)
+            fx = c(x)
             rest = outside
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                mx = f.value(x | bit) - fx
-                my = f.value(y | bit) - fy
+                mx = c(x | bit) - fx
+                my = c(y | bit) - fy
                 if mx < my:
                     sub = False
                 elif mx > my:
@@ -333,15 +328,7 @@ def classify(f: SetCostFunction) -> str:
 
 def is_anonymous(f: SetCostFunction) -> bool:
     """True iff the cost depends only on the number of users."""
-    if f.anonymous_values is not None:
-        return True
-    by_size: dict[int, Fraction] = {}
-    for mask in range(1 << f.n):
-        k = mask.bit_count()
-        v = f.value(mask)
-        if by_size.setdefault(k, v) != v:
-            return False
-    return True
+    return f._by_size() is not None
 
 
 # ---------------------------------------------------------------------------

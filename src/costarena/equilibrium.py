@@ -12,9 +12,11 @@ share_scale(f)) * protocol.scaled_share(f, mask, i), and a potential row
 protocol has that hook (only Shapley does; ``potential_minimizer`` always
 compiles for Shapley). Each of these scales must stay within
 ``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
-Cost, share and potential rows are filled lazily, one (resource, user
-mask[, player]) entry on first touch, never as whole 2^n tables. The walk
-visits profiles as an odometer, in the lexicographic order of
+There is one cost row and one potential row per distinct cost function,
+and one share row per (cost function, player): cost functions compare by
+value, so resources with equal costs read the same rows. Each row fills
+lazily, one user-mask entry on first touch, never as a whole 2^n table.
+The walk visits profiles as an odometer, in the lexicographic order of
 ``itertools.product``, and on each step updates only the usage masks and
 the running total of the players whose digit changed. Social costs,
 deviation sums, the optimum and the early-exit stability test then
@@ -80,45 +82,38 @@ class _Kernel:
 
     ``scale`` is the game's denominator D; ``costs[r][mask]`` is D times
     the cost of resource r under ``mask``; ``options[i][s]`` pairs each
-    resource of player i's strategy s with the row of i's shares of it,
-    also times D; ``potentials[r][mask]`` is D times the protocol's
-    potential of ``mask`` on r, and ``potentials`` is None when the
-    protocol has no ``scaled_potential`` (or there is no protocol).
-    ``usage`` holds the user masks of the current profile.
+    resource of player i's strategy s with the row of i's shares of its
+    cost function, also times D; ``potentials[r][mask]`` is D times the
+    protocol's potential of ``mask`` under r's cost function, and
+    ``potentials`` is None when the protocol has no ``scaled_potential``
+    (or there is no protocol). Resources with equal cost functions point
+    at the same rows. ``usage`` holds the user masks of the current profile.
     """
 
     def __init__(self, model: GameModel, protocol: Protocol | None = None):
         self.model = model
         fns = model.cost_fns
-        distinct = {id(f): f for f in fns}
-        own = {} if protocol is None else {
-            key: protocol.share_scale(f) for key, f in distinct.items()}
-        self.scale = scale = scale_lcm(
-            {f.denominator for f in distinct.values()} | set(own.values()),
-            "common denominator of the game")
+        distinct = dict.fromkeys(fns)
+        own = {} if protocol is None else {f: protocol.share_scale(f) for f in distinct}
+        self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own.values()),
+                                       "common denominator of the game")
         self.strategies = model._strategy_ridx
-        self.costs = [_Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
-                      for f in fns]
+        costs = {f: _Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
+                 for f in distinct}
+        self.costs = [costs[f] for f in fns]
         self.usage: list[int] = []
         self.potentials = None
         if protocol is None:
             return
         potential = protocol.scaled_potential
         if potential is not None:
-            self.potentials = [_Row(lambda m, f=f, k=scale // own[id(f)]: k * potential(f, m))
-                               for f in fns]
+            rows = {f: _Row(lambda m, f=f, k=scale // own[f]: k * potential(f, m))
+                    for f in distinct}
+            self.potentials = [rows[f] for f in fns]
         share = protocol.scaled_share
-        rows: dict = {}
-
-        def share_row(r: int, i: int) -> _Row:
-            row = rows.get((r, i))
-            if row is None:
-                f = fns[r]
-                k = scale // own[id(f)]
-                row = rows[r, i] = _Row(lambda mask: k * share(f, mask, i))
-            return row
-
-        self.options = [[tuple((r, share_row(r, i)) for r in strategy)
+        shares = {(f, i): _Row(lambda m, f=f, i=i, k=scale // own[f]: k * share(f, m, i))
+                  for f in distinct for i in range(model.n)}
+        self.options = [[tuple((r, shares[fns[r], i]) for r in strategy)
                          for strategy in sset]
                         for i, sset in enumerate(self.strategies)]
 
@@ -136,7 +131,8 @@ class _Kernel:
         size = self.model.profile_space_size()
         cap = profile_cap()
         if size > cap:
-            raise CapExceededError(f"profile space has {size} profiles, cap is {cap}")
+            raise CapExceededError(f"profile space has {size} profiles, cap is {cap} "
+                                   "(ARENA_MAX_PROFILES overrides)")
         strategies = self.strategies
         usage = self.usage = [0] * len(rows)
         for i, sset in enumerate(strategies):

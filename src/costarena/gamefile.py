@@ -128,14 +128,15 @@ def _read_json(path: str):
 # ---------------------------------------------------------------------------
 
 def cost_to_json(f: SetCostFunction) -> dict:
-    if f.anonymous_values is not None:
-        return {"anonymous": [fraction_to_str(v) for v in f.anonymous_values]}
+    values = f.anonymous_values
+    if values is not None:
+        return {"anonymous": list(map(fraction_to_str, values))}
     entries = []
     for mask in range(1, 1 << f.n):
-        v = f.value(mask)
-        if v != 0:
+        v = f.scaled(mask)
+        if v:
             entries.append({"set": [i for i in range(f.n) if (mask >> i) & 1],
-                            "cost": fraction_to_str(v)})
+                            "cost": fraction_to_str(Fraction(v, f.denominator))})
     return {"table": entries}
 
 

@@ -21,8 +21,8 @@ Each digest is the sha256 of what the CLI prints on stdout:
 * ``verify-bounds``: one digest per cost class and seed, ``BOUNDS_COUNT``
   games each.
 
-The sampled commands are sized to keep the test that checks them near one
-second: the corpus games they visit have at most 144 profiles.
+The sampled commands are sized to keep the test that checks them under a
+second: one game in ``STRIDE``, each of at most 144 profiles.
 
 Refactors of the analysis code must leave every digest unchanged. Run
 from the repository root to re-record after an intended output change:
@@ -119,12 +119,12 @@ def analyze_digests(tmp: str) -> dict[str, str]:
     return digests
 
 
-def sampled_digests(tmp: str) -> dict[str, str]:
+def sampled_digests(tmp: str) -> dict[str, dict[str, str]]:
     """``shares`` and ``dynamics`` digests over sampled corpus games."""
-    hashes = {}
+    hashes = {"shares": {}, "dynamics": {}}
 
-    def update(key: str, argv: list[str]) -> None:
-        hashes.setdefault(key, hashlib.sha256()).update(_stdout(argv))
+    def update(section: str, key: str, argv: list[str]) -> None:
+        hashes[section].setdefault(key, hashlib.sha256()).update(_stdout(argv))
 
     for cost_class in COST_CLASSES:
         rng = random.Random(f"{SEED}/{cost_class}")
@@ -137,14 +137,15 @@ def sampled_digests(tmp: str) -> dict[str, str]:
             starts = {schedule: rng.randrange(1000) for schedule in SCHEDULES}
             for label, spec in specs.items():
                 for profile in profiles:
-                    update(f"shares/{cost_class}/{label}",
+                    update("shares", f"{cost_class}/{label}",
                            ["shares", game, "--profile", profile, "--protocol", spec])
                 for schedule, start in starts.items():
-                    update(f"dynamics/{cost_class}/{label}/{schedule}",
+                    update("dynamics", f"{cost_class}/{label}/{schedule}",
                            ["dynamics", game, "--start", f"random:{start}",
                             "--schedule", schedule, "--seed", str(start),
                             "--max-steps", str(MAX_STEPS), "--protocol", spec])
-    return {key: h.hexdigest() for key, h in hashes.items()}
+    return {section: {key: h.hexdigest() for key, h in found.items()}
+            for section, found in hashes.items()}
 
 
 def bounds_digests() -> dict[str, str]:
@@ -182,10 +183,7 @@ def compute() -> dict:
 
 def compute_sampled() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        sampled = sampled_digests(tmp)
-    return {section: {key.split("/", 1)[1]: digest for key, digest in sampled.items()
-                      if key.startswith(section + "/")}
-            for section in ("shares", "dynamics")} | {"verify-bounds": bounds_digests()}
+        return sampled_digests(tmp) | {"verify-bounds": bounds_digests()}
 
 
 if __name__ == "__main__":
@@ -193,5 +191,5 @@ if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote " + ", ".join(f"{len(v)} {k}" for k, v in doc.items())
+    print("wrote " + ", ".join(f"{len(v)} {k}" for k, v in doc.items())
           + f" digests to {GOLDEN}", file=sys.stderr)

@@ -17,6 +17,7 @@ from the integer engines in ``costarena.protocols``:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -43,17 +44,18 @@ def shapley_share_by_permutations(f: SetCostFunction, users: int, i: int) -> Fra
     members = mask_members(users)
     if len(members) > 8:
         raise ProtocolError("permutation evaluation capped at 8 users")
-    total = ZERO
-    count = 0
+    # every ordering counts; each distinct set of i's predecessors is priced once
+    before: Counter = Counter()
     for order in itertools.permutations(members):
         seen = 0
         for p in order:
             if p == i:
-                total += f.value(seen | (1 << i)) - f.value(seen)
                 break
             seen |= 1 << p
-        count += 1
-    return total / count
+        before[seen] += 1
+    total = sum((count * (f.value(seen | (1 << i)) - f.value(seen))
+                 for seen, count in before.items()), ZERO)
+    return total / sum(before.values())
 
 
 def shapley_shares_by_permutations(f: SetCostFunction, users: int) -> tuple:
@@ -81,10 +83,10 @@ def resource_potential(f, users: int) -> Fraction:
         return ZERO
     k = users.bit_count()
     coeff = alpha_table(k)
-    if f.anonymous_values is not None:
+    values = f.anonymous_values
+    if values is not None:
         # all size-t subsets cost the same; there are comb(k, t) of them
-        return sum((coeff[t] * comb(k, t) * f.anonymous_values[t]
-                    for t in range(1, k + 1)), ZERO)
+        return sum((coeff[t] * comb(k, t) * values[t] for t in range(1, k + 1)), ZERO)
     total = ZERO
     for t_mask in iter_submasks(users):
         if t_mask:

@@ -95,7 +95,19 @@ def test_analyze_cap_exceeded(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ARENA_MAX_PROFILES", "1")
     rc, doc, err = run(capsys, "analyze", tension_file(tmp_path))
     assert rc == 3
-    assert "cap exceeded" in err
+    assert err == ("cap exceeded: profile space has 2 profiles, cap is 1 "
+                   "(ARENA_MAX_PROFILES overrides)\n")
+
+
+def test_path_cap_exit_3_names_only_its_own_cap(capsys, monkeypatch):
+    # the path cap, not the profile cap, stops this run: a bad profile-cap
+    # override must not turn its report into a traceback or blame the wrong cap
+    monkeypatch.setattr("costarena.network.PATH_CAP", 1)
+    monkeypatch.setenv("ARENA_MAX_PROFILES", "abc")
+    rc, doc, err = run(capsys, "gadget", "pos_linear", "--n", "2", "--eps", "1/2")
+    assert (rc, doc) == (3, None)
+    assert err.startswith("cap exceeded: more than 1 simple") and err.count("\n") == 1
+    assert "ARENA_MAX_PROFILES" not in err
 
 
 @pytest.mark.parametrize("value", ["bogus", "0"])

@@ -86,8 +86,8 @@ def test_floats_rejected():
 
 def test_parsed_fractions_are_stored_as_they_are():
     third = F(1, 3)
-    assert SetCostFunction.anonymous([0, third, 1]).anonymous_values[1] is third
-    assert SetCostFunction.from_table(2, {(0,): third, (0, 1): 1}).value(0b01) is third
+    assert SetCostFunction.anonymous([0, third, 1]).anonymous_values[1] == third
+    assert SetCostFunction.from_table(2, {(0,): third, (0, 1): 1}).value(0b01) == third
 
     class Exact(Fraction):
         pass

@@ -14,6 +14,7 @@ from costarena.core import (
 )
 from costarena.equilibrium import (
     INFINITE,
+    _Kernel,
     analyze,
     best_response,
     best_response_dynamics,
@@ -22,6 +23,8 @@ from costarena.equilibrium import (
     profile_cap,
     social_optimum,
 )
+from costarena.gadgets import build_poa_unbounded, build_pos_linear, build_pos_nharmonic
+from costarena.network import to_game
 from costarena.potential import potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
@@ -427,9 +430,39 @@ def test_analyze_matches_brute_force_reference():
         assert (report.poa, report.pos) == (poa, pos)
         assert report.potentials == (tuple(alpha_potential(g, p) for p in pne)
                                      if isinstance(protocol, ShapleyProtocol) else None)
-        assert analyze(g, protocol).pne == tuple(pne)
         assert social_optimum(g) == (opt, opt_c)
         assert all(is_pne(g, protocol, p) == (p in pne) for p in reference_profiles(g))
+
+
+def two_halves_game(n, resources):
+    """Each player picks one of two disjoint halves of the resources, and
+    every resource costs C(k) = k: every profile is stable."""
+    rids = tuple(f"r{j}" for j in range(resources))
+    half = frozenset(rids[:resources // 2]), frozenset(rids[resources // 2:])
+    return GameModel(n, rids, (half,) * n,
+                     (SetCostFunction.anonymous(range(n + 1)),) * resources)
+
+
+def kernel_row_ids(kernel):
+    share_rows = {id(row) for options in kernel.options for option in options
+                  for _, row in option}
+    return ({id(row) for row in kernel.costs}, share_rows,
+            {id(row) for row in kernel.potentials or ()})
+
+
+def test_kernel_keeps_rows_per_cost_function():
+    g = two_halves_game(8, 8)
+    costs, shares, potentials = kernel_row_ids(_Kernel(g, SHAPLEY))
+    assert len(costs) == len(potentials) == 1
+    assert len(shares) == g.n
+    w = WeightSystem.plain(4)
+    for nm in (build_pos_linear(5, F(1, 4)), build_pos_nharmonic(4, F(1, 4), w),
+               build_poa_unbounded(3, SHAPLEY)[0]):
+        model = to_game(nm)
+        distinct = len(set(model.cost_fns))
+        costs, shares, potentials = kernel_row_ids(_Kernel(model, SHAPLEY))
+        assert len(costs) == len(potentials) == distinct < len(model.cost_fns)
+        assert len(shares) <= distinct * model.n
 
 
 def test_potential_minimizer_matches_brute_force_reference():
