@@ -38,6 +38,19 @@ class CapExceededError(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
+class Memo(dict):
+    """A dict whose missing entries ``fill(key)`` computes on first read and keeps."""
+
+    __slots__ = ("fill", "__weakref__")
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # Player-set bitmask helpers
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ compiles for Shapley). Each of these scales must stay within
 ``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
 There is one cost row and one potential row per distinct cost function,
 and one share row per (cost function, player): cost functions compare by
-value, so resources with equal costs read the same rows. Each row fills
-lazily, one user-mask entry on first touch, never as a whole 2^n table.
+value, so resources with equal costs read the same rows. Each row is a
+``core.Memo`` that fills one user-mask entry on first touch, not 2^n.
 The walk visits profiles as an odometer, in the lexicographic order of
 ``itertools.product``, and on each step updates only the usage masks and
 the running total of the players whose digit changed. Social costs,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Profile, ValidationError, scale_lcm
+from .core import CapExceededError, GameModel, Memo, Profile, ValidationError, scale_lcm
 from .protocols import Protocol, ShapleyProtocol
 
 DEFAULT_PROFILE_CAP = 10 ** 7
@@ -59,21 +59,6 @@ def profile_cap() -> int:
     if cap <= 0:
         raise ValidationError("ARENA_MAX_PROFILES must be positive")
     return cap
-
-
-class _Row(dict):
-    """Integer row keyed by user mask; a missing entry is computed by
-    ``fill`` on first touch and kept."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = self.fill(mask)
-        return value
 
 
 class _Kernel:
@@ -98,8 +83,7 @@ class _Kernel:
         self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own.values()),
                                        "common denominator of the game")
         self.strategies = model._strategy_ridx
-        costs = {f: _Row(lambda mask, c=f.scaled, k=scale // f.denominator: k * c(mask))
-                 for f in distinct}
+        costs = Memo(lambda f: Memo(lambda m, c=f.scaled, k=scale // f.denominator: k * c(m)))
         self.costs = [costs[f] for f in fns]
         self.usage: list[int] = []
         self.potentials = None
@@ -107,11 +91,10 @@ class _Kernel:
             return
         potential = protocol.scaled_potential
         if potential is not None:
-            rows = {f: _Row(lambda m, f=f, k=scale // own[f]: k * potential(f, m))
-                    for f in distinct}
+            rows = Memo(lambda f: Memo(lambda m, f=f, k=scale // own[f]: k * potential(f, m)))
             self.potentials = [rows[f] for f in fns]
         share = protocol.scaled_share
-        shares = {(f, i): _Row(lambda m, f=f, i=i, k=scale // own[f]: k * share(f, m, i))
+        shares = {(f, i): Memo(lambda m, f=f, i=i, k=scale // own[f]: k * share(f, m, i))
                   for f in distinct for i in range(model.n)}
         self.options = [[tuple((r, shares[fns[r], i]) for r in strategy)
                          for strategy in sset]

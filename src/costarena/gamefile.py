@@ -377,7 +377,7 @@ def table_protocol_from_json(obj) -> TableProtocol:
         fallback = ShapleyProtocol()
     else:
         raise ValidationError(f"unknown fallback {fallback_name!r}")
-    protocol = TableProtocol(fallback=fallback)
+    protocol = TableProtocol(fallback=fallback, players=n)
     for entry in _require(obj, "entries", list, "share table"):
         f = cost_from_json(n, _require(entry, "cost", dict, "share entry"))
         users_list = _list_of(_require(entry, "users", None, "share entry"), int,

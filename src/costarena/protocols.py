@@ -11,12 +11,12 @@ Every protocol also names a share scale, ``share_scale(f)``: a positive
 integer with ``share_scale(f) * share(f, S, i)`` an integer for every S
 and i. That integer is ``scaled_share(f, S, i)``, which the equilibrium
 kernel reads: it scales a whole game by the lcm of the share scales, so
-its walk adds and compares Python ints only. A subclass defines ``share``
-only; the base class derives ``scaled_share`` from it and raises
+its walk adds and compares Python ints only. A subclass defines
+``share`` or ``scaled_share``; the base class derives the other, as
+``Fraction(scaled_share, share_scale)`` or as ``share`` times the scale (a
 ProtocolError when ``share_scale(f)`` does not clear the share's
-denominator. Shapley and GWS override ``scaled_share`` with the integer
-potential differences below and build their ``Fraction`` shares from it;
-``TableProtocol`` keeps the derivation.
+denominator). Shapley and GWS define ``scaled_share`` as the integer
+potential differences below; ``TableProtocol`` defines ``share``.
 
 The Shapley share of player i in user set S is i's marginal cost averaged
 over all orderings of S. The production implementation computes it from
@@ -26,13 +26,13 @@ D_f = share_scale(f) and memoized per cost function:
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
 where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
-This is ``_hmc_potential`` below with unit weights, and Q is also the
-protocol's ``scaled_potential``. Anonymous costs take
-the closed form D_f * C(|S|) / |S|, exact because |S| divides
+This is ``_hmc_memo`` below with unit weights, a ``core.Memo`` per cost
+function, and Q is also the protocol's ``scaled_potential``. Anonymous
+costs take the closed form D_f * C(|S|) / |S|, exact because |S| divides
 D_f / f.denominator = lcm(1, ..., n).
 
 Generalized weighted Shapley shares come from the same recursion,
-``_hmc_potential``, with integer weights a_j (the weights over their common
+``_hmc_memo``, with integer weights a_j (the weights over their common
 denominator; A(R) is their sum over R). For i in block B of user set S, let
 R = S & B and U = the members of S in later blocks; let L = f.denominator
 (so f.scaled = L * C) and W = share_scale(f) / L, the lcm of A over the
@@ -48,12 +48,15 @@ dividend L * d(T) times W / A(T), and A(T) divides W.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .core import (
     MAX_PLAYERS,
+    Memo,
     SetCostFunction,
     ValidationError,
     _as_fraction,
@@ -78,8 +81,8 @@ class ProtocolError(ValueError):
 class Protocol:
     """Interface: ``share(f, users, i)``, zero whenever i is not a user.
 
-    A subclass defines ``share`` and may give ``share_scale`` and
-    ``scaled_share`` closed forms; the defaults derive both from ``share``.
+    A subclass defines ``share``, or ``scaled_share`` and ``share_scale``;
+    the base class derives the rest.
 
     ``scaled_potential(f, users)`` is the protocol's exact potential hook:
     an integer with scaled_potential(f, S) - scaled_potential(f, S - i) =
@@ -94,7 +97,10 @@ class Protocol:
     scaled_potential = None
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
-        raise NotImplementedError
+        """``scaled_share(f, users, i) / share_scale(f)``."""
+        if type(self).scaled_share is Protocol.scaled_share:
+            raise NotImplementedError(f"{self.name!r} defines neither share nor scaled_share")
+        return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
     def shares(self, f: SetCostFunction, users: int) -> tuple:
         """Every player's share as a length-n vector (zeros off ``users``)."""
@@ -108,16 +114,18 @@ class Protocol:
                           for users in range(1 << f.n) for i in range(f.n)},
                          f"common denominator of the {self.name!r} shares")
 
+    @cached_property
+    def _share_scales(self) -> Memo:
+        """``share_scale`` per cost function (``TableProtocol.set_entry`` clears
+        it); the fill holds the protocol weakly, to make no reference cycle."""
+        protocol = weakref.ref(self)
+        return Memo(lambda f: protocol().share_scale(f))
+
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         """``share(f, users, i) * share_scale(f)``, an integer. A share
-        that ``share_scale(f)`` does not clear means that scale is wrong.
-        ``share_scale(f)`` is asked for once per cost function and kept on
-        the instance (``TableProtocol.set_entry`` drops it)."""
+        that ``share_scale(f)`` does not clear means that scale is wrong."""
         value = self.share(f, users, i)
-        known = vars(self).setdefault("_share_scales", {})
-        scale = known.get(f)
-        if scale is None:
-            scale = known[f] = self.share_scale(f)
+        scale = self._share_scales[f]
         factor, rest = divmod(scale, value.denominator)
         if rest:
             raise ProtocolError(f"protocol {self.name!r} gave share {value}, which is "
@@ -146,20 +154,20 @@ class ShapleyProtocol(Protocol):
     name = "shapley"
 
     def __init__(self):
-        self._potentials: dict = {}
+        self._potentials = Memo(lambda f: _hmc_memo(
+            lambda mask, c=f.scaled, k=_UNIT_SCALES[f.n]: k * c(mask), (1,) * f.n))
 
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * _UNIT_SCALES[f.n]
 
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
-        per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
         if f._anon:
+            per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
             # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
             return sum(per_unit * f.scaled((1 << k) - 1) // k
                        for k in range(1, users.bit_count() + 1))
-        return _hmc_potential(lambda mask: per_unit * f.scaled(mask), (1,) * f.n,
-                              users, self._potentials.setdefault(f, {0: 0}))
+        return self._potentials[f][users]
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
@@ -169,18 +177,14 @@ class ShapleyProtocol(Protocol):
             return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
         return self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
 
-    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
-        return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
-
-def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
+def _hmc_memo(value, weights: tuple) -> Memo:
     """The integer weighted Hart--Mas-Colell potential Q of the game
-    ``value`` at ``users``: A(R) * Q(R) = value(R) + sum over j in R of
-    a_j * Q(R - j), where a = ``weights`` and A(R) is their sum over R.
-    ``memo`` holds Q(0) = 0 and every Q computed so far for this game;
-    callers scale ``value`` so that each division is exact."""
-    q = memo.get(users)
-    if q is None:
+    ``value``, as a memo over user masks: Q(0) = 0 and A(R) * Q(R) =
+    value(R) + sum over j in R of a_j * Q(R - j), where a = ``weights`` and
+    A(R) is their sum over R. Callers scale ``value`` so that each division
+    is exact. The fill reads the memo through a weak proxy: no reference cycle."""
+    def fill(users: int) -> int:
         total = value(users)
         size = 0
         rest = users
@@ -188,10 +192,14 @@ def _hmc_potential(value, weights: tuple, users: int, memo: dict) -> int:
             bit = rest & -rest
             rest ^= bit
             a = weights[bit.bit_length() - 1]
-            total += a * _hmc_potential(value, weights, users ^ bit, memo)
+            total += a * q[users ^ bit]
             size += a
-        q = memo[users] = total // size
-    return q
+        return total // size
+
+    memo = Memo(fill)
+    memo[0] = 0
+    q = weakref.proxy(memo)
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +284,18 @@ class GeneralizedWeightedShapley(Protocol):
             for j in block:
                 subset += [x + a[j] for x in subset]
             sums.update(subset[1:])
-        self._weight_scale = scale_lcm(sums, "weight scale")
+        self._weight_scale = scale = scale_lcm(sums, "weight scale")
         masks = system.block_masks()
         # player -> (its block's mask, the union of the later, disjoint blocks)
         self._masks = {j: (own, sum(masks[k + 1:]))
                        for k, own in enumerate(masks) for j in system.blocks[k]}
-        self._potentials: dict = {}
+
+        def potential(key: tuple) -> Memo:  # holds no self: no reference cycle
+            f, later = key  # Q_U of the game R -> C(R | U) - C(U), times W * L
+            base = f.scaled(later)
+            return _hmc_memo(lambda mask: scale * (f.scaled(mask | later) - base), a)
+
+        self._potentials = Memo(potential)  # (f, U) -> Q_U
 
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * self._weight_scale
@@ -294,20 +308,9 @@ class GeneralizedWeightedShapley(Protocol):
         if not (users >> i) & 1:
             return 0
         own, after = self._masks[i]
-        later = users & after
-        memo = self._potentials.setdefault((f, later), {0: 0})
-        scale, base = self._weight_scale, f.scaled(later)
-
-        def value(mask: int) -> int:  # the game R -> C(R | U) - C(U), times W * L
-            return scale * (f.scaled(mask | later) - base)
-
+        q = self._potentials[f, users & after]
         mine = users & own
-        q = (_hmc_potential(value, self._weights, mine, memo)
-             - _hmc_potential(value, self._weights, mine ^ (1 << i), memo))
-        return self._weights[i] * q
-
-    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
-        return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
+        return self._weights[i] * (q[mine] - q[mine ^ (1 << i)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +326,14 @@ class TableProtocol(Protocol):
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
     protocols in negative tests. Add entries through ``set_entry``: it
-    also drops the share scales that ``scaled_share`` keeps.
+    also drops the share scales that ``scaled_share`` keeps. A cost function
+    whose arity is not ``players`` (when set, as a file sets it) raises.
     """
 
     name = "table"
     entries: dict = field(default_factory=dict)
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
+    players: int | None = None
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
@@ -342,7 +347,7 @@ class TableProtocol(Protocol):
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
         self.entries[(f, users)] = shares
-        vars(self).pop("_share_scales", None)  # the memo of scaled_share
+        self._share_scales.clear()  # share_scale(f) reads the entries
 
     def share_scale(self, f: SetCostFunction) -> int:
         """The lcm of the denominators in ``f``'s own entries and of the
@@ -355,6 +360,9 @@ class TableProtocol(Protocol):
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         _check_arity(f, users)
+        if self.players is not None and f.n != self.players:
+            raise ProtocolError(
+                f"share table covers {self.players} players, cost function {f.n}")
         entry = self.entries.get((f, users))
         if entry is not None:
             return entry.get(i, ZERO)

@@ -253,6 +253,21 @@ def test_share_keys_outside_players_exit_2(tmp_path, capsys, key):
     assert err == f"error: bad player id '{key}' in shares\n"
 
 
+def test_share_table_for_another_player_count_exits_2(tmp_path, capsys):
+    table = tmp_path / "three.json"
+    table.write_text(json.dumps({
+        "players": 3,
+        "fallback": "shapley",
+        "entries": [{"cost": {"anonymous": ["0/1", "1/1", "2/1", "3/1"]},
+                     "users": [0, 1, 2], "shares": {"0": "3/1"}}],
+    }))
+    for argv in (("analyze",), ("shares", "--profile", "0,0")):
+        rc, out, err = run(capsys, argv[0], tension_file(tmp_path), *argv[1:],
+                           "--protocol", f"table:{table}")
+        assert (rc, out) == (2, None)
+        assert err == "error: share table covers 3 players, cost function 2\n"
+
+
 def test_analyze_unknown_protocol(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", tension_file(tmp_path),
                      "--protocol", "nucleolus")
@@ -363,6 +378,15 @@ def test_gadget_pos_linear_rejects_other_protocols(tmp_path, capsys):
                            "--protocol", protocol)
         assert (rc, out) == (2, None)
         assert err == "error: pos_linear needs the shapley protocol\n"
+
+
+def test_gadget_mismatch_exits_1(capsys, monkeypatch):
+    # a target of 0 that the measured ratio cannot meet
+    monkeypatch.setattr("costarena.gadgets.harmonic", lambda k: Fraction(0))
+    rc, doc, err = run(capsys, "gadget", "pos_nharmonic", "--n", "2", "--eps", "1/4")
+    assert rc == 1
+    assert doc["ok"] is False and doc["expected"] == "0/1"
+    assert err.splitlines()[-1].startswith("MISMATCH; equilibria: ")
 
 
 def test_gadget_poa_unbounded(capsys):

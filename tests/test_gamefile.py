@@ -59,7 +59,7 @@ def test_parse_fraction_accepted_forms():
 def test_parse_fraction_rejected_forms():
     # past MAX_DIGITS digits, or an exponent that would make one (checked
     # before the power is computed)
-    for bad in (1.5, True, False, None, "x", "1/0", [1], 10 ** 4300, "1e5000",
+    for bad in (1.5, True, False, None, "x", "1e", "1/0", [1], 10 ** 4300, "1e5000",
                 "1e-99999999", "1e4301", "99e4299", "1/" + "9" * 4301):
         with pytest.raises(ValidationError):
             parse_fraction(bad)

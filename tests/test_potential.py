@@ -57,6 +57,8 @@ def test_harmonic_values():
     assert harmonic(2) == F(3, 2)
     assert harmonic(3) == F(11, 6)
     assert harmonic(10) == sum(F(1, j) for j in range(1, 11))
+    with pytest.raises(ValidationError):
+        harmonic(-1)
 
 
 def test_alpha_weights_sum_to_harmonic():

@@ -488,6 +488,9 @@ def test_protocol_base_share_contract():
     p = Half()
     assert p.shares(f, 0b11) == (F(2), F(2))
     assert p.share(f, 0b01, 1) == 0
+    # a protocol that defines neither share nor scaled_share has no shares
+    with pytest.raises(NotImplementedError):
+        Protocol().share(f, 0b01, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -600,3 +603,35 @@ def test_hmc_potential_equals_alpha_formula():
             q = p.scaled_potential(f, users)
             assert isinstance(q, int)
             assert F(q, scale) == resource_potential(f, users)
+
+
+def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
+    import costarena.protocols as protocols
+    calls = []
+    build = protocols._hmc_memo
+
+    def counted(value, weights):
+        calls.append(weights)
+        return build(value, weights)
+
+    monkeypatch.setattr(protocols, "_hmc_memo", counted)
+    rng = random.Random(12)
+    fa, fb = random_monotone_cost(rng, 3), random_monotone_cost(rng, 3)
+    assert fa != fb
+    every = frozenset("abc")
+    game = GameModel(3, ("a", "b", "c"), ((every,), (every,), (every, frozenset())),
+                     (fa, fb, fa))
+
+    def two_blocks():
+        return GeneralizedWeightedShapley(WeightSystem((1, 2, 3), ((0, 1), (2,))))
+
+    # Shapley: one memo per distinct cost function. GWS: players 0 and 1
+    # see later users {2} or none, player 2 none: 2 cost functions x 2 sets
+    for make, expected in ((ShapleyProtocol, 2), (two_blocks, 4)):
+        for _ in range(2):  # a fresh instance builds its memos again
+            protocol = make()
+            calls.clear()
+            analyze(game, protocol)
+            assert len(calls) == expected
+            analyze(game, protocol)  # and the same one builds none
+            assert len(calls) == expected

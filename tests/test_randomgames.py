@@ -28,6 +28,8 @@ def test_cost_class_guarantees():
         assert classify(random_cost(rng, n, "submodular")) in ("submodular", "modular")
         assert classify(random_cost(rng, n, "supermodular")) in ("supermodular", "modular")
         random_cost(rng, n, "arbitrary")  # construction already validates
+    with pytest.raises(ValueError, match="unknown cost class 'bogus'"):
+        random_cost(rng, 2, "bogus")
 
 
 def test_game_shape_limits():
