@@ -19,7 +19,11 @@ Each digest is the sha256 of what the CLI prints on stdout:
   (the seed also orders the ``random`` schedule's sweeps), at most
   ``MAX_STEPS`` changes a run;
 * ``verify-bounds``: one digest per cost class and seed, ``BOUNDS_COUNT``
-  games each.
+  games each;
+* ``corpus``: per cost class, one digest over the ``game_to_json`` of
+  the games of the corpus above and one over ``DRAWS`` games of up to 7
+  players drawn from ``random.Random(1)``, so any change to what the
+  random-game generator draws shows up even where no command reads it.
 
 The sampled commands are sized to keep the test that checks them under a
 second: one game in ``STRIDE``, each of at most 144 profiles.
@@ -47,7 +51,7 @@ from costarena.cli import build_parser
 from costarena.core import full_mask
 from costarena.gamefile import cost_to_json, fraction_to_str, game_to_json, weight_system_to_json
 from costarena.protocols import WeightSystem
-from costarena.randomgames import COST_CLASSES, corpus
+from costarena.randomgames import COST_CLASSES, corpus, random_game
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_analyze.json")
 SEED, COUNT = 2026, 500
@@ -55,6 +59,7 @@ EPS = "1/4"
 STRIDE, SAMPLES, MAX_STEPS = 20, 2, 200
 SCHEDULES = ("round-robin", "random")
 BOUNDS_SEEDS, BOUNDS_COUNT = (1, 2), 10
+DRAWS = 20
 
 
 @cache
@@ -176,6 +181,23 @@ def gadget_digests(tmp: str) -> dict[str, str]:
     return digests
 
 
+def corpus_digests() -> dict[str, str]:
+    def digest(games) -> str:
+        h = hashlib.sha256()
+        for model in games:
+            h.update(json.dumps(game_to_json(model)).encode())
+        return h.hexdigest()
+
+    digests = {}
+    for cost_class in COST_CLASSES:
+        rng = random.Random(1)
+        digests[f"{cost_class}/corpus"] = digest(_corpus(cost_class))
+        digests[f"{cost_class}/n<=7"] = digest(
+            random_game(rng, cost_class, max_players=7, max_resources=8, max_strategies=6)
+            for _ in range(DRAWS))
+    return digests
+
+
 def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {"analyze": analyze_digests(tmp), "gadget": gadget_digests(tmp)}
@@ -187,7 +209,7 @@ def compute_sampled() -> dict:
 
 
 if __name__ == "__main__":
-    doc = compute() | compute_sampled()
+    doc = compute() | compute_sampled() | {"corpus": corpus_digests()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,7 +3,8 @@
 The digests in ``data/golden_analyze.json`` were recorded with
 ``data/record_golden.py``; any change to what ``analyze``, ``gadget``,
 ``shares``, ``dynamics`` or ``verify-bounds`` print on the seeded corpora,
-gadget families and samples shows up here.
+gadget families and samples shows up here, as does any change to the games
+that the random-game generator draws.
 """
 
 import importlib.util
@@ -40,3 +41,7 @@ def test_golden_shares_dynamics_and_bounds_digests(monkeypatch):
     golden = _golden()
     assert _recorder().compute_sampled() == {
         k: golden[k] for k in ("shares", "dynamics", "verify-bounds")}
+
+
+def test_golden_corpus_digests():
+    assert _recorder().corpus_digests() == _golden()["corpus"]
