@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import CapExceededError, ValidationError, mask_members, social_cost
+from .core import CapExceededError, ValidationError, mask_members, parse_fraction, social_cost
 from .equilibrium import INFINITE, analyze, best_response_dynamics
 from .gadgets import (
     GadgetSpec,
@@ -34,7 +34,6 @@ from .gamefile import (
     load_table_protocol,
     load_weight_system,
     network_to_json,
-    parse_fraction,
 )
 from .potential import harmonic
 from .protocols import (

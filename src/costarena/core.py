@@ -5,7 +5,9 @@ set means player i is a member), which keeps set algebra exact and gives a
 deterministic iteration order (ascending mask value). A cost function is
 stored in integers, as numerators over one canonical denominator, and
 shows its values as ``fractions.Fraction`` only at the API; nothing in
-this package touches floating point.
+this package touches floating point. Every rational from outside, whether
+from a file, a CLI argument or a library call, is read by
+``parse_fraction``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def player_mask(players: Iterable[int]) -> int:
     """Bitmask for a collection of 0-based player indices."""
     mask = 0
     for p in players:
+        if p < 0:
+            raise ValidationError(f"negative player id {p}")
         mask |= 1 << p
     return mask
 
@@ -109,15 +113,47 @@ def scale_lcm(values: Iterable[int], what: str) -> int:
     return out
 
 
-def _as_fraction(value, what: str = "cost") -> Fraction:
-    if type(value) is Fraction:
+#: Largest number of decimal digits in a numerator, a denominator or a
+#: decimal exponent that a rational may have; Python converts ints of up to
+#: this many digits to and from strings by default.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
+def parse_fraction(value) -> Fraction:
+    """The one reader of an outside rational, from a file, an argument or a
+    library call: a ``Fraction`` as it is, an int, or a string in
+    ``fractions.Fraction``'s grammar ("p/q", "7", "1.5", "1e3"). Anything
+    else, a bool or a float included, raises ValidationError."""
+    if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise ValidationError(f"float {what} {value!r} rejected; use Fraction, int or 'p/q'")
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ValidationError(f"not an exact rational: {value!r}")
+    if isinstance(value, int):
+        x = Fraction(value)
+    elif isinstance(value, str):
+        text = value.strip()
+        # checked before Fraction computes 10 ** exponent
+        if abs(_exponent(text)) > MAX_DIGITS:
+            raise ValidationError(f"bad rational {value!r}")
+        try:
+            x = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational {value!r}") from exc
+    else:
+        raise ValidationError(f"bad rational {value!r}")
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ValidationError(f"bad rational: more than {MAX_DIGITS} digits")
+    return x
+
+
+def _exponent(text: str) -> int:
+    """The decimal exponent written at the end of ``text``, else 0."""
+    _, e, tail = text.replace("E", "e").rpartition("e")
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational: {value!r}") from exc
+        return int(tail) if e else 0
+    except ValueError:  # no exponent; Fraction rejects such a string itself
+        return 0
 
 
 def _monotone(table: tuple, n: int) -> bool:
@@ -157,12 +193,13 @@ class SetCostFunction:
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
                  denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
-        entries when ``anonymous``: rationals (``Fraction``, int or string),
-        or integers with ``values[k] / denominators[k]`` the k-th entry, not
-        necessarily reduced. Only here is each entry reduced, L taken as the
-        lcm of the reduced denominators and every numerator scaled to it."""
+        entries when ``anonymous``: rationals as ``parse_fraction`` reads
+        them, or integers with ``values[k] / denominators[k]`` the k-th
+        entry, not necessarily reduced. Only here is each entry reduced, L
+        taken as the lcm of the reduced denominators and every numerator
+        scaled to it."""
         if denominators is None:
-            fractions = list(map(_as_fraction, values))
+            fractions = list(map(parse_fraction, values))
             nums = [v.numerator for v in fractions]
             dens = [v.denominator for v in fractions]
         else:
@@ -200,12 +237,12 @@ class SetCostFunction:
         default to cost 0 (rejected afterwards if that breaks monotonicity).
         """
         check_player_count(n)  # before sizing the table by it
-        table = [Fraction(0)] * (1 << n)
+        table = [0] * (1 << n)
         for key, value in entries.items():
             mask = key if isinstance(key, int) else player_mask(key)
             if mask >> n:
                 raise ValidationError(f"user set {key!r} outside 0..{n - 1}")
-            table[mask] = _as_fraction(value)
+            table[mask] = value
         return cls(n, table)
 
     @classmethod

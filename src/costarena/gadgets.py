@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SetCostFunction, ValidationError, check_player_count, player_mask
+from .core import SetCostFunction, ValidationError, check_player_count, parse_fraction, player_mask
 from .equilibrium import analyze
 from .network import Edge, NetworkModel, to_game
 from .potential import harmonic
@@ -57,9 +57,9 @@ class GadgetSpec:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown gadget kind {self.kind!r}")
         if self.eps is not None:
-            object.__setattr__(self, "eps", Fraction(self.eps))
+            object.__setattr__(self, "eps", parse_fraction(self.eps))
         if self.a is not None:
-            object.__setattr__(self, "a", Fraction(self.a))
+            object.__setattr__(self, "a", parse_fraction(self.a))
         if self.kind == POS_LINEAR:
             if self.n is None or self.n < 2:
                 raise ValidationError("pos_linear needs n >= 2")
@@ -88,7 +88,6 @@ class GadgetSpec:
 
 def _per_player(n: int, rate) -> SetCostFunction:
     """Anonymous cost ``rate`` per user: C(S) = rate * |S|."""
-    rate = Fraction(rate)
     return SetCostFunction.anonymous([rate * k for k in range(n + 1)])
 
 
@@ -103,7 +102,7 @@ def build_pos_linear(n: int, eps) -> NetworkModel:
     """
     spec = GadgetSpec(POS_LINEAR, n=n, eps=eps)
     n, eps = spec.n, spec.eps
-    threshold = SetCostFunction.anonymous([Fraction(0)] * n + [n - eps])
+    threshold = SetCostFunction.anonymous([0] * n + [n - eps])
     zero = SetCostFunction.zero(n)
     edges = (
         Edge("e1", "m", "t", threshold),
@@ -144,7 +143,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     spine_players = order[:half]
     detour_players = order[half:]
 
-    constant = SetCostFunction.anonymous([Fraction(0)] + [1 + eps] * n)
+    constant = SetCostFunction.anonymous([0] + [1 + eps] * n)
     violation = find_share_monotonicity_violation(
         protocol, constant, within=player_mask(detour_players))
     if violation is not None:
@@ -168,7 +167,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     edges = [Edge("sA-u1", "sA", "u1", zero), Edge("e%d" % (half + 1), "bot", "top", constant)]
     for j in range(1, half + 1):
         vertices += [f"u{j}", f"v{j}", f"sB{j}", f"tB{j}"]
-        tail = [Fraction(0)] * (half + 1)
+        tail = [0] * (half + 1)
         head = [Fraction(half + 1, j)] * (n - half)
         edges.append(Edge(f"e{j}", f"u{j}", f"v{j}",
                           SetCostFunction.anonymous(tail + head)))
@@ -190,7 +189,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
 
 def _pair_cost(q) -> SetCostFunction:
     """Two-player anonymous supermodular cost: singletons 1, pair q >= 2."""
-    return SetCostFunction.anonymous([Fraction(0), Fraction(1), Fraction(q)])
+    return SetCostFunction.anonymous([0, 1, q])
 
 
 def min_pair_share(protocol: Protocol, q) -> Fraction:
@@ -220,9 +219,7 @@ def build_poa_unbounded(a, protocol: Protocol,
     """
     spec = GadgetSpec(POA_UNBOUNDED, a=a)
     a = spec.a
-    if q_probe_max is None:
-        q_probe_max = (1 << 20) * a
-    q_probe_max = Fraction(q_probe_max)
+    q_probe_max = (1 << 20) * a if q_probe_max is None else parse_fraction(q_probe_max)
     if q_probe_max < 2:
         raise ValidationError("q_probe_max must be at least 2")
 
@@ -294,7 +291,7 @@ def verify_gadget(nm: NetworkModel, expected, kind: str,
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown gadget kind {kind!r}")
-    expected = Fraction(expected)
+    expected = parse_fraction(expected)
     if protocol is None:
         protocol = ShapleyProtocol()
     report = analyze(to_game(nm), protocol)

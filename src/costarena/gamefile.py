@@ -22,9 +22,12 @@ or a network::
 Table cost entries omit zero-cost sets; anything omitted is 0, which the
 cost-function validator then accepts or rejects against monotonicity.
 
-This module only parses: ``SetCostFunction`` reduces the numerators and
-denominators it is handed, checks the bit budget and scales them to one
-canonical denominator.
+This module only parses the structure. Each rational is read as
+``core.parse_fraction``, the reader of CLI arguments and library values,
+reads it: "p/q" cost columns in bulk, the rest by that reader, mostly in
+the constructor it is handed to. ``SetCostFunction`` reduces the
+numerators and denominators, checks the bit budget and scales them to
+one canonical denominator.
 """
 
 from __future__ import annotations
@@ -36,56 +39,24 @@ from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .core import GameModel, SetCostFunction, ValidationError, check_player_count
+from .core import (
+    MAX_DIGITS,
+    GameModel,
+    SetCostFunction,
+    ValidationError,
+    check_player_count,
+    parse_fraction,
+)
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
 
 
-#: Largest number of decimal digits in a numerator, a denominator or a
-#: decimal exponent that a file may give; Python converts ints of up to
-#: this many digits to and from strings by default.
-MAX_DIGITS = 4300
-_TOO_LONG = 10 ** MAX_DIGITS
-
-
 def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:  # over the interpreter's int-to-string digit limit
         raise ValidationError(
             f"a result has more than {MAX_DIGITS} digits and cannot be written") from None
-
-
-def parse_fraction(value) -> Fraction:
-    """Accept "p/q" strings, integer strings, and JSON integers."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValidationError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
-        x = Fraction(value)
-    elif isinstance(value, str):
-        text = value.strip()
-        # checked before Fraction computes 10 ** exponent
-        if abs(_exponent(text)) > MAX_DIGITS:
-            raise ValidationError(f"bad rational {value!r}")
-        try:
-            x = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational {value!r}") from exc
-    else:
-        raise ValidationError(f"bad rational {value!r}")
-    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
-        raise ValidationError(f"bad rational: more than {MAX_DIGITS} digits")
-    return x
-
-
-def _exponent(text: str) -> int:
-    """The decimal exponent written at the end of ``text``, else 0."""
-    _, e, tail = text.replace("E", "e").rpartition("e")
-    try:
-        return int(tail) if e else 0
-    except ValueError:  # no exponent; Fraction rejects such a string itself
-        return 0
 
 
 def _is(value, kind) -> bool:
@@ -152,7 +123,7 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
                 f"anonymous cost has {len(values)} entries, expected {n + 1}")
         column = _fractions_in_bulk(values)
         if column is None:
-            return SetCostFunction(n, list(map(parse_fraction, values)), anonymous=True)
+            return SetCostFunction(n, values, anonymous=True)
         return SetCostFunction(n, column[0], anonymous=True, denominators=column[1])
     if "table" in obj:
         entries = obj["table"]
@@ -348,9 +319,9 @@ def weight_system_from_json(obj) -> WeightSystem:
             raise ValidationError("lambda keys must be player indices") from None
         if [k for k, _ in pairs] != list(range(len(pairs))):
             raise ValidationError("lambda must cover players 0..n-1")
-        weights = [parse_fraction(v) for _, v in pairs]
+        weights = [v for _, v in pairs]
     elif isinstance(raw, list):
-        weights = [parse_fraction(v) for v in raw]
+        weights = raw
     else:
         raise ValidationError("lambda must be a list or an object")
     blocks = _require(obj, "blocks", list, "weight system")
@@ -396,7 +367,7 @@ def table_protocol_from_json(obj) -> TableProtocol:
                     raise ValueError
             except ValueError:
                 raise ValidationError(f"bad player id {k!r} in shares") from None
-            shares[i] = parse_fraction(v)
+            shares[i] = v
         protocol.set_entry(f, users, shares, validate=False)
     return protocol
 

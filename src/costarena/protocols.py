@@ -59,11 +59,11 @@ from .core import (
     Memo,
     SetCostFunction,
     ValidationError,
-    _as_fraction,
     check_player_count,
     full_mask,
     iter_submasks,
     mask_members,
+    parse_fraction,
     player_mask,
     scale_lcm,
 )
@@ -219,8 +219,7 @@ class WeightSystem:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(_as_fraction(w, "weight") for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(parse_fraction, self.weights)))
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         n = len(self.weights)
         check_player_count(n)  # each block's subset sums are enumerated
@@ -337,7 +336,7 @@ class TableProtocol(Protocol):
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
-        shares = {i: _as_fraction(v, "share") for i, v in shares.items()}
+        shares = {i: parse_fraction(v) for i, v in shares.items()}
         if validate:
             if player_mask(shares) != users:
                 raise ValidationError(

@@ -10,15 +10,16 @@ membership holds by construction rather than by rejection sampling:
 * supermodular: non-negative singleton rates plus pairwise surcharges, or
   anonymous costs with non-decreasing marginals.
 
-Everything is driven by ``random.Random`` seeds, so corpora are
-reproducible across runs and platforms.
+Every drawn value is p/q with q <= 4, so the generator works in integers,
+numerators over ``SCALE``, and hands them to ``SetCostFunction`` in its
+integer form. Everything is driven by ``random.Random`` seeds, so corpora
+are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .core import GameModel, SetCostFunction, ValidationError, full_mask, mask_members
 
@@ -27,36 +28,36 @@ SUBMODULAR_CLASS = "submodular"
 SUPERMODULAR_CLASS = "supermodular"
 COST_CLASSES = (ARBITRARY, SUBMODULAR_CLASS, SUPERMODULAR_CLASS)
 
+SCALE = 12  # lcm(1, 2, 3, 4)
 
-def _small_fraction(rng: random.Random, num_max: int = 12, den_max: int = 4) -> Fraction:
-    return Fraction(rng.randint(0, num_max), rng.randint(1, den_max))
+
+def _small_fraction(rng: random.Random, num_max: int) -> int:
+    """A random p/q with p <= num_max and q <= 4, as a numerator over SCALE."""
+    return rng.randint(0, num_max) * (SCALE // rng.randint(1, 4))
+
+
+def _cost(n: int, nums: list[int], *, anonymous: bool = False) -> SetCostFunction:
+    return SetCostFunction(n, nums, anonymous=anonymous, denominators=[SCALE] * len(nums))
 
 
 def _monotone_lattice_cost(rng: random.Random, n: int) -> SetCostFunction:
-    table = [Fraction(0)] * (1 << n)
+    table = [0] * (1 << n)
     for mask in range(1, 1 << n):
-        floor = Fraction(0)
+        floor = 0
         m = mask
         while m:
             bit = m & -m
             m ^= bit
             floor = max(floor, table[mask ^ bit])
-        bump = _small_fraction(rng, 6) if rng.random() < 0.75 else Fraction(0)
+        bump = _small_fraction(rng, 6) if rng.random() < 0.75 else 0
         table[mask] = floor + bump
-    return SetCostFunction(n, table)
+    return _cost(n, table)
 
 
 def _coverage_cost(rng: random.Random, n: int) -> SetCostFunction:
     groups = [(rng.randint(1, full_mask(n)), _small_fraction(rng, 8))
               for _ in range(rng.randint(1, 4))]
-    table = []
-    for mask in range(1 << n):
-        total = Fraction(0)
-        for gmask, w in groups:
-            if mask & gmask:
-                total += w
-        table.append(total)
-    return SetCostFunction(n, table)
+    return _cost(n, [sum(w for gmask, w in groups if mask & gmask) for mask in range(1 << n)])
 
 
 def _anonymous_cost(rng: random.Random, n: int, shape: str) -> SetCostFunction:
@@ -66,21 +67,16 @@ def _anonymous_cost(rng: random.Random, n: int, shape: str) -> SetCostFunction:
         rng.shuffle(marginals)
     else:
         marginals.sort(reverse=(shape == "concave"))
-    return SetCostFunction.anonymous(itertools.accumulate(marginals, initial=Fraction(0)))
+    return _cost(n, list(itertools.accumulate(marginals, initial=0)), anonymous=True)
 
 
 def _pairwise_cost(rng: random.Random, n: int) -> SetCostFunction:
     rates = [_small_fraction(rng, 6) for _ in range(n)]
     surcharges = {pair: _small_fraction(rng, 4)
                   for pair in itertools.combinations(range(n), 2)}
-    table = []
-    for mask in range(1 << n):
-        members = mask_members(mask)
-        total = sum((rates[i] for i in members), Fraction(0))
-        for pair in itertools.combinations(members, 2):
-            total += surcharges[pair]
-        table.append(total)
-    return SetCostFunction(n, table)
+    return _cost(n, [sum(rates[i] for i in members)
+                     + sum(surcharges[pair] for pair in itertools.combinations(members, 2))
+                     for members in map(mask_members, range(1 << n))])
 
 
 def random_cost(rng: random.Random, n: int, cost_class: str = ARBITRARY) -> SetCostFunction:

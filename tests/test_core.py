@@ -95,9 +95,9 @@ def test_parsed_fractions_are_stored_as_they_are():
     stored = SetCostFunction.anonymous([0, Exact(1, 2)]).anonymous_values[1]
     assert type(stored) is Fraction and stored == F(1, 2)
     assert SetCostFunction.anonymous([0, "3/4", 2]).anonymous_values[1] == F(3, 4)
-    with pytest.raises(ValidationError, match="float cost"):
+    with pytest.raises(ValidationError, match="not an exact rational: 0.5"):
         SetCostFunction.from_table(1, {(0,): 0.5})
-    with pytest.raises(ValidationError, match="not a rational"):
+    with pytest.raises(ValidationError, match="bad rational 'x'"):
         SetCostFunction.anonymous([0, "x"])
 
 

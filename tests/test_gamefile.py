@@ -5,8 +5,14 @@ from math import prod
 
 import pytest
 
-from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction, ValidationError
-from costarena.gadgets import build_pos_linear
+from costarena.core import (
+    MAX_SCALE_BITS,
+    GameModel,
+    SetCostFunction,
+    ValidationError,
+    parse_fraction,
+)
+from costarena.gadgets import GadgetSpec, build_poa_unbounded, build_pos_linear, verify_gadget
 from costarena.gamefile import (
     cost_from_json,
     cost_to_json,
@@ -21,13 +27,12 @@ from costarena.gamefile import (
     _fractions_in_bulk,
     _table_checked,
     _table_in_bulk,
-    parse_fraction,
     table_protocol_from_json,
     weight_system_from_json,
     weight_system_to_json,
 )
 from costarena.network import Edge, NetworkModel, to_game
-from costarena.protocols import ProtocolError, WeightSystem
+from costarena.protocols import ProtocolError, ShapleyProtocol, TableProtocol, WeightSystem
 from costarena.randomgames import corpus
 
 F = Fraction
@@ -63,6 +68,28 @@ def test_parse_fraction_rejected_forms():
                 "1e-99999999", "1e4301", "99e4299", "1/" + "9" * 4301):
         with pytest.raises(ValidationError):
             parse_fraction(bad)
+
+
+#: Every public entry point that takes a rational, as a call on one value.
+RATIONAL_ENTRY_POINTS = {
+    "SetCostFunction": lambda v: SetCostFunction(1, [0, v]),
+    "from_table": lambda v: SetCostFunction.from_table(1, {(0,): v}),
+    "anonymous": lambda v: SetCostFunction.anonymous([0, v, 2]),
+    "weight": lambda v: WeightSystem((v, 1), ((0, 1),)),
+    "set_entry": lambda v: TableProtocol().set_entry(
+        SetCostFunction.anonymous([0, 1]), 0b1, {0: v}, validate=False),
+    "eps": lambda v: GadgetSpec("pos_linear", n=2, eps=v),
+    "a": lambda v: build_poa_unbounded(v, ShapleyProtocol()),
+    "q_probe_max": lambda v: build_poa_unbounded(2, ShapleyProtocol(), q_probe_max=v),
+    "expected": lambda v: verify_gadget(build_pos_linear(2, F(1, 4)), v, "pos_linear"),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True, "x", "1e5000"])
+@pytest.mark.parametrize("entry", list(RATIONAL_ENTRY_POINTS))
+def test_every_rational_entry_point_reads_through_parse_fraction(entry, value):
+    with pytest.raises(ValidationError):
+        RATIONAL_ENTRY_POINTS[entry](value)
 
 
 EDGE_STRINGS = (
@@ -505,6 +532,7 @@ def one_edge_network(terminals, forced=None):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: SetCostFunction.from_table(2, {(0, 2): 1}), "user set (0, 2) outside 0..1"),
+    (lambda: SetCostFunction.from_table(2, {(-1,): 1}), "negative player id -1"),
     (lambda: GameModel(2, ("r",), ((frozenset({"r"}),),),
                        (SetCostFunction.anonymous([0, 1, 2]),)),
      "one strategy set per player required"),

@@ -322,11 +322,11 @@ def test_budget_balance_detects_bad_sum():
 
 
 def test_floats_rejected_in_weights_and_share_entries():
-    with pytest.raises(ValidationError, match="float weight 0.1 rejected"):
+    with pytest.raises(ValidationError, match="not an exact rational: 0.1"):
         WeightSystem((0.1, 1.0), ((0, 1),))
     f = SetCostFunction.anonymous([0, 1, 3])
     t = TableProtocol()
-    with pytest.raises(ValidationError, match="float share 0.5 rejected"):
+    with pytest.raises(ValidationError, match="not an exact rational: 0.5"):
         t.set_entry(f, 0b01, {0: 0.5}, validate=False)
     assert t.entries == {}
 
