@@ -57,11 +57,18 @@ class Memo(dict):
 # Player-set bitmask helpers
 # ---------------------------------------------------------------------------
 
+def player_id(p) -> int:
+    """``p`` if it is an int and not a bool, else ValidationError naming it."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValidationError(f"player id {p!r} is not an int")
+    return p
+
+
 def player_mask(players: Iterable[int]) -> int:
     """Bitmask for a collection of 0-based player indices."""
     mask = 0
     for p in players:
-        if p < 0:
+        if player_id(p) < 0:
             raise ValidationError(f"negative player id {p}")
         mask |= 1 << p
     return mask

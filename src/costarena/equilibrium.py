@@ -235,8 +235,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     A sweep visits every player once, in index order, or in a seeded
     shuffled order with ``schedule="random"``. The run converges when a
     full sweep accepts no change; ``max_steps`` (not negative) bounds
-    accepted changes (default 10x the profile-space size, comfortably above
-    the number of distinct potential values). When the protocol has a potential
+    accepted changes, and a run stops short only to make one more (default
+    10x the profile-space size, above the number of distinct potential
+    values). When the protocol has a potential
     (``Protocol.scaled_potential``, only Shapley's), each trace entry
     records it for the profile after the change; otherwise ``phi`` is None.
     """
@@ -262,11 +263,11 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
         if rng is not None:
             rng.shuffle(players)
         for i in players:
-            if changes >= max_steps:
-                return BrdResult(tuple(profile), False, tuple(trace), sweeps)
             current = profile[i]
             best_s, costs = kernel.best_response(i, current)
             if best_s != current:
+                if changes >= max_steps:
+                    return BrdResult(tuple(profile), False, tuple(trace), sweeps)
                 kernel.move(i, current, best_s)
                 profile[i] = best_s
                 changes += 1

@@ -7,16 +7,13 @@ pay 0, and the shares of the members of a user set sum to the full resource
 cost (budget balance); ``check_budget_balance`` verifies both clauses
 exhaustively.
 
-Every protocol also names a share scale, ``share_scale(f)``: a positive
-integer with ``share_scale(f) * share(f, S, i)`` an integer for every S
-and i. That integer is ``scaled_share(f, S, i)``, which the equilibrium
-kernel reads: it scales a whole game by the lcm of the share scales, so
-its walk adds and compares Python ints only. A subclass defines
-``share`` or ``scaled_share``; the base class derives the other, as
-``Fraction(scaled_share, share_scale)`` or as ``share`` times the scale (a
-ProtocolError when ``share_scale(f)`` does not clear the share's
-denominator). Shapley and GWS define ``scaled_share`` as the integer
-potential differences below; ``TableProtocol`` defines ``share``.
+Every protocol gives integer shares: ``scaled_share(f, S, i)`` is the
+share times the positive integer ``share_scale(f)``. The equilibrium kernel
+reads only these, and scales a whole game by the lcm of the share scales,
+so its walk adds and compares Python ints only; ``share`` is their
+``Fraction`` view on the base class. Shapley and GWS give ``scaled_share``
+as the integer potential differences below; ``TableProtocol`` scales its
+entries and its fallback's integer shares to its own scale.
 
 The Shapley share of player i in user set S is i's marginal cost averaged
 over all orderings of S. The production implementation computes it from
@@ -51,7 +48,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .core import (
@@ -64,6 +60,7 @@ from .core import (
     iter_submasks,
     mask_members,
     parse_fraction,
+    player_id,
     player_mask,
     scale_lcm,
 )
@@ -79,10 +76,12 @@ class ProtocolError(ValueError):
 
 
 class Protocol:
-    """Interface: ``share(f, users, i)``, zero whenever i is not a user.
+    """Interface: ``scaled_share(f, users, i)`` and ``share_scale(f)``.
 
-    A subclass defines ``share``, or ``scaled_share`` and ``share_scale``;
-    the base class derives the rest.
+    A subclass defines both: ``scaled_share`` is the share times the
+    positive integer ``share_scale(f)``, zero whenever i is not a user. An
+    even split, for example, has share_scale(f) = f.denominator * lcm(1..n)
+    and scaled_share(f, S, i) = f.scaled(S) * lcm(1..n) // |S| for i in S.
 
     ``scaled_potential(f, users)`` is the protocol's exact potential hook:
     an integer with scaled_potential(f, S) - scaled_potential(f, S - i) =
@@ -98,8 +97,6 @@ class Protocol:
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         """``scaled_share(f, users, i) / share_scale(f)``."""
-        if type(self).scaled_share is Protocol.scaled_share:
-            raise NotImplementedError(f"{self.name!r} defines neither share nor scaled_share")
         return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
     def shares(self, f: SetCostFunction, users: int) -> tuple:
@@ -107,30 +104,12 @@ class Protocol:
         return tuple(self.share(f, users, i) for i in range(f.n))
 
     def share_scale(self, f: SetCostFunction) -> int:
-        """A positive integer that turns every share of ``f`` into an
-        integer. This default is exact for any protocol, at the price of
-        evaluating every share once; subclasses give closed forms."""
-        return scale_lcm({self.share(f, users, i).denominator
-                          for users in range(1 << f.n) for i in range(f.n)},
-                         f"common denominator of the {self.name!r} shares")
-
-    @cached_property
-    def _share_scales(self) -> Memo:
-        """``share_scale`` per cost function (``TableProtocol.set_entry`` clears
-        it); the fill holds the protocol weakly, to make no reference cycle."""
-        protocol = weakref.ref(self)
-        return Memo(lambda f: protocol().share_scale(f))
+        """A positive integer that turns every share of ``f`` into an integer."""
+        raise NotImplementedError(f"protocol {self.name!r} defines no share_scale")
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        """``share(f, users, i) * share_scale(f)``, an integer. A share
-        that ``share_scale(f)`` does not clear means that scale is wrong."""
-        value = self.share(f, users, i)
-        scale = self._share_scales[f]
-        factor, rest = divmod(scale, value.denominator)
-        if rest:
-            raise ProtocolError(f"protocol {self.name!r} gave share {value}, which is "
-                                f"not a multiple of 1/{scale}: its share_scale is wrong")
-        return value.numerator * factor
+        """``share(f, users, i) * share_scale(f)``, an integer."""
+        raise NotImplementedError(f"protocol {self.name!r} defines no scaled_share")
 
 
 def _check_arity(f: SetCostFunction, users: int) -> None:
@@ -230,7 +209,7 @@ class WeightSystem:
             if not block:
                 raise ValidationError("empty block in ordered partition")
             for p in block:
-                if not 0 <= p < n:
+                if not 0 <= player_id(p) < n:
                     raise ValidationError(f"player {p} out of range in partition")
                 if p in seen:
                     raise ValidationError(f"player {p} appears twice in partition")
@@ -324,9 +303,11 @@ class TableProtocol(Protocol):
     only needs to pin down the user sets it cares about. ``set_entry``
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
-    protocols in negative tests. Add entries through ``set_entry``: it
-    also drops the share scales that ``scaled_share`` keeps. A cost function
-    whose arity is not ``players`` (when set, as a file sets it) raises.
+    protocols in negative tests; the constructor's entries are read as
+    unvalidated ones. Add entries through ``set_entry``: it also drops the
+    share scales kept per cost function. A scaled share is an entry's value
+    or the fallback's scaled share, times the ratio of the scales. A cost
+    function whose arity is not ``players`` (when set, as a file sets it) raises.
     """
 
     name = "table"
@@ -334,11 +315,17 @@ class TableProtocol(Protocol):
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
     players: int | None = None
 
+    def __post_init__(self):
+        self._scales = {}  # f -> share_scale(f); a plain dict, so no reference cycle
+        for (f, users), shares in list(self.entries.items()):
+            self.set_entry(f, users, shares, validate=False)
+
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
         shares = {i: parse_fraction(v) for i, v in shares.items()}
+        members = player_mask(shares)
         if validate:
-            if player_mask(shares) != users:
+            if members != users:
                 raise ValidationError(
                     f"share entry keys {sorted(shares)} do not match user set {users:#b}")
             if sum(shares.values(), ZERO) != f.value(users):
@@ -346,30 +333,34 @@ class TableProtocol(Protocol):
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
         self.entries[(f, users)] = shares
-        self._share_scales.clear()  # share_scale(f) reads the entries
+        self._scales.clear()  # share_scale(f) reads the entries
 
     def share_scale(self, f: SetCostFunction) -> int:
         """The lcm of the denominators in ``f``'s own entries and of the
         fallback's scale; entries for other cost functions do not count."""
-        scales = {v.denominator for (g, _), entry in self.entries.items() if g == f
-                  for v in entry.values()}
-        if self.fallback is not None:
-            scales.add(self.fallback.share_scale(f))
-        return scale_lcm(scales, "common denominator of the share table")
+        if f not in self._scales:
+            scales = {v.denominator for (g, _), entry in self.entries.items() if g == f
+                      for v in entry.values()}
+            if self.fallback is not None:
+                scales.add(self.fallback.share_scale(f))
+            self._scales[f] = scale_lcm(scales, "common denominator of the share table")
+        return self._scales[f]
 
-    def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
+    def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
         if self.players is not None and f.n != self.players:
             raise ProtocolError(
                 f"share table covers {self.players} players, cost function {f.n}")
         entry = self.entries.get((f, users))
         if entry is not None:
-            return entry.get(i, ZERO)
+            value = entry.get(i, ZERO)
+            return value.numerator * (self.share_scale(f) // value.denominator)
         if not (users >> i) & 1:
-            return ZERO
-        if self.fallback is None:
+            return 0
+        if (fallback := self.fallback) is None:
             raise ProtocolError(f"no share entry for user set {users:#b}")
-        return self.fallback.share(f, users, i)
+        factor = self.share_scale(f) // fallback.share_scale(f)
+        return fallback.scaled_share(f, users, i) * factor
 
 
 # ---------------------------------------------------------------------------

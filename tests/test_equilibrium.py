@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from costarena.potential import potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
-    ProtocolError,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
@@ -174,9 +174,24 @@ def test_brd_step_budget_halts_unstable_run():
 def test_brd_step_budget_is_not_negative():
     g, t = chase_game()
     res = best_response_dynamics(g, t, (0, 0), max_steps=0)
-    assert (res.profile, res.converged, res.trace) == ((0, 0), False, ())
+    assert (res.profile, res.converged, res.trace, res.sweeps) == ((0, 0), False, (), 1)
     with pytest.raises(ValidationError, match="max_steps -1"):
         best_response_dynamics(g, t, (0, 0), max_steps=-1)
+
+
+def test_brd_step_budget_counts_only_changes():
+    # the cap bounds accepted changes: a stable start needs none
+    g = tension_game()
+    stable = analyze(g, SHAPLEY).pne[0]
+    res = best_response_dynamics(g, SHAPLEY, stable, max_steps=0)
+    assert (res.profile, res.converged, res.trace, res.sweeps) == (stable, True, (), 1)
+    unstable = next(p for p in reference_profiles(g) if not is_pne(g, SHAPLEY, p))
+    res = best_response_dynamics(g, SHAPLEY, unstable, max_steps=0)
+    assert (res.profile, res.converged, res.trace) == (unstable, False, ())
+    # a run that needs exactly k changes converges under a cap of k
+    full = best_response_dynamics(g, SHAPLEY, unstable)
+    capped = best_response_dynamics(g, SHAPLEY, unstable, max_steps=len(full.trace))
+    assert full.converged and capped == full
 
 
 def test_brd_rejects_unknown_schedule():
@@ -364,12 +379,12 @@ def reference_brd(model, protocol, start, max_steps, schedule, seed):
         if rng is not None:
             rng.shuffle(players)
         for i in players:
-            if len(trace) >= max_steps:
-                return profile, False, sweeps, trace
             current = profile[i]
             costs = reference_costs(model, protocol, profile, i)
             best = current if costs[current] == min(costs) else costs.index(min(costs))
             if best != current:
+                if len(trace) >= max_steps:
+                    return profile, False, sweeps, trace
                 profile = profile[:i] + (best,) + profile[i + 1:]
                 dirty = True
                 trace.append((i, current, best,
@@ -380,15 +395,18 @@ def reference_brd(model, protocol, start, max_steps, schedule, seed):
 
 
 class HalfSplit(Protocol):
-    """Even split that only defines ``share``: the kernel has to fall back
-    on the base class's exact share scale."""
+    """Even split defined outside the package, on the integer share
+    contract: shares at scale f.denominator * lcm(1, ..., n)."""
 
     name = "half"
 
-    def share(self, f, users, i):
+    def share_scale(self, f):
+        return f.denominator * math.lcm(*range(1, f.n + 1))
+
+    def scaled_share(self, f, users, i):
         if not (users >> i) & 1:
-            return F(0)
-        return f.value(users) / users.bit_count()
+            return 0
+        return f.scaled(users) * math.lcm(*range(1, f.n + 1)) // users.bit_count()
 
 
 def rigged_table(model, rng):
@@ -491,21 +509,14 @@ def test_brd_matches_fraction_reference():
             assert best == start[i] or costs[start[i]] > min(costs)
 
 
-def test_share_scale_too_small_is_an_error():
-    class HalfSplitWrongScale(HalfSplit):
-        def share_scale(self, f):
-            return f.denominator  # too small: a shared b costs 3/2 each
-
+def test_custom_protocol_prices_a_game():
     a, b = SetCostFunction.anonymous([0, 1, 1]), SetCostFunction.anonymous([0, 1, 3])
     choices = (frozenset({"a"}), frozenset({"b"}))
     g = GameModel(2, ("a", "b"), (choices, choices), (a, b))
-    protocol = HalfSplitWrongScale()
     # each player pays 3/2 on the shared b and 1 alone on a
     assert not is_pne(g, HalfSplit(), (1, 1))
-    with pytest.raises(ProtocolError, match="'half'.*1/1"):
-        is_pne(g, protocol, (1, 1))
-    with pytest.raises(ProtocolError, match="share_scale"):
-        analyze(g, protocol)
+    assert is_pne(g, HalfSplit(), (0, 0))
+    assert analyze(g, HalfSplit()).pne == ((0, 0),)
 
 
 # ---------------------------------------------------------------------------

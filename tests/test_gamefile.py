@@ -78,6 +78,7 @@ RATIONAL_ENTRY_POINTS = {
     "weight": lambda v: WeightSystem((v, 1), ((0, 1),)),
     "set_entry": lambda v: TableProtocol().set_entry(
         SetCostFunction.anonymous([0, 1]), 0b1, {0: v}, validate=False),
+    "table": lambda v: TableProtocol({(SetCostFunction.anonymous([0, 1]), 0b1): {0: v}}),
     "eps": lambda v: GadgetSpec("pos_linear", n=2, eps=v),
     "a": lambda v: build_poa_unbounded(v, ShapleyProtocol()),
     "q_probe_max": lambda v: build_poa_unbounded(2, ShapleyProtocol(), q_probe_max=v),
@@ -533,6 +534,9 @@ def one_edge_network(terminals, forced=None):
 @pytest.mark.parametrize("build, message", [
     (lambda: SetCostFunction.from_table(2, {(0, 2): 1}), "user set (0, 2) outside 0..1"),
     (lambda: SetCostFunction.from_table(2, {(-1,): 1}), "negative player id -1"),
+    (lambda: SetCostFunction.from_table(2, {("a",): 1}), "player id 'a' is not an int"),
+    (lambda: SetCostFunction.from_table(2, {(1.0,): 1}), "player id 1.0 is not an int"),
+    (lambda: SetCostFunction.from_table(2, {(True,): 1}), "player id True is not an int"),
     (lambda: GameModel(2, ("r",), ((frozenset({"r"}),),),
                        (SetCostFunction.anonymous([0, 1, 2]),)),
      "one strategy set per player required"),
@@ -544,6 +548,11 @@ def one_edge_network(terminals, forced=None):
     (lambda: one_edge_network((("s", "t"),), forced=()),
      "forced list must have one entry per player"),
     (lambda: WeightSystem((1, 1), ((0, 2),)), "player 2 out of range in partition"),
+    (lambda: WeightSystem((1, 1), (("a",), (1,))), "player id 'a' is not an int"),
+    (lambda: WeightSystem((1, 1), ((0.0,), (1,))), "player id 0.0 is not an int"),
+    (lambda: WeightSystem((1, 1), ((True,), (0,))), "player id True is not an int"),
+    (lambda: TableProtocol().set_entry(SetCostFunction.anonymous([0, 1]), 0b1, {"a": 1},
+                                       validate=False), "player id 'a' is not an int"),
 ])
 def test_rejections_name_the_fault(build, message):
     with pytest.raises(ValidationError) as caught:

@@ -1,6 +1,9 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
@@ -17,6 +20,7 @@ from costarena.core import (
     full_mask,
     mask_members,
     player_mask,
+    scale_lcm,
 )
 from costarena.equilibrium import analyze
 from costarena.protocols import (
@@ -336,13 +340,18 @@ def test_floats_rejected_in_weights_and_share_entries():
 # ---------------------------------------------------------------------------
 
 class EvenSplit(Protocol):
-    """Defines ``share`` only: the scaled share and the share scale come
-    from the base class."""
+    """Even split on the integer share contract, as a protocol defined
+    outside the package would give it."""
 
     name = "even"
 
-    def share(self, f, users, i):
-        return f.value(users) / users.bit_count() if (users >> i) & 1 else F(0)
+    def share_scale(self, f):
+        return f.denominator * lcm(*range(1, f.n + 1))
+
+    def scaled_share(self, f, users, i):
+        if not (users >> i) & 1:
+            return 0
+        return f.scaled(users) * lcm(*range(1, f.n + 1)) // users.bit_count()
 
 
 def test_scaled_share_is_share_times_share_scale():
@@ -359,52 +368,80 @@ def test_scaled_share_is_share_times_share_scale():
                 without.set_entry(f, users, rigged, validate=False)
                 if rng.random() < 0.3:
                     with_fallback.set_entry(f, users, rigged, validate=False)
-        protocols = [ShapleyProtocol(), GeneralizedWeightedShapley(random_weight_system(rng, n)),
-                     with_fallback, without, EvenSplit()]
-        for p in protocols:
+        for p in (ShapleyProtocol(), GeneralizedWeightedShapley(random_weight_system(rng, n)),
+                  EvenSplit()):
             for f in costs:
-                scale = p.share_scale(f)
                 for users in range(1 << n):
                     for i in range(n):
-                        scaled = p.scaled_share(f, users, i)
-                        assert type(scaled) is int
-                        assert scaled == p.share(f, users, i) * scale
+                        assert type(p.scaled_share(f, users, i)) is int
+        for f in costs:
+            for users in range(1, 1 << n):
+                for i in mask_members(users):
+                    assert EvenSplit().share(f, users, i) == f.value(users) / users.bit_count()
+        # a table's share is its entry's value, else the fallback's share
+        for table in (with_fallback, without):
+            for f in costs:
+                scale = table.share_scale(f)
+                for users in range(1 << n):
+                    entry = table.entries.get((f, users))
+                    for i in range(n):
+                        want = (entry.get(i, 0) if entry is not None
+                                else table.fallback.share(f, users, i))
+                        scaled = table.scaled_share(f, users, i)
+                        assert type(scaled) is int and scaled == want * scale
+                        assert table.share(f, users, i) == want
     f = SetCostFunction.anonymous([0, 1, 3])
     built = TableProtocol({(f, 0b11): {0: F(1, 7), 1: F(20, 7)}}, fallback=None)
     assert built.share_scale(f) == 7 and built.scaled_share(f, 0b11, 1) == 20
 
 
-def test_scaled_share_asks_for_the_share_scale_once():
-    calls = []
+def test_scaled_share_asks_for_the_share_scale_once(monkeypatch):
+    import costarena.protocols as protocols
+    lcms = []
 
-    class Counted(EvenSplit):
-        def share(self, f, users, i):
-            calls.append((users, i))
-            return super().share(f, users, i)
+    def counted(values, what):
+        lcms.append(what)
+        return scale_lcm(values, what)
 
-    p, f = Counted(), SetCostFunction.anonymous([0, 1, 3, 4])
-    # the default share_scale evaluates all 3 * 8 shares, then each call one
-    assert [p.scaled_share(f, users, 0) for users in (0b001, 0b011, 0b111)] == [6, 9, 8]
-    assert len(calls) == 3 * 8 + 3
-    assert p.scaled_share(SetCostFunction.anonymous([0, 1, 3, 4]), 0b111, 1) == 8
-    assert len(calls) == 3 * 8 + 4
-
+    monkeypatch.setattr(protocols, "scale_lcm", counted)
+    f = SetCostFunction.anonymous([0, 1, 3, 4])
     table = TableProtocol()
-    assert table.scaled_share(f, 0b011, 0) == 9
+    # one share scale per cost function, then every share reads it
+    assert [table.scaled_share(f, users, 0) for users in (0b001, 0b011, 0b111)] == [6, 9, 8]
+    assert table.share(f, 0b011, 1) == F(3, 2) and len(lcms) == 1
     table.set_entry(f, 0b011, {0: F(1, 5), 1: F(14, 5)})
     assert table.share_scale(f) == 30 and table.scaled_share(f, 0b011, 0) == 6
+    assert table.scaled_share(f, 0b111, 0) == 40 and len(lcms) == 2
 
 
-def test_scaled_share_rejects_a_share_scale_too_small():
-    class WrongScale(EvenSplit):
-        def share_scale(self, f):
-            return f.denominator
+def test_protocols_make_no_reference_cycles():
+    # a protocol that analyze has used, memos filled, is freed by reference
+    # counting alone: with the cyclic collector off, its weak reference dies
+    # and it leaves no cyclic garbage behind (its memos included)
+    rng = random.Random(46)
+    f, h = random_monotone_cost(rng, 3), SetCostFunction.anonymous([0, 1, F(3, 2), 2])
+    both = (frozenset({"f"}), frozenset({"h"}), frozenset({"f", "h"}))
+    g = GameModel(3, ("f", "h"), (both,) * 3, (f, h))
 
-    f = SetCostFunction.anonymous([0, 1, 3])
-    assert WrongScale().scaled_share(f, 0b01, 0) == 1
-    with pytest.raises(ProtocolError, match="'even' gave share 3/2, which is not a "
-                                            "multiple of 1/1: its share_scale is wrong"):
-        WrongScale().scaled_share(f, 0b11, 0)
+    def used(protocol):
+        analyze(g, protocol)
+        protocol.shares(f, 0b111)
+        return weakref.ref(protocol)
+
+    def table():
+        t = TableProtocol()
+        t.set_entry(f, 0b011, {0: F(1, 7), 1: f.value(0b011) - F(1, 7)})
+        return t
+
+    gc.collect()
+    gc.disable()
+    try:
+        for make in (table, ShapleyProtocol,
+                     lambda: GeneralizedWeightedShapley(random_weight_system(rng, 3))):
+            ref = used(make())
+            assert ref() is None and gc.collect() == 0, make
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +513,8 @@ def test_protocol_base_share_contract():
     from costarena.protocols import _check_arity
 
     class Half(Protocol):
+        """Defines ``share`` only, which no longer makes a protocol."""
+
         name = "half"
 
         def share(self, f, users, i):
@@ -485,12 +524,18 @@ def test_protocol_base_share_contract():
             return f.value(users) / users.bit_count() if users else F(0)
 
     f = SetCostFunction.anonymous([0, 1, 4])
-    p = Half()
-    assert p.shares(f, 0b11) == (F(2), F(2))
-    assert p.share(f, 0b01, 1) == 0
-    # a protocol that defines neither share nor scaled_share has no shares
-    with pytest.raises(NotImplementedError):
+    g = GameModel(2, ("r",), ((frozenset({"r"}),),) * 2, (f,))
+    # the kernel reads scaled_share and share_scale, which Half lacks
+    with pytest.raises(NotImplementedError, match="'half' defines no share_scale"):
+        analyze(g, Half())
+    with pytest.raises(NotImplementedError, match="'half' defines no scaled_share"):
+        Half().scaled_share(f, 0b11, 0)
+    # and share is their Fraction view, so Protocol() has no shares at all
+    with pytest.raises(NotImplementedError, match="'abstract' defines no scaled_share"):
         Protocol().share(f, 0b01, 0)
+    with pytest.raises(NotImplementedError, match="'abstract' defines no share_scale"):
+        Protocol().share_scale(f)
+    assert EvenSplit().shares(f, 0b11) == (F(2), F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +582,7 @@ def test_share_scale_shapley_and_gws():
             assert_scale_makes_shares_integral(protocol, f)
 
 
-def test_share_scale_tables_and_share_only_subclass():
-    from costarena.protocols import _check_arity
-
-    class Half(Protocol):
-        name = "half"
-
-        def share(self, f, users, i):
-            _check_arity(f, users)
-            if not (users >> i) & 1:
-                return F(0)
-            return f.value(users) / users.bit_count()
-
+def test_share_scale_tables_and_custom_subclass():
     rng = random.Random(43)
     for f in random_costs(42):
         n = f.n
@@ -565,7 +599,7 @@ def test_share_scale_tables_and_share_only_subclass():
             off = {i: F(rng.randint(0, 9), rng.randint(1, 13)) for i in range(n)}
             loose.set_entry(f, users, off, validate=False)
             bare.set_entry(f, users, off, validate=False)
-        for protocol in (validated, loose, bare, Half()):
+        for protocol in (validated, loose, bare, EvenSplit()):
             assert_scale_makes_shares_integral(protocol, f)
 
 
