@@ -7,7 +7,7 @@ stored in integers, as numerators over one canonical denominator, and
 shows its values as ``fractions.Fraction`` only at the API; nothing in
 this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
-``parse_fraction``.
+``parse_fraction``, or a column at a time by ``parse_fractions``.
 """
 
 from __future__ import annotations
@@ -154,6 +154,26 @@ def parse_fraction(value) -> Fraction:
     return x
 
 
+def parse_fractions(values: Iterable) -> tuple[list, list]:
+    """The numerators and denominators, not necessarily reduced, of
+    ``values`` as ``parse_fraction`` reads them. A column of ASCII "p/q"
+    strings of at most MAX_DIGITS characters with q > 0, the form that
+    files are written in, is read in passes that run in C; any other
+    column is read by ``parse_fraction`` item by item, so an error names
+    the first value that it refuses."""
+    values = list(values)
+    if (set(map(type, values)) == {str} and set(map(str.count, values, repeat("/"))) == {1}
+            and max(map(len, values)) <= MAX_DIGITS):
+        text = "/".join(values)
+        parts = text.split("/")
+        if text.isascii() and "".join(parts).isdigit() and "" not in parts:
+            dens = list(map(int, parts[1::2]))
+            if 0 not in dens:
+                return list(map(int, parts[::2])), dens
+    fractions = list(map(parse_fraction, values))
+    return [x.numerator for x in fractions], [x.denominator for x in fractions]
+
+
 def _exponent(text: str) -> int:
     """The decimal exponent written at the end of ``text``, else 0."""
     _, e, tail = text.replace("E", "e").rpartition("e")
@@ -200,15 +220,13 @@ class SetCostFunction:
     def __init__(self, n: int, values: Iterable, *, anonymous: bool = False,
                  denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
-        entries when ``anonymous``: rationals as ``parse_fraction`` reads
-        them, or integers with ``values[k] / denominators[k]`` the k-th
-        entry, not necessarily reduced. Only here is each entry reduced, L
-        taken as the lcm of the reduced denominators and every numerator
-        scaled to it."""
+        entries when ``anonymous``: rationals, read by ``parse_fractions``,
+        or integers with ``values[k] / denominators[k]`` the k-th entry,
+        not necessarily reduced. Only here is each entry reduced, L taken
+        as the lcm of the reduced denominators and every numerator scaled
+        to it."""
         if denominators is None:
-            fractions = list(map(parse_fraction, values))
-            nums = [v.numerator for v in fractions]
-            dens = [v.denominator for v in fractions]
+            nums, dens = parse_fractions(values)
         else:
             nums, dens = list(values), list(denominators)
             if len(nums) != len(dens):

@@ -22,12 +22,12 @@ or a network::
 Table cost entries omit zero-cost sets; anything omitted is 0, which the
 cost-function validator then accepts or rejects against monotonicity.
 
-This module only parses the structure. Each rational is read as
-``core.parse_fraction``, the reader of CLI arguments and library values,
-reads it: "p/q" cost columns in bulk, the rest by that reader, mostly in
-the constructor it is handed to. ``SetCostFunction`` reduces the
-numerators and denominators, checks the bit budget and scales them to
-one canonical denominator.
+This module only parses the structure. Every rational goes to
+``core.parse_fraction``, the reader of CLI arguments and library values
+too: a cost column through ``core.parse_fractions``, which reads "p/q"
+columns in bulk, and every other rational in the constructor that it is
+handed to. ``SetCostFunction`` reduces the numerators and denominators,
+checks the bit budget and scales them to one canonical denominator.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .core import (
@@ -45,7 +45,7 @@ from .core import (
     SetCostFunction,
     ValidationError,
     check_player_count,
-    parse_fraction,
+    parse_fractions,
 )
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
@@ -121,16 +121,13 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         if len(values) != n + 1:
             raise ValidationError(
                 f"anonymous cost has {len(values)} entries, expected {n + 1}")
-        column = _fractions_in_bulk(values)
-        if column is None:
-            return SetCostFunction(n, values, anonymous=True)
-        return SetCostFunction(n, column[0], anonymous=True, denominators=column[1])
+        return SetCostFunction(n, values, anonymous=True)
     if "table" in obj:
         entries = obj["table"]
         if not isinstance(entries, list):
             raise ValidationError("table cost must be a list")
         check_player_count(n)  # before sizing the table by it
-        masks, nums, dens = _table_in_bulk(n, entries) or _table_checked(n, entries)
+        masks, nums, dens = _table(n, entries)
         table, denominators = [0] * (1 << n), [1] * (1 << n)  # omitted sets cost 0/1
         deque(map(table.__setitem__, masks, nums), 0)
         deque(map(denominators.__setitem__, masks, dens), 0)
@@ -138,68 +135,45 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
 
 
-def _table_checked(n: int, entries: list) -> tuple[list, list, list]:
-    """The user masks, numerators and denominators of the table entries,
-    checked one entry at a time; raises at the first malformed entry."""
-    masks, nums, dens = [], [], []
-    seen = set()
-    for e in entries:
-        members = _list_of(_require(e, "set", None, "table entry"), int, "table entry set")
-        mask = 0
-        for i in members:
-            if not 0 <= i < n:
-                raise ValidationError(f"bad player ids in table entry {members!r}")
-            mask |= 1 << i
-        if mask in seen:
-            raise ValidationError(f"duplicate table entry for set {members!r}")
-        seen.add(mask)
-        x = parse_fraction(_require(e, "cost", None, "table entry"))
-        masks.append(mask)
-        nums.append(x.numerator)
-        dens.append(x.denominator)
-    return masks, nums, dens
-
-
-def _table_in_bulk(n: int, entries: list) -> tuple[list, list, list] | None:
-    """What ``_table_checked`` returns, read one field at a time in passes
-    that run in C; None unless every entry is a dict whose "set" lists
-    distinct player ids in ascending order and whose "cost" column
-    ``_fractions_in_bulk`` reads, the inputs on which both agree. Anything
-    else is left to ``_table_checked``."""
-    if set(map(type, entries)) != {dict}:
-        return None
+def _table(n: int, entries: list) -> tuple[list, list, list]:
+    """The user masks, numerators and denominators of the table entries.
+    Each field is read and type-checked in one pass that runs in C; a set
+    not written as distinct ids in ascending order is read on its own.
+    Faults are looked for kind by kind: an entry's structure, a member id,
+    a duplicate set, a rational; the first entry with the first kind
+    found is named."""
     try:
         sets = list(map(itemgetter("set"), entries))
         costs = list(map(itemgetter("cost"), entries))
-    except KeyError:
-        return None
-    if (set(map(type, sets)) != {list}
-            or not set(map(type, chain.from_iterable(sets))) <= {int}):
-        return None
-    masks = list(map(_member_index(n).get, map(tuple, sets)))
-    if None in masks or len(set(masks)) != len(masks):
-        return None
-    column = _fractions_in_bulk(costs)
-    return None if column is None else (masks, *column)
+        typed = (set(map(type, entries)) <= {dict} and set(map(type, sets)) <= {list}
+                 and set(map(type, chain.from_iterable(sets))) <= {int})
+    except (KeyError, TypeError):
+        typed = False
+    if not typed:  # name the first malformed entry
+        sets, costs = [], []
+        for e in entries:
+            sets.append(_list_of(_require(e, "set", None, "table entry"), int,
+                                 "table entry set"))
+            costs.append(_require(e, "cost", None, "table entry"))
+    index = _member_index(n)
+    masks = list(map(index.get, map(tuple, sets)))
+    if None in masks:
+        masks = [_mask(n, members) if mask is None else mask
+                 for mask, members in zip(masks, sets)]
+    if len(set(masks)) != len(masks):
+        seen = set()
+        for mask, members in zip(masks, sets):
+            if mask in seen:
+                raise ValidationError(f"duplicate table entry for set {members!r}")
+            seen.add(mask)
+    return (masks, *parse_fractions(costs))
 
 
-def _fractions_in_bulk(texts: list) -> tuple[list, list] | None:
-    """The numerators and denominators of ``texts``, not necessarily
-    reduced, read in passes that run in C; None unless every item is an
-    ASCII "p/q" string of at most MAX_DIGITS characters with q > 0, the
-    inputs on which ``parse_fraction`` gives the same value. Anything else
-    is left to ``parse_fraction``."""
-    if (set(map(type, texts)) != {str} or set(map(str.count, texts, repeat("/"))) != {1}
-            or max(map(len, texts)) > MAX_DIGITS):
-        return None
-    text = "/".join(texts)
-    parts = text.split("/")
-    if not (text.isascii() and "".join(parts).isdigit()) or "" in parts:
-        return None
-    dens = list(map(int, parts[1::2]))
-    if 0 in dens:
-        return None
-    return list(map(int, parts[::2])), dens
+def _mask(n: int, members: list) -> int:
+    """The user mask of a set written out of order or with a member twice."""
+    if not all(0 <= i < n for i in members):
+        raise ValidationError(f"bad player ids in table entry {members!r}")
+    return sum(1 << i for i in set(members))
 
 
 @cache
@@ -367,6 +341,8 @@ def table_protocol_from_json(obj) -> TableProtocol:
                     raise ValueError
             except ValueError:
                 raise ValidationError(f"bad player id {k!r} in shares") from None
+            if i in shares:  # "0", " 0" and "+0" all name player 0
+                raise ValidationError(f"player {i} named twice in shares, last as {k!r}")
             shares[i] = v
         protocol.set_entry(f, users, shares, validate=False)
     return protocol

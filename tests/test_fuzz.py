@@ -7,9 +7,10 @@ value), a value swapped for one of another type, or for a huge, negative
 or boolean number. Every mutant must make the CLI exit 0, 2 or 3 with a
 message and no traceback; exit 1 would claim a failed bound check.
 
-Table cost entries get their own mutations, in the shapes that the bulk
-table reader hands to the checked loop; each such mutant must give the
-same exit code and output with the bulk reader as without it.
+Table cost entries get their own mutations, in the shapes that leave the
+table reader's passes for its per-entry paths; each such mutant must load
+to the cost that ``SetCostFunction.from_table`` builds from the entries
+over ``parse_fraction``, or fail where that reference fails.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import json
 import random
 
 from costarena.cli import main
+from costarena.core import SetCostFunction, ValidationError, parse_fraction
+from costarena.gamefile import load_game
 
 
 class Raw(str):
@@ -188,7 +191,26 @@ ENTRY_MUTATIONS = (
 )
 
 
-def test_mutated_table_entries_read_alike_in_bulk(tmp_path, capsys, monkeypatch):
+def reference_cost(n, entries):
+    """The table cost that ``from_table`` builds over ``parse_fraction``,
+    or None where an entry is malformed or a set is written twice."""
+    table = {}
+    for e in entries:
+        if (type(e) is not dict or not {"set", "cost"} <= e.keys() or type(e["set"]) is not list
+                or not all(type(i) is int for i in e["set"])):
+            return None
+        key = frozenset(e["set"])
+        if key in table:
+            return None
+        table[key] = e["cost"]
+    try:
+        return SetCostFunction.from_table(
+            n, {tuple(k): parse_fraction(v) for k, v in table.items()})
+    except ValidationError:
+        return None
+
+
+def test_mutated_table_entries_read_alike_in_bulk(tmp_path, capsys):
     rng = random.Random(20261018)
     path = tmp_path / "table.json"
     codes = set()
@@ -203,14 +225,13 @@ def test_mutated_table_entries_read_alike_in_bulk(tmp_path, capsys, monkeypatch)
                 entries[k] = rng.choice(ENTRY_MUTATIONS)(entries[k], rng)
         rng.shuffle(entries)
         path.write_text(dumps(doc))
-        outcomes = []
-        with monkeypatch.context() as patch:
-            for _ in range(2):
-                rc = main(["analyze", str(path)])
-                outcomes.append((rc, capsys.readouterr()))
-                patch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
-        rc, captured = outcomes[0]
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
         assert rc in (0, 2) and "Traceback" not in captured.err, (rc, captured.err)
-        assert outcomes[0] == outcomes[1]
+        expected = reference_cost(3, entries)
+        assert (rc == 0) == (expected is not None), (rc, captured.err)
+        if expected is not None:
+            [loaded] = load_game(str(path))[0].cost_fns
+            assert loaded == expected and loaded.denominator == expected.denominator
         codes.add(rc)
     assert codes == {0, 2}

@@ -5,12 +5,14 @@ from math import prod
 
 import pytest
 
+from costarena.cli import main
 from costarena.core import (
     MAX_SCALE_BITS,
     GameModel,
     SetCostFunction,
     ValidationError,
     parse_fraction,
+    parse_fractions,
 )
 from costarena.gadgets import GadgetSpec, build_poa_unbounded, build_pos_linear, verify_gadget
 from costarena.gamefile import (
@@ -24,9 +26,6 @@ from costarena.gamefile import (
     load_weight_system,
     network_from_json,
     network_to_json,
-    _fractions_in_bulk,
-    _table_checked,
-    _table_in_bulk,
     table_protocol_from_json,
     weight_system_from_json,
     weight_system_to_json,
@@ -102,23 +101,24 @@ EDGE_STRINGS = (
 
 
 def test_fast_rational_path_matches_fraction():
-    # the reader's bulk "p/q" column parser and parse_fraction
-    # (Fraction(str)) agree on every string: the bulk parser gives the same
-    # value or leaves the string to parse_fraction, and an anonymous list
-    # loads to the value, or fails with the message, that parse_fraction gives
+    # parse_fractions reads each string, alone or in a column of "p/q"
+    # strings, to the value that parse_fraction (Fraction(str)) gives, or
+    # fails with its message, and so does an anonymous cost list
     for text in EDGE_STRINGS:
         try:
             expected = parse_fraction(text)
         except ValidationError as exc:
-            assert _fractions_in_bulk([text]) is None, text
+            for column in ([text], ["1/2", text, "1/0"]):
+                with pytest.raises(ValidationError) as caught:
+                    parse_fractions(column)
+                assert str(caught.value) == str(exc), text
             with pytest.raises(ValidationError) as caught:
                 cost_from_json(1, {"anonymous": ["0/1", text]})
             assert str(caught.value) == str(exc), text
             continue
-        column = _fractions_in_bulk([text])
-        if column is not None:
-            [p], [q] = column
-            assert q > 0 and F(p, q) == expected, text
+        for column in ([text], ["1/2", text], [text, 3]):
+            nums, dens = parse_fractions(column)
+            assert min(dens) > 0 and list(map(F, nums, dens)) == list(map(parse_fraction, column))
         if len(text) < 50:
             assert expected == F(text.strip())
         try:
@@ -129,8 +129,9 @@ def test_fast_rational_path_matches_fraction():
             assert str(caught.value) == str(exc), text
             continue
         assert cost_from_json(1, {"anonymous": ["0/1", text]}) == built, text
-    assert _fractions_in_bulk(["03/004", "5/1"]) == ([3, 5], [4, 1])  # not reduced
-    assert _fractions_in_bulk([5]) is None
+    assert parse_fractions(["03/004", "5/1"]) == ([3, 5], [4, 1])  # not reduced
+    assert parse_fractions(iter([5, F(2, 4)])) == ([5, 1], [1, 2])
+    assert parse_fractions([]) == ([], [])
 
 
 def test_loaded_cost_equals_fraction_built():
@@ -196,7 +197,20 @@ def table_with(at, entry):
     return [entry if k == at else dict(e) for k, e in enumerate(TABLE)]
 
 
-# accepted inputs, most of which the bulk reader leaves to the checked loop
+def reference_table(n, entries):
+    """The table cost built without the file reader: ``from_table`` over
+    ``parse_fraction`` of each written cost."""
+    return SetCostFunction.from_table(
+        n, {tuple(e["set"]): parse_fraction(e["cost"]) for e in entries})
+
+
+def assert_same_cost(f, g):
+    assert f == g and f.denominator == g.denominator
+    assert [f.scaled(m) for m in range(1 << f.n)] == [g.scaled(m) for m in range(1 << g.n)]
+
+
+# accepted inputs, several of which leave the reader's passes for its
+# per-entry paths
 ACCEPTED_TABLES = {
     "unsorted set": table_with(2, {"set": [1, 0], "cost": "2/1"}),
     "duplicate member": table_with(0, {"set": [0, 0], "cost": "1/2"}),
@@ -213,32 +227,51 @@ ACCEPTED_TABLES = {
 
 
 @pytest.mark.parametrize("entries", ACCEPTED_TABLES.values(), ids=ACCEPTED_TABLES)
-def test_bulk_table_reader_equals_checked_loop(entries, monkeypatch):
-    read = cost_from_json(2, {"table": entries})
-    monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
-    checked = cost_from_json(2, {"table": entries})
-    assert read == checked and read.denominator == checked.denominator
-    assert [read.scaled(m) for m in range(4)] == [checked.scaled(m) for m in range(4)]
+def test_bulk_table_reader_equals_checked_loop(entries):
+    assert_same_cost(cost_from_json(2, {"table": entries}), reference_table(2, entries))
 
 
 def test_bulk_table_reader_reads_written_tables():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(1, 6)
-        doc = cost_to_json(SetCostFunction(n, [0] + sorted(
+        f = SetCostFunction(n, [0] + sorted(
             F(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 12))
-            for _ in range((1 << n) - 1))))
+            for _ in range((1 << n) - 1)))
+        doc = cost_to_json(f)
         if "table" in doc:
-            entries = doc["table"]
-            rng.shuffle(entries)
-            bulk = _table_in_bulk(n, entries)
-            assert bulk is not None and bulk == _table_checked(n, entries)
+            rng.shuffle(doc["table"])
+            assert_same_cost(cost_from_json(n, doc), f)
+            assert_same_cost(cost_from_json(n, doc), reference_table(n, doc["table"]))
 
 
-def test_bit_budget_applies_to_reduced_values(monkeypatch):
+def test_unsorted_sets_among_sorted_ones_load_like_the_reference():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        entries = cost_to_json(SetCostFunction(n, [0] + sorted(
+            F(rng.randint(1, 99), rng.randint(1, 9)) for _ in range((1 << n) - 1))))["table"]
+        for e in rng.sample(entries, 2):
+            e["set"] = e["set"][::-1] if len(e["set"]) > 1 else e["set"] * 2
+        assert_same_cost(cost_from_json(n, {"table": entries}), reference_table(n, entries))
+    with pytest.raises(ValidationError) as caught:
+        cost_from_json(2, {"table": TABLE + [{"set": [2, 0, 2], "cost": "3/1"}]})
+    assert str(caught.value) == "bad player ids in table entry [2, 0, 2]"
+
+
+def test_mixed_rational_column_loads_like_the_reference():
+    entries = [{"set": [0], "cost": 1}, {"set": [1], "cost": "2/3"},
+               {"set": [0, 1], "cost": "7"}]
+    assert parse_fractions(["2/3", 1, "7"]) == ([2, 1, 7], [3, 1, 1])
+    assert_same_cost(cost_from_json(2, {"table": entries}), reference_table(2, entries))
+    assert_same_cost(cost_from_json(2, {"anonymous": ["0/1", 1, "7"]}),
+                     SetCostFunction.anonymous([0, 1, 7]))
+
+
+def test_bit_budget_applies_to_reduced_values():
     """Each entry is |S| written over its own prime, "|S|p/p": the written
     denominators take more than MAX_SCALE_BITS bits together, but the
-    values are integers, so L is 1 and both readers load the table."""
+    values are integers, so L is 1 and the table loads."""
     n = 9
     sieve = bytearray([1]) * 4000
     for p in range(2, 64):
@@ -249,10 +282,9 @@ def test_bit_budget_applies_to_reduced_values(monkeypatch):
                 "cost": f"{mask.bit_count() * p}/{p}"}
                for mask, p in zip(range(1, 1 << n), primes)]
     expected = SetCostFunction(n, [mask.bit_count() for mask in range(1 << n)])
-    for _ in range(2):
-        f = cost_from_json(n, {"table": entries})
-        assert f == expected and f.denominator == 1
-        monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
+    f = cost_from_json(n, {"table": entries})
+    assert f == expected and f.denominator == 1
+    assert_same_cost(f, reference_table(n, entries))
 
 
 REJECTED_TABLES = [
@@ -282,12 +314,29 @@ REJECTED_TABLES = [
 
 @pytest.mark.parametrize("entries, message", [case[1:] for case in REJECTED_TABLES],
                          ids=[case[0] for case in REJECTED_TABLES])
-def test_bulk_table_reader_keeps_messages(entries, message, monkeypatch):
-    for _ in range(2):
+def test_bulk_table_reader_keeps_messages(entries, message):
+    with pytest.raises(ValidationError) as caught:
+        cost_from_json(2, {"table": entries})
+    assert str(caught.value) == message
+
+
+def test_table_faults_are_named_structure_ids_duplicates_rationals(tmp_path, capsys):
+    # a table with several faults names the first of the first kind, in
+    # the order: structure, member id, duplicate set, rational
+    bad_id, no_cost = {"set": [5], "cost": "1/1"}, {"set": [1]}
+    dup, bad_cost = {"set": [0], "cost": "1/1"}, {"set": [0], "cost": "x"}
+    for entries, message in [
+            ([bad_id, no_cost], "table entry: missing key 'cost'"),
+            ([bad_cost, dup, bad_id], "bad player ids in table entry [5]"),
+            ([bad_cost, dup], "duplicate table entry for set [0]")]:
         with pytest.raises(ValidationError) as caught:
             cost_from_json(2, {"table": entries})
         assert str(caught.value) == message
-        monkeypatch.setattr("costarena.gamefile._table_in_bulk", lambda n, entries: None)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"players": 2, "strategies": [[["r"]], [["r"]]], "resources": [
+        {"id": "r", "cost": {"table": [bad_id, no_cost]}}]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "table entry: missing key 'cost'" in capsys.readouterr().err
 
 
 def test_fraction_round_trip():
@@ -526,6 +575,12 @@ def table_doc_with_users(users):
     return doc
 
 
+def table_doc_with_shares(shares):
+    doc = table_doc()
+    doc["entries"][0]["shares"] = shares
+    return doc
+
+
 def one_edge_network(terminals, forced=None):
     edge = Edge("e", "s", "t", SetCostFunction.anonymous([0, 1]))
     return NetworkModel(("s", "t"), (edge,), terminals, forced)
@@ -553,6 +608,8 @@ def one_edge_network(terminals, forced=None):
     (lambda: WeightSystem((1, 1), ((True,), (0,))), "player id True is not an int"),
     (lambda: TableProtocol().set_entry(SetCostFunction.anonymous([0, 1]), 0b1, {"a": 1},
                                        validate=False), "player id 'a' is not an int"),
+    (lambda: table_protocol_from_json(table_doc_with_shares(
+        {"0": "0/1", " 0": "1/1", "1": "1/1"})), "player 0 named twice in shares, last as ' 0'"),
 ])
 def test_rejections_name_the_fault(build, message):
     with pytest.raises(ValidationError) as caught:
