@@ -7,7 +7,8 @@ stored in integers, as numerators over one canonical denominator, and
 shows its values as ``fractions.Fraction`` only at the API; nothing in
 this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
-``parse_fraction``, or a column at a time by ``parse_fractions``.
+``parse_fraction``, or a column at a time by ``parse_fractions``; every
+player id from outside is read by ``player_mask``.
 """
 
 from __future__ import annotations
@@ -57,19 +58,17 @@ class Memo(dict):
 # Player-set bitmask helpers
 # ---------------------------------------------------------------------------
 
-def player_id(p) -> int:
-    """``p`` if it is an int and not a bool, else ValidationError naming it."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValidationError(f"player id {p!r} is not an int")
-    return p
-
-
-def player_mask(players: Iterable[int]) -> int:
-    """Bitmask for a collection of 0-based player indices."""
+def player_mask(players: Iterable[int], n: int) -> int:
+    """The one reader of outside player ids: the bitmask of the collection
+    ``players``, each an int, not a bool, in 0..n-1; a repeated id counts
+    once. A bad id raises ValidationError naming it (and the collection and
+    the range, when it is an int)."""
     mask = 0
     for p in players:
-        if player_id(p) < 0:
-            raise ValidationError(f"negative player id {p}")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValidationError(f"player id {p!r} is not an int")
+        if not 0 <= p < n:
+            raise ValidationError(f"player id {p} in {players!r} out of range 0..{n - 1}")
         mask |= 1 << p
     return mask
 
@@ -264,8 +263,8 @@ class SetCostFunction:
         check_player_count(n)  # before sizing the table by it
         table = [0] * (1 << n)
         for key, value in entries.items():
-            mask = key if isinstance(key, int) else player_mask(key)
-            if mask >> n:
+            mask = key if isinstance(key, int) else player_mask(key, n)
+            if mask >> n:  # an int key; player_mask has read the others
                 raise ValidationError(f"user set {key!r} outside 0..{n - 1}")
             table[mask] = value
         return cls(n, table)
@@ -477,6 +476,8 @@ class GameModel:
         if len(profile) != self.n:
             raise ValidationError(f"profile has {len(profile)} entries, game has {self.n} players")
         for i, si in enumerate(profile):
+            if not isinstance(si, int) or isinstance(si, bool):
+                raise ValidationError(f"player {i}: strategy index {si!r} is not an int")
             if not 0 <= si < len(self.strategy_sets[i]):
                 raise ValidationError(f"player {i}: strategy index {si} out of range")
 

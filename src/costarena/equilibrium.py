@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import CapExceededError, GameModel, Memo, Profile, ValidationError, scale_lcm
+from .core import (
+    CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, scale_lcm)
 from .protocols import Protocol, ShapleyProtocol
 
 DEFAULT_PROFILE_CAP = 10 ** 7
@@ -203,6 +204,7 @@ def best_response(model: GameModel, protocol: Protocol, profile: Profile,
     Keeps the current strategy when it ties the minimum; otherwise picks
     the lowest-index minimizer.
     """
+    player_mask((i,), model.n)
     return _Kernel(model, protocol).at(profile).best_response(i, profile[i])[0]
 
 

@@ -145,7 +145,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
 
     constant = SetCostFunction.anonymous([0] + [1 + eps] * n)
     violation = find_share_monotonicity_violation(
-        protocol, constant, within=player_mask(detour_players))
+        protocol, constant, within=player_mask(detour_players, n))
     if violation is not None:
         i, small, big = violation
         raise ProtocolError(
@@ -156,7 +156,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     slot_of: dict[int, int] = {}
     remaining = list(detour_players)
     for slot in range(half, 0, -1):
-        users = player_mask(remaining)
+        users = player_mask(remaining, n)
         chosen = max(remaining,
                      key=lambda b: (protocol.share(constant, users, b), -b))
         slot_of[chosen] = slot

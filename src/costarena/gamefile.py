@@ -2,7 +2,10 @@
 
 Every rational crosses the wire as a "p/q" string (denominator always
 written), so parse/serialize round-trips are exact and no float ever
-appears in a file. Player ids are 0-based everywhere.
+appears in a file. Player ids are 0-based everywhere: an id in a list (a
+table set, a share entry's ``users``, a block) is read by
+``core.player_mask``, and ``_by_player`` reads every object keyed by
+player id (``shares``, ``lambda``), whose keys must be "0".."n-1" exactly.
 
 A game file is either flat::
 
@@ -46,6 +49,7 @@ from .core import (
     ValidationError,
     check_player_count,
     parse_fractions,
+    player_mask,
 )
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
@@ -157,8 +161,8 @@ def _table(n: int, entries: list) -> tuple[list, list, list]:
             costs.append(_require(e, "cost", None, "table entry"))
     index = _member_index(n)
     masks = list(map(index.get, map(tuple, sets)))
-    if None in masks:
-        masks = [_mask(n, members) if mask is None else mask
+    if None in masks:  # a set written out of order or with a member twice
+        masks = [player_mask(members, n) if mask is None else mask
                  for mask, members in zip(masks, sets)]
     if len(set(masks)) != len(masks):
         seen = set()
@@ -169,13 +173,6 @@ def _table(n: int, entries: list) -> tuple[list, list, list]:
     return (masks, *parse_fractions(costs))
 
 
-def _mask(n: int, members: list) -> int:
-    """The user mask of a set written out of order or with a member twice."""
-    if not all(0 <= i < n for i in members):
-        raise ValidationError(f"bad player ids in table entry {members!r}")
-    return sum(1 << i for i in set(members))
-
-
 @cache
 def _member_index(n: int) -> dict:
     """Ascending member tuple -> user mask, for every subset of n players."""
@@ -183,6 +180,23 @@ def _member_index(n: int) -> dict:
     for i in range(n):
         members += [m + (i,) for m in members]
     return dict(zip(members, range(1 << n)))
+
+
+@cache
+def _id_keys(n: int) -> dict:
+    """"0".."n-1" -> player id: the one way to write each id as a key."""
+    check_player_count(n)
+    return {str(i): i for i in range(n)}
+
+
+def _by_player(obj: dict, n: int, what: str) -> dict:
+    """``obj``, an object keyed by player id, as {id: value}. Each key must
+    be exactly one of "0".."n-1", so no two keys name one player."""
+    ids = _id_keys(n)
+    try:
+        return {ids[k]: v for k, v in obj.items()}
+    except KeyError as exc:
+        raise ValidationError(f"bad player id {exc.args[0]!r} in {what}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +300,8 @@ def weight_system_to_json(w: WeightSystem) -> dict:
 
 def weight_system_from_json(obj) -> WeightSystem:
     raw = _require(obj, "lambda", None, "weight system")
-    if isinstance(raw, dict):
-        try:
-            pairs = sorted((int(k), v) for k, v in raw.items())
-        except ValueError:
-            raise ValidationError("lambda keys must be player indices") from None
-        if [k for k, _ in pairs] != list(range(len(pairs))):
-            raise ValidationError("lambda must cover players 0..n-1")
-        weights = [v for _, v in pairs]
+    if isinstance(raw, dict):  # n keys, each naming one of n players: a cover
+        weights = [v for _, v in sorted(_by_player(raw, len(raw), "lambda").items())]
     elif isinstance(raw, list):
         weights = raw
     else:
@@ -325,25 +333,9 @@ def table_protocol_from_json(obj) -> TableProtocol:
     protocol = TableProtocol(fallback=fallback, players=n)
     for entry in _require(obj, "entries", list, "share table"):
         f = cost_from_json(n, _require(entry, "cost", dict, "share entry"))
-        users_list = _list_of(_require(entry, "users", None, "share entry"), int,
-                              "share entry users")
-        users = 0
-        for i in users_list:
-            if not 0 <= i < n:
-                raise ValidationError(f"bad user id {i!r} in share entry")
-            users |= 1 << i
-        raw_shares = _require(entry, "shares", dict, "share entry")
-        shares = {}
-        for k, v in raw_shares.items():
-            try:
-                i = int(k)
-                if not 0 <= i < n:
-                    raise ValueError
-            except ValueError:
-                raise ValidationError(f"bad player id {k!r} in shares") from None
-            if i in shares:  # "0", " 0" and "+0" all name player 0
-                raise ValidationError(f"player {i} named twice in shares, last as {k!r}")
-            shares[i] = v
+        users = player_mask(_list_of(_require(entry, "users", None, "share entry"), int,
+                                     "share entry users"), n)
+        shares = _by_player(_require(entry, "shares", dict, "share entry"), n, "shares")
         protocol.set_entry(f, users, shares, validate=False)
     return protocol
 

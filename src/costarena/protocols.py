@@ -60,7 +60,6 @@ from .core import (
     iter_submasks,
     mask_members,
     parse_fraction,
-    player_id,
     player_mask,
     scale_lcm,
 )
@@ -204,17 +203,15 @@ class WeightSystem:
         check_player_count(n)  # each block's subset sums are enumerated
         if any(w <= 0 for w in self.weights):
             raise ValidationError("weights must be positive")
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
+        seen = 0
+        for block, mask in zip(self.blocks, self.block_masks()):
+            if not mask:
                 raise ValidationError("empty block in ordered partition")
-            for p in block:
-                if not 0 <= player_id(p) < n:
-                    raise ValidationError(f"player {p} out of range in partition")
-                if p in seen:
-                    raise ValidationError(f"player {p} appears twice in partition")
-                seen.add(p)
-        if len(seen) != n:
+            if mask & seen or mask.bit_count() < len(block):
+                twice = next(p for p in block if block.count(p) > 1 or seen >> p & 1)
+                raise ValidationError(f"player {twice} appears twice in partition")
+            seen |= mask
+        if seen != full_mask(n):
             raise ValidationError("ordered partition must cover every player")
 
     @property
@@ -227,7 +224,7 @@ class WeightSystem:
         return cls((Fraction(1),) * n, (tuple(range(n)),))
 
     def block_masks(self) -> tuple[int, ...]:
-        return tuple(player_mask(b) for b in self.blocks)
+        return tuple(player_mask(b, self.n) for b in self.blocks)
 
     def block_of(self, i: int) -> int:
         for k, block in enumerate(self.blocks):
@@ -323,7 +320,7 @@ class TableProtocol(Protocol):
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
         shares = {i: parse_fraction(v) for i, v in shares.items()}
-        members = player_mask(shares)
+        members = player_mask(list(shares), f.n)
         if validate:
             if members != users:
                 raise ValidationError(
@@ -407,8 +404,8 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
 def private_cost(model, protocol: Protocol, profile, i: int) -> Fraction:
     """Player i's total payment: the sum of i's shares over the resources
     in i's chosen strategy."""
+    bit = player_mask((i,), model.n)
     usage = model.usage_masks(profile)
-    bit = 1 << i
     total = ZERO
     for f, users in zip(model.cost_fns, usage):
         if users & bit:

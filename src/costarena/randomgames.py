@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import GameModel, SetCostFunction, ValidationError, full_mask, mask_members
+from .core import (
+    CapExceededError, GameModel, SetCostFunction, ValidationError, full_mask, mask_members)
 
 ARBITRARY = "arbitrary"
 SUBMODULAR_CLASS = "submodular"
@@ -29,6 +30,8 @@ SUPERMODULAR_CLASS = "supermodular"
 COST_CLASSES = (ARBITRARY, SUBMODULAR_CLASS, SUPERMODULAR_CLASS)
 
 SCALE = 12  # lcm(1, 2, 3, 4)
+
+CORPUS_CAP = 10 ** 5  # games in one corpus; as many default-size games take about 200 MB
 
 
 def _small_fraction(rng: random.Random, num_max: int) -> int:
@@ -121,8 +124,10 @@ def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
 
 
 def corpus(seed: int, count: int, cost_class: str = ARBITRARY, **kwargs) -> list[GameModel]:
-    """Deterministic list of ``count`` random games for one seed."""
+    """Deterministic list of ``count`` (at most CORPUS_CAP) random games for one seed."""
     if count < 0:
         raise ValidationError(f"game count {count} is negative")
+    if count > CORPUS_CAP:
+        raise CapExceededError(f"{count} games asked for, cap is {CORPUS_CAP}")
     rng = random.Random(seed)
     return [random_game(rng, cost_class, **kwargs) for _ in range(count)]

@@ -9,6 +9,7 @@ from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction, scale_lcm
 from costarena.equilibrium import AnalysisReport
 from costarena.gamefile import game_to_json, network_to_json
 from costarena.network import to_game
+from costarena.randomgames import CORPUS_CAP
 
 F = Fraction
 
@@ -97,6 +98,12 @@ def test_analyze_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert err == ("cap exceeded: profile space has 2 profiles, cap is 1 "
                    "(ARENA_MAX_PROFILES overrides)\n")
+
+
+def test_verify_bounds_count_cap_exits_3(capsys):
+    rc, doc, err = run(capsys, "verify-bounds", "--count", str(CORPUS_CAP + 1))
+    assert (rc, doc) == (3, None)
+    assert err == f"cap exceeded: {CORPUS_CAP + 1} games asked for, cap is {CORPUS_CAP}\n"
 
 
 def test_path_cap_exit_3_names_only_its_own_cap(capsys, monkeypatch):

@@ -31,9 +31,9 @@ def simple_game(n, resources, strategy_sets, cost_fns):
 # ---------------------------------------------------------------------------
 
 def test_mask_round_trip():
-    assert player_mask([0, 2, 3]) == 0b1101
+    assert player_mask([0, 2, 3], 4) == 0b1101
     assert mask_members(0b1101) == (0, 2, 3)
-    assert player_mask(mask_members(0b101010)) == 0b101010
+    assert player_mask(mask_members(0b101010), 6) == 0b101010
     assert mask_members(0) == ()
 
 
@@ -186,8 +186,8 @@ def brute_force_classify(f):
                     for i in players:
                         if i in y:
                             continue
-                        mx = f.value(player_mask(x + (i,))) - f.value(player_mask(x))
-                        my = f.value(player_mask(y + (i,))) - f.value(player_mask(y))
+                        mx = f.value(player_mask(x + (i,), f.n)) - f.value(player_mask(x, f.n))
+                        my = f.value(player_mask(y + (i,), f.n)) - f.value(player_mask(y, f.n))
                         if mx < my:
                             sub = False
                         if mx > my:

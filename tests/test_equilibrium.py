@@ -12,6 +12,7 @@ from costarena.core import (
     GameModel,
     SetCostFunction,
     ValidationError,
+    social_cost,
 )
 from costarena.equilibrium import (
     INFINITE,
@@ -522,6 +523,20 @@ def test_custom_protocol_prices_a_game():
 # ---------------------------------------------------------------------------
 # caps
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("index", [0.0, "0", True])
+def test_strategy_indices_are_ints(index):
+    # a float, a string or a bool is refused before it reaches an index;
+    # True is not read as strategy 1
+    f = SetCostFunction.anonymous([0, 1, 2])
+    g = GameModel(2, ("a", "b"), ((frozenset({"a"}), frozenset({"b"})), (frozenset({"a"}),)),
+                  (f, f))
+    for call in (lambda p: is_pne(g, SHAPLEY, p), lambda p: social_cost(g, p),
+                 lambda p: potential(g, p), lambda p: best_response_dynamics(g, SHAPLEY, p)):
+        with pytest.raises(ValidationError) as caught:
+            call((index, 0))
+        assert str(caught.value) == f"player 0: strategy index {index!r} is not an int"
+
 
 def test_profile_cap_env_override(monkeypatch):
     monkeypatch.delenv("ARENA_MAX_PROFILES", raising=False)

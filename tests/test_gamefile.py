@@ -13,7 +13,9 @@ from costarena.core import (
     ValidationError,
     parse_fraction,
     parse_fractions,
+    player_mask,
 )
+from costarena.equilibrium import best_response
 from costarena.gadgets import GadgetSpec, build_poa_unbounded, build_pos_linear, verify_gadget
 from costarena.gamefile import (
     cost_from_json,
@@ -31,7 +33,13 @@ from costarena.gamefile import (
     weight_system_to_json,
 )
 from costarena.network import Edge, NetworkModel, to_game
-from costarena.protocols import ProtocolError, ShapleyProtocol, TableProtocol, WeightSystem
+from costarena.protocols import (
+    ProtocolError,
+    ShapleyProtocol,
+    TableProtocol,
+    WeightSystem,
+    private_cost,
+)
 from costarena.randomgames import corpus
 
 F = Fraction
@@ -90,6 +98,74 @@ RATIONAL_ENTRY_POINTS = {
 def test_every_rational_entry_point_reads_through_parse_fraction(entry, value):
     with pytest.raises(ValidationError):
         RATIONAL_ENTRY_POINTS[entry](value)
+
+
+SHARED = GameModel(2, ("r",), ((frozenset({"r"}),), (frozenset({"r"}),)),
+                   (SetCostFunction.anonymous([0, 1, 2]),))
+
+#: Every public entry point that takes outside player ids, as a call on one
+#: id at n = 2, with the collection of ids that reaches ``player_mask``.
+PLAYER_ID_ENTRY_POINTS = {
+    "from_table": (lambda v: SetCostFunction.from_table(2, {(0, v): 1}), lambda v: (0, v)),
+    "block": (lambda v: WeightSystem((1, 1), ((0, v), (1,))), lambda v: (0, v)),
+    "set_entry": (lambda v: TableProtocol().set_entry(
+        SetCostFunction.anonymous([0, 1, 2]), 0b1, {v: 1}, validate=False), lambda v: [v]),
+    "validated set_entry": (lambda v: TableProtocol().set_entry(
+        SetCostFunction.anonymous([0, 1, 2]), 0b1, {0: 1, v: 0}), lambda v: [0, v]),
+    "table": (lambda v: TableProtocol({(SetCostFunction.anonymous([0, 1, 2]), 0b1): {v: 1}}),
+              lambda v: [v]),
+    "table set": (lambda v: cost_from_json(2, {"table": [{"set": [1, v], "cost": "1/1"}]}),
+                  lambda v: [1, v]),
+    "share users": (lambda v: table_protocol_from_json(table_doc_with_users([0, v])),
+                    lambda v: [0, v]),
+    "best_response": (lambda v: best_response(SHARED, ShapleyProtocol(), (0, 0), v),
+                      lambda v: (v,)),
+    "private_cost": (lambda v: private_cost(SHARED, ShapleyProtocol(), (0, 0), v),
+                     lambda v: (v,)),
+}
+
+
+@pytest.mark.parametrize("value", [2, -1, True, 1.0])
+@pytest.mark.parametrize("entry", list(PLAYER_ID_ENTRY_POINTS))
+def test_every_player_id_entry_point_reads_through_player_mask(entry, value):
+    # an int id out of range gets player_mask's own message; a bool or a
+    # float is refused by player_mask, or first by a file reader's type check
+    call, ids = PLAYER_ID_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    if type(value) is int:
+        with pytest.raises(ValidationError) as expected:
+            player_mask(ids(value), 2)
+        assert str(caught.value) == str(expected.value)
+
+
+PLAYER_KEYED_READERS = {
+    "shares": lambda keyed: table_protocol_from_json(table_doc_with_shares(keyed)),
+    "lambda": lambda keyed: weight_system_from_json({"lambda": keyed, "blocks": [[0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("key", [" 0", "+0", "00", "1_0", "\u0661", "2"])
+@pytest.mark.parametrize("what", list(PLAYER_KEYED_READERS))
+def test_every_player_keyed_object_reads_through_one_key_rule(what, key):
+    # a key is exactly one of "0".."n-1"; int(key) would read each of these
+    # but "2" as a player of a 2-player file
+    with pytest.raises(ValidationError) as caught:
+        PLAYER_KEYED_READERS[what]({"0": "1/1", key: "1/1"})
+    assert str(caught.value) == f"bad player id {key!r} in {what}"
+
+
+def test_player_keys_name_no_other_player():
+    # with 11 players int("1_0") would name player 10
+    keyed = {str(i): "1/1" for i in range(10)}
+    with pytest.raises(ValidationError) as caught:
+        weight_system_from_json({"lambda": {**keyed, "1_0": "2/1"}, "blocks": [list(range(11))]})
+    assert str(caught.value) == "bad player id '1_0' in lambda"
+    w = weight_system_from_json({"lambda": {**keyed, "10": "2/1"}, "blocks": [list(range(11))]})
+    assert w.weights == (1,) * 10 + (2,)
+    with pytest.raises(ValidationError) as caught:
+        weight_system_from_json({"lambda": {str(i): "1/1" for i in range(17)}, "blocks": []})
+    assert str(caught.value) == "player count 17 out of range 1..16"
 
 
 EDGE_STRINGS = (
@@ -168,9 +244,9 @@ MALFORMED_COSTS = [
     (2, {"table": [{"set": [1], "cost": "0/1"}, {"set": [1], "cost": "1/1"}]},
      "duplicate table entry for set [1]"),
     (2, {"table": [{"set": [0, 2], "cost": "1/1"}]},
-     "bad player ids in table entry [0, 2]"),
+     "player id 2 in [0, 2] out of range 0..1"),
     (2, {"table": [{"set": [-1], "cost": "1/1"}]},
-     "bad player ids in table entry [-1]"),
+     "player id -1 in [-1] out of range 0..1"),
     (2, {"table": [{"set": [0], "cost": "3/0"}]}, "bad rational '3/0'"),
     (2, {"table": [{"set": [0], "cost": True}]}, "not an exact rational: True"),
     (2, {"anonymous": ["1/2", "1/1", "2/1"]}, "cost of the empty set is 1/2, must be 0"),
@@ -256,7 +332,7 @@ def test_unsorted_sets_among_sorted_ones_load_like_the_reference():
         assert_same_cost(cost_from_json(n, {"table": entries}), reference_table(n, entries))
     with pytest.raises(ValidationError) as caught:
         cost_from_json(2, {"table": TABLE + [{"set": [2, 0, 2], "cost": "3/1"}]})
-    assert str(caught.value) == "bad player ids in table entry [2, 0, 2]"
+    assert str(caught.value) == "player id 2 in [2, 0, 2] out of range 0..1"
 
 
 def test_mixed_rational_column_loads_like_the_reference():
@@ -295,7 +371,7 @@ REJECTED_TABLES = [
     ("set not a list", table_with(0, {"set": "0", "cost": "1/2"}),
      "table entry set: expected a list of integers"),
     ("out of range", table_with(1, {"set": [2], "cost": "1/2"}),
-     "bad player ids in table entry [2]"),
+     "player id 2 in [2] out of range 0..1"),
     ("duplicate set", table_with(1, {"set": [0], "cost": "1/2"}),
      "duplicate table entry for set [0]"),
     ("zero denominator", table_with(0, {"set": [0], "cost": "1/0"}), "bad rational '1/0'"),
@@ -327,7 +403,7 @@ def test_table_faults_are_named_structure_ids_duplicates_rationals(tmp_path, cap
     dup, bad_cost = {"set": [0], "cost": "1/1"}, {"set": [0], "cost": "x"}
     for entries, message in [
             ([bad_id, no_cost], "table entry: missing key 'cost'"),
-            ([bad_cost, dup, bad_id], "bad player ids in table entry [5]"),
+            ([bad_cost, dup, bad_id], "player id 5 in [5] out of range 0..1"),
             ([bad_cost, dup], "duplicate table entry for set [0]")]:
         with pytest.raises(ValidationError) as caught:
             cost_from_json(2, {"table": entries})
@@ -587,8 +663,10 @@ def one_edge_network(terminals, forced=None):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SetCostFunction.from_table(2, {(0, 2): 1}), "user set (0, 2) outside 0..1"),
-    (lambda: SetCostFunction.from_table(2, {(-1,): 1}), "negative player id -1"),
+    (lambda: SetCostFunction.from_table(2, {(0, 2): 1}),
+     "player id 2 in (0, 2) out of range 0..1"),
+    (lambda: SetCostFunction.from_table(2, {(-1,): 1}),
+     "player id -1 in (-1,) out of range 0..1"),
     (lambda: SetCostFunction.from_table(2, {("a",): 1}), "player id 'a' is not an int"),
     (lambda: SetCostFunction.from_table(2, {(1.0,): 1}), "player id 1.0 is not an int"),
     (lambda: SetCostFunction.from_table(2, {(True,): 1}), "player id True is not an int"),
@@ -597,19 +675,27 @@ def one_edge_network(terminals, forced=None):
      "one strategy set per player required"),
     (lambda: cost_from_json(2, ["0/1"]), "cost must be an object"),
     (lambda: table_protocol_from_json(table_doc_with_users([0, 5])),
-     "bad user id 5 in share entry"),
+     "player id 5 in [0, 5] out of range 0..1"),
     (lambda: NetworkModel(("s", "t"), (), ()), "at least one player (terminal pair) required"),
     (lambda: one_edge_network((("s", "x"),)), "player 0 terminals ('s', 'x') unknown"),
     (lambda: one_edge_network((("s", "t"),), forced=()),
      "forced list must have one entry per player"),
-    (lambda: WeightSystem((1, 1), ((0, 2),)), "player 2 out of range in partition"),
+    (lambda: WeightSystem((1, 1), ((2, 0),)), "player id 2 in (2, 0) out of range 0..1"),
     (lambda: WeightSystem((1, 1), (("a",), (1,))), "player id 'a' is not an int"),
     (lambda: WeightSystem((1, 1), ((0.0,), (1,))), "player id 0.0 is not an int"),
     (lambda: WeightSystem((1, 1), ((True,), (0,))), "player id True is not an int"),
     (lambda: TableProtocol().set_entry(SetCostFunction.anonymous([0, 1]), 0b1, {"a": 1},
                                        validate=False), "player id 'a' is not an int"),
     (lambda: table_protocol_from_json(table_doc_with_shares(
-        {"0": "0/1", " 0": "1/1", "1": "1/1"})), "player 0 named twice in shares, last as ' 0'"),
+        {"0": "0/1", " 0": "1/1", "1": "1/1"})), "bad player id ' 0' in shares"),
+    (lambda: weight_system_from_json({"lambda": {"0": "1/1", " 0": "2/1", "1": "1/1"},
+                                      "blocks": [[0, 1]]}), "bad player id ' 0' in lambda"),
+    (lambda: TableProtocol().set_entry(SetCostFunction.anonymous([0, 1, 2]), 0b1, {5: 1},
+                                       validate=False), "player id 5 in [5] out of range 0..1"),
+    (lambda: WeightSystem((1, 1), ((0, 0), (1,))), "player 0 appears twice in partition"),
+    (lambda: WeightSystem((1, 1), ((1,), (0, 1))), "player 1 appears twice in partition"),
+    (lambda: WeightSystem((1, 1, 1), ((2, 0),)), "ordered partition must cover every player"),
+    (lambda: WeightSystem((1, 1), ((0, 1), ())), "empty block in ordered partition"),
 ])
 def test_rejections_name_the_fault(build, message):
     with pytest.raises(ValidationError) as caught:

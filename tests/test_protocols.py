@@ -255,7 +255,7 @@ def gws_share_by_dividends(f, users, i, w):
             continue
         d = sum((-1) ** (t.bit_count() - s.bit_count()) * f.value(s)
                 for s in range(t + 1) if s & ~t == 0)
-        top = next(t & player_mask(b) for b in w.blocks if t & player_mask(b))
+        top = next(t & player_mask(b, f.n) for b in w.blocks if t & player_mask(b, f.n))
         if (top >> i) & 1:
             total += d * w.weights[i] / sum(w.weights[j] for j in mask_members(top))
     return total

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from costarena.core import ValidationError, classify
+from costarena.core import CapExceededError, ValidationError, classify
 from costarena.gamefile import game_to_json
-from costarena.randomgames import COST_CLASSES, corpus, random_cost, random_game
+from costarena.randomgames import CORPUS_CAP, COST_CLASSES, corpus, random_cost, random_game
 
 
 def test_corpus_is_deterministic():
@@ -19,6 +19,16 @@ def test_corpus_count_is_not_negative():
     assert corpus(99, 0) == []
     with pytest.raises(ValidationError, match="count -3"):
         corpus(99, -3)
+
+
+def test_corpus_cap_acts_before_the_first_game(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("costarena.randomgames.random_game", lambda *a, **k: drawn.append(a))
+    with pytest.raises(CapExceededError) as caught:
+        corpus(99, CORPUS_CAP + 1)
+    assert str(caught.value) == f"{CORPUS_CAP + 1} games asked for, cap is {CORPUS_CAP}"
+    assert drawn == []
+    assert len(corpus(99, CORPUS_CAP)) == CORPUS_CAP == len(drawn)
 
 
 def test_cost_class_guarantees():
