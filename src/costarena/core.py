@@ -38,7 +38,7 @@ class ValidationError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration exceeded its configured size cap."""
+    """An enumeration exceeded its size cap."""
 
 
 class Memo(dict):
@@ -263,6 +263,8 @@ class SetCostFunction:
         check_player_count(n)  # before sizing the table by it
         table = [0] * (1 << n)
         for key, value in entries.items():
+            if isinstance(key, bool):
+                raise ValidationError(f"user set {key!r} is a bool, not a mask")
             mask = key if isinstance(key, int) else player_mask(key, n)
             if mask >> n:  # an int key; player_mask has read the others
                 raise ValidationError(f"user set {key!r} outside 0..{n - 1}")

@@ -25,14 +25,12 @@ is reported.
 
 ``analyze`` takes the equilibria, their social costs and potentials, and
 the optimum from one walk. Ties break lexicographically, so reports are
-reproducible. The profile-space size is capped (default 10^7, overridable
-through the ARENA_MAX_PROFILES environment variable).
+reproducible. The profile-space size is capped at ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,24 +40,11 @@ from .core import (
     CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, scale_lcm)
 from .protocols import Protocol, ShapleyProtocol
 
-DEFAULT_PROFILE_CAP = 10 ** 7
+#: Most profiles a walk may visit; a larger space raises CapExceededError.
+PROFILE_CAP = 10 ** 7
 
 #: Ratio value when the optimum costs 0 but some equilibrium does not.
 INFINITE = math.inf
-
-
-def profile_cap() -> int:
-    """Enumeration cap; ARENA_MAX_PROFILES overrides the default."""
-    raw = os.environ.get("ARENA_MAX_PROFILES")
-    if raw is None:
-        return DEFAULT_PROFILE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"ARENA_MAX_PROFILES={raw!r} is not an integer") from None
-    if cap <= 0:
-        raise ValidationError("ARENA_MAX_PROFILES must be positive")
-    return cap
 
 
 class _Kernel:
@@ -113,10 +98,8 @@ class _Kernel:
         Raises CapExceededError before the first profile if the space is
         larger than the cap."""
         size = self.model.profile_space_size()
-        cap = profile_cap()
-        if size > cap:
-            raise CapExceededError(f"profile space has {size} profiles, cap is {cap} "
-                                   "(ARENA_MAX_PROFILES overrides)")
+        if size > PROFILE_CAP:
+            raise CapExceededError(f"profile space has {size} profiles, cap is {PROFILE_CAP}")
         strategies = self.strategies
         usage = self.usage = [0] * len(rows)
         for i, sset in enumerate(strategies):

@@ -14,7 +14,10 @@ Kinds:
   protocol, a two-player network with anonymous convex costs whose price
   of anarchy is at least a. Which of two networks gets emitted depends on
   how the protocol splits a supermodular pair cost as the pair value q
-  grows, probed on a finite doubling grid.
+  grows, probed on the doubling grid q in {2, 4, ..., 2^PROBE_DOUBLINGS * a}.
+
+Every probe compares the protocol's integer ``scaled_share``s of one cost
+function, which share one scale.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ POA_UNBOUNDED = "poa_unbounded"
 KINDS = (POS_LINEAR, POS_NHARMONIC, POA_UNBOUNDED)
 
 BOTH = 0b11  # two-player full user set
+
+#: ``poa_unbounded`` probes pair values q up to 2^PROBE_DOUBLINGS * a.
+PROBE_DOUBLINGS = 20
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     for slot in range(half, 0, -1):
         users = player_mask(remaining, n)
         chosen = max(remaining,
-                     key=lambda b: (protocol.share(constant, users, b), -b))
+                     key=lambda b: (protocol.scaled_share(constant, users, b), -b))
         slot_of[chosen] = slot
         remaining.remove(chosen)
 
@@ -196,15 +202,15 @@ def min_pair_share(protocol: Protocol, q) -> Fraction:
     """Smallest share any of the two players pays when both sit on the
     supermodular pair cost with pair value q."""
     f = _pair_cost(q)
-    return min(protocol.share(f, BOTH, 0), protocol.share(f, BOTH, 1))
+    share = protocol.scaled_share
+    return Fraction(min(share(f, BOTH, 0), share(f, BOTH, 1)), protocol.share_scale(f))
 
 
-def build_poa_unbounded(a, protocol: Protocol,
-                        q_probe_max=None) -> tuple[NetworkModel, int]:
+def build_poa_unbounded(a, protocol: Protocol) -> tuple[NetworkModel, int]:
     """Two-player network whose price of anarchy reaches the target ``a``.
 
     Probes how the protocol splits the supermodular pair cost (1, 1, q)
-    over a doubling grid q in {2, 4, ..., q_probe_max} (default 2^20 * a).
+    over the doubling grid q in {2, 4, ..., 2^PROBE_DOUBLINGS * a}.
     If both players' shares ever reach 4a, that q yields a diamond network
     (case 1) where one player squatting on a per-player-4a direct arc and
     the other zigzagging through both supermodular edges is an equilibrium
@@ -219,14 +225,10 @@ def build_poa_unbounded(a, protocol: Protocol,
     """
     spec = GadgetSpec(POA_UNBOUNDED, a=a)
     a = spec.a
-    q_probe_max = (1 << 20) * a if q_probe_max is None else parse_fraction(q_probe_max)
-    if q_probe_max < 2:
-        raise ValidationError("q_probe_max must be at least 2")
-
     observed = []
-    q = Fraction(2)
+    q = 2
     case1_q = None
-    while q <= q_probe_max:
+    while q <= (1 << PROBE_DOUBLINGS) * a:
         m = min_pair_share(protocol, q)
         observed.append(m)
         if m >= 4 * a:
@@ -253,7 +255,8 @@ def build_poa_unbounded(a, protocol: Protocol,
     q_emit = max(a * (z + 1), Fraction(2))
     pair = _pair_cost(q_emit)
     # the player the protocol charges less on the shared pair gets the choice
-    chooser = 0 if protocol.share(pair, BOTH, 0) <= protocol.share(pair, BOTH, 1) else 1
+    share = protocol.scaled_share
+    chooser = 0 if share(pair, BOTH, 0) <= share(pair, BOTH, 1) else 1
     terminals = [None, None]
     terminals[chooser] = ("s1", "t")
     terminals[1 - chooser] = ("s2", "t")

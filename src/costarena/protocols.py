@@ -95,7 +95,10 @@ class Protocol:
     scaled_potential = None
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
-        """``scaled_share(f, users, i) / share_scale(f)``."""
+        """``scaled_share(f, users, i) / share_scale(f)``, for a player
+        i in 0..f.n-1."""
+        _check_arity(f, users)
+        player_mask((i,), f.n)
         return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
     def shares(self, f: SetCostFunction, users: int) -> tuple:
@@ -301,10 +304,11 @@ class TableProtocol(Protocol):
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
     protocols in negative tests; the constructor's entries are read as
-    unvalidated ones. Add entries through ``set_entry``: it also drops the
-    share scales kept per cost function. A scaled share is an entry's value
-    or the fallback's scaled share, times the ratio of the scales. A cost
-    function whose arity is not ``players`` (when set, as a file sets it) raises.
+    unvalidated ones. Add entries through ``set_entry``: it also indexes
+    them by cost function and drops that function's kept share scale. A
+    scaled share is an entry's value or the fallback's scaled share, times
+    the ratio of the scales. A cost function whose arity is not ``players``
+    (when set, as a file sets it) raises.
     """
 
     name = "table"
@@ -313,7 +317,8 @@ class TableProtocol(Protocol):
     players: int | None = None
 
     def __post_init__(self):
-        self._scales = {}  # f -> share_scale(f); a plain dict, so no reference cycle
+        self._scales = {}  # f -> share_scale(f); plain dicts, so no reference cycle
+        self._by_fn = {}  # f -> {users: shares}, the entries of f
         for (f, users), shares in list(self.entries.items()):
             self.set_entry(f, users, shares, validate=False)
 
@@ -330,13 +335,14 @@ class TableProtocol(Protocol):
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
         self.entries[(f, users)] = shares
-        self._scales.clear()  # share_scale(f) reads the entries
+        self._by_fn.setdefault(f, {})[users] = shares
+        self._scales.pop(f, None)  # share_scale(f) reads f's entries
 
     def share_scale(self, f: SetCostFunction) -> int:
         """The lcm of the denominators in ``f``'s own entries and of the
         fallback's scale; entries for other cost functions do not count."""
         if f not in self._scales:
-            scales = {v.denominator for (g, _), entry in self.entries.items() if g == f
+            scales = {v.denominator for entry in self._by_fn.get(f, {}).values()
                       for v in entry.values()}
             if self.fallback is not None:
                 scales.add(self.fallback.share_scale(f))
@@ -388,6 +394,7 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
     here instead of assuming it.
     """
     scope = full_mask(f.n) if within is None else within
+    share = protocol.scaled_share  # one cost function, so one scale
     for users in iter_submasks(scope):
         if users == 0:
             continue
@@ -396,7 +403,7 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
                 continue
             bigger = users | extra
             for i in mask_members(users):
-                if protocol.share(f, users, i) < protocol.share(f, bigger, i):
+                if share(f, users, i) < share(f, bigger, i):
                     return (i, users, bigger)
     return None
 

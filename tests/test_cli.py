@@ -93,11 +93,10 @@ def test_analyze_validation_failure(tmp_path, capsys):
 
 
 def test_analyze_cap_exceeded(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "1")
+    monkeypatch.setattr("costarena.equilibrium.PROFILE_CAP", 1)
     rc, doc, err = run(capsys, "analyze", tension_file(tmp_path))
     assert rc == 3
-    assert err == ("cap exceeded: profile space has 2 profiles, cap is 1 "
-                   "(ARENA_MAX_PROFILES overrides)\n")
+    assert err == "cap exceeded: profile space has 2 profiles, cap is 1\n"
 
 
 def test_verify_bounds_count_cap_exits_3(capsys):
@@ -107,25 +106,11 @@ def test_verify_bounds_count_cap_exits_3(capsys):
 
 
 def test_path_cap_exit_3_names_only_its_own_cap(capsys, monkeypatch):
-    # the path cap, not the profile cap, stops this run: a bad profile-cap
-    # override must not turn its report into a traceback or blame the wrong cap
+    # the path cap, not the profile cap, stops this run
     monkeypatch.setattr("costarena.network.PATH_CAP", 1)
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "abc")
     rc, doc, err = run(capsys, "gadget", "pos_linear", "--n", "2", "--eps", "1/2")
     assert (rc, doc) == (3, None)
     assert err.startswith("cap exceeded: more than 1 simple") and err.count("\n") == 1
-    assert "ARENA_MAX_PROFILES" not in err
-
-
-@pytest.mark.parametrize("value", ["bogus", "0"])
-def test_bad_profile_cap_exits_2(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("ARENA_MAX_PROFILES", value)
-    for argv in (("analyze", tension_file(tmp_path)),
-                 ("gadget", "pos_linear", "--n", "2", "--eps", "1/2"),
-                 ("verify-bounds", "--count", "1")):
-        rc, doc, err = run(capsys, *argv)
-        assert (rc, doc) == (2, None)
-        assert err.startswith("error: ARENA_MAX_PROFILES") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("prefix", ["gws", "table"])

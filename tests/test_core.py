@@ -58,6 +58,13 @@ def test_table_cost_lookup():
     assert f.value(0b11) == 4
 
 
+@pytest.mark.parametrize("key", [True, False])
+def test_table_refuses_a_bool_key(key):
+    with pytest.raises(ValidationError) as caught:
+        SetCostFunction.from_table(2, {key: 1, 0b11: 2})
+    assert str(caught.value) == f"user set {key} is a bool, not a mask"
+
+
 def test_anonymous_cost_lookup():
     f = SetCostFunction.anonymous([0, 1, 3])
     assert f.n == 2

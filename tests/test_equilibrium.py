@@ -22,7 +22,6 @@ from costarena.equilibrium import (
     best_response_dynamics,
     is_pne,
     potential_minimizer,
-    profile_cap,
     social_optimum,
 )
 from costarena.gadgets import build_poa_unbounded, build_pos_linear, build_pos_nharmonic
@@ -538,26 +537,17 @@ def test_strategy_indices_are_ints(index):
         assert str(caught.value) == f"player 0: strategy index {index!r} is not an int"
 
 
-def test_profile_cap_env_override(monkeypatch):
-    monkeypatch.delenv("ARENA_MAX_PROFILES", raising=False)
-    assert profile_cap() == 10 ** 7
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "123")
-    assert profile_cap() == 123
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "bogus")
-    with pytest.raises(ValueError):
-        profile_cap()
-
-
 def test_enumeration_respects_cap(monkeypatch):
     f = SetCostFunction.zero(2)
     g = GameModel(2, ("a", "b"),
                   ((frozenset({"a"}), frozenset({"b"})),
                    (frozenset({"a"}), frozenset({"b"}))),
                   (f, SetCostFunction.zero(2)))
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "3")
-    with pytest.raises(CapExceededError):
+    monkeypatch.setattr("costarena.equilibrium.PROFILE_CAP", 3)
+    with pytest.raises(CapExceededError) as caught:
         analyze(g, SHAPLEY)
+    assert str(caught.value) == "profile space has 4 profiles, cap is 3"
     with pytest.raises(CapExceededError):
         social_optimum(g)
-    monkeypatch.setenv("ARENA_MAX_PROFILES", "4")
+    monkeypatch.setattr("costarena.equilibrium.PROFILE_CAP", 4)
     assert len(analyze(g, SHAPLEY).pne) == 4

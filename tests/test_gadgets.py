@@ -19,6 +19,7 @@ from costarena.network import to_game
 from costarena.potential import harmonic
 from costarena.protocols import (
     GeneralizedWeightedShapley,
+    Protocol,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
@@ -221,18 +222,30 @@ def test_poa_case2_for_lopsided_split():
         assert report.optimum_cost == 2
 
 
-def test_poa_probe_grid_too_short_is_caught():
-    # truncating the probe makes shapley look bounded; the emitted game
-    # then fails certification instead of silently shipping
-    nm, case = build_poa_unbounded(F(2), ShapleyProtocol(), q_probe_max=4)
+def test_poa_probe_grid_too_short_is_caught(monkeypatch):
+    # truncating the probe (q <= 2 * a = 4) makes shapley look bounded; the
+    # emitted game then fails certification instead of silently shipping
+    monkeypatch.setattr("costarena.gadgets.PROBE_DOUBLINGS", 1)
+    nm, case = build_poa_unbounded(F(2), ShapleyProtocol())
     assert case == 2
     report = verify_gadget(nm, F(2), POA_UNBOUNDED)
     assert not report.ok
 
 
-def test_poa_probe_max_validation():
-    with pytest.raises(ValidationError):
-        build_poa_unbounded(F(2), SHAPLEY, q_probe_max=1)
+def test_gadgets_compare_integer_shares(monkeypatch):
+    # every probe and the certification read scaled_share, never share
+    def refuse(self, f, users, i):
+        raise AssertionError("a Fraction share was asked for")
+
+    monkeypatch.setattr(Protocol, "share", refuse)
+    assert verify_gadget(build_pos_linear(3, F(1, 4)), F(11, 4), POS_LINEAR).ok
+    w = WeightSystem((F(1), F(2), F(3), F(4)), ((0, 1, 2, 3),))
+    assert verify_gadget(build_pos_nharmonic(4, F(1, 4), w), F(18, 5), POS_NHARMONIC,
+                         GeneralizedWeightedShapley(w)).ok
+    for protocol, expected_case in ((ShapleyProtocol(), 1), (bounded_table(3), 2)):
+        nm, case = build_poa_unbounded(F(3), protocol)
+        assert case == expected_case
+        assert verify_gadget(nm, F(3), POA_UNBOUNDED, protocol).ok
 
 
 def test_verify_gadget_rejects_unknown_kind():

@@ -34,6 +34,7 @@ from costarena.gamefile import (
 )
 from costarena.network import Edge, NetworkModel, to_game
 from costarena.protocols import (
+    GeneralizedWeightedShapley,
     ProtocolError,
     ShapleyProtocol,
     TableProtocol,
@@ -88,7 +89,6 @@ RATIONAL_ENTRY_POINTS = {
     "table": lambda v: TableProtocol({(SetCostFunction.anonymous([0, 1]), 0b1): {0: v}}),
     "eps": lambda v: GadgetSpec("pos_linear", n=2, eps=v),
     "a": lambda v: build_poa_unbounded(v, ShapleyProtocol()),
-    "q_probe_max": lambda v: build_poa_unbounded(2, ShapleyProtocol(), q_probe_max=v),
     "expected": lambda v: verify_gadget(build_pos_linear(2, F(1, 4)), v, "pos_linear"),
 }
 
@@ -102,6 +102,7 @@ def test_every_rational_entry_point_reads_through_parse_fraction(entry, value):
 
 SHARED = GameModel(2, ("r",), ((frozenset({"r"}),), (frozenset({"r"}),)),
                    (SetCostFunction.anonymous([0, 1, 2]),))
+TABLE_COST = SetCostFunction.from_table(2, {(0,): 1, (1,): 2, (0, 1): 2})
 
 #: Every public entry point that takes outside player ids, as a call on one
 #: id at n = 2, with the collection of ids that reaches ``player_mask``.
@@ -122,6 +123,11 @@ PLAYER_ID_ENTRY_POINTS = {
                       lambda v: (v,)),
     "private_cost": (lambda v: private_cost(SHARED, ShapleyProtocol(), (0, 0), v),
                      lambda v: (v,)),
+    "shapley share": (lambda v: ShapleyProtocol().share(SHARED.cost_fns[0], 0b11, v),
+                      lambda v: (v,)),
+    "gws share": (lambda v: GeneralizedWeightedShapley(WeightSystem.plain(2)).share(
+        TABLE_COST, 0b11, v), lambda v: (v,)),
+    "table share": (lambda v: TableProtocol().share(TABLE_COST, 0b11, v), lambda v: (v,)),
 }
 
 

@@ -30,14 +30,12 @@ def _golden() -> dict:
         return json.load(fh)
 
 
-def test_golden_analyze_and_gadget_digests(monkeypatch):
-    monkeypatch.delenv("ARENA_MAX_PROFILES", raising=False)
+def test_golden_analyze_and_gadget_digests():
     golden = _golden()
     assert _recorder().compute() == {k: golden[k] for k in ("analyze", "gadget")}
 
 
-def test_golden_shares_dynamics_and_bounds_digests(monkeypatch):
-    monkeypatch.delenv("ARENA_MAX_PROFILES", raising=False)
+def test_golden_shares_dynamics_and_bounds_digests():
     golden = _golden()
     assert _recorder().compute_sampled() == {
         k: golden[k] for k in ("shares", "dynamics", "verify-bounds")}

@@ -621,6 +621,44 @@ def test_table_share_scale_reads_only_its_own_entries():
                    table).optimum_cost == 2
 
 
+def test_table_share_scale_matches_its_entries_after_every_set_entry():
+    # cost functions equal by value but built apart, so overwrites meet
+    # entries keyed by another object
+    rng = random.Random(46)
+    table = TableProtocol()
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        table.set_entry(SetCostFunction.anonymous([0, k, 2 * k]), rng.randint(1, 3),
+                        {rng.randrange(2): F(1, rng.randint(1, 9))}, validate=False)
+        for k in (1, 2, 3):
+            f = SetCostFunction.anonymous([0, k, 2 * k])
+            dens = [v.denominator for (g, _), entry in table.entries.items() if g == f
+                    for v in entry.values()]
+            assert table.share_scale(f) == lcm(SHAPLEY.share_scale(f), *dens)
+
+
+def test_table_share_scale_does_not_scan_other_entries(monkeypatch):
+    # pricing K new cost functions against E entries compares O(K) cost
+    # functions, not O(K * E)
+    table = TableProtocol()
+    for k in range(1, 41):
+        table.set_entry(SetCostFunction.anonymous([0, k, k]), 0b01, {0: F(1, k)},
+                        validate=False)
+    fresh = [SetCostFunction.anonymous([0, k, 2 * k + 100]) for k in range(1, 41)]
+    calls = 0
+    equal = SetCostFunction.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(SetCostFunction, "__eq__", counted)
+    for f in fresh:
+        assert table.share_scale(f) == 2
+    assert calls <= len(fresh)
+
+
 def test_hmc_share_equals_permutation_average():
     for f in random_costs(44):
         p = ShapleyProtocol()
