@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p.add_argument("--schedule", choices=("round-robin", "random"),
                    default="round-robin")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sweep shuffle seed for --schedule random")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sweep shuffle seed for --schedule random (default 0)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the step cap is hit before convergence")
     add_protocol(p)

@@ -214,21 +214,23 @@ class BrdResult:
 def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
                            max_steps: int | None = None, *,
                            schedule: str = "round-robin",
-                           seed: int | None = None) -> BrdResult:
+                           seed: int = 0) -> BrdResult:
     """Iterate best responses in sweeps over all players.
 
-    A sweep visits every player once, in index order, or in a seeded
-    shuffled order with ``schedule="random"``. The run converges when a
-    full sweep accepts no change; ``max_steps`` (not negative) bounds
-    accepted changes, and a run stops short only to make one more (default
-    10x the profile-space size, above the number of distinct potential
-    values). When the protocol has a potential
+    A sweep visits every player once, in index order, or with
+    ``schedule="random"`` in the order ``random.Random(seed)`` shuffles. A
+    run converges when a full sweep accepts no change; ``max_steps`` (an
+    int, not negative) bounds accepted changes, and a run stops short only
+    to make one more (default 10x the profile-space size, above the number
+    of distinct potential values). When the protocol has a potential
     (``Protocol.scaled_potential``, only Shapley's), each trace entry
     records it for the profile after the change; otherwise ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:
         max_steps = 10 * model.profile_space_size()
+    elif not isinstance(max_steps, int) or isinstance(max_steps, bool):
+        raise ValidationError(f"max_steps {max_steps!r} is not an int")
     elif max_steps < 0:
         raise ValidationError(f"max_steps {max_steps} is negative")
     if schedule not in ("round-robin", "random"):

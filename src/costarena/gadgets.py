@@ -100,11 +100,11 @@ def _per_player(n: int, rate) -> SetCostFunction:
 def build_pos_linear(n: int, eps) -> NetworkModel:
     """Bottleneck-vs-escape network with stability ratio n - eps.
 
-    Players 0..n-2 are pinned to the bottleneck path; player n-1 picks
-    between joining them (free until it completes the full house, then
-    n - eps total) and a private edge costing 1 alone. The good outcome
-    needs the flexible player on the private edge, but the shared edge is
-    individually cheaper once everyone else sits on it.
+    Players 0..n-2 start at s, whose one path is the bottleneck e4, e1;
+    player n-1 picks between joining them (free until it completes the
+    full house, then n - eps total) and a private edge costing 1 alone.
+    The good outcome needs the flexible player on the private edge, but
+    the shared edge is individually cheaper once everyone else sits on it.
     """
     spec = GadgetSpec(POS_LINEAR, n=n, eps=eps)
     n, eps = spec.n, spec.eps
@@ -116,12 +116,10 @@ def build_pos_linear(n: int, eps) -> NetworkModel:
         Edge("e3", "si", "m", zero),
         Edge("e4", "s", "m", zero),
     )
-    pinned = (frozenset({"e1", "e4"}),)
     return NetworkModel(
         vertices=("s", "si", "m", "t"),
         edges=edges,
         terminals=tuple([("s", "t")] * (n - 1) + [("si", "t")]),
-        forced=tuple([pinned] * (n - 1) + [None]),
     )
 
 

@@ -15,12 +15,12 @@ A game file is either flat::
                                                    {"set": [0, 1], "cost": "2/1"}]}}],
      "strategies": [[["r0"], ["r1"]], [["r0", "r1"]]]}
 
-or a network::
+or a network, whose players take every simple s-t path (a restricted
+strategy set is written in the flat form)::
 
     {"network": {"vertices": [...],
                  "edges": [{"id": "e1", "from": "s", "to": "t", "cost": {...}}],
-                 "terminals": [["s", "t"], ["s", "t"]],
-                 "forced": [null, [["e1"]]]}}
+                 "terminals": [["s", "t"], ["s", "t"]]}}
 
 Table cost entries omit zero-cost sets; anything omitted is 0, which the
 cost-function validator then accepts or rejects against monotonicity.
@@ -238,9 +238,6 @@ def network_to_json(nm: NetworkModel) -> dict:
                    "cost": cost_to_json(e.cost)} for e in nm.edges],
         "terminals": [list(t) for t in nm.terminals],
     }
-    if nm.forced is not None:
-        doc["forced"] = [None if fs is None else [sorted(s) for s in fs]
-                         for fs in nm.forced]
     return {"network": doc}
 
 
@@ -259,23 +256,14 @@ def network_from_json(obj) -> NetworkModel:
             _require(e, "to", str, "edge"),
             cost_from_json(n, _require(e, "cost", dict, "edge")),
         ))
-    forced = None
     if net.get("forced") is not None:
-        raw = net["forced"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ValidationError("forced must list one entry per player")
-        for fs in raw:
-            if fs is not None and not isinstance(fs, list):
-                raise ValidationError("each forced entry must be null or a list")
-        forced = tuple(None if fs is None else
-                       tuple(frozenset(_list_of(s, str, "forced strategy")) for s in fs)
-                       for fs in raw)
+        raise ValidationError("network forced routes are not supported; "
+                              "write a restricted strategy set as a flat game")
     return NetworkModel(
         vertices=tuple(_list_of(_require(net, "vertices", None, "network"), str,
                                 "vertices")),
         edges=tuple(edges),
         terminals=tuple((t[0], t[1]) for t in terminals),
-        forced=forced,
     )
 
 

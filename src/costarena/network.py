@@ -11,7 +11,7 @@ capped at 10^5 paths per terminal pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .core import CapExceededError, GameModel, SetCostFunction, ValidationError
@@ -31,28 +31,20 @@ class Edge:
 class NetworkModel:
     """Directed network with one terminal pair per player.
 
-    ``forced`` optionally restricts a player to a subset of its paths,
-    given as edge-id sets; it models side constraints like "these players
-    must use that route" without extra graph machinery. Construction
+    A player's strategies are exactly its simple s-t paths; a restricted
+    strategy set is written as a flat ``GameModel``. Construction
     enumerates every player's paths once, one enumeration per distinct
-    terminal pair, and fails if any player has none, or if a forced entry
-    is not an actual path.
+    terminal pair, and fails if any player has none.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     terminals: tuple[tuple[str, str], ...]
-    forced: tuple[tuple[frozenset[str], ...] | None, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "terminals", tuple(tuple(t) for t in self.terminals))
-        if self.forced is not None:
-            object.__setattr__(
-                self, "forced",
-                tuple(None if fs is None else tuple(frozenset(s) for s in fs)
-                      for fs in self.forced))
         if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertex names")
         vset = set(self.vertices)
@@ -71,20 +63,16 @@ class NetworkModel:
         for i, (s, t) in enumerate(self.terminals):
             if s not in vset or t not in vset:
                 raise ValidationError(f"player {i} terminals ({s!r}, {t!r}) unknown")
-        if self.forced is not None and len(self.forced) != n:
-            raise ValidationError("forced list must have one entry per player")
         # eager path check: every player must be routable; players with the
         # same terminal pair share one enumeration
-        by_pair: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-        routes = []
+        by_pair: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
         for i, (s, t) in enumerate(self.terminals):
             if (s, t) not in by_pair:
-                by_pair[s, t] = self.paths(s, t)
-            usable = self._restrict(i, by_pair[s, t])
-            if not usable:
+                by_pair[s, t] = tuple(self.paths(s, t))
+            if not by_pair[s, t]:
                 raise ValidationError(f"player {i} has no {s!r} -> {t!r} path")
-            routes.append(tuple(usable))
-        object.__setattr__(self, "_routes", tuple(routes))
+        object.__setattr__(self, "_routes",
+                           tuple(by_pair[st] for st in self.terminals))
 
     @property
     def n(self) -> int:
@@ -127,31 +115,16 @@ class NetworkModel:
         return found
 
     def player_paths(self, i: int) -> list[tuple[str, ...]]:
-        """Player i's usable paths, after applying any forced restriction."""
+        """Player i's strategies: every simple path between its terminals."""
         return list(self._routes[i])
-
-    def _restrict(self, i: int, all_paths: list) -> list[tuple[str, ...]]:
-        """``all_paths`` narrowed to player i's forced routes, if it has any."""
-        restriction = self.forced[i] if self.forced is not None else None
-        if restriction is None:
-            return all_paths
-        by_set = {frozenset(p): p for p in all_paths}
-        chosen = []
-        for want in restriction:
-            path = by_set.get(want)
-            if path is None:
-                raise ValidationError(
-                    f"forced strategy {sorted(want)} of player {i} is not a simple path")
-            chosen.append(path)
-        return chosen
 
 
 def to_game(nm: NetworkModel) -> GameModel:
     """Flatten the network into resource/strategy form.
 
     Edges become resources in declaration order; each player's strategy
-    set is its enumerated (or forced) path list, each path read as the set
-    of edge ids it uses.
+    set is its enumerated path list, each path read as the set of edge ids
+    it uses.
     """
     strategy_sets = tuple(tuple(frozenset(p) for p in nm.player_paths(i))
                           for i in range(nm.n))

@@ -28,13 +28,15 @@ def harmonic(k: int) -> Fraction:
 def potential(model: GameModel, profile: Profile, live: int | None = None) -> Fraction:
     """Phi(P) over the profile's user sets.
 
-    ``live`` optionally restricts to a subset of players (bitmask):
-    everyone outside it is treated as absent, which is how partial
-    profiles with removed players are evaluated.
+    ``live`` optionally restricts to a subset of players (an int mask in
+    0..2^n-1): everyone outside it is treated as absent, which is how
+    partial profiles with removed players are evaluated.
     """
     usage = model.usage_masks(profile)
-    if live is None:
-        live = full_mask(model.n)
+    everyone = full_mask(model.n)
+    live = everyone if live is None else live
+    if not isinstance(live, int) or isinstance(live, bool) or not 0 <= live <= everyone:
+        raise ValidationError(f"live mask {live!r} is not a mask in 0..{everyone}")
     shapley = ShapleyProtocol()
     return sum((Fraction(shapley.scaled_potential(f, u & live), shapley.share_scale(f))
                 for f, u in zip(model.cost_fns, usage)), ZERO)

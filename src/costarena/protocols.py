@@ -46,9 +46,11 @@ dividend L * d(T) times W / A(T), and A(T) divides W.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .core import (
     MAX_PLAYERS,
@@ -303,23 +305,25 @@ class TableProtocol(Protocol):
     only needs to pin down the user sets it cares about. ``set_entry``
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
-    protocols in negative tests; the constructor's entries are read as
-    unvalidated ones. Add entries through ``set_entry``: it also indexes
-    them by cost function and drops that function's kept share scale. A
-    scaled share is an entry's value or the fallback's scaled share, times
-    the ratio of the scales. A cost function whose arity is not ``players``
-    (when set, as a file sets it) raises.
+    protocols in negative tests; the constructor copies its entries in as
+    unvalidated ones. Pricing and ``share_scale`` read one store, of which
+    ``entries`` and each entry's shares are read-only views, so only
+    ``set_entry`` adds an entry, and it drops that function's kept share
+    scale. A scaled share is an entry's value or the fallback's scaled
+    share, times the ratio of the scales. A cost function whose arity is
+    not ``players`` (when set, as a file sets it) raises.
     """
 
     name = "table"
-    entries: dict = field(default_factory=dict)
+    entries: Mapping = field(default_factory=dict)
     fallback: Protocol | None = field(default_factory=ShapleyProtocol)
     players: int | None = None
 
     def __post_init__(self):
         self._scales = {}  # f -> share_scale(f); plain dicts, so no reference cycle
-        self._by_fn = {}  # f -> {users: shares}, the entries of f
-        for (f, users), shares in list(self.entries.items()):
+        self._entries = {}  # (f, users) -> shares, the one store
+        given, self.entries = self.entries, MappingProxyType(self._entries)
+        for (f, users), shares in given.items():
             self.set_entry(f, users, shares, validate=False)
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
@@ -334,16 +338,16 @@ class TableProtocol(Protocol):
                 raise ValidationError(
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
-        self.entries[(f, users)] = shares
-        self._by_fn.setdefault(f, {})[users] = shares
+        self._entries[(f, users)] = MappingProxyType(shares)
         self._scales.pop(f, None)  # share_scale(f) reads f's entries
 
     def share_scale(self, f: SetCostFunction) -> int:
         """The lcm of the denominators in ``f``'s own entries and of the
-        fallback's scale; entries for other cost functions do not count."""
+        fallback's scale; entries for other cost functions do not count, and
+        only ``f``'s 2^n keys are looked up."""
         if f not in self._scales:
-            scales = {v.denominator for entry in self._by_fn.get(f, {}).values()
-                      for v in entry.values()}
+            scales = {v.denominator for users in range(1 << f.n)
+                      for v in self._entries.get((f, users), {}).values()}
             if self.fallback is not None:
                 scales.add(self.fallback.share_scale(f))
             self._scales[f] = scale_lcm(scales, "common denominator of the share table")
@@ -354,7 +358,7 @@ class TableProtocol(Protocol):
         if self.players is not None and f.n != self.players:
             raise ProtocolError(
                 f"share table covers {self.players} players, cost function {f.n}")
-        entry = self.entries.get((f, users))
+        entry = self._entries.get((f, users))
         if entry is not None:
             value = entry.get(i, ZERO)
             return value.numerator * (self.share_scale(f) // value.denominator)

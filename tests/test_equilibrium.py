@@ -164,6 +164,27 @@ def test_brd_random_schedule_reproducible():
         assert a.converged and is_pne(g, SHAPLEY, a.profile)
 
 
+def test_brd_random_schedule_defaults_to_seed_0():
+    # the second draw at seed 2 is a 4-player game whose outcome moves with
+    # the sweep order: 27 of seeds 0..99 give seed 0's run
+    rng = random.Random(2)
+    for _ in range(2):
+        g = random_game(rng, "arbitrary")
+        start = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
+    seeded = best_response_dynamics(g, SHAPLEY, start, schedule="random", seed=0)
+    assert best_response_dynamics(g, SHAPLEY, start, schedule="random", seed=1) != seeded
+    for _ in range(4):
+        assert best_response_dynamics(g, SHAPLEY, start, schedule="random") == seeded
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3"])
+def test_brd_step_budget_is_an_int(bad):
+    g, t = chase_game()
+    with pytest.raises(ValidationError) as err:
+        best_response_dynamics(g, t, (0, 0), max_steps=bad)
+    assert str(err.value) == f"max_steps {bad!r} is not an int"
+
+
 def test_brd_step_budget_halts_unstable_run():
     g, t = chase_game()
     res = best_response_dynamics(g, t, (0, 0), max_steps=12)

@@ -131,7 +131,6 @@ NETWORK_GAME = {"network": {
         {"id": "e3", "from": "s", "to": "t", "cost": {"anonymous": ["0/1", "2/1", "4/1"]}},
     ],
     "terminals": [["s", "t"], ["s", "t"]],
-    "forced": [None, [["e3"]]],
 }}
 
 WEIGHTS = {"lambda": {"0": "1/1", "1": "5/2"}, "blocks": [[1], [0]]}

@@ -80,17 +80,16 @@ def test_pos_linear_two_players_full_analysis():
 
 
 def test_pos_linear_structure():
-    n = 4
-    nm = build_pos_linear(n, F(1, 4))
-    g = to_game(nm)
-    assert g.n == n
-    # all but the last player are pinned to the shared jam route
-    for i in range(n - 1):
-        assert g.strategy_sets[i] == (frozenset({"e1", "e4"}),)
-    assert len(g.strategy_sets[n - 1]) == 2
-    e1 = g.cost_fns[g.resources.index("e1")]
-    assert e1.value((1 << n) - 1) == n - F(1, 4)
-    assert e1.value((1 << n) - 2) == 0
+    for n in range(2, 17):
+        g = to_game(build_pos_linear(n, F(1, 4)))
+        assert g.n == n
+        # all but the last player have one route, the shared jam route
+        for i in range(n - 1):
+            assert g.strategy_sets[i] == (frozenset({"e1", "e4"}),)
+        assert len(g.strategy_sets[n - 1]) == 2
+        e1 = g.cost_fns[g.resources.index("e1")]
+        assert e1.value((1 << n) - 1) == n - F(1, 4)
+        assert e1.value((1 << n) - 2) == 0
 
 
 def test_pos_linear_verify_round():

@@ -505,13 +505,12 @@ def test_game_from_json_requires_keys():
 # networks
 # ---------------------------------------------------------------------------
 
-def test_network_round_trip_with_forced_routes():
+def test_network_round_trip():
     nm = build_pos_linear(3, F(1, 2))
     doc = network_to_json(nm)
     back = network_from_json(doc)
     assert back.vertices == nm.vertices
     assert back.terminals == nm.terminals
-    assert back.forced == nm.forced
     assert [e.id for e in back.edges] == [e.id for e in nm.edges]
     assert to_game(back) == to_game(nm)
     assert json.dumps(doc)
@@ -520,13 +519,16 @@ def test_network_round_trip_with_forced_routes():
 def test_network_from_json_validation():
     nm = build_pos_linear(2, F(1, 2))
     doc = network_to_json(nm)
-    doc["network"]["forced"] = [None]  # wrong length
-    with pytest.raises(ValidationError):
-        network_from_json(doc)
-    doc["network"]["forced"] = [5, None]
-    with pytest.raises(ValidationError):
-        network_from_json(doc)
-    doc["network"]["forced"] = None
+    assert "forced" not in doc["network"]
+    # a file that restricted routes must not silently widen to every path
+    for forced in ([None, [["e1", "e4"]]], [None, None], [], 5):
+        doc["network"]["forced"] = forced
+        with pytest.raises(ValidationError) as err:
+            network_from_json(doc)
+        assert str(err.value) == ("network forced routes are not supported; "
+                                  "write a restricted strategy set as a flat game")
+    doc["network"]["forced"] = None  # "no restriction" still loads
+    assert to_game(network_from_json(doc)) == to_game(nm)
     doc["network"]["vertices"][0] = [doc["network"]["vertices"][0]]
     with pytest.raises(ValidationError):
         network_from_json(doc)
@@ -663,9 +665,9 @@ def table_doc_with_shares(shares):
     return doc
 
 
-def one_edge_network(terminals, forced=None):
+def one_edge_network(terminals):
     edge = Edge("e", "s", "t", SetCostFunction.anonymous([0, 1]))
-    return NetworkModel(("s", "t"), (edge,), terminals, forced)
+    return NetworkModel(("s", "t"), (edge,), terminals)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -684,8 +686,6 @@ def one_edge_network(terminals, forced=None):
      "player id 5 in [0, 5] out of range 0..1"),
     (lambda: NetworkModel(("s", "t"), (), ()), "at least one player (terminal pair) required"),
     (lambda: one_edge_network((("s", "x"),)), "player 0 terminals ('s', 'x') unknown"),
-    (lambda: one_edge_network((("s", "t"),), forced=()),
-     "forced list must have one entry per player"),
     (lambda: WeightSystem((1, 1), ((2, 0),)), "player id 2 in (2, 0) out of range 0..1"),
     (lambda: WeightSystem((1, 1), (("a",), (1,))), "player id 'a' is not an int"),
     (lambda: WeightSystem((1, 1), ((0.0,), (1,))), "player id 0.0 is not an int"),

@@ -56,26 +56,12 @@ def test_validation_errors():
                      (("s", "t"),))
 
 
-def test_forced_must_be_real_paths():
-    zero = SetCostFunction.zero(1)
-    good = NetworkModel(("s", "m", "t"),
-                        (Edge("a", "s", "m", zero), Edge("b", "m", "t", zero)),
-                        (("s", "t"),),
-                        forced=((frozenset({"a", "b"}),),))
-    assert good.player_paths(0) == [("a", "b")]
-    with pytest.raises(ValidationError):
-        NetworkModel(("s", "m", "t"),
-                     (Edge("a", "s", "m", zero), Edge("b", "m", "t", zero)),
-                     (("s", "t"),),
-                     forced=((frozenset({"a"}),),))  # stops at m
-
-
-def test_forced_none_slot_means_unrestricted():
+def test_forced_routes_are_not_an_option():
     nm = diamond()
-    restricted = NetworkModel(nm.vertices, nm.edges, nm.terminals,
-                              forced=((frozenset({"sa", "at"}),), None))
-    assert restricted.player_paths(0) == [("sa", "at")]
-    assert len(restricted.player_paths(1)) == 2
+    # a restricted strategy set is a flat game, not a network option
+    with pytest.raises(TypeError):
+        NetworkModel(nm.vertices, nm.edges, nm.terminals,
+                     forced=((frozenset({"sa", "at"}),), None))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +164,6 @@ def test_to_game_usage_matches_edge_loads():
     assert users_of(g, profile, "sa") == 0b11
     assert users_of(g, profile, "sb") == 0
     assert social_cost(g, profile) == 2
-
-
-def test_to_game_respects_forced_routes():
-    nm = diamond()
-    pinned = NetworkModel(nm.vertices, nm.edges, nm.terminals,
-                          forced=((frozenset({"sa", "at"}),), None))
-    g = to_game(pinned)
-    assert g.strategy_sets[0] == (frozenset({"sa", "at"}),)
-    assert len(g.strategy_sets[1]) == 2
 
 
 def test_flattened_diamond_analysis():

@@ -98,6 +98,14 @@ def test_potential_sums_resources():
     assert potential(g, (0, 0), live=0b01) == 1
     assert potential(g, (0, 0), live=0b10) == 3
     assert potential(g, (0, 0), live=0) == 0
+    assert potential(g, (0, 0), live=0b11) == 4
+
+
+@pytest.mark.parametrize("live", [-1, True, False, 1 << 5, 0b100, 1.0, "3"])
+def test_potential_live_mask_must_be_a_mask(live):
+    with pytest.raises(ValidationError) as err:
+        potential(shared_pair_game(), (0, 0), live=live)
+    assert str(err.value) == f"live mask {live!r} is not a mask in 0..3"
 
 
 def test_potential_matches_alpha_formula_for_every_live_mask():

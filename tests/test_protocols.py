@@ -637,6 +637,26 @@ def test_table_share_scale_matches_its_entries_after_every_set_entry():
             assert table.share_scale(f) == lcm(SHAPLEY.share_scale(f), *dens)
 
 
+def test_table_entries_cannot_be_written_from_outside():
+    g = SetCostFunction.anonymous([0, 1, 3])
+    fair = (F(3, 2), F(3, 2))
+    given = {}
+    t = TableProtocol(given)  # copied, not aliased
+    given[(g, 0b11)] = {0: F(1, 7), 1: F(20, 7)}
+    assert t.shares(g, 0b11) == fair and t.entries == {}
+    with pytest.raises(TypeError):
+        t.entries[(g, 0b11)] = {0: F(1, 7), 1: F(20, 7)}
+    assert t.shares(g, 0b11) == fair and t.entries == {}
+    t.set_entry(g, 0b11, {0: F(1, 7), 1: F(20, 7)})
+    assert t.shares(g, 0b11) == (F(1, 7), F(20, 7))
+    with pytest.raises(TypeError):
+        t.entries[(g, 0b11)][0] = F(3)
+    assert t.entries.get((g, 0b11)) == {0: F(1, 7), 1: F(20, 7)}
+    assert t.entries.get((g, 0b01)) is None
+    assert [key for key, _ in t.entries.items()] == [(g, 0b11)]
+    assert TableProtocol(given).shares(g, 0b11) == (F(1, 7), F(20, 7))
+
+
 def test_table_share_scale_does_not_scan_other_entries(monkeypatch):
     # pricing K new cost functions against E entries compares O(K) cost
     # functions, not O(K * E)
