@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import CapExceededError, ValidationError, mask_members, parse_fraction, social_cost
+from .core import CapExceededError, ValidationError, mask_members, parse_fraction
 from .equilibrium import INFINITE, analyze, best_response_dynamics
 from .gadgets import (
     GadgetSpec,
@@ -212,7 +212,7 @@ def cmd_dynamics(args) -> int:
         "protocol": protocol.name,
         "start": list(start),
         "final": list(result.profile),
-        "final_cost": fraction_to_str(social_cost(model, result.profile)),
+        "final_cost": fraction_to_str(result.social_cost),
         "converged": result.converged,
         "sweeps": result.sweeps,
         "steps": [{
@@ -242,17 +242,22 @@ def cmd_verify_bounds(args) -> int:
     games = corpus(args.seed, args.count, args.cost_class)
     violations = []
     checked = []
+    limits = {}  # player count n -> (n, H_n, n * H_n), each computed once
     for idx, model in enumerate(games):
         report = analyze(model, protocol)
         n = model.n
+        if n not in limits:
+            h = harmonic(n)
+            limits[n] = Fraction(n), h, n * h
+        whole, h, product = limits[n]
         bounds = {}
         if args.cost_class == SUBMODULAR_CLASS:
-            bounds["pos<=H_n"] = (report.pos, harmonic(n))
-            bounds["poa<=n"] = (report.poa, Fraction(n))
+            bounds["pos<=H_n"] = (report.pos, h)
+            bounds["poa<=n"] = (report.poa, whole)
         elif args.cost_class == SUPERMODULAR_CLASS:
-            bounds["pos<=n"] = (report.pos, Fraction(n))
+            bounds["pos<=n"] = (report.pos, whole)
         else:
-            bounds["pos<=n*H_n"] = (report.pos, n * harmonic(n))
+            bounds["pos<=n*H_n"] = (report.pos, product)
         if not report.pne:
             violations.append({"game": idx, "bound": "pne-exists", "value": "0"})
         for name, (value, limit) in bounds.items():

@@ -325,6 +325,11 @@ class SetCostFunction:
             raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
         return self._scaled[users.bit_count() if self._anon else users]
 
+    def scaled_table(self) -> tuple[int, ...] | None:
+        """Every ``scaled(mask)``, in mask order, for a cost stored as a
+        table of 2^n entries; None for an anonymous cost."""
+        return None if self._anon else self._scaled
+
     def value(self, users: int) -> Fraction:
         return Fraction(self.scaled(users), self.denominator)
 

@@ -15,13 +15,21 @@ compiles for Shapley). Each of these scales must stay within
 There is one cost row and one potential row per distinct cost function,
 and one share row per (cost function, player): cost functions compare by
 value, so resources with equal costs read the same rows. Each row is a
-``core.Memo`` that fills one user-mask entry on first touch, not 2^n.
+``core.Memo`` that fills one user-mask entry on first touch, not 2^n; a
+table's cost row reads the table's own integers (``scaled_table``), and
+is those integers when D / f.denominator is 1.
+
 The walk visits profiles as an odometer, in the lexicographic order of
 ``itertools.product``, and on each step updates only the usage masks and
-the running total of the players whose digit changed. Social costs,
-deviation sums, the optimum and the early-exit stability test then
-compare Python ints; a ``Fraction`` over D is built only for a value that
-is reported.
+the running total of the players whose digit changed. When asked, it
+checks each profile's stability in the same loop: leaving strategy c for
+s, a player pays its shares on the resources of s - c and saves those on
+c - s, while the resources in both cancel, so only those two sets are
+read (per player, up to ``DEVIATION_CAP`` such pairs are kept; a player
+past it is checked by full sums). The walk hands its callers only the
+profiles they keep, each new minimum and each stable profile, and all of
+it compares Python ints; a ``Fraction`` over D is built only for a value
+that is reported.
 
 ``analyze`` takes the equilibria, their social costs and potentials, and
 the optimum from one walk. Ties break lexicographically, so reports are
@@ -34,7 +42,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import (
     CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, scale_lcm)
@@ -43,8 +50,28 @@ from .protocols import Protocol, ShapleyProtocol
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
 PROFILE_CAP = 10 ** 7
 
+#: Most deviation pairs the walk keeps for one player: k(k - 1) for k
+#: strategies. A player past it is checked by full sums instead, with the
+#: same answers.
+DEVIATION_CAP = 4096
+
+#: Fewest times the walk must read each of a player's deviation rows, the
+#: profile count over the player's strategy count, for them to be built:
+#: building a row costs about as much as a few full-sum checks.
+_ROW_READS = 8
+
 #: Ratio value when the optimum costs 0 but some equilibrium does not.
 INFINITE = math.inf
+
+
+def _cost_row(f, factor: int):
+    """``factor * f.scaled(mask)`` by mask: a table's own integers when the
+    factor is 1, else a ``Memo`` filled on first read, from the table's
+    integers or, for an anonymous cost, through ``f.scaled``."""
+    table = f.scaled_table()
+    if table is None:
+        return Memo(lambda m, c=f.scaled: factor * c(m))
+    return table if factor == 1 else Memo(lambda m: factor * table[m])
 
 
 class _Kernel:
@@ -59,6 +86,15 @@ class _Kernel:
     ``potentials`` is None when the protocol has no ``scaled_potential``
     (or there is no protocol). Resources with equal cost functions point
     at the same rows. ``usage`` holds the user masks of the current profile.
+
+    A walk that checks stability sets ``deviations``: ``deviations[i][c]``,
+    built on first use, holds for each other strategy s of player i the
+    pair (s - c, c - s) of (resource, share row) entries, the resources
+    that i adds and drops by leaving c for s. ``deviations[i]`` is None for
+    a player with one strategy, who has nothing to check, and for a player
+    with k strategies checked by full sums instead: where k(k - 1) passes
+    ``DEVIATION_CAP``, or where the walk would read each row fewer than
+    ``_ROW_READS`` times.
     """
 
     def __init__(self, model: GameModel, protocol: Protocol | None = None):
@@ -69,7 +105,7 @@ class _Kernel:
         self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own.values()),
                                        "common denominator of the game")
         self.strategies = model._strategy_ridx
-        costs = Memo(lambda f: Memo(lambda m, c=f.scaled, k=scale // f.denominator: k * c(m)))
+        costs = {f: _cost_row(f, scale // f.denominator) for f in distinct}
         self.costs = [costs[f] for f in fns]
         self.usage: list[int] = []
         self.potentials = None
@@ -91,12 +127,16 @@ class _Kernel:
         self.usage = self.model.usage_masks(profile)
         return self
 
-    def walk(self, rows):
-        """Yield ``(profile, total)`` for every profile in lexicographic
-        order, where ``total`` is the sum over resources r of
-        ``rows[r][usage[r]]`` and ``self.usage`` holds the profile's masks.
-        Raises CapExceededError before the first profile if the space is
-        larger than the cap."""
+    def walk(self, rows, stable: bool = False):
+        """Walk every profile in lexicographic order and yield ``(profile,
+        total, is_stable)`` for the ones the callers keep, where ``total``
+        is the sum over resources r of ``rows[r][usage[r]]``: each profile
+        whose total is below every earlier one, so the last of these is the
+        lexicographically first minimum, and, when ``stable`` is asked
+        for, each profile that no player can improve on (``is_stable`` is
+        False when it is not asked for). ``self.usage`` holds the yielded
+        profile's masks while the caller reads it. Raises CapExceededError
+        before the first profile if the space is larger than the cap."""
         size = self.model.profile_space_size()
         if size > PROFILE_CAP:
             raise CapExceededError(f"profile space has {size} profiles, cap is {PROFILE_CAP}")
@@ -106,18 +146,63 @@ class _Kernel:
             for r in sset[0]:
                 usage[r] |= 1 << i
         total = sum(row[mask] for row, mask in zip(rows, usage))
+        best = total + 1
         counts = [len(sset) for sset in strategies]
-        # moves[i][a]: resources whose bit i flips when digit i steps from a
-        moves = [[tuple(sorted(set(sset[a]) ^ set(sset[(a + 1) % len(sset)])))
-                  for a in range(len(sset))] for sset in strategies]
+        # the digits that turn, fastest first: (player i, its bit, the
+        # resources whose bit i flips as digit i steps from each a, count)
+        wheel = [(i, 1 << i, [tuple(sorted(set(sset[a]) ^ set(sset[(a + 1) % k])))
+                              for a in range(k)], k)
+                 for i, (sset, k) in enumerate(zip(strategies, counts)) if k > 1][::-1]
+        checked = []  # (player, bit, its deviation rows) per player with a table
+        summed = []  # players checked by full sums
+        if stable:
+            self.deviations = [None] * len(strategies)
+            for i, k in enumerate(counts):
+                if 1 < k and _ROW_READS * k <= size and k * (k - 1) <= DEVIATION_CAP:
+                    table = self.deviations[i] = [None] * k
+                    checked.append((i, 1 << i, table))
+                elif k > 1:
+                    summed.append(i)
         digits = [0] * len(strategies)
         while True:
-            yield tuple(digits), total
-            i = len(digits) - 1
-            while i >= 0:
+            calm = stable
+            for entry in checked:
+                i, bit, table = entry
+                c = digits[i]
+                pairs = table[c] or self._deviation_row(i, c)
+                for pair in pairs:
+                    adds, drops = pair
+                    paid = 0
+                    for r, row in adds:
+                        paid += row[usage[r] | bit]
+                    saved = 0
+                    for r, row in drops:
+                        saved += row[usage[r]]
+                    if paid < saved:
+                        calm = False
+                        break
+                if not calm:
+                    # the player and the switch that improved go first from
+                    # now on: the next profiles tend to fail on them too
+                    if pair is not pairs[0]:
+                        pairs.remove(pair)
+                        pairs.insert(0, pair)
+                    if entry is not checked[0]:
+                        checked.remove(entry)
+                        checked.insert(0, entry)
+                    break
+            if calm:
+                for i in summed:
+                    if self._improves(i, digits[i]):
+                        calm = False
+                        break
+            if total < best or calm:
+                if total < best:
+                    best = total
+                yield tuple(digits), total, calm
+            for i, bit, steps, count in wheel:
                 a = digits[i]
-                bit = 1 << i
-                for r in moves[i][a]:
+                for r in steps[a]:
                     row = rows[r]
                     mask = usage[r]
                     total -= row[mask]
@@ -125,31 +210,46 @@ class _Kernel:
                     usage[r] = mask
                     total += row[mask]
                 a += 1
-                if a < counts[i]:
+                if a < count:
                     digits[i] = a
                     break
                 digits[i] = 0
-                i -= 1
             else:
                 return
 
+    def _deviation_row(self, i: int, current: int) -> list:
+        """Build and keep ``deviations[i][current]``."""
+        options = self.options[i]
+        mine = options[current]
+        have = set(self.strategies[i][current])
+        row = self.deviations[i][current] = []
+        for s, other in enumerate(map(set, self.strategies[i])):
+            if s != current:
+                row.append(([e for e in options[s] if e[0] not in have],
+                            [e for e in mine if e[0] not in other]))
+        return row
+
+    def _improves(self, i: int, current: int) -> bool:
+        """Whether player i, playing ``current``, can strictly lower its
+        cost by a unilateral switch, by the full sums of its strategies."""
+        usage = self.usage
+        options = self.options[i]
+        bit = 1 << i
+        now = 0
+        for r, row in options[current]:
+            now += row[usage[r]]
+        for s, option in enumerate(options):
+            if s != current:
+                cost = 0
+                for r, row in option:
+                    cost += row[usage[r] | bit]
+                if cost < now:
+                    return True
+        return False
+
     def stable(self, profile: Profile) -> bool:
         """No player can strictly lower its cost by a unilateral switch."""
-        usage = self.usage
-        for i, current in enumerate(profile):
-            options = self.options[i]
-            bit = 1 << i
-            now = 0
-            for r, row in options[current]:
-                now += row[usage[r]]
-            for s, option in enumerate(options):
-                if s != current:
-                    cost = 0
-                    for r, row in option:
-                        cost += row[usage[r] | bit]
-                    if cost < now:
-                        return False
-        return True
+        return not any(self._improves(i, current) for i, current in enumerate(profile))
 
     def best_response(self, i: int, current: int) -> tuple[int, list[int]]:
         """i's best strategy and its scaled cost under each strategy; keeps
@@ -179,6 +279,11 @@ class _Kernel:
             return None
         return Fraction(sum(row[mask] for row, mask in zip(rows, self.usage)), self.scale)
 
+    def social_cost(self) -> Fraction:
+        """The social cost of the current profile."""
+        return Fraction(sum(row[mask] for row, mask in zip(self.costs, self.usage)),
+                        self.scale)
+
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
                   i: int) -> int:
@@ -205,10 +310,14 @@ class BrdStep:
 
 @dataclass(frozen=True)
 class BrdResult:
+    """Where best-response dynamics stopped; ``social_cost`` is that
+    profile's."""
+
     profile: Profile
     converged: bool
     trace: tuple[BrdStep, ...]
     sweeps: int
+    social_cost: Fraction
 
 
 def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
@@ -254,7 +363,8 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
             best_s, costs = kernel.best_response(i, current)
             if best_s != current:
                 if changes >= max_steps:
-                    return BrdResult(tuple(profile), False, tuple(trace), sweeps)
+                    return BrdResult(tuple(profile), False, tuple(trace), sweeps,
+                                     kernel.social_cost())
                 kernel.move(i, current, best_s)
                 profile[i] = best_s
                 changes += 1
@@ -263,7 +373,8 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
                                      Fraction(costs[current], scale),
                                      Fraction(costs[best_s], scale)))
         if not dirty:
-            return BrdResult(tuple(profile), True, tuple(trace), sweeps)
+            return BrdResult(tuple(profile), True, tuple(trace), sweeps,
+                             kernel.social_cost())
 
 
 def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
@@ -274,14 +385,17 @@ def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
     """Profile of minimum social cost; lexicographically first on ties."""
     kernel = _Kernel(model)
-    profile, cost = min(kernel.walk(kernel.costs), key=itemgetter(1))
+    for profile, cost, _ in kernel.walk(kernel.costs):
+        pass  # the last profile reported is the first minimum
     return profile, Fraction(cost, kernel.scale)
 
 
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
     kernel = _Kernel(model, ShapleyProtocol())
-    return min(kernel.walk(kernel.potentials), key=itemgetter(1))[0]
+    for profile, _, _ in kernel.walk(kernel.potentials):
+        pass  # the last profile reported is the first minimum
+    return profile
 
 
 def _ratio(target: Fraction, opt: Fraction):
@@ -317,10 +431,10 @@ def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     kernel = _Kernel(model, protocol)
     pne, scaled, potentials = [], [], []
     opt_p = opt_c = None
-    for profile, cost in kernel.walk(kernel.costs):
+    for profile, cost, stable in kernel.walk(kernel.costs, stable=True):
         if opt_c is None or cost < opt_c:
             opt_p, opt_c = profile, cost
-        if kernel.stable(profile):
+        if stable:
             pne.append(profile)
             scaled.append(cost)
             potentials.append(kernel.potential())

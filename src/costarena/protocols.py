@@ -153,12 +153,14 @@ class ShapleyProtocol(Protocol):
         return self._potentials[f][users]
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        _check_arity(f, users)
+        if users >> f.n:  # _check_arity, inlined: this fills every share row
+            raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
         if not (users >> i) & 1:
             return 0
         if f._anon:
             return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
-        return self.scaled_potential(f, users) - self.scaled_potential(f, users ^ (1 << i))
+        q = self._potentials[f]
+        return q[users] - q[users ^ (1 << i)]
 
 
 def _hmc_memo(value, weights: tuple) -> Memo:

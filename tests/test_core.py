@@ -147,6 +147,15 @@ def test_integer_values_over_a_canonical_denominator():
         SetCostFunction(1, [2, 4], denominators=[6] * 2)
 
 
+def test_scaled_table_is_every_numerator_of_a_table():
+    f = SetCostFunction(2, [0, 2, 4, 8], denominators=[12] * 4)
+    assert f.scaled_table() == (0, 1, 2, 4) == tuple(map(f.scaled, range(4)))
+    # an anonymous cost is not expanded to 2^n entries, even one equal to f
+    anon = SetCostFunction(2, [0, 3, 9], anonymous=True, denominators=[6] * 3)
+    assert anon.scaled_table() is None
+    assert anon == SetCostFunction(2, [0, 3, 3, 9], denominators=[6] * 4)
+
+
 def test_arity_bounds():
     with pytest.raises(ValidationError):
         SetCostFunction(0, [F(0)])

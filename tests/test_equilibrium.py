@@ -10,11 +10,13 @@ from oracle import alpha_potential
 from costarena.core import (
     CapExceededError,
     GameModel,
+    Memo,
     SetCostFunction,
     ValidationError,
     social_cost,
 )
 from costarena.equilibrium import (
+    DEVIATION_CAP,
     INFINITE,
     _Kernel,
     analyze,
@@ -35,7 +37,7 @@ from costarena.protocols import (
     WeightSystem,
     private_cost,
 )
-from costarena.randomgames import COST_CLASSES, corpus, random_game
+from costarena.randomgames import COST_CLASSES, corpus, random_cost, random_game
 
 F = Fraction
 SHAPLEY = ShapleyProtocol()
@@ -489,6 +491,129 @@ def kernel_row_ids(kernel):
             {id(row) for row in kernel.potentials or ()})
 
 
+def walk_shaped_games(seed, count):
+    """Games shaped like the bench's ``walk`` ones: 6 or 7 players with 1-5
+    distinct strategies each over 6 resources, at most 300 profiles, and a
+    mix of table and anonymous costs from every cost class."""
+    rng = random.Random(seed)
+    resources = tuple(f"r{j}" for j in range(6))
+    for k in range(count):
+        n = rng.choice((6, 7))
+        counts = [1] * n
+        while True:  # add strategies to random players while the space allows
+            i = rng.randrange(n)
+            if counts[i] == 5 or math.prod(counts) * (counts[i] + 1) // counts[i] > 300:
+                break
+            counts[i] += 1
+        strategies = []
+        for c in counts:
+            seen = {}
+            while len(seen) < c:
+                seen.setdefault(frozenset(rng.sample(resources, rng.randint(1, 6))))
+            strategies.append(tuple(seen))
+        cost_class = COST_CLASSES[k % len(COST_CLASSES)]
+        yield GameModel(n, resources, tuple(strategies),
+                        tuple(random_cost(rng, n, cost_class) for _ in resources))
+
+
+def test_walk_checks_stability_as_the_reference_does():
+    # the walk prices each deviation by the resources it adds and drops
+    rng = random.Random(21)
+    games = list(walk_shaped_games(8, 6))
+    assert any(f.anonymous_values is None for g in games for f in g.cost_fns)
+    assert any(f.anonymous_values is not None for g in games for f in g.cost_fns)
+    for g in games:
+        two_blocks = (tuple(range(0, g.n, 2)), tuple(range(1, g.n, 2)))
+        gws = GeneralizedWeightedShapley(WeightSystem(
+            tuple(F(1 + i % 3, 1 + i % 2) for i in range(g.n)), two_blocks))
+        for protocol in (SHAPLEY, gws, rigged_table(g, rng), HalfSplit()):
+            report = analyze(g, protocol)
+            pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
+            assert report.pne == tuple(pne)
+            assert report.pne_costs == tuple(costs)
+            assert (report.optimum, report.optimum_cost, report.poa, report.pos) == (
+                opt, opt_c, poa, pos)
+
+
+def test_every_profile_stable_in_lexicographic_order():
+    # every profile ties every other, so each is an equilibrium, reported
+    # in itertools.product order, and the optimum is the first
+    g = two_halves_game(8, 8)
+    report = analyze(g, SHAPLEY)
+    pne, costs, opt, opt_c, poa, pos = reference_analysis(g, SHAPLEY)
+    assert report.pne == tuple(pne) == tuple(reference_profiles(g))
+    assert report.pne_costs == tuple(costs)
+    assert (report.optimum, report.optimum_cost) == (opt, opt_c) == ((0,) * 8, F(32))
+    assert report.poa == report.pos == 1
+
+
+def deviation_pairs(kernel):
+    """Per player, the deviation pairs its table holds, or None for a
+    player without a table."""
+    return [None if table is None else sum(len(row) for row in table if row is not None)
+            for table in kernel.deviations]
+
+
+def test_deviation_table_is_bounded(monkeypatch):
+    # player 0 has 5 strategies (20 pairs), player 1 has 4 (12 pairs),
+    # player 2 has 3 (6 pairs) and player 3 one: at a cap of 12, players 1
+    # and 2 get a table
+    rng = random.Random(3)
+    rids = tuple("abcde")
+    sets = [tuple(frozenset(rids[j:j + w]) for j, w in ((0, 2), (1, 3), (2, 1), (3, 2), (0, 5))),
+            tuple(frozenset(rids[j:j + 2]) for j in range(4)),
+            (frozenset("ab"), frozenset("e"), frozenset()),
+            (frozenset("c"),)]
+    g = GameModel(4, rids, sets, tuple(random_cost(rng, 4) for _ in rids))
+    monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 12)
+    kernel = _Kernel(g, SHAPLEY)
+    pne = [p for p, _, stable in kernel.walk(kernel.costs, stable=True) if stable]
+    assert deviation_pairs(kernel) == [None, 4 * 3, 3 * 2, None]
+    for protocol in (SHAPLEY, rigged_table(g, rng), HalfSplit()):
+        report = analyze(g, protocol)
+        want = reference_analysis(g, protocol)
+        assert (list(report.pne), list(report.pne_costs), report.optimum) == want[:3]
+    assert pne == list(analyze(g, SHAPLEY).pne)
+
+
+def test_deviation_cap_only_moves_work():
+    # at the module's cap, a player with k(k - 1) pairs within it keeps a
+    # table and one past it is checked by full sums, with the same report
+    k = max(k for k in range(2, 100) if k * (k - 1) <= DEVIATION_CAP)
+    rids = tuple(f"r{j}" for j in range(7))
+    subsets = [frozenset(r for j, r in enumerate(rids) if m >> j & 1) for m in range(1, 128)]
+    rng = random.Random(4)
+    g = GameModel(2, rids, (tuple(subsets[:k + 1]), tuple(subsets[-k:])),
+                  tuple(random_cost(rng, 2) for _ in rids))
+    kernel = _Kernel(g, SHAPLEY)
+    walked = list(kernel.walk(kernel.costs, stable=True))
+    assert deviation_pairs(kernel) == [None, k * (k - 1)]
+    stable = [p for p, _, calm in walked if calm]
+    assert stable == [p for p in reference_profiles(g) if kernel.at(p).stable(p)]
+    assert analyze(g, SHAPLEY).pne == tuple(stable)
+
+
+def test_rows_read_once_are_not_built():
+    # only player 0 has a choice, so the walk reads each of its rows once
+    g = GameModel(2, ("a", "b"), ((frozenset("a"), frozenset("b"), frozenset("ab")),
+                                  (frozenset("b"),)),
+                  (SetCostFunction.anonymous([0, 1, 2]), SetCostFunction.anonymous([0, 3, 4])))
+    kernel = _Kernel(g, SHAPLEY)
+    stable = [p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm]
+    assert deviation_pairs(kernel) == [None, None]
+    assert stable == reference_analysis(g, SHAPLEY)[0] == [(0, 0)]
+
+
+def test_full_sums_match_the_reference(monkeypatch):
+    # at a cap of 0 no player has a table: every check is a full sum
+    monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 0)
+    for g, protocol in itertools.islice(reference_cases(), 0, None, 7):
+        kernel = _Kernel(g, protocol)
+        stable = [p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm]
+        assert all(table is None for table in kernel.deviations)
+        assert stable == reference_analysis(g, protocol)[0]
+
+
 def test_kernel_keeps_rows_per_cost_function():
     g = two_halves_game(8, 8)
     costs, shares, potentials = kernel_row_ids(_Kernel(g, SHAPLEY))
@@ -502,6 +627,23 @@ def test_kernel_keeps_rows_per_cost_function():
         costs, shares, potentials = kernel_row_ids(_Kernel(model, SHAPLEY))
         assert len(costs) == len(potentials) == distinct < len(model.cost_fns)
         assert len(shares) <= distinct * model.n
+
+
+def test_table_cost_rows_read_the_tables_integers():
+    # at a factor D / L of 1 a table's row is its own integers; otherwise it
+    # is a lazy Memo over them, as an anonymous cost's row is
+    g = tension_game()
+    table = SetCostFunction.from_table(2, {0b01: 1, 0b10: F(1, 2), 0b11: F(3, 2)})
+    g = GameModel(2, g.resources, g.strategy_sets, (g.cost_fns[0], table))
+    assert _Kernel(g).scale == table.denominator == 2
+    assert _Kernel(g).costs[1] is table.scaled_table()
+    kernel = _Kernel(g, SHAPLEY)
+    factor = kernel.scale // table.denominator
+    assert factor > 1
+    for row in kernel.costs:
+        assert isinstance(row, Memo) and not row
+    assert [kernel.costs[1][m] for m in range(4)] == [factor * table.scaled(m)
+                                                      for m in range(4)]
 
 
 def test_potential_minimizer_matches_brute_force_reference():
@@ -528,6 +670,18 @@ def test_brd_matches_fraction_reference():
             best = best_response(g, protocol, start, i)
             assert costs[best] == min(costs)
             assert best == start[i] or costs[start[i]] > min(costs)
+
+
+def test_brd_final_social_cost_comes_from_the_kernel():
+    kinds = set()
+    for g, protocol in reference_cases():
+        start = (0,) * g.n
+        res = best_response_dynamics(g, protocol, start, max_steps=30)
+        assert res.social_cost == social_cost(g, res.profile)
+        stopped = best_response_dynamics(g, protocol, start, max_steps=0)
+        assert stopped.social_cost == social_cost(g, stopped.profile)
+        kinds.add(type(protocol))
+    assert {ShapleyProtocol, GeneralizedWeightedShapley, TableProtocol} <= kinds
 
 
 def test_custom_protocol_prices_a_game():

@@ -99,6 +99,17 @@ def test_arity_mismatch_rejected():
         SHAPLEY.share(f, 0b10, 1)
 
 
+def test_scaled_share_names_a_user_set_outside_the_arity():
+    # every protocol gives the same message, Shapley's inlined check included
+    gws = GeneralizedWeightedShapley(WeightSystem.plain(2))
+    for f in (SetCostFunction.anonymous([0, 1, 2]),
+              SetCostFunction.from_table(2, {0b01: 1, 0b10: 1, 0b11: 1})):
+        for protocol in (SHAPLEY, gws, TableProtocol()):
+            with pytest.raises(ProtocolError) as caught:
+                protocol.scaled_share(f, 0b100, 0)
+            assert str(caught.value) == "user set 0b100 outside arity 2"
+
+
 # ---------------------------------------------------------------------------
 # permutation oracle
 # ---------------------------------------------------------------------------
@@ -711,8 +722,9 @@ def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
     fa, fb = random_monotone_cost(rng, 3), random_monotone_cost(rng, 3)
     assert fa != fb
     every = frozenset("abc")
-    game = GameModel(3, ("a", "b", "c"), ((every,), (every,), (every, frozenset())),
-                     (fa, fb, fa))
+    # every player has two strategies, so the walk checks, and prices, each
+    either = (every, frozenset())
+    game = GameModel(3, ("a", "b", "c"), (either,) * 3, (fa, fb, fa))
 
     def two_blocks():
         return GeneralizedWeightedShapley(WeightSystem((1, 2, 3), ((0, 1), (2,))))
