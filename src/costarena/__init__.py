@@ -10,7 +10,9 @@ generators.
 
 Each question has one entry point: shares are asked of a ``Protocol``
 instance (``share`` / ``shares``), and the equilibria, their costs, the
-optimum and both ratios of a game come from one ``analyze`` call.
+optimum and both ratios of a game come from one ``analyze`` call. The
+numbers of one profile (``potential``, ``private_cost(s)``,
+``social_cost``) are views of the same compiled kernel.
 """
 
 from .core import (
@@ -23,9 +25,10 @@ from .core import (
     ValidationError,
     classify,
     is_anonymous,
-    social_cost,
     users_of,
 )
+# first, so that the function ``potential`` below takes over the submodule's name
+from .potential import harmonic
 from .equilibrium import (
     AnalysisReport,
     BrdResult,
@@ -34,7 +37,11 @@ from .equilibrium import (
     best_response,
     best_response_dynamics,
     is_pne,
+    potential,
     potential_minimizer,
+    private_cost,
+    private_costs,
+    social_cost,
     social_optimum,
 )
 from .gadgets import (
@@ -46,7 +53,6 @@ from .gadgets import (
     verify_gadget,
 )
 from .network import Edge, NetworkModel, to_game
-from .potential import harmonic, potential
 from .protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -55,8 +61,6 @@ from .protocols import (
     TableProtocol,
     WeightSystem,
     check_budget_balance,
-    private_cost,
-    private_costs,
 )
 
 __version__ = "0.1.0"

@@ -503,8 +503,3 @@ def users_of(model: GameModel, profile: Profile, r: str) -> int:
     """Bitmask of players whose chosen strategy contains resource ``r``."""
     return model.usage_masks(profile)[model.resource_index(r)]
 
-
-def social_cost(model: GameModel, profile: Profile) -> Fraction:
-    """Total cost over resources: sum of C^r applied to r's user set."""
-    usage = model.usage_masks(profile)
-    return sum((f.value(u) for f, u in zip(model.cost_fns, usage)), Fraction(0))

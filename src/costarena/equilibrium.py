@@ -34,6 +34,10 @@ that is reported.
 ``analyze`` takes the equilibria, their social costs and potentials, and
 the optimum from one walk. Ties break lexicographically, so reports are
 reproducible. The profile-space size is capped at ``PROFILE_CAP``.
+
+Each number of one profile (``is_pne``, ``best_response``, ``potential``
+under Shapley, ``private_cost(s)``, ``social_cost``) is a view of a kernel
+compiled for the call, so a D past ``core.MAX_SCALE_BITS`` raises there too.
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ class _Kernel:
     protocol's potential of ``mask`` under r's cost function, and
     ``potentials`` is None when the protocol has no ``scaled_potential``
     (or there is no protocol). Resources with equal cost functions point
-    at the same rows. ``usage`` holds the user masks of the current profile.
+    at the same rows. ``usage`` holds the user masks of the current profile;
+    ``walk`` and ``move`` leave ``profile``, the one given to ``at``, behind.
 
     A walk that checks stability sets ``deviations``: ``deviations[i][c]``,
     built on first use, holds for each other strategy s of player i the
@@ -123,8 +128,9 @@ class _Kernel:
                         for i, sset in enumerate(self.strategies)]
 
     def at(self, profile: Profile) -> "_Kernel":
-        """Point ``usage`` at the masks of ``profile`` (validated)."""
+        """Keep ``profile`` (validated) and point ``usage`` at its masks."""
         self.usage = self.model.usage_masks(profile)
+        self.profile = profile
         return self
 
     def walk(self, rows, stable: bool = False):
@@ -247,9 +253,9 @@ class _Kernel:
                     return True
         return False
 
-    def stable(self, profile: Profile) -> bool:
+    def stable(self) -> bool:
         """No player can strictly lower its cost by a unilateral switch."""
-        return not any(self._improves(i, current) for i, current in enumerate(profile))
+        return not any(self._improves(i, current) for i, current in enumerate(self.profile))
 
     def best_response(self, i: int, current: int) -> tuple[int, list[int]]:
         """i's best strategy and its scaled cost under each strategy; keeps
@@ -283,6 +289,13 @@ class _Kernel:
         """The social cost of the current profile."""
         return Fraction(sum(row[mask] for row, mask in zip(self.costs, self.usage)),
                         self.scale)
+
+    def private_costs(self) -> tuple[Fraction, ...]:
+        """Each player's payment at the profile given to ``at``: its shares
+        summed over the resources of its strategy."""
+        usage = self.usage
+        return tuple(Fraction(sum(row[usage[r]] for r, row in options[s]), self.scale)
+                     for options, s in zip(self.options, self.profile))
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -379,7 +392,30 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
 
 def is_pne(model: GameModel, protocol: Protocol, profile: Profile) -> bool:
     """No player can strictly lower its cost by a unilateral switch."""
-    return _Kernel(model, protocol).at(profile).stable(profile)
+    return _Kernel(model, protocol).at(profile).stable()
+
+
+def potential(model: GameModel, profile: Profile) -> Fraction:
+    """The Shapley potential of ``profile``: the sum over resources of the
+    Hart--Mas-Colell potential of each resource's user set."""
+    return _Kernel(model, ShapleyProtocol()).at(profile).potential()
+
+
+def private_costs(model: GameModel, protocol: Protocol, profile: Profile) -> tuple:
+    """All players' payments; they sum to the social cost under budget balance."""
+    return _Kernel(model, protocol).at(profile).private_costs()
+
+
+def private_cost(model: GameModel, protocol: Protocol, profile: Profile,
+                 i: int) -> Fraction:
+    """Player i's total payment: its shares over its strategy's resources."""
+    player_mask((i,), model.n)
+    return private_costs(model, protocol, profile)[i]
+
+
+def social_cost(model: GameModel, profile: Profile) -> Fraction:
+    """Total cost over resources: sum of C^r applied to r's user set."""
+    return _Kernel(model).at(profile).social_cost()
 
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:

@@ -11,7 +11,8 @@ Every protocol gives integer shares: ``scaled_share(f, S, i)`` is the
 share times the positive integer ``share_scale(f)``. The equilibrium kernel
 reads only these, and scales a whole game by the lcm of the share scales,
 so its walk adds and compares Python ints only; ``share`` is their
-``Fraction`` view on the base class. Shapley and GWS give ``scaled_share``
+``Fraction`` view on the base class (a player's payment is the kernel's:
+``equilibrium.private_cost``). Shapley and GWS give ``scaled_share``
 as the integer potential differences below; ``TableProtocol`` scales its
 entries and its fallback's integer shares to its own scale.
 
@@ -413,20 +414,3 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
                     return (i, users, bigger)
     return None
 
-
-def private_cost(model, protocol: Protocol, profile, i: int) -> Fraction:
-    """Player i's total payment: the sum of i's shares over the resources
-    in i's chosen strategy."""
-    bit = player_mask((i,), model.n)
-    usage = model.usage_masks(profile)
-    total = ZERO
-    for f, users in zip(model.cost_fns, usage):
-        if users & bit:
-            total += protocol.share(f, users, i)
-    return total
-
-
-def private_costs(model, protocol: Protocol, profile) -> tuple:
-    """All players' payments; sums to the social cost for budget-balanced
-    protocols."""
-    return tuple(private_cost(model, protocol, profile, i) for i in range(model.n))

@@ -1,7 +1,8 @@
 """Reference formulas the tests check the package against.
 
 These are the textbook definitions, written for clarity and kept apart
-from the integer engines in ``costarena.protocols``:
+from the integer engines in ``costarena.protocols`` and
+``costarena.equilibrium``:
 
 * the Shapley share as the literal average of marginal costs over all
   orderings of the user set;
@@ -11,7 +12,9 @@ from the integer engines in ``costarena.protocols``:
                alpha(|users(r)|, |T|) * C^r(T)
 
   with alpha(k, t) = (t - 1)! (k - t)! / k!;
-* the same potential built up from entry shares along a player order.
+* the same potential built up from entry shares along a player order;
+* a player's payment as ``Protocol.share`` summed, in ``Fraction``, over
+  the resources it uses.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from costarena.core import (
     Profile,
     SetCostFunction,
     ValidationError,
-    full_mask,
     iter_submasks,
     mask_members,
 )
@@ -94,17 +96,18 @@ def resource_potential(f, users: int) -> Fraction:
     return total
 
 
-def alpha_potential(model: GameModel, profile: Profile, live: int | None = None) -> Fraction:
-    """Phi(P) over the profile's user sets, from ``resource_potential``.
-
-    ``live`` optionally restricts to a subset of players (bitmask):
-    everyone outside it is treated as absent.
-    """
+def alpha_potential(model: GameModel, profile: Profile) -> Fraction:
+    """Phi(P) over the profile's user sets, from ``resource_potential``."""
     usage = model.usage_masks(profile)
-    if live is None:
-        live = full_mask(model.n)
-    return sum((resource_potential(f, u & live)
-                for f, u in zip(model.cost_fns, usage)), ZERO)
+    return sum((resource_potential(f, u) for f, u in zip(model.cost_fns, usage)), ZERO)
+
+
+def reference_private_cost(model: GameModel, protocol, profile: Profile, i: int) -> Fraction:
+    """Player i's total payment: ``protocol.share`` summed over the
+    resources in i's chosen strategy."""
+    usage = model.usage_masks(profile)
+    return sum((protocol.share(f, users, i)
+                for f, users in zip(model.cost_fns, usage) if (users >> i) & 1), ZERO)
 
 
 def potential_by_permutation(model: GameModel, profile: Profile,

@@ -13,13 +13,19 @@ from functools import lru_cache
 from math import comb
 
 from conftest import record_acceptance
-from oracle import alpha, potential_by_permutation, shapley_shares_by_permutations
+from oracle import (
+    alpha,
+    potential_by_permutation,
+    reference_private_cost,
+    shapley_shares_by_permutations,
+)
 
 from costarena.core import SetCostFunction, users_of
 from costarena.equilibrium import (
     analyze,
     best_response_dynamics,
     is_pne,
+    potential,
 )
 from costarena.gadgets import (
     POA_UNBOUNDED,
@@ -29,14 +35,13 @@ from costarena.gadgets import (
     verify_gadget,
 )
 from costarena.network import to_game
-from costarena.potential import harmonic, potential
+from costarena.potential import harmonic
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
     check_budget_balance,
-    private_costs,
 )
 from costarena.randomgames import corpus, random_cost, random_game
 
@@ -140,7 +145,8 @@ def test_criterion_4_exact_potential_on_corpus():
             profiles = list(itertools.product(
                 *(range(len(s)) for s in g.strategy_sets)))
             phi = {p: potential(g, p) for p in profiles}
-            bill = {p: private_costs(g, SHAPLEY, p) for p in profiles}
+            bill = {p: [reference_private_cost(g, SHAPLEY, p, i) for i in range(g.n)]
+                    for p in profiles}
             for p in profiles:
                 for i in range(g.n):
                     for alt in range(len(g.strategy_sets[i])):

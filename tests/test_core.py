@@ -14,9 +14,9 @@ from costarena.core import (
     iter_submasks,
     mask_members,
     player_mask,
-    social_cost,
     users_of,
 )
+from costarena.equilibrium import social_cost
 
 F = Fraction
 

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import alpha_potential
+from oracle import alpha_potential, reference_private_cost
 
 from costarena.core import (
+    MAX_SCALE_BITS,
     CapExceededError,
     GameModel,
     Memo,
     SetCostFunction,
     ValidationError,
-    social_cost,
 )
 from costarena.equilibrium import (
     DEVIATION_CAP,
@@ -23,19 +23,21 @@ from costarena.equilibrium import (
     best_response,
     best_response_dynamics,
     is_pne,
+    potential,
     potential_minimizer,
+    private_cost,
+    private_costs,
+    social_cost,
     social_optimum,
 )
 from costarena.gadgets import build_poa_unbounded, build_pos_linear, build_pos_nharmonic
 from costarena.network import to_game
-from costarena.potential import potential
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
-    private_cost,
 )
 from costarena.randomgames import COST_CLASSES, corpus, random_cost, random_game
 
@@ -113,8 +115,8 @@ def test_best_response_is_a_strict_improvement_or_fixed():
         br = best_response(g, SHAPLEY, profile, i)
         if br != profile[i]:
             moved = profile[:i] + (br,) + profile[i + 1:]
-            assert (private_cost(g, SHAPLEY, moved, i)
-                    < private_cost(g, SHAPLEY, profile, i))
+            assert (reference_private_cost(g, SHAPLEY, moved, i)
+                    < reference_private_cost(g, SHAPLEY, profile, i))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_brd_converges_and_logs_steps():
     assert (step.player, step.old, step.new) == (1, 1, 0)
     assert step.cost_before == 1
     assert step.cost_after == F(3, 4)
-    assert step.phi == potential(g, (0, 0))
+    assert step.phi == alpha_potential(g, (0, 0))
 
 
 def test_brd_potential_strictly_decreases():
@@ -151,7 +153,7 @@ def test_brd_potential_strictly_decreases():
         res = best_response_dynamics(g, SHAPLEY, start)
         assert res.converged
         assert is_pne(g, SHAPLEY, res.profile)
-        phis = [potential(g, start)] + [s.phi for s in res.trace]
+        phis = [alpha_potential(g, start)] + [s.phi for s in res.trace]
         assert all(a > b for a, b in zip(phis, phis[1:]))
 
 
@@ -327,7 +329,7 @@ def test_analyze_report_contents():
     assert report.optimum == (0, 1)
     assert report.optimum_cost == 1
     assert report.poa == report.pos == F(3, 2)
-    assert report.potentials == (potential(g, (0, 0)),)
+    assert report.potentials == (alpha_potential(g, (0, 0)),)
 
 
 def test_analyze_has_no_potential_for_other_protocols():
@@ -353,8 +355,9 @@ def reference_cost(model, profile):
 
 def reference_costs(model, protocol, profile, i):
     """Player i's Fraction payment under each of its strategies, the others
-    fixed, from ``private_cost`` (``protocol.share`` summed per resource)."""
-    return [private_cost(model, protocol, profile[:i] + (s,) + profile[i + 1:], i)
+    fixed, from ``oracle.reference_private_cost`` (``protocol.share`` summed
+    per resource)."""
+    return [reference_private_cost(model, protocol, profile[:i] + (s,) + profile[i + 1:], i)
             for s in range(len(model.strategy_sets[i]))]
 
 
@@ -589,7 +592,7 @@ def test_deviation_cap_only_moves_work():
     walked = list(kernel.walk(kernel.costs, stable=True))
     assert deviation_pairs(kernel) == [None, k * (k - 1)]
     stable = [p for p, _, calm in walked if calm]
-    assert stable == [p for p in reference_profiles(g) if kernel.at(p).stable(p)]
+    assert stable == [p for p in reference_profiles(g) if kernel.at(p).stable()]
     assert analyze(g, SHAPLEY).pne == tuple(stable)
 
 
@@ -677,9 +680,9 @@ def test_brd_final_social_cost_comes_from_the_kernel():
     for g, protocol in reference_cases():
         start = (0,) * g.n
         res = best_response_dynamics(g, protocol, start, max_steps=30)
-        assert res.social_cost == social_cost(g, res.profile)
+        assert res.social_cost == reference_cost(g, res.profile)
         stopped = best_response_dynamics(g, protocol, start, max_steps=0)
-        assert stopped.social_cost == social_cost(g, stopped.profile)
+        assert stopped.social_cost == reference_cost(g, stopped.profile)
         kinds.add(type(protocol))
     assert {ShapleyProtocol, GeneralizedWeightedShapley, TableProtocol} <= kinds
 
@@ -694,6 +697,50 @@ def test_custom_protocol_prices_a_game():
     assert analyze(g, HalfSplit()).pne == ((0, 0),)
 
 
+def test_per_profile_views_match_the_oracle():
+    # each view reads the kernel's rows; each reference sums Fractions
+    # from the cost functions and Protocol.share
+    rng = random.Random(93)
+    for cost_class in COST_CLASSES:
+        for g in corpus(94, 12, cost_class, max_players=5):
+            weights = tuple(F(1 + i % 3, 1 + i % 2) for i in range(g.n))
+            blocks = (tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2)))
+            gws = GeneralizedWeightedShapley(WeightSystem(weights, tuple(b for b in blocks if b)))
+            for _ in range(3):
+                profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
+                assert social_cost(g, profile) == reference_cost(g, profile)
+                assert potential(g, profile) == alpha_potential(g, profile)
+                for protocol in (SHAPLEY, gws, TableProtocol(), HalfSplit()):
+                    want = tuple(reference_private_cost(g, protocol, profile, i)
+                                 for i in range(g.n))
+                    assert private_costs(g, protocol, profile) == want
+                    assert tuple(private_cost(g, protocol, profile, i)
+                                 for i in range(g.n)) == want
+
+
+def test_views_refuse_a_game_past_the_scale_bits_like_analyze():
+    # each resource's denominator is a prime below 4000, and their lcm, the
+    # game's D, takes more than MAX_SCALE_BITS bits
+    sieve = bytearray([1]) * 4000
+    for p in range(2, 64):
+        sieve[p * p::p] = bytes(len(range(p * p, 4000, p)))
+    primes = [p for p in range(2, 4000) if sieve[p]]
+    assert math.prod(primes).bit_length() > MAX_SCALE_BITS
+    names = tuple(f"r{p}" for p in primes)
+    g = GameModel(1, names, ((frozenset(names),),),
+                  tuple(SetCostFunction.anonymous([0, F(1, p)]) for p in primes))
+    with pytest.raises(ValidationError) as caught:
+        analyze(g, SHAPLEY)
+    want = f"common denominator of the game has more than {MAX_SCALE_BITS} bits"
+    assert str(caught.value) == want
+    for call in (lambda: social_cost(g, (0,)), lambda: potential(g, (0,)),
+                 lambda: private_cost(g, SHAPLEY, (0,), 0),
+                 lambda: private_costs(g, SHAPLEY, (0,)), lambda: is_pne(g, SHAPLEY, (0,))):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == want
+
+
 # ---------------------------------------------------------------------------
 # caps
 # ---------------------------------------------------------------------------
@@ -706,7 +753,9 @@ def test_strategy_indices_are_ints(index):
     g = GameModel(2, ("a", "b"), ((frozenset({"a"}), frozenset({"b"})), (frozenset({"a"}),)),
                   (f, f))
     for call in (lambda p: is_pne(g, SHAPLEY, p), lambda p: social_cost(g, p),
-                 lambda p: potential(g, p), lambda p: best_response_dynamics(g, SHAPLEY, p)):
+                 lambda p: potential(g, p), lambda p: private_cost(g, SHAPLEY, p, 0),
+                 lambda p: private_costs(g, SHAPLEY, p),
+                 lambda p: best_response_dynamics(g, SHAPLEY, p)):
         with pytest.raises(ValidationError) as caught:
             call((index, 0))
         assert str(caught.value) == f"player 0: strategy index {index!r} is not an int"

@@ -15,7 +15,7 @@ from costarena.core import (
     parse_fractions,
     player_mask,
 )
-from costarena.equilibrium import best_response
+from costarena.equilibrium import best_response, private_cost
 from costarena.gadgets import GadgetSpec, build_poa_unbounded, build_pos_linear, verify_gadget
 from costarena.gamefile import (
     cost_from_json,
@@ -39,7 +39,6 @@ from costarena.protocols import (
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
-    private_cost,
 )
 from costarena.randomgames import corpus
 

@@ -7,12 +7,11 @@ from costarena.core import (
     CapExceededError,
     SetCostFunction,
     ValidationError,
-    social_cost,
     users_of,
 )
-from costarena.equilibrium import analyze
+from costarena.equilibrium import analyze, private_costs, social_cost
 from costarena.network import Edge, NetworkModel, to_game
-from costarena.protocols import ShapleyProtocol, private_costs
+from costarena.protocols import ShapleyProtocol
 
 F = Fraction
 

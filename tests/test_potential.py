@@ -6,21 +6,20 @@ import pytest
 
 from oracle import (
     alpha,
-    alpha_potential,
     alpha_table,
     potential_by_permutation,
+    reference_private_cost,
     resource_potential,
 )
 
+from costarena import harmonic, potential, social_cost
 from costarena.core import (
     GameModel,
     SetCostFunction,
     ValidationError,
     full_mask,
-    social_cost,
 )
-from costarena.potential import harmonic, potential
-from costarena.protocols import ShapleyProtocol, private_cost
+from costarena.protocols import ShapleyProtocol
 from costarena.randomgames import COST_CLASSES, corpus, random_game
 
 F = Fraction
@@ -92,34 +91,36 @@ def shared_pair_game():
                      ((frozenset({"r"}),), (frozenset({"r"}),)), (f,))
 
 
+def shapley_potential(protocol, f, users):
+    """One resource's Shapley potential of ``users`` as a Fraction."""
+    return F(protocol.scaled_potential(f, users), protocol.share_scale(f))
+
+
 def test_potential_sums_resources():
     g = shared_pair_game()
     assert potential(g, (0, 0)) == 4
-    assert potential(g, (0, 0), live=0b01) == 1
-    assert potential(g, (0, 0), live=0b10) == 3
-    assert potential(g, (0, 0), live=0) == 0
-    assert potential(g, (0, 0), live=0b11) == 4
-
-
-@pytest.mark.parametrize("live", [-1, True, False, 1 << 5, 0b100, 1.0, "3"])
-def test_potential_live_mask_must_be_a_mask(live):
-    with pytest.raises(ValidationError) as err:
-        potential(shared_pair_game(), (0, 0), live=live)
-    assert str(err.value) == f"live mask {live!r} is not a mask in 0..3"
+    f, protocol = g.cost_fns[0], ShapleyProtocol()
+    assert [shapley_potential(protocol, f, live) for live in (0b01, 0b10, 0, 0b11)] == [1, 3, 0, 4]
 
 
 def test_potential_matches_alpha_formula_for_every_live_mask():
+    # per resource: the potential of every live subset of a user set is the
+    # subset expansion
     rng = random.Random(141)
+    protocol = ShapleyProtocol()
     for cost_class in COST_CLASSES:
         for g in corpus(142, 30, cost_class, max_players=5):
             for _ in range(2):
                 profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
-                for live in range(1 << g.n):
-                    assert potential(g, profile, live) == alpha_potential(g, profile, live)
+                for f, users in zip(g.cost_fns, g.usage_masks(profile)):
+                    for live in range(1 << g.n):
+                        assert (shapley_potential(protocol, f, users & live)
+                                == resource_potential(f, users & live))
 
 
 def test_potential_insertion_chain():
-    # adding one live player raises the potential by exactly its bill
+    # per resource, adding one live player raises the potential by exactly
+    # its share, so the potential is the sum of the entry shares
     rng = random.Random(140)
     protocol = ShapleyProtocol()
     for _ in range(30):
@@ -127,15 +128,12 @@ def test_potential_insertion_chain():
         profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
         order = list(range(g.n))
         rng.shuffle(order)
-        live = 0
-        for i in order:
-            before = potential(g, profile, live=live)
-            live |= 1 << i
-            after = potential(g, profile, live=live)
-            usage = g.usage_masks(profile)
-            bill = sum(protocol.share(f, users & live, i)
-                       for f, users in zip(g.cost_fns, usage))
-            assert after - before == bill
+        for f, users in zip(g.cost_fns, g.usage_masks(profile)):
+            live, entered = 0, F(0)
+            for i in order:
+                live |= 1 << i
+                entered += protocol.share(f, users & live, i)
+                assert shapley_potential(protocol, f, users & live) == entered
 
 
 def test_exact_potential_identity_random_games():
@@ -151,8 +149,8 @@ def test_exact_potential_identity_random_games():
                         continue
                     moved = profile[:i] + (alt,) + profile[i + 1:]
                     lhs = potential(g, moved) - phi
-                    rhs = (private_cost(g, protocol, moved, i)
-                           - private_cost(g, protocol, profile, i))
+                    rhs = (reference_private_cost(g, protocol, moved, i)
+                           - reference_private_cost(g, protocol, profile, i))
                     assert lhs == rhs
 
 

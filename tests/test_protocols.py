@@ -22,7 +22,7 @@ from costarena.core import (
     player_mask,
     scale_lcm,
 )
-from costarena.equilibrium import analyze
+from costarena.equilibrium import analyze, private_cost, private_costs
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -32,8 +32,6 @@ from costarena.protocols import (
     WeightSystem,
     check_budget_balance,
     find_share_monotonicity_violation,
-    private_cost,
-    private_costs,
 )
 
 F = Fraction
@@ -515,9 +513,10 @@ def test_private_costs_cover_social_cost():
         (fa, fb),
     )
     p = ShapleyProtocol()
-    from costarena.core import social_cost
     for profile in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]:
-        assert sum(private_costs(g, p, profile)) == social_cost(g, profile)
+        usage = g.usage_masks(profile)
+        assert sum(private_costs(g, p, profile)) == sum(
+            (f.value(u) for f, u in zip(g.cost_fns, usage)), F(0))
 
 
 def test_protocol_base_share_contract():
