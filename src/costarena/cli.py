@@ -15,7 +15,9 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import CapExceededError, ValidationError, mask_members, parse_fraction
+from .core import (
+    SUBMODULAR, SUPERMODULAR, CapExceededError, ValidationError, mask_members,
+    parse_fraction)
 from .equilibrium import INFINITE, analyze, best_response_dynamics
 from .gadgets import (
     GadgetSpec,
@@ -43,7 +45,7 @@ from .protocols import (
     ShapleyProtocol,
     WeightSystem,
 )
-from .randomgames import COST_CLASSES, SUBMODULAR_CLASS, SUPERMODULAR_CLASS, corpus
+from .randomgames import COST_CLASSES, corpus
 
 
 def _ratio_json(value) -> str | None:
@@ -251,10 +253,10 @@ def cmd_verify_bounds(args) -> int:
             limits[n] = Fraction(n), h, n * h
         whole, h, product = limits[n]
         bounds = {}
-        if args.cost_class == SUBMODULAR_CLASS:
+        if args.cost_class == SUBMODULAR:
             bounds["pos<=H_n"] = (report.pos, h)
             bounds["poa<=n"] = (report.poa, whole)
-        elif args.cost_class == SUPERMODULAR_CLASS:
+        elif args.cost_class == SUPERMODULAR:
             bounds["pos<=n"] = (report.pos, whole)
         else:
             bounds["pos<=n*H_n"] = (report.pos, product)

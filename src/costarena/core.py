@@ -104,6 +104,10 @@ def full_mask(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def check_player_count(n: int) -> None:
+    """Every player count reads through here: an int, not a bool, in
+    1..MAX_PLAYERS."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"player count {n!r} is not an int")
     if not 1 <= n <= MAX_PLAYERS:
         raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
 
@@ -284,6 +288,7 @@ class SetCostFunction:
     @classmethod
     def zero(cls, n: int) -> "SetCostFunction":
         """The identically-zero (free) cost function."""
+        check_player_count(n)  # before sizing the list by it
         return cls(n, [0] * (n + 1), anonymous=True)
 
     def _fraction(self, scaled: int) -> Fraction:
@@ -332,8 +337,6 @@ class SetCostFunction:
 
     def value(self, users: int) -> Fraction:
         return Fraction(self.scaled(users), self.denominator)
-
-    __call__ = value
 
     def _by_size(self) -> tuple | None:
         """The numerators indexed by the number of users if the cost depends

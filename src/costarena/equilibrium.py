@@ -89,8 +89,9 @@ class _Kernel:
     protocol's potential of ``mask`` under r's cost function, and
     ``potentials`` is None when the protocol has no ``scaled_potential``
     (or there is no protocol). Resources with equal cost functions point
-    at the same rows. ``usage`` holds the user masks of the current profile;
-    ``walk`` and ``move`` leave ``profile``, the one given to ``at``, behind.
+    at the same rows. ``profile`` is the current profile, a list of strategy
+    indices, and ``usage`` holds its user masks: ``at``, ``move`` and the
+    walk change the two together, so they agree whenever a caller reads them.
 
     A walk that checks stability sets ``deviations``: ``deviations[i][c]``,
     built on first use, holds for each other strategy s of player i the
@@ -112,6 +113,7 @@ class _Kernel:
         self.strategies = model._strategy_ridx
         costs = {f: _cost_row(f, scale // f.denominator) for f in distinct}
         self.costs = [costs[f] for f in fns]
+        self.profile: list[int] = []
         self.usage: list[int] = []
         self.potentials = None
         if protocol is None:
@@ -128,9 +130,9 @@ class _Kernel:
                         for i, sset in enumerate(self.strategies)]
 
     def at(self, profile: Profile) -> "_Kernel":
-        """Keep ``profile`` (validated) and point ``usage`` at its masks."""
+        """Make ``profile`` (validated) the current one."""
         self.usage = self.model.usage_masks(profile)
-        self.profile = profile
+        self.profile = list(profile)
         return self
 
     def walk(self, rows, stable: bool = False):
@@ -140,17 +142,16 @@ class _Kernel:
         whose total is below every earlier one, so the last of these is the
         lexicographically first minimum, and, when ``stable`` is asked
         for, each profile that no player can improve on (``is_stable`` is
-        False when it is not asked for). ``self.usage`` holds the yielded
-        profile's masks while the caller reads it. Raises CapExceededError
-        before the first profile if the space is larger than the cap."""
+        False when it is not asked for). The kernel's current profile is
+        the yielded one while the caller reads it, and the first one again
+        after the last. Raises CapExceededError before the first profile if
+        the space is larger than the cap."""
         size = self.model.profile_space_size()
         if size > PROFILE_CAP:
             raise CapExceededError(f"profile space has {size} profiles, cap is {PROFILE_CAP}")
         strategies = self.strategies
-        usage = self.usage = [0] * len(rows)
-        for i, sset in enumerate(strategies):
-            for r in sset[0]:
-                usage[r] |= 1 << i
+        self.at((0,) * len(strategies))
+        usage, digits = self.usage, self.profile
         total = sum(row[mask] for row, mask in zip(rows, usage))
         best = total + 1
         counts = [len(sset) for sset in strategies]
@@ -169,7 +170,6 @@ class _Kernel:
                     checked.append((i, 1 << i, table))
                 elif k > 1:
                     summed.append(i)
-        digits = [0] * len(strategies)
         while True:
             calm = stable
             for entry in checked:
@@ -199,7 +199,7 @@ class _Kernel:
                     break
             if calm:
                 for i in summed:
-                    if self._improves(i, digits[i]):
+                    if self._improves(i):
                         calm = False
                         break
             if total < best or calm:
@@ -235,9 +235,10 @@ class _Kernel:
                             [e for e in mine if e[0] not in other]))
         return row
 
-    def _improves(self, i: int, current: int) -> bool:
-        """Whether player i, playing ``current``, can strictly lower its
-        cost by a unilateral switch, by the full sums of its strategies."""
+    def _improves(self, i: int) -> bool:
+        """Whether player i can strictly lower its cost by a unilateral
+        switch, by the full sums of its strategies."""
+        current = self.profile[i]
         usage = self.usage
         options = self.options[i]
         bit = 1 << i
@@ -255,11 +256,12 @@ class _Kernel:
 
     def stable(self) -> bool:
         """No player can strictly lower its cost by a unilateral switch."""
-        return not any(self._improves(i, current) for i, current in enumerate(self.profile))
+        return not any(self._improves(i) for i in range(len(self.profile)))
 
-    def best_response(self, i: int, current: int) -> tuple[int, list[int]]:
+    def best_response(self, i: int) -> tuple[int, list[int]]:
         """i's best strategy and its scaled cost under each strategy; keeps
-        ``current`` on a tie, else takes the lowest-index minimizer."""
+        i's current one on a tie, else takes the lowest-index minimizer."""
+        current = self.profile[i]
         usage = self.usage
         bit = 1 << i
         costs = [sum(row[usage[r] | bit] for r, row in option)
@@ -268,14 +270,15 @@ class _Kernel:
         best = current if costs[current] == best_c else costs.index(best_c)
         return best, costs
 
-    def move(self, i: int, old: int, new: int) -> None:
-        """Switch player i from strategy ``old`` to ``new`` in ``usage``."""
+    def move(self, i: int, new: int) -> None:
+        """Switch player i to strategy ``new``."""
         usage = self.usage
         bit = 1 << i
-        for r in self.strategies[i][old]:
+        for r in self.strategies[i][self.profile[i]]:
             usage[r] &= ~bit
         for r in self.strategies[i][new]:
             usage[r] |= bit
+        self.profile[i] = new
 
     def potential(self) -> Fraction | None:
         """The protocol's potential of the current profile, or None when
@@ -291,8 +294,8 @@ class _Kernel:
                         self.scale)
 
     def private_costs(self) -> tuple[Fraction, ...]:
-        """Each player's payment at the profile given to ``at``: its shares
-        summed over the resources of its strategy."""
+        """Each player's payment at the current profile: its shares summed
+        over the resources of its strategy."""
         usage = self.usage
         return tuple(Fraction(sum(row[usage[r]] for r, row in options[s]), self.scale)
                      for options, s in zip(self.options, self.profile))
@@ -306,7 +309,7 @@ def best_response(model: GameModel, protocol: Protocol, profile: Profile,
     the lowest-index minimizer.
     """
     player_mask((i,), model.n)
-    return _Kernel(model, protocol).at(profile).best_response(i, profile[i])[0]
+    return _Kernel(model, protocol).at(profile).best_response(i)[0]
 
 
 @dataclass(frozen=True)
@@ -356,15 +359,13 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     elif max_steps < 0:
         raise ValidationError(f"max_steps {max_steps} is negative")
     if schedule not in ("round-robin", "random"):
-        raise ValueError(f"unknown schedule {schedule!r}")
+        raise ValidationError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None
     kernel = _Kernel(model, protocol).at(start)
     scale = kernel.scale
-
-    profile = list(start)
+    profile = kernel.profile
     trace: list[BrdStep] = []
     sweeps = 0
-    changes = 0
     while True:
         sweeps += 1
         dirty = False
@@ -373,14 +374,12 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
             rng.shuffle(players)
         for i in players:
             current = profile[i]
-            best_s, costs = kernel.best_response(i, current)
+            best_s, costs = kernel.best_response(i)
             if best_s != current:
-                if changes >= max_steps:
+                if len(trace) >= max_steps:
                     return BrdResult(tuple(profile), False, tuple(trace), sweeps,
                                      kernel.social_cost())
-                kernel.move(i, current, best_s)
-                profile[i] = best_s
-                changes += 1
+                kernel.move(i, best_s)
                 dirty = True
                 trace.append(BrdStep(i, current, best_s, kernel.potential(),
                                      Fraction(costs[current], scale),

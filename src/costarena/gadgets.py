@@ -66,18 +66,18 @@ class GadgetSpec:
             object.__setattr__(self, "eps", parse_fraction(self.eps))
         if self.a is not None:
             object.__setattr__(self, "a", parse_fraction(self.a))
+        if self.kind != POA_UNBOUNDED and self.n is not None:
+            check_player_count(self.n)  # before n is compared or sizes anything
         if self.kind == POS_LINEAR:
             if self.n is None or self.n < 2:
                 raise ValidationError("pos_linear needs n >= 2")
             if self.eps is None or not 0 < self.eps < 1:
                 raise ValidationError("pos_linear needs eps in (0,1)")
-            check_player_count(self.n)  # before a builder sizes anything by n
         elif self.kind == POS_NHARMONIC:
             if self.n is None or self.n < 2 or self.n % 2:
                 raise ValidationError("pos_nharmonic needs even n >= 2")
             if self.eps is None or not 0 < self.eps < Fraction(1, 2):
                 raise ValidationError("pos_nharmonic needs eps in (0,1/2)")
-            check_player_count(self.n)
         else:
             if self.a is None or self.a < 1:
                 raise ValidationError("poa_unbounded needs a >= 1")

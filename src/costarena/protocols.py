@@ -229,6 +229,7 @@ class WeightSystem:
     @classmethod
     def plain(cls, n: int) -> "WeightSystem":
         """Unit weights, single block: reduces to the Shapley value."""
+        check_player_count(n)  # before sizing the weights by it
         return cls((Fraction(1),) * n, (tuple(range(n)),))
 
     def block_masks(self) -> tuple[int, ...]:
@@ -323,6 +324,8 @@ class TableProtocol(Protocol):
     players: int | None = None
 
     def __post_init__(self):
+        if self.players is not None:
+            check_player_count(self.players)
         self._scales = {}  # f -> share_scale(f); plain dicts, so no reference cycle
         self._entries = {}  # (f, users) -> shares, the one store
         given, self.entries = self.entries, MappingProxyType(self._entries)

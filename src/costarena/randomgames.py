@@ -22,12 +22,11 @@ import itertools
 import random
 
 from .core import (
-    CapExceededError, GameModel, SetCostFunction, ValidationError, full_mask, mask_members)
+    SUBMODULAR, SUPERMODULAR, CapExceededError, GameModel, SetCostFunction, ValidationError,
+    full_mask, mask_members)
 
 ARBITRARY = "arbitrary"
-SUBMODULAR_CLASS = "submodular"
-SUPERMODULAR_CLASS = "supermodular"
-COST_CLASSES = (ARBITRARY, SUBMODULAR_CLASS, SUPERMODULAR_CLASS)
+COST_CLASSES = (ARBITRARY, SUBMODULAR, SUPERMODULAR)
 
 SCALE = 12  # lcm(1, 2, 3, 4)
 
@@ -87,15 +86,15 @@ def random_cost(rng: random.Random, n: int, cost_class: str = ARBITRARY) -> SetC
         if rng.random() < 0.25:
             return _anonymous_cost(rng, n, "shuffled")
         return _monotone_lattice_cost(rng, n)
-    if cost_class == SUBMODULAR_CLASS:
+    if cost_class == SUBMODULAR:
         if rng.random() < 0.5:
             return _coverage_cost(rng, n)
         return _anonymous_cost(rng, n, "concave")
-    if cost_class == SUPERMODULAR_CLASS:
+    if cost_class == SUPERMODULAR:
         if rng.random() < 0.5:
             return _pairwise_cost(rng, n)
         return _anonymous_cost(rng, n, "convex")
-    raise ValueError(f"unknown cost class {cost_class!r}")
+    raise ValidationError(f"unknown cost class {cost_class!r}")
 
 
 def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
@@ -125,6 +124,10 @@ def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
 
 def corpus(seed: int, count: int, cost_class: str = ARBITRARY, **kwargs) -> list[GameModel]:
     """Deterministic list of ``count`` (at most CORPUS_CAP) random games for one seed."""
+    if cost_class not in COST_CLASSES:
+        raise ValidationError(f"unknown cost class {cost_class!r}")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValidationError(f"game count {count!r} is not an int")
     if count < 0:
         raise ValidationError(f"game count {count} is negative")
     if count > CORPUS_CAP:

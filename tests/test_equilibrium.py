@@ -221,8 +221,9 @@ def test_brd_step_budget_counts_only_changes():
 
 def test_brd_rejects_unknown_schedule():
     g = tension_game()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError) as caught:
         best_response_dynamics(g, SHAPLEY, (0, 0), schedule="sorted")
+    assert str(caught.value) == "unknown schedule 'sorted'"
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +698,20 @@ def test_custom_protocol_prices_a_game():
     assert analyze(g, HalfSplit()).pne == ((0, 0),)
 
 
+def two_block_gws(n):
+    """GWS with unequal weights: odd players first, then even ones."""
+    weights = tuple(F(1 + i % 3, 1 + i % 2) for i in range(n))
+    blocks = (tuple(range(1, n, 2)), tuple(range(0, n, 2)))
+    return GeneralizedWeightedShapley(WeightSystem(weights, tuple(b for b in blocks if b)))
+
+
 def test_per_profile_views_match_the_oracle():
     # each view reads the kernel's rows; each reference sums Fractions
     # from the cost functions and Protocol.share
     rng = random.Random(93)
     for cost_class in COST_CLASSES:
         for g in corpus(94, 12, cost_class, max_players=5):
-            weights = tuple(F(1 + i % 3, 1 + i % 2) for i in range(g.n))
-            blocks = (tuple(range(1, g.n, 2)), tuple(range(0, g.n, 2)))
-            gws = GeneralizedWeightedShapley(WeightSystem(weights, tuple(b for b in blocks if b)))
+            gws = two_block_gws(g.n)
             for _ in range(3):
                 profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
                 assert social_cost(g, profile) == reference_cost(g, profile)
@@ -716,6 +722,39 @@ def test_per_profile_views_match_the_oracle():
                     assert private_costs(g, protocol, profile) == want
                     assert tuple(private_cost(g, protocol, profile, i)
                                  for i in range(g.n)) == want
+
+
+def kernel_state(kernel):
+    """The kernel's current profile, its masks and every number read at it."""
+    return (tuple(kernel.profile), list(kernel.usage), kernel.private_costs(),
+            kernel.stable(), kernel.potential(), kernel.social_cost())
+
+
+def test_kernel_profile_and_masks_change_together():
+    # after at, after each move, at each profile a walk yields and after
+    # the walk, the kernel answers as a fresh kernel at the same profile
+    g = tension_game()
+    kernel = _Kernel(g, SHAPLEY).at((0, 1))
+    kernel.move(1, 0)
+    assert kernel.private_costs() == (F(3, 4), F(3, 4))
+    rng = random.Random(95)
+    for cost_class in COST_CLASSES:
+        for g in corpus(96, 8, cost_class, max_players=4):
+            gws = two_block_gws(g.n)
+            for protocol in (SHAPLEY, gws, TableProtocol()):
+                def fresh(profile):
+                    return kernel_state(_Kernel(g, protocol).at(profile))
+                want = [rng.randrange(len(s)) for s in g.strategy_sets]
+                kernel = _Kernel(g, protocol)
+                assert kernel_state(kernel.at(want)) == fresh(want)
+                for _ in range(6):
+                    i = rng.randrange(g.n)
+                    want[i] = rng.randrange(len(g.strategy_sets[i]))
+                    kernel.move(i, want[i])
+                    assert kernel_state(kernel) == fresh(want)
+                for profile, _, _ in kernel.walk(kernel.costs, stable=True):
+                    assert kernel_state(kernel) == fresh(profile)
+                assert kernel_state(kernel) == fresh((0,) * g.n)
 
 
 def test_views_refuse_a_game_past_the_scale_bits_like_analyze():

@@ -16,7 +16,9 @@ from costarena.core import (
     player_mask,
 )
 from costarena.equilibrium import best_response, private_cost
-from costarena.gadgets import GadgetSpec, build_poa_unbounded, build_pos_linear, verify_gadget
+from costarena.gadgets import (
+    POS_LINEAR, POS_NHARMONIC, GadgetSpec, build_poa_unbounded, build_pos_linear,
+    verify_gadget)
 from costarena.gamefile import (
     cost_from_json,
     cost_to_json,
@@ -142,6 +144,33 @@ def test_every_player_id_entry_point_reads_through_player_mask(entry, value):
         with pytest.raises(ValidationError) as expected:
             player_mask(ids(value), 2)
         assert str(caught.value) == str(expected.value)
+
+
+#: Every public entry point that takes a player count, as a call on one count.
+PLAYER_COUNT_ENTRY_POINTS = {
+    "GameModel": lambda n: GameModel(n, SHARED.resources, SHARED.strategy_sets,
+                                     SHARED.cost_fns),
+    "SetCostFunction": lambda n: SetCostFunction(n, [0, 1, 1, 2]),
+    "from_table": lambda n: SetCostFunction.from_table(n, {}),
+    "zero": lambda n: SetCostFunction.zero(n),
+    "plain": lambda n: WeightSystem.plain(n),
+    "pos_linear spec": lambda n: GadgetSpec(POS_LINEAR, n=n, eps=F(1, 4)),
+    "pos_nharmonic spec": lambda n: GadgetSpec(POS_NHARMONIC, n=n, eps=F(1, 4)),
+    "build_pos_linear": lambda n: build_pos_linear(n, F(1, 4)),
+    "table players": lambda n: TableProtocol(players=n),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("entry", list(PLAYER_COUNT_ENTRY_POINTS))
+def test_every_player_count_entry_point_is_an_int(entry, value):
+    # a float, even a whole one, a bool or a string is refused before the
+    # count sizes or compares anything; the int 2 is taken everywhere
+    call = PLAYER_COUNT_ENTRY_POINTS[entry]
+    call(2)
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"player count {value!r} is not an int"
 
 
 PLAYER_KEYED_READERS = {

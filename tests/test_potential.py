@@ -58,6 +58,10 @@ def test_harmonic_values():
     assert harmonic(10) == sum(F(1, j) for j in range(1, 11))
     with pytest.raises(ValidationError):
         harmonic(-1)
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ValidationError) as caught:
+            harmonic(k)
+        assert str(caught.value) == f"harmonic number index {k!r} is not an int"
 
 
 def test_alpha_weights_sum_to_harmonic():

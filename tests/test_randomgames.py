@@ -21,6 +21,23 @@ def test_corpus_count_is_not_negative():
         corpus(99, -3)
 
 
+@pytest.mark.parametrize("count, cost_class, message", [
+    (3, "bogus", "unknown cost class 'bogus'"),
+    (0, "bogus", "unknown cost class 'bogus'"),
+    (2.0, "arbitrary", "game count 2.0 is not an int"),
+    (True, "arbitrary", "game count True is not an int"),
+    ("3", "arbitrary", "game count '3' is not an int"),
+])
+def test_corpus_checks_its_arguments_before_the_first_game(monkeypatch, count, cost_class,
+                                                           message):
+    drawn = []
+    monkeypatch.setattr("costarena.randomgames.random_game", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ValidationError) as caught:
+        corpus(99, count, cost_class)
+    assert str(caught.value) == message
+    assert drawn == []
+
+
 def test_corpus_cap_acts_before_the_first_game(monkeypatch):
     drawn = []
     monkeypatch.setattr("costarena.randomgames.random_game", lambda *a, **k: drawn.append(a))
@@ -38,8 +55,9 @@ def test_cost_class_guarantees():
         assert classify(random_cost(rng, n, "submodular")) in ("submodular", "modular")
         assert classify(random_cost(rng, n, "supermodular")) in ("supermodular", "modular")
         random_cost(rng, n, "arbitrary")  # construction already validates
-    with pytest.raises(ValueError, match="unknown cost class 'bogus'"):
+    with pytest.raises(ValidationError) as caught:
         random_cost(rng, 2, "bogus")
+    assert str(caught.value) == "unknown cost class 'bogus'"
 
 
 def test_game_shape_limits():
