@@ -8,7 +8,8 @@ shows its values as ``fractions.Fraction`` only at the API; nothing in
 this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
 ``parse_fraction``, or a column at a time by ``parse_fractions``; every
-player id from outside is read by ``player_mask``.
+player id from outside is read by ``player_mask``, and every other outside
+integer, a count, a size or an index, by ``read_int``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import floordiv, gt, mul
 from typing import Iterable, Iterator
@@ -54,6 +55,20 @@ class Memo(dict):
         return value
 
 
+def read_int(value, what: str, low: int | None = 0, high: int | None = None) -> int:
+    """The one reader of an outside integer: ``value`` itself if it is an
+    int, not a bool, in ``low..high`` (no bound where a bound is None).
+    Otherwise raises ValidationError: "{what} {value!r} is not an int", or
+    "{what} {value} out of range {low}..{high}", with ``high`` left blank
+    when there is no upper bound."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} {value!r} is not an int")
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise ValidationError(
+            f"{what} {value} out of range {low}..{'' if high is None else high}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Player-set bitmask helpers
 # ---------------------------------------------------------------------------
@@ -65,9 +80,7 @@ def player_mask(players: Iterable[int], n: int) -> int:
     the range, when it is an int)."""
     mask = 0
     for p in players:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValidationError(f"player id {p!r} is not an int")
-        if not 0 <= p < n:
+        if not 0 <= read_int(p, "player id", None) < n:
             raise ValidationError(f"player id {p} in {players!r} out of range 0..{n - 1}")
         mask |= 1 << p
     return mask
@@ -106,10 +119,7 @@ def full_mask(n: int) -> int:
 def check_player_count(n: int) -> None:
     """Every player count reads through here: an int, not a bool, in
     1..MAX_PLAYERS."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"player count {n!r} is not an int")
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValidationError(f"player count {n} out of range 1..{MAX_PLAYERS}")
+    read_int(n, "player count", 1, MAX_PLAYERS)
 
 
 def scale_lcm(values: Iterable[int], what: str) -> int:
@@ -224,10 +234,10 @@ class SetCostFunction:
                  denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
         entries when ``anonymous``: rationals, read by ``parse_fractions``,
-        or integers with ``values[k] / denominators[k]`` the k-th entry,
-        not necessarily reduced. Only here is each entry reduced, L taken
-        as the lcm of the reduced denominators and every numerator scaled
-        to it."""
+        or ints, not bools, with ``values[k] / denominators[k]`` the k-th
+        entry, not necessarily reduced. Only here is each entry reduced, L
+        taken as the lcm of the reduced denominators and every numerator
+        scaled to it."""
         if denominators is None:
             nums, dens = parse_fractions(values)
         else:
@@ -235,6 +245,11 @@ class SetCostFunction:
             if len(nums) != len(dens):
                 raise ValidationError(
                     f"cost function has {len(nums)} numerators and {len(dens)} denominators")
+            if not set(map(type, chain(nums, dens))) <= {int}:  # name the first bad entry
+                for x in nums:
+                    read_int(x, "cost numerator", None)
+                for x in dens:
+                    read_int(x, "cost denominator", None)
             if min(dens, default=1) <= 0:
                 raise ValidationError(f"cost denominator {min(dens)} is not positive")
         factors = list(map(gcd, nums, dens))
@@ -486,10 +501,7 @@ class GameModel:
         if len(profile) != self.n:
             raise ValidationError(f"profile has {len(profile)} entries, game has {self.n} players")
         for i, si in enumerate(profile):
-            if not isinstance(si, int) or isinstance(si, bool):
-                raise ValidationError(f"player {i}: strategy index {si!r} is not an int")
-            if not 0 <= si < len(self.strategy_sets[i]):
-                raise ValidationError(f"player {i}: strategy index {si} out of range")
+            read_int(si, f"player {i}: strategy index", 0, len(self.strategy_sets[i]) - 1)
 
     def usage_masks(self, profile: Profile) -> list[int]:
         """Per resource (in declaration order), the bitmask of its users."""

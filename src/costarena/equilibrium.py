@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, scale_lcm)
+    CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, read_int, scale_lcm)
 from .protocols import Protocol, ShapleyProtocol
 
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
@@ -354,10 +354,7 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     model.validate_profile(start)
     if max_steps is None:
         max_steps = 10 * model.profile_space_size()
-    elif not isinstance(max_steps, int) or isinstance(max_steps, bool):
-        raise ValidationError(f"max_steps {max_steps!r} is not an int")
-    elif max_steps < 0:
-        raise ValidationError(f"max_steps {max_steps} is negative")
+    read_int(max_steps, "max_steps")
     if schedule not in ("round-robin", "random"):
         raise ValidationError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None

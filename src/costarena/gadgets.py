@@ -30,14 +30,7 @@ from .core import SetCostFunction, ValidationError, check_player_count, parse_fr
 from .equilibrium import analyze
 from .network import Edge, NetworkModel, to_game
 from .potential import harmonic
-from .protocols import (
-    GeneralizedWeightedShapley,
-    Protocol,
-    ProtocolError,
-    ShapleyProtocol,
-    WeightSystem,
-    find_share_monotonicity_violation,
-)
+from .protocols import GeneralizedWeightedShapley, Protocol, ShapleyProtocol, WeightSystem
 
 POS_LINEAR = "pos_linear"
 POS_NHARMONIC = "pos_nharmonic"
@@ -134,7 +127,9 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     1 + eps. Detour players are matched to spine slots by repeatedly
     peeling whoever the protocol charges most on the bypass (ties to the
     lowest player index), which is what makes the bypass unattractive in
-    every equilibrium.
+    every equilibrium. No bypass share rises when a user joins: i in R, the
+    users of the latest block present, pays (1 + eps) * a_i / A(R), the
+    rest 0, so a joiner shrinks, zeroes or keeps each share.
     """
     spec = GadgetSpec(POS_NHARMONIC, n=n, eps=eps)
     n, eps = spec.n, spec.eps
@@ -148,14 +143,6 @@ def build_pos_nharmonic(n: int, eps, w: WeightSystem) -> NetworkModel:
     detour_players = order[half:]
 
     constant = SetCostFunction.anonymous([0] + [1 + eps] * n)
-    violation = find_share_monotonicity_violation(
-        protocol, constant, within=player_mask(detour_players, n))
-    if violation is not None:
-        i, small, big = violation
-        raise ProtocolError(
-            f"protocol shares on the constant bypass cost are not monotone: "
-            f"player {i} pays less in {big:#b} than in {small:#b}")
-
     # peel largest bypass share first; last peeled lands on slot 1
     slot_of: dict[int, int] = {}
     remaining = list(detour_players)

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ValidationError
+from .core import read_int
 
 
 def harmonic(k: int) -> Fraction:
     """H_k = 1 + 1/2 + ... + 1/k as an exact rational (H_0 = 0)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f"harmonic number index {k!r} is not an int")
-    if k < 0:
-        raise ValidationError("harmonic number of a negative index")
+    k = read_int(k, "harmonic number index")
     return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))

@@ -257,7 +257,7 @@ class GeneralizedWeightedShapley(Protocol):
     name = "gws"
 
     def __init__(self, system: WeightSystem):
-        self.system = system
+        self._system = system
         common = scale_lcm({w.denominator for w in system.weights},
                            "common denominator of the weights")
         self._weights = a = tuple(w.numerator * (common // w.denominator)
@@ -281,14 +281,19 @@ class GeneralizedWeightedShapley(Protocol):
 
         self._potentials = Memo(potential)  # (f, U) -> Q_U
 
+    @property
+    def system(self) -> WeightSystem:
+        """The weight system, read-only: the weights and masks above are its."""
+        return self._system
+
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * self._weight_scale
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         _check_arity(f, users)
-        if len(self.system.weights) != f.n:
+        if len(self._weights) != f.n:
             raise ProtocolError(
-                f"weight system covers {self.system.n} players, cost function {f.n}")
+                f"weight system covers {len(self._weights)} players, cost function {f.n}")
         if not (users >> i) & 1:
             return 0
         own, after = self._masks[i]
@@ -301,7 +306,7 @@ class GeneralizedWeightedShapley(Protocol):
 # Explicit share tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TableProtocol(Protocol):
     """Shares looked up from explicit (cost function, user set) entries.
 
@@ -315,7 +320,8 @@ class TableProtocol(Protocol):
     ``set_entry`` adds an entry, and it drops that function's kept share
     scale. A scaled share is an entry's value or the fallback's scaled
     share, times the ratio of the scales. A cost function whose arity is
-    not ``players`` (when set, as a file sets it) raises.
+    not ``players`` (when set, as a file sets it) raises. The fields are
+    read-only once validated.
     """
 
     name = "table"
@@ -326,9 +332,11 @@ class TableProtocol(Protocol):
     def __post_init__(self):
         if self.players is not None:
             check_player_count(self.players)
-        self._scales = {}  # f -> share_scale(f); plain dicts, so no reference cycle
-        self._entries = {}  # (f, users) -> shares, the one store
-        given, self.entries = self.entries, MappingProxyType(self._entries)
+        given = self.entries
+        # plain dicts, so no reference cycle; set past the frozen fields
+        object.__setattr__(self, "_scales", {})  # f -> share_scale(f)
+        object.__setattr__(self, "_entries", {})  # (f, users) -> shares, the one store
+        object.__setattr__(self, "entries", MappingProxyType(self._entries))
         for (f, users), shares in given.items():
             self.set_entry(f, users, shares, validate=False)
 
@@ -398,10 +406,9 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
     """Search for i in S subset of S' with share(i, S) < share(i, S').
 
     ``within`` restricts both sets to subsets of the given mask. Returns
-    (i, smaller set, larger set) for the first violation, or None. For
-    constant cost functions every budget-balanced uniform protocol
-    satisfies this; assembled constructions that lean on it assert it
-    here instead of assuming it.
+    (i, smaller set, larger set) for the first violation, or None. Shapley
+    and every generalized weighted Shapley protocol find none on a constant
+    cost function.
     """
     scope = full_mask(f.n) if within is None else within
     share = protocol.scaled_share  # one cost function, so one scale

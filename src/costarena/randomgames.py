@@ -22,8 +22,8 @@ import itertools
 import random
 
 from .core import (
-    SUBMODULAR, SUPERMODULAR, CapExceededError, GameModel, SetCostFunction, ValidationError,
-    full_mask, mask_members)
+    MAX_PLAYERS, SUBMODULAR, SUPERMODULAR, CapExceededError, GameModel, SetCostFunction,
+    ValidationError, full_mask, mask_members, read_int)
 
 ARBITRARY = "arbitrary"
 COST_CLASSES = (ARBITRARY, SUBMODULAR, SUPERMODULAR)
@@ -100,8 +100,11 @@ def random_cost(rng: random.Random, n: int, cost_class: str = ARBITRARY) -> SetC
 def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
                 max_players: int = 4, max_resources: int = 4,
                 max_strategies: int = 4) -> GameModel:
-    """One random game; small chance of empty strategies to exercise
-    opt-out behaviour."""
+    """One random game, its sizes read before the first draw; small chance
+    of empty strategies to exercise opt-out behaviour."""
+    read_int(max_players, "max_players", 1, MAX_PLAYERS)
+    read_int(max_resources, "max_resources", 1)
+    read_int(max_strategies, "max_strategies", 1)
     n = rng.randint(1, max_players)
     n_res = rng.randint(1, max_resources)
     resources = tuple(f"r{j}" for j in range(n_res))
@@ -126,11 +129,7 @@ def corpus(seed: int, count: int, cost_class: str = ARBITRARY, **kwargs) -> list
     """Deterministic list of ``count`` (at most CORPUS_CAP) random games for one seed."""
     if cost_class not in COST_CLASSES:
         raise ValidationError(f"unknown cost class {cost_class!r}")
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValidationError(f"game count {count!r} is not an int")
-    if count < 0:
-        raise ValidationError(f"game count {count} is negative")
-    if count > CORPUS_CAP:
+    if read_int(count, "game count") > CORPUS_CAP:
         raise CapExceededError(f"{count} games asked for, cap is {CORPUS_CAP}")
     rng = random.Random(seed)
     return [random_game(rng, cost_class, **kwargs) for _ in range(count)]

@@ -14,6 +14,7 @@ from costarena.core import (
     iter_submasks,
     mask_members,
     player_mask,
+    read_int,
     users_of,
 )
 from costarena.equilibrium import social_cost
@@ -35,6 +36,29 @@ def test_mask_round_trip():
     assert mask_members(0b1101) == (0, 2, 3)
     assert player_mask(mask_members(0b101010), 6) == 0b101010
     assert mask_members(0) == ()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, "size"), "size True is not an int"),
+    ((1.0, "size"), "size 1.0 is not an int"),
+    (("2", "size"), "size '2' is not an int"),
+    ((None, "size"), "size None is not an int"),
+    ((-1, "size"), "size -1 out of range 0.."),
+    ((0, "size", 1), "size 0 out of range 1.."),
+    ((17, "size", 1, 16), "size 17 out of range 1..16"),
+    ((0, "size", 1, 16), "size 0 out of range 1..16"),
+])
+def test_read_int_refuses_with_one_of_two_wordings(args, message):
+    with pytest.raises(ValidationError) as caught:
+        read_int(*args)
+    assert str(caught.value) == message
+
+
+def test_read_int_returns_its_value():
+    assert read_int(0, "size") == 0
+    assert read_int(16, "size", 1, 16) == 16
+    assert read_int(-5, "id", None) == -5
+    assert read_int(10 ** 30, "size") == 10 ** 30
 
 
 def test_iter_submasks_is_ascending_and_complete():
@@ -145,6 +169,24 @@ def test_integer_values_over_a_canonical_denominator():
         SetCostFunction(2, [0, 3, 2], anonymous=True, denominators=[2] * 3)
     with pytest.raises(ValidationError, match="empty set is 1/3"):
         SetCostFunction(1, [2, 4], denominators=[6] * 2)
+
+
+@pytest.mark.parametrize("nums, dens, message", [
+    ([0, 1.5], [1, 1], "cost numerator 1.5 is not an int"),
+    ([0, "1"], [1, 1], "cost numerator '1' is not an int"),
+    ([0, True], [1, 1], "cost numerator True is not an int"),
+    ([0, F(1)], [1, 1], "cost numerator Fraction(1, 1) is not an int"),
+    ([0, 1], [1, 1.5], "cost denominator 1.5 is not an int"),
+    ([0, 1], ["1", 1], "cost denominator '1' is not an int"),
+    ([0, 1], [1, True], "cost denominator True is not an int"),
+    ([0, 1.5], [1, True], "cost numerator 1.5 is not an int"),
+])
+def test_integer_columns_take_ints(nums, dens, message):
+    # True is not read as 1, nor 1.5 passed on to gcd
+    for anonymous in (False, True):
+        with pytest.raises(ValidationError) as caught:
+            SetCostFunction(1, nums, anonymous=anonymous, denominators=dens)
+        assert str(caught.value) == message
 
 
 def test_scaled_table_is_every_numerator_of_a_table():
@@ -304,8 +346,11 @@ def test_profile_validation():
     g = two_player_shared_resource()
     with pytest.raises(ValidationError):
         g.validate_profile((0,))
-    with pytest.raises(ValidationError):
-        g.validate_profile((2, 0))
+    for profile, message in (((2, 0), "player 0: strategy index 2 out of range 0..1"),
+                             ((1, -1), "player 1: strategy index -1 out of range 0..0")):
+        with pytest.raises(ValidationError) as caught:
+            g.validate_profile(profile)
+        assert str(caught.value) == message
     g.validate_profile((1, 0))
 
 

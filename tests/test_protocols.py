@@ -334,6 +334,26 @@ def test_budget_balance_detects_bad_sum():
     assert check_budget_balance(ShapleyProtocol(), f)
 
 
+def test_protocol_attributes_cannot_be_rebound():
+    f = SetCostFunction.anonymous([0, 1, 3])
+    g = SetCostFunction.from_table(3, {(0,): 1, (1,): 2, (2,): 2, (0, 1): 2, (0, 2): 3,
+                                       (1, 2): 3, (0, 1, 2): 4})
+    t = TableProtocol({(f, 0b11): {0: F(1), 1: F(2)}}, players=2)
+    gws = GeneralizedWeightedShapley(WeightSystem((F(2), F(1)), ((1,), (0,))))
+    before = (t.shares(f, 0b11), t.shares(f, 0b01), gws.shares(f, 0b11))
+    for protocol, name, value in ((t, "players", "2"), (t, "players", 3),
+                                  (t, "fallback", None), (t, "entries", {}),
+                                  (gws, "system", WeightSystem.plain(3))):
+        with pytest.raises(AttributeError):
+            setattr(protocol, name, value)
+    assert t.players == 2 and isinstance(t.fallback, ShapleyProtocol)
+    assert (t.shares(f, 0b11), t.shares(f, 0b01), gws.shares(f, 0b11)) == before
+    with pytest.raises(ProtocolError):  # still a 2-player system
+        gws.share(g, 0b111, 2)
+    t.set_entry(f, 0b01, {0: F(1)})  # the store still fills
+    assert t.share(f, 0b01, 0) == 1 and len(t.entries) == 2
+
+
 def test_floats_rejected_in_weights_and_share_entries():
     with pytest.raises(ValidationError, match="not an exact rational: 0.1"):
         WeightSystem((0.1, 1.0), ((0, 1),))
@@ -460,6 +480,16 @@ def test_protocols_make_no_reference_cycles():
 def test_shapley_is_monotone_on_constant_costs():
     f = SetCostFunction.anonymous([0] + [5] * 4)
     assert find_share_monotonicity_violation(ShapleyProtocol(), f) is None
+
+
+def test_gws_is_monotone_on_constant_costs():
+    # the pos_nharmonic builder leans on this, over its detour players, without probing
+    rng = random.Random(2424)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        f = SetCostFunction.anonymous([0] + [F(rng.randint(1, 9), rng.randint(1, 4))] * n)
+        system = random_weight_system(rng, n)
+        assert find_share_monotonicity_violation(GeneralizedWeightedShapley(system), f) is None
 
 
 def test_monotonicity_violation_found():

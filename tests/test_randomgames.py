@@ -7,6 +7,37 @@ from costarena.gamefile import game_to_json
 from costarena.randomgames import CORPUS_CAP, COST_CLASSES, corpus, random_cost, random_game
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"max_players": 2.5}, "max_players 2.5 is not an int"),
+    ({"max_players": True}, "max_players True is not an int"),
+    ({"max_players": 0}, "max_players 0 out of range 1..16"),
+    ({"max_players": 17}, "max_players 17 out of range 1..16"),
+    ({"max_resources": True}, "max_resources True is not an int"),
+    ({"max_resources": 0}, "max_resources 0 out of range 1.."),
+    ({"max_strategies": 0}, "max_strategies 0 out of range 1.."),
+    ({"max_strategies": "4"}, "max_strategies '4' is not an int"),
+])
+def test_generator_sizes_are_read_before_the_first_draw(sizes, message):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValidationError) as caught:
+        random_game(rng, **sizes)
+    assert str(caught.value) == message
+    assert rng.getstate() == state
+    with pytest.raises(ValidationError) as caught:
+        corpus(1, 3, **sizes)
+    assert str(caught.value) == message
+
+
+def test_generator_takes_its_largest_sizes():
+    rng = random.Random(3)
+    games = [random_game(rng, max_players=16, max_resources=1, max_strategies=1)
+             for _ in range(10)]
+    assert max(g.n for g in games) > 12
+    assert all(len(g.resources) == 1 for g in games)
+    assert all(len(s) == 1 for g in games for s in g.strategy_sets)
+
+
 def test_corpus_is_deterministic():
     a = corpus(99, 20, "arbitrary")
     b = corpus(99, 20, "arbitrary")
