@@ -9,7 +9,7 @@ this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
 ``parse_fraction``, or a column at a time by ``parse_fractions``; every
 player id from outside is read by ``player_mask``, and every other outside
-integer, a count, a size or an index, by ``read_int``.
+integer, a count, a size, an index or a seed, by ``read_int``.
 """
 
 from __future__ import annotations
@@ -276,18 +276,14 @@ class SetCostFunction:
     def from_table(cls, n: int, entries) -> "SetCostFunction":
         """Build from a mapping of user sets to costs.
 
-        Keys are bitmasks or iterables of player indices; omitted sets
+        Keys are masks in 0..2^n-1 or iterables of player ids; omitted sets
         default to cost 0 (rejected afterwards if that breaks monotonicity).
         """
         check_player_count(n)  # before sizing the table by it
         table = [0] * (1 << n)
         for key, value in entries.items():
-            if isinstance(key, bool):
-                raise ValidationError(f"user set {key!r} is a bool, not a mask")
-            mask = key if isinstance(key, int) else player_mask(key, n)
-            if mask >> n:  # an int key; player_mask has read the others
-                raise ValidationError(f"user set {key!r} outside 0..{n - 1}")
-            table[mask] = value
+            table[player_mask(key, n) if isinstance(key, Iterable)
+                  else read_int(key, "user set", 0, full_mask(n))] = value
         return cls(n, table)
 
     @classmethod
@@ -351,7 +347,7 @@ class SetCostFunction:
         return None if self._anon else self._scaled
 
     def value(self, users: int) -> Fraction:
-        return Fraction(self.scaled(users), self.denominator)
+        return Fraction(self.scaled(read_int(users, "user mask", None)), self.denominator)
 
     def _by_size(self) -> tuple | None:
         """The numerators indexed by the number of users if the cost depends
@@ -498,6 +494,8 @@ class GameModel:
         return size
 
     def validate_profile(self, profile: Profile) -> None:
+        if not isinstance(profile, (tuple, list)):
+            raise ValidationError(f"profile {profile!r} is not a tuple or list")
         if len(profile) != self.n:
             raise ValidationError(f"profile has {len(profile)} entries, game has {self.n} players")
         for i, si in enumerate(profile):

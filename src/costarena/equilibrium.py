@@ -343,7 +343,8 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     """Iterate best responses in sweeps over all players.
 
     A sweep visits every player once, in index order, or with
-    ``schedule="random"`` in the order ``random.Random(seed)`` shuffles. A
+    ``schedule="random"`` in the order ``random.Random(seed)`` shuffles;
+    ``seed`` must be an int whatever the schedule. A
     run converges when a full sweep accepts no change; ``max_steps`` (an
     int, not negative) bounds accepted changes, and a run stops short only
     to make one more (default 10x the profile-space size, above the number
@@ -355,6 +356,7 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     if max_steps is None:
         max_steps = 10 * model.profile_space_size()
     read_int(max_steps, "max_steps")
+    read_int(seed, "seed", None)
     if schedule not in ("round-robin", "random"):
         raise ValidationError(f"unknown schedule {schedule!r}")
     rng = random.Random(seed) if schedule == "random" else None

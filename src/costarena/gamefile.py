@@ -25,12 +25,14 @@ strategy set is written in the flat form)::
 Table cost entries omit zero-cost sets; anything omitted is 0, which the
 cost-function validator then accepts or rejects against monotonicity.
 
-This module only parses the structure. Every rational goes to
-``core.parse_fraction``, the reader of CLI arguments and library values
-too: a cost column through ``core.parse_fractions``, which reads "p/q"
-columns in bulk, and every other rational in the constructor that it is
-handed to. ``SetCostFunction`` reduces the numerators and denominators,
-checks the bit budget and scales them to one canonical denominator.
+This module only parses the structure: objects, lists, keys and strings.
+Every value goes to the ``core`` reader of library calls: ``players`` to
+the constructor that it is handed to, which reads it with
+``core.check_player_count``, every id to ``core.player_mask``, and every
+rational to ``core.parse_fraction``, a cost column through
+``core.parse_fractions``, which reads "p/q" columns in bulk.
+``SetCostFunction`` reduces the numerators and denominators, checks the
+bit budget and scales them to one canonical denominator.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
@@ -63,27 +65,20 @@ def fraction_to_str(x: Fraction) -> str:
             f"a result has more than {MAX_DIGITS} digits and cannot be written") from None
 
 
-def _is(value, kind) -> bool:
-    # JSON true/false are Python ints; never accept them as counts or ids
-    return type(value) is kind or (
-        isinstance(value, kind) and not (kind is int and isinstance(value, bool)))
-
-
 def _require(obj, key, kind, where):
+    """``obj[key]``, an instance of ``kind`` unless ``kind`` is None."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not _is(value, kind):
+    if kind is not None and not isinstance(value, kind):
         raise ValidationError(f"{where}: key {key!r} has wrong type")
     return value
 
 
-def _list_of(value, kind, where) -> list:
-    """``value`` if it is a JSON list whose items are all of ``kind``."""
-    if not isinstance(value, list) or not (
-            set(map(type, value)) <= {kind} or all(_is(v, kind) for v in value)):
-        raise ValidationError(f"{where}: expected a list of "
-                              f"{'strings' if kind is str else 'integers'}")
+def _strings(value, where) -> list:
+    """``value`` if it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
+        raise ValidationError(f"{where}: expected a list of strings")
     return value
 
 
@@ -122,9 +117,6 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         values = obj["anonymous"]
         if not isinstance(values, list):
             raise ValidationError("anonymous cost must be a list")
-        if len(values) != n + 1:
-            raise ValidationError(
-                f"anonymous cost has {len(values)} entries, expected {n + 1}")
         return SetCostFunction(n, values, anonymous=True)
     if "table" in obj:
         entries = obj["table"]
@@ -156,12 +148,11 @@ def _table(n: int, entries: list) -> tuple[list, list, list]:
     if not typed:  # name the first malformed entry
         sets, costs = [], []
         for e in entries:
-            sets.append(_list_of(_require(e, "set", None, "table entry"), int,
-                                 "table entry set"))
+            sets.append(_require(e, "set", list, "table entry"))
             costs.append(_require(e, "cost", None, "table entry"))
-    index = _member_index(n)
-    masks = list(map(index.get, map(tuple, sets)))
-    if None in masks:  # a set written out of order or with a member twice
+    # only int members are looked up: the index would take True for 1
+    masks = list(map(_member_index(n).get, map(tuple, sets))) if typed else [None] * len(sets)
+    if None in masks:  # untyped, or written out of order or with a member twice
         masks = [player_mask(members, n) if mask is None else mask
                  for mask, members in zip(masks, sets)]
     if len(set(masks)) != len(masks):
@@ -214,7 +205,7 @@ def game_to_json(model: GameModel) -> dict:
 
 
 def game_from_json(obj) -> GameModel:
-    n = _require(obj, "players", int, "game")
+    n = _require(obj, "players", None, "game")  # read by the first cost or GameModel
     res = _require(obj, "resources", list, "game")
     ids = []
     fns = []
@@ -226,7 +217,7 @@ def game_from_json(obj) -> GameModel:
     for sset in strategies:
         if not isinstance(sset, list):
             raise ValidationError("each player's strategy list must be a list")
-        ssets.append(tuple(frozenset(_list_of(strat, str, "strategy")) for strat in sset))
+        ssets.append(tuple(frozenset(_strings(strat, "strategy")) for strat in sset))
     return GameModel(n=n, resources=tuple(ids), strategy_sets=tuple(ssets),
                      cost_fns=tuple(fns))
 
@@ -245,7 +236,7 @@ def network_from_json(obj) -> NetworkModel:
     net = _require(obj, "network", dict, "file")
     terminals = _require(net, "terminals", list, "network")
     for t in terminals:
-        if len(_list_of(t, str, "terminal pair")) != 2:
+        if len(_strings(t, "terminal pair")) != 2:
             raise ValidationError(f"terminal pair {t!r} must name two vertices")
     n = len(terminals)
     edges = []
@@ -260,8 +251,7 @@ def network_from_json(obj) -> NetworkModel:
         raise ValidationError("network forced routes are not supported; "
                               "write a restricted strategy set as a flat game")
     return NetworkModel(
-        vertices=tuple(_list_of(_require(net, "vertices", None, "network"), str,
-                                "vertices")),
+        vertices=tuple(_strings(_require(net, "vertices", None, "network"), "vertices")),
         edges=tuple(edges),
         terminals=tuple((t[0], t[1]) for t in terminals),
     )
@@ -295,8 +285,9 @@ def weight_system_from_json(obj) -> WeightSystem:
     else:
         raise ValidationError("lambda must be a list or an object")
     blocks = _require(obj, "blocks", list, "weight system")
-    return WeightSystem(tuple(weights),
-                        tuple(tuple(_list_of(b, int, "block")) for b in blocks))
+    if not all(map(isinstance, blocks, repeat(list))):
+        raise ValidationError("weight system: each block must be a list")
+    return WeightSystem(weights, blocks)  # its block_masks reads the ids
 
 
 def load_weight_system(path: str) -> WeightSystem:
@@ -310,7 +301,8 @@ def table_protocol_from_json(obj) -> TableProtocol:
     Entries are taken as-is (no budget-balance validation) so files can
     describe defective protocols on purpose.
     """
-    n = _require(obj, "players", int, "share table")
+    n = _require(obj, "players", None, "share table")
+    check_player_count(n)  # a file's table has a count: TableProtocol takes None as none
     fallback_name = obj.get("fallback", "shapley")
     if fallback_name is None:
         fallback: Protocol | None = None
@@ -321,8 +313,7 @@ def table_protocol_from_json(obj) -> TableProtocol:
     protocol = TableProtocol(fallback=fallback, players=n)
     for entry in _require(obj, "entries", list, "share table"):
         f = cost_from_json(n, _require(entry, "cost", dict, "share entry"))
-        users = player_mask(_list_of(_require(entry, "users", None, "share entry"), int,
-                                     "share entry users"), n)
+        users = player_mask(_require(entry, "users", list, "share entry"), n)
         shares = _by_player(_require(entry, "shares", dict, "share entry"), n, "shares")
         protocol.set_entry(f, users, shares, validate=False)
     return protocol

@@ -64,6 +64,7 @@ from .core import (
     mask_members,
     parse_fraction,
     player_mask,
+    read_int,
     scale_lcm,
 )
 
@@ -117,9 +118,11 @@ class Protocol:
         raise NotImplementedError(f"protocol {self.name!r} defines no scaled_share")
 
 
-def _check_arity(f: SetCostFunction, users: int) -> None:
-    if users >> f.n:
+def _check_arity(f: SetCostFunction, users: int) -> int:
+    """``users``, a mask of ``f``'s players: an int, not a bool, in 0..2^n-1."""
+    if read_int(users, "user set", None) >> f.n:
         raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
+    return users
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +336,18 @@ class TableProtocol(Protocol):
         if self.players is not None:
             check_player_count(self.players)
         given = self.entries
-        # plain dicts, so no reference cycle; set past the frozen fields
-        object.__setattr__(self, "_scales", {})  # f -> share_scale(f)
-        object.__setattr__(self, "_entries", {})  # (f, users) -> shares, the one store
-        object.__setattr__(self, "entries", MappingProxyType(self._entries))
+        entries, fallback = {}, self.fallback  # entries: (f, users) -> shares, the one store
+
+        def scale(f: SetCostFunction) -> int:  # holds no self: no reference cycle
+            scales = {v.denominator for users in range(1 << f.n)
+                      for v in entries.get((f, users), {}).values()}
+            if fallback is not None:
+                scales.add(fallback.share_scale(f))
+            return scale_lcm(scales, "common denominator of the share table")
+
+        object.__setattr__(self, "_scales", Memo(scale))  # set past the frozen fields
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
         for (f, users), shares in given.items():
             self.set_entry(f, users, shares, validate=False)
 
@@ -359,12 +370,6 @@ class TableProtocol(Protocol):
         """The lcm of the denominators in ``f``'s own entries and of the
         fallback's scale; entries for other cost functions do not count, and
         only ``f``'s 2^n keys are looked up."""
-        if f not in self._scales:
-            scales = {v.denominator for users in range(1 << f.n)
-                      for v in self._entries.get((f, users), {}).values()}
-            if self.fallback is not None:
-                scales.add(self.fallback.share_scale(f))
-            self._scales[f] = scale_lcm(scales, "common denominator of the share table")
         return self._scales[f]
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
@@ -410,7 +415,7 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
     and every generalized weighted Shapley protocol find none on a constant
     cost function.
     """
-    scope = full_mask(f.n) if within is None else within
+    scope = full_mask(f.n) if within is None else _check_arity(f, within)
     share = protocol.scaled_share  # one cost function, so one scale
     for users in iter_submasks(scope):
         if users == 0:

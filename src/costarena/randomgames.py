@@ -125,11 +125,14 @@ def random_game(rng: random.Random, cost_class: str = ARBITRARY, *,
                      strategy_sets=tuple(strategy_sets), cost_fns=cost_fns)
 
 
-def corpus(seed: int, count: int, cost_class: str = ARBITRARY, **kwargs) -> list[GameModel]:
-    """Deterministic list of ``count`` (at most CORPUS_CAP) random games for one seed."""
+def corpus(seed: int, count: int, cost_class: str = ARBITRARY, *,
+           max_players: int = 4, max_resources: int = 4,
+           max_strategies: int = 4) -> list[GameModel]:
+    """Deterministic list of ``count`` (at most CORPUS_CAP) random games for one int seed."""
     if cost_class not in COST_CLASSES:
         raise ValidationError(f"unknown cost class {cost_class!r}")
     if read_int(count, "game count") > CORPUS_CAP:
         raise CapExceededError(f"{count} games asked for, cap is {CORPUS_CAP}")
-    rng = random.Random(seed)
-    return [random_game(rng, cost_class, **kwargs) for _ in range(count)]
+    rng = random.Random(read_int(seed, "seed", None))
+    return [random_game(rng, cost_class, max_players=max_players, max_resources=max_resources,
+                        max_strategies=max_strategies) for _ in range(count)]

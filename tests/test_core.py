@@ -86,7 +86,7 @@ def test_table_cost_lookup():
 def test_table_refuses_a_bool_key(key):
     with pytest.raises(ValidationError) as caught:
         SetCostFunction.from_table(2, {key: 1, 0b11: 2})
-    assert str(caught.value) == f"user set {key} is a bool, not a mask"
+    assert str(caught.value) == f"user set {key} is not an int"
 
 
 def test_anonymous_cost_lookup():

@@ -219,6 +219,40 @@ def test_brd_step_budget_counts_only_changes():
     assert full.converged and capped == full
 
 
+@pytest.mark.parametrize("schedule", ["round-robin", "random"])
+@pytest.mark.parametrize("seed", [1.5, True, "x"])
+def test_brd_seed_is_an_int(seed, schedule):
+    # read whatever the schedule, as random.Random would take each of these
+    g, t = chase_game()
+    best_response_dynamics(g, t, (0, 0), max_steps=3, schedule=schedule, seed=-7)
+    with pytest.raises(ValidationError) as caught:
+        best_response_dynamics(g, t, (0, 0), schedule=schedule, seed=seed)
+    assert str(caught.value) == f"seed {seed!r} is not an int"
+
+
+#: Every public entry point that takes a profile, as a call on one profile.
+PROFILE_ENTRY_POINTS = {
+    "is_pne": lambda g, p: is_pne(g, SHAPLEY, p),
+    "social_cost": lambda g, p: social_cost(g, p),
+    "potential": lambda g, p: potential(g, p),
+    "private_costs": lambda g, p: private_costs(g, SHAPLEY, p),
+    "best_response": lambda g, p: best_response(g, SHAPLEY, p, 1),
+    "best_response_dynamics": lambda g, p: best_response_dynamics(g, SHAPLEY, p),
+}
+
+
+@pytest.mark.parametrize("profile", [5, None, "00", {0: 0, 1: 0}, iter((0, 0))])
+@pytest.mark.parametrize("entry", list(PROFILE_ENTRY_POINTS))
+def test_every_profile_entry_point_takes_a_tuple_or_list(entry, profile):
+    call = PROFILE_ENTRY_POINTS[entry]
+    g = tension_game()
+    call(g, (0, 0))
+    call(g, [0, 1])
+    with pytest.raises(ValidationError) as caught:
+        call(g, profile)
+    assert str(caught.value) == f"profile {profile!r} is not a tuple or list"
+
+
 def test_brd_rejects_unknown_schedule():
     g = tension_game()
     with pytest.raises(ValidationError) as caught:

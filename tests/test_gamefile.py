@@ -135,15 +135,14 @@ PLAYER_ID_ENTRY_POINTS = {
 @pytest.mark.parametrize("value", [2, -1, True, 1.0])
 @pytest.mark.parametrize("entry", list(PLAYER_ID_ENTRY_POINTS))
 def test_every_player_id_entry_point_reads_through_player_mask(entry, value):
-    # an int id out of range gets player_mask's own message; a bool or a
-    # float is refused by player_mask, or first by a file reader's type check
+    # every id, an int out of range, a bool or a float, gets player_mask's
+    # own message, from a file as from a library call
     call, ids = PLAYER_ID_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError) as caught:
         call(value)
-    if type(value) is int:
-        with pytest.raises(ValidationError) as expected:
-            player_mask(ids(value), 2)
-        assert str(caught.value) == str(expected.value)
+    with pytest.raises(ValidationError) as expected:
+        player_mask(ids(value), 2)
+    assert str(caught.value) == str(expected.value)
 
 
 #: Every public entry point that takes a player count, as a call on one count.
@@ -171,6 +170,63 @@ def test_every_player_count_entry_point_is_an_int(entry, value):
     with pytest.raises(ValidationError) as caught:
         call(value)
     assert str(caught.value) == f"player count {value!r} is not an int"
+
+
+def game_doc_with_players(n):
+    doc = game_to_json(GameModel(2, ("a", "t"), ((frozenset({"a"}),), (frozenset({"t"}),)),
+                                 (SHARED.cost_fns[0], TABLE_COST)))
+    doc["players"] = n
+    return doc
+
+
+def weight_doc_with_block(block):
+    return {"lambda": ["1/1", "1/1"], "blocks": [block, [1]]}
+
+
+#: Every file site of a count or an id, as (the file read, the library call
+#: that reads the same value, the value that it is handed).
+FILE_VALUE_SITES = {
+    "game players": (lambda v: game_from_json(game_doc_with_players(v)),
+                     PLAYER_COUNT_ENTRY_POINTS["GameModel"], lambda v: v),
+    "share table players": (lambda v: table_protocol_from_json({**table_doc(), "players": v}),
+                            PLAYER_COUNT_ENTRY_POINTS["table players"], lambda v: v),
+    "table set": (lambda v: cost_from_json(2, {"table": [{"set": [1, v], "cost": "1/1"}]}),
+                  lambda ids: player_mask(ids, 2), lambda v: [1, v]),
+    "block": (lambda v: weight_system_from_json(weight_doc_with_block([v])),
+              lambda ids: player_mask(ids, 2), lambda v: (v,)),
+    "share users": (lambda v: table_protocol_from_json(table_doc_with_users([0, v])),
+                    lambda ids: player_mask(ids, 2), lambda v: [0, v]),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in FILE_VALUE_SITES
+    for value in ((2.5, True, "2") if "players" in site else (True, 0.0, "0", 2))])
+def test_every_file_value_reads_like_its_library_call(site, value):
+    # the file layer checks structure only: a count or an id in a file gets
+    # the message of the core reader that reads it from a library call
+    read, call, argument = FILE_VALUE_SITES[site]
+    read(2 if "players" in site else 0)
+    with pytest.raises(ValidationError) as expected:
+        call(argument(value))
+    with pytest.raises(ValidationError) as caught:
+        read(value)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_a_file_value_exits_2_with_the_library_message(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_doc_with_players(2.5)))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: player count 2.5 is not an int"]
+
+
+def test_a_share_table_file_names_its_player_count():
+    # TableProtocol(players=None) ties a table to no count; a file's table has one
+    with pytest.raises(ValidationError) as caught:
+        table_protocol_from_json({**table_doc(), "players": None, "entries": []})
+    assert str(caught.value) == "player count None is not an int"
 
 
 PLAYER_KEYED_READERS = {
@@ -399,11 +455,11 @@ def test_bit_budget_applies_to_reduced_values():
 
 REJECTED_TABLES = [
     ("bool member", table_with(0, {"set": [True], "cost": "1/2"}),
-     "table entry set: expected a list of integers"),
+     "player id True is not an int"),
     ("float member", table_with(0, {"set": [0.0], "cost": "1/2"}),
-     "table entry set: expected a list of integers"),
+     "player id 0.0 is not an int"),
     ("set not a list", table_with(0, {"set": "0", "cost": "1/2"}),
-     "table entry set: expected a list of integers"),
+     "table entry: key 'set' has wrong type"),
     ("out of range", table_with(1, {"set": [2], "cost": "1/2"}),
      "player id 2 in [2] out of range 0..1"),
     ("duplicate set", table_with(1, {"set": [0], "cost": "1/2"}),

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -98,6 +99,16 @@ def shared_pair_game():
 def shapley_potential(protocol, f, users):
     """One resource's Shapley potential of ``users`` as a Fraction."""
     return F(protocol.scaled_potential(f, users), protocol.share_scale(f))
+
+
+def test_importing_the_potential_submodule_keeps_the_function():
+    # a tracer loads the submodule by name; the package attribute that
+    # ``from costarena import potential`` reads must stay the function
+    import costarena
+    module = importlib.import_module("costarena.potential")
+    assert module.harmonic is costarena.harmonic
+    assert costarena.potential is potential and callable(costarena.potential)
+    assert costarena.potential(shared_pair_game(), (0, 0)) == 4
 
 
 def test_potential_sums_resources():

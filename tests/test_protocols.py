@@ -108,6 +108,39 @@ def test_scaled_share_names_a_user_set_outside_the_arity():
             assert str(caught.value) == "user set 0b100 outside arity 2"
 
 
+#: Every entry point that takes a user mask of a cost function from outside,
+#: as a call on one mask of a 2-player table cost.
+USER_SET_ENTRY_POINTS = {
+    "share": lambda f, u: SHAPLEY.share(f, u, 0),
+    "shares": lambda f, u: SHAPLEY.shares(f, u),
+    "gws scaled_share": lambda f, u: GeneralizedWeightedShapley(
+        WeightSystem.plain(2)).scaled_share(f, u, 0),
+    "table scaled_share": lambda f, u: TableProtocol().scaled_share(f, u, 0),
+    "value": lambda f, u: f.value(u),
+    "within": lambda f, u: find_share_monotonicity_violation(SHAPLEY, f, within=u),
+}
+
+
+@pytest.mark.parametrize("users, message", [
+    (True, "{} True is not an int"),
+    (1.0, "{} 1.0 is not an int"),
+    ("3", "{} '3' is not an int"),
+    (-1, "{} -0b1 outside arity 2"),
+    (0b100, "{} 0b100 outside arity 2"),
+])
+@pytest.mark.parametrize("entry", list(USER_SET_ENTRY_POINTS))
+def test_every_user_set_entry_point_takes_an_int_mask(entry, users, message):
+    # a bool is not read as the mask 0b1, no other value reaches a shift,
+    # and a scope outside the arity is refused, not searched as empty
+    call = USER_SET_ENTRY_POINTS[entry]
+    f = SetCostFunction.from_table(2, {0b01: 1, 0b10: 1, 0b11: 1})
+    call(f, 0b11)
+    with pytest.raises(ValueError) as caught:
+        call(f, users)
+    assert isinstance(caught.value, (ValidationError, ProtocolError))
+    assert str(caught.value) == message.format("user mask" if entry == "value" else "user set")
+
+
 # ---------------------------------------------------------------------------
 # permutation oracle
 # ---------------------------------------------------------------------------

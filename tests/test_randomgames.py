@@ -29,6 +29,21 @@ def test_generator_sizes_are_read_before_the_first_draw(sizes, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1", None])
+def test_corpus_seed_is_an_int(seed):
+    # random.Random would seed from each of these, None from the clock
+    with pytest.raises(ValidationError) as caught:
+        corpus(seed, 2)
+    assert str(caught.value) == f"seed {seed!r} is not an int"
+    assert len(corpus(-1, 2)) == 2
+
+
+def test_corpus_refuses_an_unknown_size_keyword_itself():
+    with pytest.raises(TypeError, match=r"^corpus\(\) got an unexpected keyword argument "
+                                        r"'max_player'"):
+        corpus(1, 2, max_player=3)
+
+
 def test_generator_takes_its_largest_sizes():
     rng = random.Random(3)
     games = [random_game(rng, max_players=16, max_resources=1, max_strategies=1)
