@@ -346,6 +346,11 @@ class SetCostFunction:
         table of 2^n entries; None for an anonymous cost."""
         return None if self._anon else self._scaled
 
+    def scaled_counts(self) -> tuple[int, ...] | None:
+        """``scaled`` of a user set of each size 0..n, for an anonymous cost;
+        None for a cost stored as a table."""
+        return self._scaled if self._anon else None
+
     def value(self, users: int) -> Fraction:
         return Fraction(self.scaled(read_int(users, "user mask", None)), self.denominator)
 

@@ -6,30 +6,48 @@ Compiling picks a single denominator D for the game, the lcm of every
 cost denominator and of the protocol's ``share_scale`` of every cost
 function, so each cost and each share is an integer multiple of 1/D. The
 ints come from the layers below without a ``Fraction`` in between: a cost
-row holds (D / f.denominator) * f.scaled(mask), a share row (D /
-share_scale(f)) * protocol.scaled_share(f, mask, i), and a potential row
-(D / share_scale(f)) * protocol.scaled_potential(f, mask) when the
-protocol has that hook (only Shapley does; ``potential_minimizer`` always
-compiles for Shapley). Each of these scales must stay within
-``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
-There is one cost row and one potential row per distinct cost function,
-and one share row per (cost function, player): cost functions compare by
-value, so resources with equal costs read the same rows. Each row is a
-``core.Memo`` that fills one user-mask entry on first touch, not 2^n; a
-table's cost row reads the table's own integers (``scaled_table``), and
-is those integers when D / f.denominator is 1.
+row holds (D / f.denominator) * f.scaled(mask), and a potential row (D /
+share_scale(f)) * protocol.scaled_potential(f, mask) when the protocol has
+that hook (only Shapley does; ``potential_minimizer`` always compiles for
+Shapley). Each of these scales must stay within ``core.MAX_SCALE_BITS``.
+Strategies become tuples of resource indices. Cost functions compare by
+value, so resources with equal costs read the same rows.
+
+A player's payment on a resource is read from an entry (r, row, base):
+player i pays row[S] - base[S - i] on r, where S is r's user set with i in
+it. Under Shapley, row and base are the same potential row Q, one per
+distinct cost function, since i's Shapley share is Q(S) - Q(S - i) (Hart
+& Mas-Colell 1989). The kernel trusts only ``ShapleyProtocol`` with this:
+a protocol whose class overrides any of its ``share_scale``,
+``scaled_share``, ``scaled_potential`` or ``scaled_potentials``, and every
+other protocol, is priced by its own shares. Then row is the share row of
+(cost function, player), holding (D / share_scale(f)) *
+protocol.scaled_share(f, mask, i), and base is one all-zero row, so an
+entry that charges a non-member is never read.
+
+A kernel compiled for a walk (``analyze``, ``social_optimum``,
+``potential_minimizer``) fills its cost and Shapley potential rows whole,
+as lists of 2^n entries, when 2^n is at most the number of profiles it
+walks: a table's cost row is its own integers (``scaled_table``), times
+the factor; an anonymous cost's rows are read by user count from n + 1
+integers (``scaled_counts``, Shapley's running sum); and a table's
+potential is the protocol's one-pass table (``scaled_potentials``). Every
+other row, and every row of any other kernel, is a ``core.Memo`` that fills
+one user-mask entry on first touch; share rows are always such memos.
 
 The walk visits profiles as an odometer, in the lexicographic order of
 ``itertools.product``, and on each step updates only the usage masks and
 the running total of the players whose digit changed. When asked, it
 checks each profile's stability in the same loop: leaving strategy c for
-s, a player pays its shares on the resources of s - c and saves those on
+s, a player pays on the resources of s - c and saves what it pays on
 c - s, while the resources in both cancel, so only those two sets are
 read (per player, up to ``DEVIATION_CAP`` such pairs are kept; a player
 past it is checked by full sums). The walk hands its callers only the
 profiles they keep, each new minimum and each stable profile, and all of
 it compares Python ints; a ``Fraction`` over D is built only for a value
-that is reported.
+that is reported. A best response, in contrast, prices each resource the
+player can reach once and then sums per strategy, since a network
+player's paths share most of their edges.
 
 ``analyze`` takes the equilibria, their social costs and potentials, and
 the optimum from one walk. Ties break lexicographically, so reports are
@@ -68,11 +86,36 @@ _ROW_READS = 8
 INFINITE = math.inf
 
 
-def _cost_row(f, factor: int):
-    """``factor * f.scaled(mask)`` by mask: a table's own integers when the
-    factor is 1, else a ``Memo`` filled on first read, from the table's
+def _prices_by_potential(protocol: Protocol) -> bool:
+    """Whether the kernel trusts ``protocol``'s potential to price its
+    shares: only a ``ShapleyProtocol`` whose class keeps the package's own
+    share and potential methods."""
+    kind, own = type(protocol), ShapleyProtocol
+    return (kind.share_scale is own.share_scale and kind.scaled_share is own.scaled_share
+            and kind.scaled_potential is own.scaled_potential
+            and getattr(kind, "scaled_potentials", None) is own.scaled_potentials)
+
+
+def _whole_row(values, factor: int, counts: list[int]):
+    """``factor`` times ``values`` as a sequence by mask: ``values`` itself
+    when it has one entry per mask and the factor is 1, else a list. Shorter
+    ``values`` are by user count and are read through ``counts``, the
+    popcount of each mask; at n = 1 the two readings agree."""
+    if factor != 1:
+        values = [factor * x for x in values]
+    if len(values) == len(counts):
+        return values
+    return list(map(values.__getitem__, counts))
+
+
+def _cost_row(f, factor: int, counts: list[int] | None):
+    """``factor * f.scaled(mask)`` by mask: a whole row when ``counts`` is
+    given (see ``_whole_row``); else the table's own integers when the
+    factor is 1, or a ``Memo`` filled on first read, from the table's
     integers or, for an anonymous cost, through ``f.scaled``."""
     table = f.scaled_table()
+    if counts is not None:
+        return _whole_row(f.scaled_counts() if table is None else table, factor, counts)
     if table is None:
         return Memo(lambda m, c=f.scaled: factor * c(m))
     return table if factor == 1 else Memo(lambda m: factor * table[m])
@@ -83,51 +126,75 @@ class _Kernel:
     are asked for).
 
     ``scale`` is the game's denominator D; ``costs[r][mask]`` is D times
-    the cost of resource r under ``mask``; ``options[i][s]`` pairs each
-    resource of player i's strategy s with the row of i's shares of its
-    cost function, also times D; ``potentials[r][mask]`` is D times the
+    the cost of resource r under ``mask``; ``options[i][s]`` holds an
+    entry (r, row, base) for each resource r of player i's strategy s,
+    where i pays row[S] - base[S - i], times D, for a user set S that holds
+    i; ``reach[i]``, built on i's first best response, holds one entry per
+    resource that i can reach; ``potentials[r][mask]`` is D times the
     protocol's potential of ``mask`` under r's cost function, and
     ``potentials`` is None when the protocol has no ``scaled_potential``
-    (or there is no protocol). Resources with equal cost functions point
-    at the same rows. ``profile`` is the current profile, a list of strategy
-    indices, and ``usage`` holds its user masks: ``at``, ``move`` and the
-    walk change the two together, so they agree whenever a caller reads them.
+    (or there is no protocol). Under a trusted Shapley protocol, every
+    entry of r is (r, potentials[r], potentials[r]). Resources with equal
+    cost functions point at the same rows. With ``whole``, cost and Shapley
+    potential rows are filled whole when 2^n is at most the profile-space
+    size (module docstring). ``profile`` is the current profile, a list of
+    strategy indices, and ``usage`` holds its user masks: ``at``, ``move``
+    and the walk change the two together, so they agree whenever a caller
+    reads them.
 
     A walk that checks stability sets ``deviations``: ``deviations[i][c]``,
     built on first use, holds for each other strategy s of player i the
-    pair (s - c, c - s) of (resource, share row) entries, the resources
-    that i adds and drops by leaving c for s. ``deviations[i]`` is None for
-    a player with one strategy, who has nothing to check, and for a player
-    with k strategies checked by full sums instead: where k(k - 1) passes
+    pair (s - c, c - s) of entries, the resources that i adds and drops by
+    leaving c for s. ``deviations[i]`` is None for a player with one
+    strategy, who has nothing to check, and for a player with k strategies
+    checked by full sums instead: where k(k - 1) passes
     ``DEVIATION_CAP``, or where the walk would read each row fewer than
     ``_ROW_READS`` times.
     """
 
-    def __init__(self, model: GameModel, protocol: Protocol | None = None):
+    def __init__(self, model: GameModel, protocol: Protocol | None = None,
+                 whole: bool = False):
         self.model = model
-        fns = model.cost_fns
-        distinct = dict.fromkeys(fns)
-        own = {} if protocol is None else {f: protocol.share_scale(f) for f in distinct}
-        self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own.values()),
+        distinct = {}  # cost function -> its index; equal ones share rows
+        ids = [distinct.setdefault(f, len(distinct)) for f in model.cost_fns]
+        own = [] if protocol is None else list(map(protocol.share_scale, distinct))
+        self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own),
                                        "common denominator of the game")
         self.strategies = model._strategy_ridx
-        costs = {f: _cost_row(f, scale // f.denominator) for f in distinct}
-        self.costs = [costs[f] for f in fns]
+        counts = None
+        if whole and 1 << model.n <= model.profile_space_size() <= PROFILE_CAP:
+            counts = list(map(int.bit_count, range(1 << model.n)))
+        costs = [_cost_row(f, scale // f.denominator, counts) for f in distinct]
+        self.costs = [costs[j] for j in ids]
         self.profile: list[int] = []
         self.usage: list[int] = []
         self.potentials = None
         if protocol is None:
             return
+        factors = [scale // d for d in own]
+        trusted = _prices_by_potential(protocol)
         potential = protocol.scaled_potential
+        if trusted and counts is not None:
+            rows = [_whole_row(protocol.scaled_potentials(f), k, counts)
+                    for f, k in zip(distinct, factors)]
+        elif potential is not None:
+            rows = [Memo(lambda m, f=f, k=k: k * potential(f, m))
+                    for f, k in zip(distinct, factors)]
         if potential is not None:
-            rows = Memo(lambda f: Memo(lambda m, f=f, k=scale // own[f]: k * potential(f, m)))
-            self.potentials = [rows[f] for f in fns]
-        share = protocol.scaled_share
-        shares = {(f, i): Memo(lambda m, f=f, i=i, k=scale // own[f]: k * share(f, m, i))
-                  for f in distinct for i in range(model.n)}
-        self.options = [[tuple((r, shares[fns[r], i]) for r in strategy)
-                         for strategy in sset]
-                        for i, sset in enumerate(self.strategies)]
+            self.potentials = [rows[j] for j in ids]
+        if trusted:
+            entries = [[(r, row, row) for r, row in enumerate(self.potentials)]] * model.n
+        else:
+            share = protocol.scaled_share
+            zero = [0] * (1 << model.n)
+            entries = []
+            for i in range(model.n):
+                shares = [Memo(lambda m, f=f, i=i, k=k: k * share(f, m, i))
+                          for f, k in zip(distinct, factors)]
+                entries.append([(r, shares[j], zero) for r, j in enumerate(ids)])
+        self.options = [[tuple(map(mine.__getitem__, strategy)) for strategy in sset]
+                        for mine, sset in zip(entries, self.strategies)]
+        self.reach = [None] * model.n
 
     def at(self, profile: Profile) -> "_Kernel":
         """Make ``profile`` (validated) the current one."""
@@ -178,13 +245,14 @@ class _Kernel:
                 pairs = table[c] or self._deviation_row(i, c)
                 for pair in pairs:
                     adds, drops = pair
-                    paid = 0
-                    for r, row in adds:
-                        paid += row[usage[r] | bit]
-                    saved = 0
-                    for r, row in drops:
-                        saved += row[usage[r]]
-                    if paid < saved:
+                    paid = 0  # row[S] - base[S - i] over s - c, less it over c - s
+                    for r, row, base in adds:
+                        mask = usage[r]
+                        paid += row[mask | bit] - base[mask]
+                    for r, row, base in drops:
+                        mask = usage[r]
+                        paid -= row[mask] - base[mask ^ bit]
+                    if paid < 0:
                         calm = False
                         break
                 if not calm:
@@ -237,19 +305,22 @@ class _Kernel:
 
     def _improves(self, i: int) -> bool:
         """Whether player i can strictly lower its cost by a unilateral
-        switch, by the full sums of its strategies."""
+        switch, by the sums over its strategies' entries."""
         current = self.profile[i]
         usage = self.usage
         options = self.options[i]
         bit = 1 << i
+        clear = ~bit
         now = 0
-        for r, row in options[current]:
-            now += row[usage[r]]
+        for r, row, base in options[current]:
+            mask = usage[r]
+            now += row[mask | bit] - base[mask & clear]
         for s, option in enumerate(options):
             if s != current:
                 cost = 0
-                for r, row in option:
-                    cost += row[usage[r] | bit]
+                for r, row, base in option:
+                    mask = usage[r]
+                    cost += row[mask | bit] - base[mask & clear]
                 if cost < now:
                     return True
         return False
@@ -260,13 +331,24 @@ class _Kernel:
 
     def best_response(self, i: int) -> tuple[int, list[int]]:
         """i's best strategy and its scaled cost under each strategy; keeps
-        i's current one on a tie, else takes the lowest-index minimizer."""
-        current = self.profile[i]
+        i's current one on a tie, else takes the lowest-index minimizer.
+        Each resource that i can reach is priced once, then summed per
+        strategy: a resource lies on many of a network player's paths."""
+        reach = self.reach[i]
+        if reach is None:
+            reach = self.reach[i] = list({e[0]: e for option in self.options[i]
+                                          for e in option}.values())
         usage = self.usage
         bit = 1 << i
-        costs = [sum(row[usage[r] | bit] for r, row in option)
-                 for option in self.options[i]]
+        clear = ~bit
+        price = {}
+        for r, row, base in reach:
+            mask = usage[r]
+            price[r] = row[mask | bit] - base[mask & clear]
+        price = price.__getitem__
+        costs = [sum(map(price, strategy)) for strategy in self.strategies[i]]
         best_c = min(costs)
+        current = self.profile[i]
         best = current if costs[current] == best_c else costs.index(best_c)
         return best, costs
 
@@ -297,8 +379,9 @@ class _Kernel:
         """Each player's payment at the current profile: its shares summed
         over the resources of its strategy."""
         usage = self.usage
-        return tuple(Fraction(sum(row[usage[r]] for r, row in options[s]), self.scale)
-                     for options, s in zip(self.options, self.profile))
+        return tuple(Fraction(sum(row[usage[r]] - base[usage[r] ^ (1 << i)]
+                                  for r, row, base in options[s]), self.scale)
+                     for i, (options, s) in enumerate(zip(self.options, self.profile)))
 
 
 def best_response(model: GameModel, protocol: Protocol, profile: Profile,
@@ -418,7 +501,7 @@ def social_cost(model: GameModel, profile: Profile) -> Fraction:
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
     """Profile of minimum social cost; lexicographically first on ties."""
-    kernel = _Kernel(model)
+    kernel = _Kernel(model, whole=True)
     for profile, cost, _ in kernel.walk(kernel.costs):
         pass  # the last profile reported is the first minimum
     return profile, Fraction(cost, kernel.scale)
@@ -426,7 +509,7 @@ def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
 
 def potential_minimizer(model: GameModel) -> Profile:
     """Profile of minimum potential; lexicographically first on ties."""
-    kernel = _Kernel(model, ShapleyProtocol())
+    kernel = _Kernel(model, ShapleyProtocol(), whole=True)
     for profile, _, _ in kernel.walk(kernel.potentials):
         pass  # the last profile reported is the first minimum
     return profile
@@ -462,7 +545,7 @@ class AnalysisReport:
 def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     """Equilibria, their costs and potentials, the optimum and both ratios
     in one walk; ``potentials`` is None for a protocol without one."""
-    kernel = _Kernel(model, protocol)
+    kernel = _Kernel(model, protocol, whole=True)
     pne, scaled, potentials = [], [], []
     opt_p = opt_c = None
     for profile, cost, stable in kernel.walk(kernel.costs, stable=True):

@@ -24,10 +24,17 @@ D_f = share_scale(f) and memoized per cost function:
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
 where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
-This is ``_hmc_memo`` below with unit weights, a ``core.Memo`` per cost
-function, and Q is also the protocol's ``scaled_potential``. Anonymous
-costs take the closed form D_f * C(|S|) / |S|, exact because |S| divides
-D_f / f.denominator = lcm(1, ..., n).
+Q is also the protocol's ``scaled_potential``, and the instance keeps one
+store of it per cost function. For an anonymous cost the store is a list
+by user count, the running sum Q(k) = Q(k - 1) + D_f * C(k) / k, and a
+share takes the closed form D_f * C(|S|) / |S|; both are exact because k
+divides D_f / f.denominator = lcm(1, ..., n). For a table the store starts
+as ``_hmc_memo`` below with unit weights, a ``core.Memo`` that fills the
+masks read and the subsets they recurse into. ``scaled_potentials(f)``
+replaces it with the whole table, filled in one ascending pass, since
+every S - i is below S. The equilibrium kernel reads a store whole for a
+walk over at least 2^n profiles, and prices Shapley shares by differences
+of Q alone.
 
 Generalized weighted Shapley shares come from the same recursion,
 ``_hmc_memo``, with integer weights a_j (the weights over their common
@@ -92,7 +99,10 @@ class Protocol:
     by ``share_scale(f)`` and summed over the resources, it changes by
     exactly a deviator's cost change, so the equilibrium kernel reads it
     for potentials. It is None here: a protocol has a potential only if it
-    defines one, and only Shapley does.
+    defines one, and only Shapley does. The kernel prices a deviation by
+    potential differences only for a ``ShapleyProtocol`` that keeps the
+    package's own methods; any other protocol is priced by its
+    ``scaled_share`` (see ``equilibrium``).
     """
 
     name = "abstract"
@@ -133,38 +143,78 @@ class ShapleyProtocol(Protocol):
     """Split each resource's cost by the Shapley value of its user set.
 
     Shares are differences of the integer Hart--Mas-Colell potential Q
-    (see the module docstring), memoized per cost function on the
-    instance; cost functions hash by semantic value, so structurally
-    equal functions on different resources share one memo.
+    (see the module docstring), kept per cost function on the instance in
+    one store; cost functions hash by semantic value, so structurally
+    equal functions on different resources share one store.
     """
 
     name = "shapley"
 
     def __init__(self):
-        self._potentials = Memo(lambda f: _hmc_memo(
-            lambda mask, c=f.scaled, k=_UNIT_SCALES[f.n]: k * c(mask), (1,) * f.n))
+        # Q per cost function: by user count for an anonymous cost, by mask
+        # for a table, so an anonymous cost and an equal table get one each
+        self._by_count = Memo(_running_potential)
+        self._by_mask = Memo(lambda f: _hmc_memo(
+            lambda mask, t=f.scaled_table(), k=_UNIT_SCALES[f.n]: k * t[mask], (1,) * f.n))
 
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * _UNIT_SCALES[f.n]
 
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
+        if users >> f.n:  # _check_arity, inlined: every lazy potential row fills here
+            raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
         if f._anon:
-            per_unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
-            # Q(S) = D_f * (C(1)/1 + C(2)/2 + ... + C(|S|)/|S|)
-            return sum(per_unit * f.scaled((1 << k) - 1) // k
-                       for k in range(1, users.bit_count() + 1))
-        return self._potentials[f][users]
+            return self._by_count[f][users.bit_count()]
+        return self._by_mask[f][users]
+
+    def scaled_potentials(self, f: SetCostFunction) -> list:
+        """Q of every user set of ``f``, indexed as ``f`` keeps its own values
+        (``scaled_counts``, ``scaled_table``): by user count for an
+        anonymous cost, else by mask. A table's 2^n entries are filled in
+        one pass on the first call, and kept in place of its memo."""
+        if f._anon:
+            return self._by_count[f]
+        q = self._by_mask.get(f)
+        if type(q) is not list:
+            q = self._by_mask[f] = _table_potential(f.scaled_table(), _UNIT_SCALES[f.n])
+        return q
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        if users >> f.n:  # _check_arity, inlined: this fills every share row
+        if users >> f.n:  # _check_arity, inlined: share rows and probes fill here
             raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
         if not (users >> i) & 1:
             return 0
         if f._anon:
             return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
-        q = self._potentials[f]
+        q = self._by_mask[f]
         return q[users] - q[users ^ (1 << i)]
+
+
+def _running_potential(f: SetCostFunction) -> list:
+    """Q of an anonymous cost by user count: the running sum of D_f * C(k) / k."""
+    unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
+    counts = f.scaled_counts()
+    q = [0]
+    for k in range(1, len(counts)):
+        q.append(q[-1] + unit * counts[k] // k)
+    return q
+
+
+def _table_potential(table: tuple, unit: int) -> list:
+    """Q of every mask of a table cost, at ``unit`` times its scaled values,
+    in one ascending pass: Q[S] = (unit * C[S] + sum over i in S of
+    Q[S - i]) // |S|, where every S - i is below S."""
+    q = [0] * len(table)
+    for users in range(1, len(table)):
+        total = unit * table[users]
+        rest = users
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += q[users ^ bit]
+        q[users] = total // users.bit_count()
+    return q
 
 
 def _hmc_memo(value, weights: tuple) -> Memo:
@@ -201,7 +251,8 @@ class WeightSystem:
 
     ``blocks[0]`` has the highest priority: within any user set, the cost
     dividends of a coalition T go to the members of T drawn from the
-    earliest block that T touches, in proportion to their weights.
+    earliest block that T touches, in proportion to their weights. Each
+    block is a list, tuple, set or frozenset of player ids.
     """
 
     weights: tuple
@@ -209,6 +260,11 @@ class WeightSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(map(parse_fraction, self.weights)))
+        if not isinstance(self.blocks, (list, tuple)):
+            raise ValidationError(f"blocks {self.blocks!r} are not a list or tuple of blocks")
+        for block in self.blocks:  # a dict would be read by its keys
+            if not isinstance(block, (list, tuple, set, frozenset)):
+                raise ValidationError(f"block {block!r} is not a collection of player ids")
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         n = len(self.weights)
         check_player_count(n)  # each block's subset sums are enumerated
@@ -323,8 +379,9 @@ class TableProtocol(Protocol):
     ``set_entry`` adds an entry, and it drops that function's kept share
     scale. A scaled share is an entry's value or the fallback's scaled
     share, times the ratio of the scales. A cost function whose arity is
-    not ``players`` (when set, as a file sets it) raises. The fields are
-    read-only once validated.
+    not ``players`` (when set, as a file sets it) raises. Every entry's user
+    set is read as a mask of its cost function's players, validated or
+    not. The fields are read-only once validated.
     """
 
     name = "table"
@@ -353,6 +410,7 @@ class TableProtocol(Protocol):
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
+        _check_arity(f, users)
         shares = {i: parse_fraction(v) for i, v in shares.items()}
         members = player_mask(list(shares), f.n)
         if validate:

@@ -31,7 +31,7 @@ from costarena.equilibrium import (
     social_optimum,
 )
 from costarena.gadgets import build_poa_unbounded, build_pos_linear, build_pos_nharmonic
-from costarena.network import to_game
+from costarena.network import Edge, NetworkModel, to_game
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -523,10 +523,11 @@ def two_halves_game(n, resources):
 
 
 def kernel_row_ids(kernel):
-    share_rows = {id(row) for options in kernel.options for option in options
-                  for _, row in option}
-    return ({id(row) for row in kernel.costs}, share_rows,
-            {id(row) for row in kernel.potentials or ()})
+    """The ids of the kernel's cost rows, of the rows and of the bases that
+    its entries read, and of its potential rows."""
+    entries = [entry for options in kernel.options for option in options for entry in option]
+    return ({id(row) for row in kernel.costs}, {id(row) for _, row, _ in entries},
+            {id(base) for _, _, base in entries}, {id(row) for row in kernel.potentials or ()})
 
 
 def walk_shaped_games(seed, count):
@@ -653,35 +654,176 @@ def test_full_sums_match_the_reference(monkeypatch):
 
 
 def test_kernel_keeps_rows_per_cost_function():
+    # under Shapley every player's entries point at the one potential row
+    # of the resource's cost function, as row and as base; no row is kept
+    # per player
     g = two_halves_game(8, 8)
-    costs, shares, potentials = kernel_row_ids(_Kernel(g, SHAPLEY))
-    assert len(costs) == len(potentials) == 1
-    assert len(shares) == g.n
+    for kernel in (_Kernel(g, SHAPLEY), _Kernel(g, SHAPLEY, whole=True)):
+        costs, rows, bases, potentials = kernel_row_ids(kernel)
+        assert len(costs) == len(potentials) == 1
+        assert rows == bases == potentials
     w = WeightSystem.plain(4)
     for nm in (build_pos_linear(5, F(1, 4)), build_pos_nharmonic(4, F(1, 4), w),
                build_poa_unbounded(3, SHAPLEY)[0]):
         model = to_game(nm)
         distinct = len(set(model.cost_fns))
-        costs, shares, potentials = kernel_row_ids(_Kernel(model, SHAPLEY))
+        costs, rows, bases, potentials = kernel_row_ids(_Kernel(model, SHAPLEY))
         assert len(costs) == len(potentials) == distinct < len(model.cost_fns)
-        assert len(shares) <= distinct * model.n
+        assert rows == bases <= potentials
+    # a share-only protocol keeps a share row per (cost function, player)
+    # and one all-zero base
+    for protocol in (two_block_gws(g.n), TableProtocol(), HalfSplit()):
+        costs, rows, bases, potentials = kernel_row_ids(_Kernel(g, protocol))
+        assert len(rows) == g.n and len(bases) == 1 and not rows & bases
 
 
 def test_table_cost_rows_read_the_tables_integers():
-    # at a factor D / L of 1 a table's row is its own integers; otherwise it
-    # is a lazy Memo over them, as an anonymous cost's row is
-    g = tension_game()
+    # at a factor D / L of 1 a table's row is its own integers, whole or
+    # lazy. Past 1, a kernel compiled for a walk holds whole lists, and any
+    # other kernel lazy Memos, for costs and potentials alike.
+    e1 = SetCostFunction.anonymous([0, 0, F(3, 2)])
     table = SetCostFunction.from_table(2, {0b01: 1, 0b10: F(1, 2), 0b11: F(3, 2)})
-    g = GameModel(2, g.resources, g.strategy_sets, (g.cost_fns[0], table))
+    either = (frozenset({"e1"}), frozenset({"e2"}))
+    g = GameModel(2, ("e1", "e2"), (either, either), (e1, table))
+    assert g.profile_space_size() == 1 << g.n
     assert _Kernel(g).scale == table.denominator == 2
-    assert _Kernel(g).costs[1] is table.scaled_table()
-    kernel = _Kernel(g, SHAPLEY)
-    factor = kernel.scale // table.denominator
+    assert _Kernel(g).costs[1] is _Kernel(g, whole=True).costs[1] is table.scaled_table()
+    lazy, whole = _Kernel(g, SHAPLEY), _Kernel(g, ShapleyProtocol(), whole=True)
+    factor = lazy.scale // table.denominator
     assert factor > 1
-    for row in kernel.costs:
+    for row in lazy.costs + lazy.potentials:
         assert isinstance(row, Memo) and not row
-    assert [kernel.costs[1][m] for m in range(4)] == [factor * table.scaled(m)
-                                                      for m in range(4)]
+    for row in whole.costs + whole.potentials:
+        assert type(row) is list and len(row) == 4
+    assert [lazy.costs[1][m] for m in range(4)] == whole.costs[1] == [
+        factor * table.scaled(m) for m in range(4)]
+    for lazy_row, whole_row in zip(lazy.potentials, whole.potentials):
+        assert [lazy_row[m] for m in range(4)] == whole_row
+    # a walk over fewer profiles than user masks keeps lazy rows
+    g = GameModel(2, g.resources, (either, either[:1]), g.cost_fns)
+    assert all(isinstance(row, Memo) for row in _Kernel(g, SHAPLEY, whole=True).costs)
+
+
+class LazyKernel(_Kernel):
+    """The kernel with every row lazy, whatever it is compiled for."""
+
+    def __init__(self, model, protocol=None, whole=False):
+        super().__init__(model, protocol)
+
+
+def test_whole_and_lazy_rows_give_the_same_answers(monkeypatch):
+    rng = random.Random(63)
+    cases = [(g, protocol) for g in walk_shaped_games(64, 8)
+             for protocol in (SHAPLEY, two_block_gws(g.n), rigged_table(g, rng), HalfSplit())]
+    cases += itertools.islice(reference_cases(), 0, None, 3)
+    # an anonymous cost and the equal table read one row, whichever comes first
+    anonymous = SetCostFunction.anonymous([0, 2, 3, F(7, 2)])
+    twin = SetCostFunction(3, [anonymous.value(m) for m in range(8)])
+    either = (frozenset("a"), frozenset("b"))
+    for fns in ((anonymous, twin), (twin, anonymous)):
+        cases.append((GameModel(3, ("a", "b"), (either,) * 3, fns), SHAPLEY))
+    kinds, filled = set(), 0
+    for g, protocol in cases:
+        if isinstance(protocol, ShapleyProtocol):
+            protocol = ShapleyProtocol()  # a fresh store for each kernel
+        whole = _Kernel(g, protocol, whole=True)
+        lazy = _Kernel(g, ShapleyProtocol() if protocol.name == "shapley" else protocol)
+        if 1 << g.n <= g.profile_space_size():
+            filled += 1
+            assert not any(isinstance(row, Memo) for row in whole.costs)
+            for rows, lazy_rows in ((whole.costs, lazy.costs),
+                                    (whole.potentials or (), lazy.potentials or ())):
+                for row, lazy_row in zip(rows, lazy_rows):
+                    assert list(row) == [lazy_row[m] for m in range(1 << g.n)]
+        report = analyze(g, protocol)
+        with monkeypatch.context() as patch:
+            patch.setattr("costarena.equilibrium._Kernel", LazyKernel)
+            assert analyze(g, protocol) == report
+        for _ in range(3):
+            profile = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
+            whole.at(profile)
+            lazy.at(profile)
+            assert whole.private_costs() == lazy.private_costs()
+            for i in range(g.n):
+                assert whole.best_response(i) == lazy.best_response(i)
+        kinds.add(type(protocol))
+    assert filled >= len(cases) // 4
+    assert {ShapleyProtocol, GeneralizedWeightedShapley, TableProtocol, HalfSplit} <= kinds
+
+
+def grid_game(rng, grid, spans):
+    """A ``grid`` x ``grid`` network, flattened, with one player per (down,
+    right) span and edges of random anonymous or table costs."""
+    n = len(spans)
+    arcs = [(f"{kind}{r}{c}", f"v{r}{c}", f"v{r + dr}{c + dc}")
+            for r in range(grid) for c in range(grid)
+            for kind, dr, dc in (("h", 0, 1), ("d", 1, 0)) if r + dr < grid and c + dc < grid]
+    edges = tuple(Edge(eid, tail, head, random_cost(rng, n, rng.choice(COST_CLASSES))
+                       if rng.random() < 0.2 else
+                       SetCostFunction.anonymous([0] + sorted(rng.sample(range(1, 40), n))))
+                  for eid, tail, head in arcs)
+    terminals = []
+    for dr, dc in spans:
+        r, c = rng.randint(0, grid - 1 - dr), rng.randint(0, grid - 1 - dc)
+        terminals.append((f"v{r}{c}", f"v{r + dr}{c + dc}"))
+    vertices = tuple(f"v{r}{c}" for r in range(grid) for c in range(grid))
+    return to_game(NetworkModel(vertices, edges, tuple(terminals)))
+
+
+def test_best_response_prices_each_resource_once():
+    # pricing each reachable resource once and summing per strategy gives
+    # the sums of row[S] - base[S - i] over each strategy's own entries,
+    # along best-response dynamics on seeded grids, under a potential and
+    # under share rows
+    rng = random.Random(66)
+    for k in range(4):
+        g = grid_game(rng, 4, ((2, 2), (3, 2), (2, 3), (3, 3)))
+        for protocol in (SHAPLEY, two_block_gws(g.n), TableProtocol()):
+            kernel = _Kernel(g, protocol).at(tuple(rng.randrange(len(s))
+                                                   for s in g.strategy_sets))
+            for _ in range(3 * g.n):
+                i = rng.randrange(g.n)
+                usage, bit = kernel.usage, 1 << i
+                sums = [sum(row[usage[r] | bit] - base[usage[r] & ~bit]
+                            for r, row, base in option)
+                        for option in kernel.options[i]]
+                best, costs = kernel.best_response(i)
+                assert costs == sums
+                if k == 0:
+                    assert [F(c, kernel.scale) for c in costs] == reference_costs(
+                        g, protocol, tuple(kernel.profile), i)
+                kernel.move(i, best)
+
+
+class EvenShapley(ShapleyProtocol):
+    """Shapley's scale and potential, but shares split evenly: a subclass
+    that the kernel must price by its own shares."""
+
+    name = "even"
+
+    def scaled_share(self, f, users, i):
+        return HalfSplit().scaled_share(f, users, i)
+
+
+class NamedShapley(ShapleyProtocol):
+    """Shapley under another name: the package's own share methods."""
+
+    name = "named"
+
+
+def test_kernel_prices_only_shapley_by_its_potential():
+    games = list(corpus(67, 12, "arbitrary", max_players=4))
+    for protocol in (EvenShapley(), NamedShapley()):
+        trusted = isinstance(protocol, NamedShapley)
+        for g in games:
+            kernel = _Kernel(g, protocol)
+            _, rows, bases, potentials = kernel_row_ids(kernel)
+            assert (rows == bases <= potentials) == trusted
+            report = analyze(g, protocol)
+            pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
+            assert (report.pne, report.pne_costs, report.poa) == (tuple(pne), tuple(costs), poa)
+    # the even split differs from Shapley on these games
+    assert any(analyze(g, EvenShapley()).pne != analyze(g, SHAPLEY).pne for g in games)
 
 
 def test_potential_minimizer_matches_brute_force_reference():

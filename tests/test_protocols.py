@@ -22,7 +22,7 @@ from costarena.core import (
     player_mask,
     scale_lcm,
 )
-from costarena.equilibrium import analyze, private_cost, private_costs
+from costarena.equilibrium import analyze, best_response_dynamics, private_cost, private_costs
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -773,13 +773,17 @@ def test_hmc_potential_equals_alpha_formula():
 def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
     import costarena.protocols as protocols
     calls = []
-    build = protocols._hmc_memo
 
-    def counted(value, weights):
-        calls.append(weights)
-        return build(value, weights)
+    def counting(name):
+        build = getattr(protocols, name)
 
-    monkeypatch.setattr(protocols, "_hmc_memo", counted)
+        def counted(*args):
+            calls.append(name)
+            return build(*args)
+        return counted
+
+    for name in ("_hmc_memo", "_table_potential"):
+        monkeypatch.setattr(protocols, name, counting(name))
     rng = random.Random(12)
     fa, fb = random_monotone_cost(rng, 3), random_monotone_cost(rng, 3)
     assert fa != fb
@@ -791,13 +795,101 @@ def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
     def two_blocks():
         return GeneralizedWeightedShapley(WeightSystem((1, 2, 3), ((0, 1), (2,))))
 
-    # Shapley: one memo per distinct cost function. GWS: players 0 and 1
-    # see later users {2} or none, player 2 none: 2 cost functions x 2 sets
-    for make, expected in ((ShapleyProtocol, 2), (two_blocks, 4)):
-        for _ in range(2):  # a fresh instance builds its memos again
+    # Shapley: the walk's 8 profiles cover the 2^3 user sets, so it stores
+    # one whole potential table per distinct cost function and builds no
+    # memo. GWS: players 0 and 1 see later users {2} or none, player 2
+    # none: 2 cost functions x 2 sets
+    for make, expected in ((ShapleyProtocol, ["_table_potential"] * 2),
+                           (two_blocks, ["_hmc_memo"] * 4)):
+        for _ in range(2):  # a fresh instance builds its stores again
             protocol = make()
             calls.clear()
             analyze(game, protocol)
-            assert len(calls) == expected
+            assert calls == expected
             analyze(game, protocol)  # and the same one builds none
-            assert len(calls) == expected
+            assert calls == expected
+    shapley = ShapleyProtocol()
+    analyze(game, shapley)
+    assert [type(q) for q in shapley._by_mask.values()] == [list, list]
+    # a lazy kernel keeps one memo per distinct cost function instead
+    calls.clear()
+    best_response_dynamics(game, ShapleyProtocol(), (0, 0, 0))
+    assert calls == ["_hmc_memo"] * 2
+
+
+def test_one_pass_table_potential_equals_the_memo():
+    # Shapley's whole table, filled in ascending mask order, holds what the
+    # Hart--Mas-Colell memo fills one mask at a time
+    import costarena.protocols as protocols
+    rng = random.Random(68)
+    for n in range(1, 10):
+        unit = lcm(*range(1, n + 1))
+        for _ in range(19):
+            table = random_monotone_cost(rng, n, den_max=6).scaled_table()
+            memo = protocols._hmc_memo(lambda mask: unit * table[mask], (1,) * n)
+            assert protocols._table_potential(table, unit) == [memo[m] for m in range(1 << n)]
+
+
+def test_whole_potentials_match_the_single_reads():
+    # scaled_potentials is indexed as the cost keeps its values; a table's
+    # replaces the memo of single reads, and an anonymous cost and an equal
+    # table each keep their own store
+    rng = random.Random(69)
+    for f in random_costs(70, count=18):
+        p = ShapleyProtocol()
+        masks = range(1 << f.n)
+        single = [p.scaled_potential(f, m) for m in masks]
+        whole = p.scaled_potentials(f)
+        if f.anonymous_values is None:
+            assert whole == single and p.scaled_potentials(f) is whole
+        else:
+            assert len(whole) == f.n + 1
+            assert [whole[m.bit_count()] for m in masks] == single
+            table = SetCostFunction(f.n, [f.value(m) for m in masks])
+            assert table == f and p.scaled_potentials(table) == single
+            assert len(p._by_count) == len(p._by_mask) == 1
+        assert [p.scaled_potential(f, m) for m in masks] == single
+        assert all(p.scaled_share(f, m, i) == single[m] - single[m & ~(1 << i)]
+                   for m in masks for i in mask_members(m))
+        with pytest.raises(ProtocolError, match="outside arity"):
+            p.scaled_potential(f, rng.choice((-1, 1 << f.n)))
+
+
+@pytest.mark.parametrize("users, message", [
+    (5, "user set 0b101 outside arity 2"),
+    (True, "user set True is not an int"),
+    (-1, "user set -0b1 outside arity 2"),
+    ("x", "user set 'x' is not an int"),
+])
+@pytest.mark.parametrize("validate", [False, True])
+def test_set_entry_reads_its_user_set(users, message, validate):
+    # validated or not, an entry's user set is a mask of f's players
+    f = SetCostFunction.anonymous([0, 1, 2])
+    t = TableProtocol()
+    with pytest.raises(ValueError) as caught:
+        t.set_entry(f, users, {0: 1}, validate=validate)
+    assert isinstance(caught.value, (ValidationError, ProtocolError))
+    assert str(caught.value) == message
+    assert t.entries == {}
+
+
+def test_table_constructor_reads_every_user_set():
+    f = SetCostFunction.anonymous([0, 1, 2])
+    with pytest.raises(ProtocolError, match="user set 0b101 outside arity 2"):
+        TableProtocol({(f, 0b01): {0: 1}, (f, 5): {0: 1}})
+    with pytest.raises(ValidationError, match="user set True is not an int"):
+        TableProtocol({(f, True): {0: 1}})
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((5,), "block 5 is not a collection of player ids"),
+    (({0: 1, 1: 1},), "block {0: 1, 1: 1} is not a collection of player ids"),
+    (("01",), "block '01' is not a collection of player ids"),
+    (5, "blocks 5 are not a list or tuple of blocks"),
+])
+def test_weight_system_block_is_a_collection_of_ids(blocks, message):
+    with pytest.raises(ValidationError) as caught:
+        WeightSystem((1, 1), blocks)
+    assert str(caught.value) == message
+    for block in ([0, 1], (0, 1), {0, 1}, frozenset({0, 1})):
+        assert WeightSystem((1, 1), (block,)).blocks == ((0, 1),)
