@@ -7,26 +7,27 @@ cost denominator and of the protocol's ``share_scale`` of every cost
 function, so each cost and each share is an integer multiple of 1/D. The
 ints come from the layers below without a ``Fraction`` in between: a cost
 row holds (D / f.denominator) * f.scaled(mask), and a potential row (D /
-share_scale(f)) * protocol.scaled_potential(f, mask) when the protocol has
-that hook (only Shapley does; ``potential_minimizer`` always compiles for
-Shapley). Each of these scales must stay within ``core.MAX_SCALE_BITS``.
-Strategies become tuples of resource indices. Cost functions compare by
-value, so resources with equal costs read the same rows.
+share_scale(f)) * protocol.scaled_potential(f, mask) for a protocol priced
+by its potential (below). Each of these scales must stay within
+``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
+Cost functions compare by value, so resources with equal costs read the
+same rows.
 
 A player's payment on a resource is read from an entry (r, row, base):
 player i pays row[S] - base[S - i] on r, where S is r's user set with i in
-it. Under Shapley, row and base are the same potential row Q, one per
-distinct cost function, since i's Shapley share is Q(S) - Q(S - i) (Hart
-& Mas-Colell 1989). The kernel trusts only ``ShapleyProtocol`` with this:
-a protocol whose class overrides any of its ``share_scale``,
-``scaled_share``, ``scaled_potential`` or ``scaled_potentials``, and every
-other protocol, is priced by its own shares. Then row is the share row of
-(cost function, player), holding (D / share_scale(f)) *
-protocol.scaled_share(f, mask, i), and base is one all-zero row, so an
-entry that charges a non-member is never read.
+it. A protocol has one potential, used for everything or for nothing.
+For one priced by its potential (``protocols._prices_by_potential``:
+Shapley), row and base are the same potential row Q, one per distinct
+cost function, since its share is Q(S) - Q(S - i) (Hart & Mas-Colell
+1989); these rows are also ``analyze``'s potentials, the ``phi`` of
+``best_response_dynamics`` and the rows ``potential_minimizer`` walks.
+Every other protocol has no potential and is priced by its own shares:
+row is the share row of (cost function, player), holding (D /
+share_scale(f)) * protocol.scaled_share(f, mask, i), and base is one
+all-zero row, so an entry that charges a non-member is never read.
 
 A kernel compiled for a walk (``analyze``, ``social_optimum``,
-``potential_minimizer``) fills its cost and Shapley potential rows whole,
+``potential_minimizer``) fills its cost and potential rows whole,
 as lists of 2^n entries, when 2^n is at most the number of profiles it
 walks: a table's cost row is its own integers (``scaled_table``), times
 the factor; an anonymous cost's rows are read by user count from n + 1
@@ -67,7 +68,7 @@ from fractions import Fraction
 
 from .core import (
     CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, read_int, scale_lcm)
-from .protocols import Protocol, ShapleyProtocol
+from .protocols import Protocol, ShapleyProtocol, _prices_by_potential
 
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
 PROFILE_CAP = 10 ** 7
@@ -84,16 +85,6 @@ _ROW_READS = 8
 
 #: Ratio value when the optimum costs 0 but some equilibrium does not.
 INFINITE = math.inf
-
-
-def _prices_by_potential(protocol: Protocol) -> bool:
-    """Whether the kernel trusts ``protocol``'s potential to price its
-    shares: only a ``ShapleyProtocol`` whose class keeps the package's own
-    share and potential methods."""
-    kind, own = type(protocol), ShapleyProtocol
-    return (kind.share_scale is own.share_scale and kind.scaled_share is own.scaled_share
-            and kind.scaled_potential is own.scaled_potential
-            and getattr(kind, "scaled_potentials", None) is own.scaled_potentials)
 
 
 def _whole_row(values, factor: int, counts: list[int]):
@@ -131,13 +122,12 @@ class _Kernel:
     where i pays row[S] - base[S - i], times D, for a user set S that holds
     i; ``reach[i]``, built on i's first best response, holds one entry per
     resource that i can reach; ``potentials[r][mask]`` is D times the
-    protocol's potential of ``mask`` under r's cost function, and
-    ``potentials`` is None when the protocol has no ``scaled_potential``
-    (or there is no protocol). Under a trusted Shapley protocol, every
-    entry of r is (r, potentials[r], potentials[r]). Resources with equal
-    cost functions point at the same rows. With ``whole``, cost and Shapley
-    potential rows are filled whole when 2^n is at most the profile-space
-    size (module docstring). ``profile`` is the current profile, a list of
+    protocol's potential of ``mask`` under r's cost function, and every
+    entry of r is (r, potentials[r], potentials[r]), for a protocol priced
+    by its potential; for any other protocol, or none, ``potentials`` is
+    None. Resources with equal cost functions point at the same rows. With
+    ``whole``, cost and potential rows are filled whole when 2^n is at most
+    the profile-space size (module docstring). ``profile`` is the current profile, a list of
     strategy indices, and ``usage`` holds its user masks: ``at``, ``move``
     and the walk change the two together, so they agree whenever a caller
     reads them.
@@ -172,17 +162,15 @@ class _Kernel:
         if protocol is None:
             return
         factors = [scale // d for d in own]
-        trusted = _prices_by_potential(protocol)
-        potential = protocol.scaled_potential
-        if trusted and counts is not None:
-            rows = [_whole_row(protocol.scaled_potentials(f), k, counts)
-                    for f, k in zip(distinct, factors)]
-        elif potential is not None:
-            rows = [Memo(lambda m, f=f, k=k: k * potential(f, m))
-                    for f, k in zip(distinct, factors)]
-        if potential is not None:
+        if _prices_by_potential(protocol):
+            if counts is not None:
+                rows = [_whole_row(protocol.scaled_potentials(f), k, counts)
+                        for f, k in zip(distinct, factors)]
+            else:
+                potential = protocol.scaled_potential
+                rows = [Memo(lambda m, f=f, k=k: k * potential(f, m))
+                        for f, k in zip(distinct, factors)]
             self.potentials = [rows[j] for j in ids]
-        if trusted:
             entries = [[(r, row, row) for r, row in enumerate(self.potentials)]] * model.n
         else:
             share = protocol.scaled_share
@@ -431,9 +419,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     run converges when a full sweep accepts no change; ``max_steps`` (an
     int, not negative) bounds accepted changes, and a run stops short only
     to make one more (default 10x the profile-space size, above the number
-    of distinct potential values). When the protocol has a potential
-    (``Protocol.scaled_potential``, only Shapley's), each trace entry
-    records it for the profile after the change; otherwise ``phi`` is None.
+    of distinct potential values). Under a protocol priced by its
+    potential (module docstring), each trace entry records that potential
+    for the profile after the change; under any other, ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:
@@ -528,8 +516,9 @@ class AnalysisReport:
     ``poa`` and ``pos`` are the worst and best equilibrium cost over the
     optimum cost: None when no pure Nash equilibrium exists, 1 when both
     costs are 0, infinite when only the optimum is 0. ``potentials`` holds
-    each equilibrium's potential under the protocol, or is None when the
-    protocol has no potential (``Protocol.scaled_potential``).
+    each equilibrium's potential, the one that prices the protocol's
+    shares, or is None when the protocol is not priced by a potential
+    (module docstring).
     """
 
     protocol: str
@@ -544,7 +533,8 @@ class AnalysisReport:
 
 def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     """Equilibria, their costs and potentials, the optimum and both ratios
-    in one walk; ``potentials`` is None for a protocol without one."""
+    in one walk; ``potentials`` is None for a protocol without one
+    (``AnalysisReport``)."""
     kernel = _Kernel(model, protocol, whole=True)
     pne, scaled, potentials = [], [], []
     opt_p = opt_c = None

@@ -9,12 +9,13 @@ exhaustively.
 
 Every protocol gives integer shares: ``scaled_share(f, S, i)`` is the
 share times the positive integer ``share_scale(f)``. The equilibrium kernel
-reads only these, and scales a whole game by the lcm of the share scales,
-so its walk adds and compares Python ints only; ``share`` is their
-``Fraction`` view on the base class (a player's payment is the kernel's:
-``equilibrium.private_cost``). Shapley and GWS give ``scaled_share``
-as the integer potential differences below; ``TableProtocol`` scales its
-entries and its fallback's integer shares to its own scale.
+reads these, or a Shapley potential (below), and scales a whole game by the
+lcm of the share scales, so its walk adds and compares Python ints only;
+``share`` is their ``Fraction`` view on the base class (a player's payment
+is the kernel's: ``equilibrium.private_cost``). Shapley and GWS give
+``scaled_share`` as the integer potential differences below;
+``TableProtocol`` scales its entries and its fallback's integer shares to
+its own scale.
 
 The Shapley share of player i in user set S is i's marginal cost averaged
 over all orderings of S. The production implementation computes it from
@@ -23,18 +24,18 @@ D_f = share_scale(f) and memoized per cost function:
 
     Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
 
-where every division is exact, and scaled_share(i, S) = Q(S) - Q(S - i).
-Q is also the protocol's ``scaled_potential``, and the instance keeps one
-store of it per cost function. For an anonymous cost the store is a list
-by user count, the running sum Q(k) = Q(k - 1) + D_f * C(k) / k, and a
-share takes the closed form D_f * C(|S|) / |S|; both are exact because k
-divides D_f / f.denominator = lcm(1, ..., n). For a table the store starts
-as ``_hmc_memo`` below with unit weights, a ``core.Memo`` that fills the
-masks read and the subsets they recurse into. ``scaled_potentials(f)``
-replaces it with the whole table, filled in one ascending pass, since
-every S - i is below S. The equilibrium kernel reads a store whole for a
-walk over at least 2^n profiles, and prices Shapley shares by differences
-of Q alone.
+where every division is exact. Q is the protocol's ``scaled_potential``,
+and ``scaled_share(f, S, i)`` is Q(S) - Q(S - i) read through it, so the
+shares are the potential's differences by construction. The instance
+keeps one store of Q per cost function. For an anonymous cost the store is
+a list by user count, the running sum Q(k) = Q(k - 1) + D_f * C(k) / k,
+exact because k divides D_f / f.denominator = lcm(1, ..., n). For a table
+the store starts as ``_hmc_memo`` below with unit weights, a ``core.Memo``
+that fills the masks read and the subsets they recurse into.
+``scaled_potentials(f)`` replaces it with the whole table, filled in one
+ascending pass, since every S - i is below S. The equilibrium kernel reads
+a store whole for a walk over at least 2^n profiles. A protocol has one
+potential or none: ``_prices_by_potential`` decides which.
 
 Generalized weighted Shapley shares come from the same recursion,
 ``_hmc_memo``, with integer weights a_j (the weights over their common
@@ -93,20 +94,11 @@ class Protocol:
     even split, for example, has share_scale(f) = f.denominator * lcm(1..n)
     and scaled_share(f, S, i) = f.scaled(S) * lcm(1..n) // |S| for i in S.
 
-    ``scaled_potential(f, users)`` is the protocol's exact potential hook:
-    an integer with scaled_potential(f, S) - scaled_potential(f, S - i) =
-    scaled_share(f, S, i) for every i in S and 0 at the empty set. Divided
-    by ``share_scale(f)`` and summed over the resources, it changes by
-    exactly a deviator's cost change, so the equilibrium kernel reads it
-    for potentials. It is None here: a protocol has a potential only if it
-    defines one, and only Shapley does. The kernel prices a deviation by
-    potential differences only for a ``ShapleyProtocol`` that keeps the
-    package's own methods; any other protocol is priced by its
-    ``scaled_share`` (see ``equilibrium``).
+    The equilibrium kernel prices a custom protocol by ``scaled_share``
+    and reports no potential for it (``_prices_by_potential``).
     """
 
     name = "abstract"
-    scaled_potential = None
 
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         """``scaled_share(f, users, i) / share_scale(f)``, for a player
@@ -145,7 +137,8 @@ class ShapleyProtocol(Protocol):
     Shares are differences of the integer Hart--Mas-Colell potential Q
     (see the module docstring), kept per cost function on the instance in
     one store; cost functions hash by semantic value, so structurally
-    equal functions on different resources share one store.
+    equal functions on different resources share one store. A subclass
+    keeps Q as its potential only while ``_prices_by_potential`` holds.
     """
 
     name = "shapley"
@@ -181,14 +174,26 @@ class ShapleyProtocol(Protocol):
         return q
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        if users >> f.n:  # _check_arity, inlined: share rows and probes fill here
-            raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
+        """Q(users) - Q(users - i), read through ``scaled_potential``."""
         if not (users >> i) & 1:
+            _check_arity(f, users)
             return 0
-        if f._anon:
-            return _UNIT_SCALES[f.n] * f.scaled(users) // users.bit_count()
-        q = self._by_mask[f]
-        return q[users] - q[users ^ (1 << i)]
+        q = self.scaled_potential
+        return q(f, users) - q(f, users ^ (1 << i))
+
+
+def _prices_by_potential(protocol: Protocol) -> bool:
+    """Whether ``protocol`` has a potential: whether its shares are, by
+    construction, the differences of ``scaled_potential``, so that the
+    equilibrium kernel prices them by it and reports it. Only a
+    ``ShapleyProtocol`` whose class keeps the package's ``scaled_share``,
+    ``scaled_potential`` and ``scaled_potentials`` does; a ``share_scale``
+    override rescales shares and potential alike. Any other protocol is
+    priced by its shares and has no potential."""
+    kind, own = type(protocol), ShapleyProtocol
+    return (isinstance(protocol, own) and kind.scaled_share is own.scaled_share
+            and kind.scaled_potential is own.scaled_potential
+            and kind.scaled_potentials is own.scaled_potentials)
 
 
 def _running_potential(f: SetCostFunction) -> list:

@@ -214,6 +214,16 @@ def test_semantic_equality_across_representations():
     assert hash(anon) == hash(table)
     other = SetCostFunction.from_table(2, {(0,): 1, (1,): 2, (0, 1): 2})
     assert anon != other
+    # another type is not a cost function: == defers to it, then is False
+    assert anon.__eq__(0) is NotImplemented
+    assert anon != 0 and not anon == 0
+
+
+def test_cost_function_repr():
+    assert repr(SetCostFunction.anonymous([0, F(3, 2)])) == (
+        "SetCostFunction.anonymous([Fraction(0, 1), Fraction(3, 2)])")
+    table = SetCostFunction.from_table(2, {(0,): 1, (1,): 2, (0, 1): 2})
+    assert repr(table) == "SetCostFunction(n=2, ...)"
 
 
 def test_value_rejects_out_of_range_mask():

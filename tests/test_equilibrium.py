@@ -368,14 +368,18 @@ def test_analyze_report_contents():
 
 
 def test_analyze_has_no_potential_for_other_protocols():
-    # only a protocol's own scaled_potential is a potential of its shares
+    # only a protocol priced by its potential reports one: a Shapley
+    # subclass with its own shares reports neither Shapley's Q nor any other
     g = tension_game()
     table = TableProtocol()
     table.set_entry(g.cost_fns[0], 0b11, {0: F(1, 2), 1: F(1)})
     for protocol in (GeneralizedWeightedShapley(WeightSystem.plain(2)), TableProtocol(),
-                     table, HalfSplit()):
+                     table, HalfSplit(), EvenShapley()):
         report = analyze(g, protocol)
         assert report.pne and report.potentials is None
+        trace = best_response_dynamics(g, protocol, (0, 1)).trace
+        assert all(step.phi is None for step in trace)
+        assert trace or protocol is table  # player 1 pays 1 on e1 or e2 under it
 
 
 def reference_profiles(model):
@@ -811,10 +815,31 @@ class NamedShapley(ShapleyProtocol):
     name = "named"
 
 
+class HalvedShapley(ShapleyProtocol):
+    """Shapley at twice its share scale, so shares and potential are both
+    halved: a subclass still priced, and reported, by its potential."""
+
+    name = "halved"
+
+    def share_scale(self, f):
+        return 2 * super().share_scale(f)
+
+
+class CountedShapley(ShapleyProtocol):
+    """Shapley's potential times the user count: the shares derive from
+    the overridden potential, but the kernel must price them as shares, and
+    report no potential."""
+
+    name = "counted"
+
+    def scaled_potential(self, f, users):
+        return super().scaled_potential(f, users) * users.bit_count()
+
+
 def test_kernel_prices_only_shapley_by_its_potential():
     games = list(corpus(67, 12, "arbitrary", max_players=4))
-    for protocol in (EvenShapley(), NamedShapley()):
-        trusted = isinstance(protocol, NamedShapley)
+    for protocol in (EvenShapley(), NamedShapley(), HalvedShapley(), CountedShapley()):
+        trusted = isinstance(protocol, (NamedShapley, HalvedShapley))
         for g in games:
             kernel = _Kernel(g, protocol)
             _, rows, bases, potentials = kernel_row_ids(kernel)
@@ -822,8 +847,15 @@ def test_kernel_prices_only_shapley_by_its_potential():
             report = analyze(g, protocol)
             pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
             assert (report.pne, report.pne_costs, report.poa) == (tuple(pne), tuple(costs), poa)
-    # the even split differs from Shapley on these games
-    assert any(analyze(g, EvenShapley()).pne != analyze(g, SHAPLEY).pne for g in games)
+            own = tuple(sum((F(protocol.scaled_potential(f, users), protocol.share_scale(f))
+                             for f, users in zip(g.cost_fns, g.usage_masks(p))), F(0))
+                        for p in pne)
+            assert report.potentials == (own if trusted else None)
+            if isinstance(protocol, HalvedShapley):
+                assert own == tuple(alpha_potential(g, p) / 2 for p in pne)
+    # the even split and the counted potential differ from Shapley here
+    for protocol in (EvenShapley(), CountedShapley()):
+        assert any(analyze(g, protocol).pne != analyze(g, SHAPLEY).pne for g in games)
 
 
 def test_potential_minimizer_matches_brute_force_reference():

@@ -224,6 +224,8 @@ def test_weight_system_validation():
     w = WeightSystem.plain(3)
     assert w.n == 3
     assert w.block_of(2) == 0
+    with pytest.raises(ValidationError, match="player 3 not in any block"):
+        w.block_of(3)
 
 
 def test_plain_weights_reduce_to_shapley():
@@ -372,14 +374,16 @@ def test_protocol_attributes_cannot_be_rebound():
     g = SetCostFunction.from_table(3, {(0,): 1, (1,): 2, (2,): 2, (0, 1): 2, (0, 2): 3,
                                        (1, 2): 3, (0, 1, 2): 4})
     t = TableProtocol({(f, 0b11): {0: F(1), 1: F(2)}}, players=2)
-    gws = GeneralizedWeightedShapley(WeightSystem((F(2), F(1)), ((1,), (0,))))
+    system = WeightSystem((F(2), F(1)), ((1,), (0,)))
+    gws = GeneralizedWeightedShapley(system)
+    assert gws.system is system
     before = (t.shares(f, 0b11), t.shares(f, 0b01), gws.shares(f, 0b11))
     for protocol, name, value in ((t, "players", "2"), (t, "players", 3),
                                   (t, "fallback", None), (t, "entries", {}),
                                   (gws, "system", WeightSystem.plain(3))):
         with pytest.raises(AttributeError):
             setattr(protocol, name, value)
-    assert t.players == 2 and isinstance(t.fallback, ShapleyProtocol)
+    assert t.players == 2 and isinstance(t.fallback, ShapleyProtocol) and gws.system is system
     assert (t.shares(f, 0b11), t.shares(f, 0b01), gws.shares(f, 0b11)) == before
     with pytest.raises(ProtocolError):  # still a 2-player system
         gws.share(g, 0b111, 2)
