@@ -8,8 +8,8 @@ shows its values as ``fractions.Fraction`` only at the API; nothing in
 this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
 ``parse_fraction``, or a column at a time by ``parse_fractions``; every
-player id from outside is read by ``player_mask``, and every other outside
-integer, a count, a size, an index or a seed, by ``read_int``.
+player id by ``player_mask``, every user set by ``read_mask``, and every
+other outside integer, a count, a size, an index or a seed, by ``read_int``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,17 @@ def player_mask(players: Iterable[int], n: int) -> int:
             raise ValidationError(f"player id {p} in {players!r} out of range 0..{n - 1}")
         mask |= 1 << p
     return mask
+
+
+def read_mask(users, n: int) -> int:
+    """The one reader of an outside user set: ``users`` itself if it is an
+    int, not a bool, in 0..2^n-1; else ValidationError, as ``read_int``
+    words a non-int or as "user set {users:#b} outside arity {n}"."""
+    if type(users) is not int:  # read_int refuses a bool and every non-int
+        read_int(users, "user set", None)
+    if users >> n:
+        raise ValidationError(f"user set {users:#b} outside arity {n}")
+    return users
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
@@ -276,14 +287,13 @@ class SetCostFunction:
     def from_table(cls, n: int, entries) -> "SetCostFunction":
         """Build from a mapping of user sets to costs.
 
-        Keys are masks in 0..2^n-1 or iterables of player ids; omitted sets
-        default to cost 0 (rejected afterwards if that breaks monotonicity).
+        Keys are masks or iterables of player ids (``read_mask``, ``player_mask``);
+        omitted sets cost 0 (rejected afterwards if that breaks monotonicity).
         """
         check_player_count(n)  # before sizing the table by it
         table = [0] * (1 << n)
         for key, value in entries.items():
-            table[player_mask(key, n) if isinstance(key, Iterable)
-                  else read_int(key, "user set", 0, full_mask(n))] = value
+            table[player_mask(key, n) if isinstance(key, Iterable) else read_mask(key, n)] = value
         return cls(n, table)
 
     @classmethod
@@ -336,9 +346,8 @@ class SetCostFunction:
         return tuple(map(self._fraction, self._scaled)) if self._anon else None
 
     def scaled(self, users: int) -> int:
-        """``denominator * value(users)``, an integer."""
-        if users >> self.n:
-            raise ValidationError(f"user mask {users:#b} outside arity {self.n}")
+        """``denominator * value(users)``, an integer; ``read_mask`` reads ``users``."""
+        read_mask(users, self.n)
         return self._scaled[users.bit_count() if self._anon else users]
 
     def scaled_table(self) -> tuple[int, ...] | None:
@@ -352,7 +361,7 @@ class SetCostFunction:
         return self._scaled if self._anon else None
 
     def value(self, users: int) -> Fraction:
-        return Fraction(self.scaled(read_int(users, "user mask", None)), self.denominator)
+        return Fraction(self.scaled(users), self.denominator)
 
     def _by_size(self) -> tuple | None:
         """The numerators indexed by the number of users if the cost depends
@@ -401,20 +410,20 @@ def classify(f: SetCostFunction) -> str:
     give "supermodular", both give "modular", neither gives "neither".
     """
     # every value shares the denominator, so numerators compare as values
-    c = f.scaled
+    c = f.scaled_table() or [f.scaled_counts()[m.bit_count()] for m in range(1 << f.n)]
     sub = sup = True
     top = full_mask(f.n)
     for y in range(1 << f.n):
-        fy = c(y)
+        fy = c[y]
         outside = top & ~y
         for x in iter_submasks(y):
-            fx = c(x)
+            fx = c[x]
             rest = outside
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                mx = c(x | bit) - fx
-                my = c(y | bit) - fy
+                mx = c[x | bit] - fx
+                my = c[y | bit] - fy
                 if mx < my:
                     sub = False
                 elif mx > my:

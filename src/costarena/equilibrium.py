@@ -34,7 +34,8 @@ the factor; an anonymous cost's rows are read by user count from n + 1
 integers (``scaled_counts``, Shapley's running sum); and a table's
 potential is the protocol's one-pass table (``scaled_potentials``). Every
 other row, and every row of any other kernel, is a ``core.Memo`` that fills
-one user-mask entry on first touch; share rows are always such memos.
+one user-mask entry on first touch, a cost row from the same integers (a
+table's own at factor 1); share rows are always such memos.
 
 The walk visits profiles as an odometer, in the lexicographic order of
 ``itertools.product``, and on each step updates only the usage masks and
@@ -87,29 +88,19 @@ _ROW_READS = 8
 INFINITE = math.inf
 
 
-def _whole_row(values, factor: int, counts: list[int]):
-    """``factor`` times ``values`` as a sequence by mask: ``values`` itself
-    when it has one entry per mask and the factor is 1, else a list. Shorter
-    ``values`` are by user count and are read through ``counts``, the
-    popcount of each mask; at n = 1 the two readings agree."""
-    if factor != 1:
-        values = [factor * x for x in values]
-    if len(values) == len(counts):
-        return values
-    return list(map(values.__getitem__, counts))
-
-
-def _cost_row(f, factor: int, counts: list[int] | None):
-    """``factor * f.scaled(mask)`` by mask: a whole row when ``counts`` is
-    given (see ``_whole_row``); else the table's own integers when the
-    factor is 1, or a ``Memo`` filled on first read, from the table's
-    integers or, for an anonymous cost, through ``f.scaled``."""
-    table = f.scaled_table()
+def _row(values, factor: int, n: int, counts: list[int] | None):
+    """``factor`` times ``values``, n players' stored integers by mask or by
+    user count 0..n (the two agree at n = 1), as a row by mask: ``values``
+    itself if by mask at factor 1; else a whole list with ``counts``, the
+    popcount of each mask, and a ``Memo`` filled on first read without."""
+    by_mask = len(values) == 1 << n
     if counts is not None:
-        return _whole_row(f.scaled_counts() if table is None else table, factor, counts)
-    if table is None:
-        return Memo(lambda m, c=f.scaled: factor * c(m))
-    return table if factor == 1 else Memo(lambda m: factor * table[m])
+        if factor != 1:
+            values = [factor * x for x in values]
+        return values if by_mask else list(map(values.__getitem__, counts))
+    if by_mask:
+        return values if factor == 1 else Memo(lambda m: factor * values[m])
+    return Memo(lambda m: factor * values[m.bit_count()])
 
 
 class _Kernel:
@@ -154,7 +145,8 @@ class _Kernel:
         counts = None
         if whole and 1 << model.n <= model.profile_space_size() <= PROFILE_CAP:
             counts = list(map(int.bit_count, range(1 << model.n)))
-        costs = [_cost_row(f, scale // f.denominator, counts) for f in distinct]
+        costs = [_row(f.scaled_table() or f.scaled_counts(), scale // f.denominator,
+                      model.n, counts) for f in distinct]
         self.costs = [costs[j] for j in ids]
         self.profile: list[int] = []
         self.usage: list[int] = []
@@ -164,7 +156,7 @@ class _Kernel:
         factors = [scale // d for d in own]
         if _prices_by_potential(protocol):
             if counts is not None:
-                rows = [_whole_row(protocol.scaled_potentials(f), k, counts)
+                rows = [_row(protocol.scaled_potentials(f), k, model.n, counts)
                         for f, k in zip(distinct, factors)]
             else:
                 potential = protocol.scaled_potential

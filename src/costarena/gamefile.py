@@ -102,9 +102,8 @@ def cost_to_json(f: SetCostFunction) -> dict:
     if values is not None:
         return {"anonymous": list(map(fraction_to_str, values))}
     entries = []
-    for mask in range(1, 1 << f.n):
-        v = f.scaled(mask)
-        if v:
+    for mask, v in enumerate(f.scaled_table()):
+        if v:  # the empty set costs 0
             entries.append({"set": [i for i in range(f.n) if (mask >> i) & 1],
                             "cost": fraction_to_str(Fraction(v, f.denominator))})
     return {"table": entries}

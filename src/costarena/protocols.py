@@ -1,11 +1,12 @@
 """Cost-sharing protocols: how a resource's cost is split among its users.
 
 A protocol maps (cost function, user set, player) to the player's share.
-There is no module-level share function: shares are asked of a protocol
-instance, which memoizes per cost function, so reuse one instance. Non-users
-pay 0, and the shares of the members of a user set sum to the full resource
-cost (budget balance); ``check_budget_balance`` verifies both clauses
-exhaustively.
+It reads the user set by ``core.read_mask`` and the player as
+``core.player_mask`` does; ``ProtocolError`` means only that it cannot
+price a well-formed input. Shares are asked of an instance, which
+memoizes per cost function, so reuse one. Non-users pay 0, and the
+members' shares of a user set sum to its cost (budget balance);
+``check_budget_balance`` verifies both clauses exhaustively.
 
 Every protocol gives integer shares: ``scaled_share(f, S, i)`` is the
 share times the positive integer ``share_scale(f)``. The equilibrium kernel
@@ -72,7 +73,7 @@ from .core import (
     mask_members,
     parse_fraction,
     player_mask,
-    read_int,
+    read_mask,
     scale_lcm,
 )
 
@@ -83,7 +84,8 @@ _UNIT_SCALES = tuple(lcm(*range(1, n + 1)) for n in range(MAX_PLAYERS + 1))
 
 
 class ProtocolError(ValueError):
-    """A protocol cannot price the requested (cost function, user set)."""
+    """A protocol cannot price a well-formed input: a cost function of another
+    arity, or a user set with no share entry and no fallback."""
 
 
 class Protocol:
@@ -103,8 +105,7 @@ class Protocol:
     def share(self, f: SetCostFunction, users: int, i: int) -> Fraction:
         """``scaled_share(f, users, i) / share_scale(f)``, for a player
         i in 0..f.n-1."""
-        _check_arity(f, users)
-        player_mask((i,), f.n)
+        users, i = read_mask(users, f.n), _player(i, f.n)
         return Fraction(self.scaled_share(f, users, i), self.share_scale(f))
 
     def shares(self, f: SetCostFunction, users: int) -> tuple:
@@ -120,11 +121,11 @@ class Protocol:
         raise NotImplementedError(f"protocol {self.name!r} defines no scaled_share")
 
 
-def _check_arity(f: SetCostFunction, users: int) -> int:
-    """``users``, a mask of ``f``'s players: an int, not a bool, in 0..2^n-1."""
-    if read_int(users, "user set", None) >> f.n:
-        raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
-    return users
+def _player(i, n: int) -> int:
+    """``i``, read by ``player_mask`` unless it is an int in 0..n-1."""
+    if type(i) is not int or not 0 <= i < n:
+        player_mask((i,), n)
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,7 @@ class ShapleyProtocol(Protocol):
 
     def scaled_potential(self, f: SetCostFunction, users: int) -> int:
         """Q(users): ``share_scale(f)`` times the potential of ``users``."""
-        if users >> f.n:  # _check_arity, inlined: every lazy potential row fills here
-            raise ProtocolError(f"user set {users:#b} outside arity {f.n}")
+        read_mask(users, f.n)
         if f._anon:
             return self._by_count[f][users.bit_count()]
         return self._by_mask[f][users]
@@ -175,8 +175,7 @@ class ShapleyProtocol(Protocol):
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         """Q(users) - Q(users - i), read through ``scaled_potential``."""
-        if not (users >> i) & 1:
-            _check_arity(f, users)
+        if not (read_mask(users, f.n) >> _player(i, f.n)) & 1:
             return 0
         q = self.scaled_potential
         return q(f, users) - q(f, users ^ (1 << i))
@@ -354,11 +353,11 @@ class GeneralizedWeightedShapley(Protocol):
         return f.denominator * self._weight_scale
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        _check_arity(f, users)
+        member = (read_mask(users, f.n) >> _player(i, f.n)) & 1
         if len(self._weights) != f.n:
             raise ProtocolError(
                 f"weight system covers {len(self._weights)} players, cost function {f.n}")
-        if not (users >> i) & 1:
+        if not member:
             return 0
         own, after = self._masks[i]
         q = self._potentials[f, users & after]
@@ -415,7 +414,7 @@ class TableProtocol(Protocol):
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
-        _check_arity(f, users)
+        read_mask(users, f.n)
         shares = {i: parse_fraction(v) for i, v in shares.items()}
         members = player_mask(list(shares), f.n)
         if validate:
@@ -436,7 +435,7 @@ class TableProtocol(Protocol):
         return self._scales[f]
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
-        _check_arity(f, users)
+        member = (read_mask(users, f.n) >> _player(i, f.n)) & 1
         if self.players is not None and f.n != self.players:
             raise ProtocolError(
                 f"share table covers {self.players} players, cost function {f.n}")
@@ -444,7 +443,7 @@ class TableProtocol(Protocol):
         if entry is not None:
             value = entry.get(i, ZERO)
             return value.numerator * (self.share_scale(f) // value.denominator)
-        if not (users >> i) & 1:
+        if not member:
             return 0
         if (fallback := self.fallback) is None:
             raise ProtocolError(f"no share entry for user set {users:#b}")
@@ -478,7 +477,7 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
     and every generalized weighted Shapley protocol find none on a constant
     cost function.
     """
-    scope = full_mask(f.n) if within is None else _check_arity(f, within)
+    scope = full_mask(f.n) if within is None else read_mask(within, f.n)
     share = protocol.scaled_share  # one cost function, so one scale
     for users in iter_submasks(scope):
         if users == 0:

@@ -32,15 +32,16 @@ from costarena.core import (
     ValidationError,
     iter_submasks,
     mask_members,
+    read_mask,
 )
-from costarena.protocols import ProtocolError, _check_arity
+from costarena.protocols import ProtocolError
 
 ZERO = Fraction(0)
 
 
 def shapley_share_by_permutations(f: SetCostFunction, users: int, i: int) -> Fraction:
     """Literal ordering average; exponential, capped at 8 users."""
-    _check_arity(f, users)
+    read_mask(users, f.n)
     if not (users >> i) & 1:
         return ZERO
     members = mask_members(users)

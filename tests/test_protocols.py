@@ -15,14 +15,17 @@ from oracle import (
 
 from costarena.core import (
     GameModel,
+    Memo,
     SetCostFunction,
     ValidationError,
     full_mask,
     mask_members,
     player_mask,
+    read_mask,
     scale_lcm,
 )
-from costarena.equilibrium import analyze, best_response_dynamics, private_cost, private_costs
+from costarena.equilibrium import (
+    analyze, best_response_dynamics, is_pne, private_cost, private_costs)
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -93,17 +96,17 @@ def test_shares_always_full_length():
 
 def test_arity_mismatch_rejected():
     f = SetCostFunction.anonymous([0, 1])
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ValidationError):
         SHAPLEY.share(f, 0b10, 1)
 
 
 def test_scaled_share_names_a_user_set_outside_the_arity():
-    # every protocol gives the same message, Shapley's inlined check included
+    # every protocol gives read_mask's message and class
     gws = GeneralizedWeightedShapley(WeightSystem.plain(2))
     for f in (SetCostFunction.anonymous([0, 1, 2]),
               SetCostFunction.from_table(2, {0b01: 1, 0b10: 1, 0b11: 1})):
         for protocol in (SHAPLEY, gws, TableProtocol()):
-            with pytest.raises(ProtocolError) as caught:
+            with pytest.raises(ValidationError) as caught:
                 protocol.scaled_share(f, 0b100, 0)
             assert str(caught.value) == "user set 0b100 outside arity 2"
 
@@ -113,10 +116,14 @@ def test_scaled_share_names_a_user_set_outside_the_arity():
 USER_SET_ENTRY_POINTS = {
     "share": lambda f, u: SHAPLEY.share(f, u, 0),
     "shares": lambda f, u: SHAPLEY.shares(f, u),
+    "shapley scaled_share": lambda f, u: ShapleyProtocol().scaled_share(f, u, 0),
+    "scaled_potential": lambda f, u: ShapleyProtocol().scaled_potential(f, u),
     "gws scaled_share": lambda f, u: GeneralizedWeightedShapley(
         WeightSystem.plain(2)).scaled_share(f, u, 0),
     "table scaled_share": lambda f, u: TableProtocol().scaled_share(f, u, 0),
+    "scaled": lambda f, u: f.scaled(u),
     "value": lambda f, u: f.value(u),
+    "from_table int key": lambda f, u: SetCostFunction.from_table(2, {u: 1}),
     "within": lambda f, u: find_share_monotonicity_violation(SHAPLEY, f, within=u),
 }
 
@@ -135,10 +142,32 @@ def test_every_user_set_entry_point_takes_an_int_mask(entry, users, message):
     call = USER_SET_ENTRY_POINTS[entry]
     f = SetCostFunction.from_table(2, {0b01: 1, 0b10: 1, 0b11: 1})
     call(f, 0b11)
+    if entry == "from_table int key" and isinstance(users, str):
+        # a str key is a collection of player ids to from_table, not a mask
+        message = "player id '3' is not an int"
     with pytest.raises(ValueError) as caught:
         call(f, users)
-    assert isinstance(caught.value, (ValidationError, ProtocolError))
-    assert str(caught.value) == message.format("user mask" if entry == "value" else "user set")
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == message.format("user set")
+
+
+@pytest.mark.parametrize("i, message", [
+    (True, "player id True is not an int"),
+    (1.0, "player id 1.0 is not an int"),
+    (-1, "player id -1 in (-1,) out of range 0..1"),
+    (2, "player id 2 in (2,) out of range 0..1"),
+])
+@pytest.mark.parametrize("protocol", [
+    ShapleyProtocol(), GeneralizedWeightedShapley(WeightSystem.plain(2)), TableProtocol()],
+    ids=["shapley", "gws", "table"])
+def test_scaled_share_reads_its_player_as_share_does(protocol, i, message):
+    # a bool is not read as player 1, an id past the arity does not pay 0,
+    # and no other value reaches a shift: the message is player_mask's
+    f = SetCostFunction.from_table(2, {0b01: 1, 0b10: 4, 0b11: 5})
+    for call in (protocol.scaled_share, protocol.share):
+        with pytest.raises(ValidationError) as caught:
+            call(f, 0b11, i)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +528,14 @@ def test_protocols_make_no_reference_cycles():
         t.set_entry(f, 0b011, {0: F(1, 7), 1: f.value(0b011) - F(1, 7)})
         return t
 
+    def lazy():
+        # analyze walks 27 >= 2^3 profiles, so Shapley keeps f's potential
+        # whole; a per-profile call fills the weak-proxy memo instead
+        p = ShapleyProtocol()
+        is_pne(g, p, (0, 1, 2))
+        assert isinstance(p._by_mask.get(f), Memo)
+        return weakref.ref(p)
+
     gc.collect()
     gc.disable()
     try:
@@ -506,6 +543,8 @@ def test_protocols_make_no_reference_cycles():
                      lambda: GeneralizedWeightedShapley(random_weight_system(rng, 3))):
             ref = used(make())
             assert ref() is None and gc.collect() == 0, make
+        ref = lazy()
+        assert ref() is None and gc.collect() == 0
     finally:
         gc.enable()
 
@@ -587,15 +626,13 @@ def test_private_costs_cover_social_cost():
 
 
 def test_protocol_base_share_contract():
-    from costarena.protocols import _check_arity
-
     class Half(Protocol):
         """Defines ``share`` only, which no longer makes a protocol."""
 
         name = "half"
 
         def share(self, f, users, i):
-            _check_arity(f, users)
+            read_mask(users, f.n)
             if not (users >> i) & 1:
                 return F(0)
             return f.value(users) / users.bit_count() if users else F(0)
@@ -855,7 +892,7 @@ def test_whole_potentials_match_the_single_reads():
         assert [p.scaled_potential(f, m) for m in masks] == single
         assert all(p.scaled_share(f, m, i) == single[m] - single[m & ~(1 << i)]
                    for m in masks for i in mask_members(m))
-        with pytest.raises(ProtocolError, match="outside arity"):
+        with pytest.raises(ValidationError, match="outside arity"):
             p.scaled_potential(f, rng.choice((-1, 1 << f.n)))
 
 
@@ -872,14 +909,14 @@ def test_set_entry_reads_its_user_set(users, message, validate):
     t = TableProtocol()
     with pytest.raises(ValueError) as caught:
         t.set_entry(f, users, {0: 1}, validate=validate)
-    assert isinstance(caught.value, (ValidationError, ProtocolError))
+    assert type(caught.value) is ValidationError
     assert str(caught.value) == message
     assert t.entries == {}
 
 
 def test_table_constructor_reads_every_user_set():
     f = SetCostFunction.anonymous([0, 1, 2])
-    with pytest.raises(ProtocolError, match="user set 0b101 outside arity 2"):
+    with pytest.raises(ValidationError, match="user set 0b101 outside arity 2"):
         TableProtocol({(f, 0b01): {0: 1}, (f, 5): {0: 1}})
     with pytest.raises(ValidationError, match="user set True is not an int"):
         TableProtocol({(f, True): {0: 1}})
