@@ -8,8 +8,9 @@ shows its values as ``fractions.Fraction`` only at the API; nothing in
 this package touches floating point. Every rational from outside, whether
 from a file, a CLI argument or a library call, is read by
 ``parse_fraction``, or a column at a time by ``parse_fractions``; every
-player id by ``player_mask``, every user set by ``read_mask``, and every
-other outside integer, a count, a size, an index or a seed, by ``read_int``.
+player id by ``player_mask``, every user set by ``read_mask``, every
+collection by ``read_items``, and every other outside integer, a count, a
+size, an index or a seed, by ``read_int``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import floordiv, gt, mul
+from operator import floordiv, gt, mul, sub
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
@@ -69,17 +70,27 @@ def read_int(value, what: str, low: int | None = 0, high: int | None = None) -> 
     return value
 
 
+def read_items(items, what: str, ordered: bool = True) -> tuple:
+    """The one reader of an outside collection: a tuple or list, or a set or
+    frozenset unless ``ordered``, as a tuple. Anything else, a str, bytes or
+    dict included, raises ValidationError naming ``what`` and the kinds."""
+    if isinstance(items, (tuple, list)) or not ordered and isinstance(items, (set, frozenset)):
+        return tuple(items)
+    kinds = "tuple or list" if ordered else "tuple, list, set or frozenset"
+    raise ValidationError(f"{what} {items!r} is not a {kinds}")
+
+
 # ---------------------------------------------------------------------------
 # Player-set bitmask helpers
 # ---------------------------------------------------------------------------
 
-def player_mask(players: Iterable[int], n: int) -> int:
-    """The one reader of outside player ids: the bitmask of the collection
-    ``players``, each an int, not a bool, in 0..n-1; a repeated id counts
-    once. A bad id raises ValidationError naming it (and the collection and
-    the range, when it is an int)."""
+def player_mask(players, n: int) -> int:
+    """The one reader of outside player ids: the bitmask of ``players``, an
+    unordered "player set" for ``read_items`` of ints, not bools, in 0..n-1;
+    a repeated id counts once. A bad id raises ValidationError naming it
+    (and the collection and the range, when it is an int)."""
     mask = 0
-    for p in players:
+    for p in read_items(players, "player set", ordered=False):
         if not 0 <= read_int(p, "player id", None) < n:
             raise ValidationError(f"player id {p} in {players!r} out of range 0..{n - 1}")
         mask |= 1 << p
@@ -287,14 +298,19 @@ class SetCostFunction:
     def from_table(cls, n: int, entries) -> "SetCostFunction":
         """Build from a mapping of user sets to costs.
 
-        Keys are masks or iterables of player ids (``read_mask``, ``player_mask``);
-        omitted sets cost 0 (rejected afterwards if that breaks monotonicity).
+        A key is a tuple, list, set or frozenset of ids (``player_mask``),
+        else a mask (``read_mask``); no two keys may name one set. Omitted
+        sets cost 0 (rejected afterwards if that breaks monotonicity).
         """
         check_player_count(n)  # before sizing the table by it
-        table = [0] * (1 << n)
+        table = {}
         for key, value in entries.items():
-            table[player_mask(key, n) if isinstance(key, Iterable) else read_mask(key, n)] = value
-        return cls(n, table)
+            mask = (player_mask(key, n) if isinstance(key, (tuple, list, set, frozenset))
+                    else read_mask(key, n))
+            if mask in table:
+                raise ValidationError(f"duplicate table entry for set {key!r}")
+            table[mask] = value
+        return cls(n, [table.get(mask, 0) for mask in range(1 << n)])
 
     @classmethod
     def anonymous(cls, values) -> "SetCostFunction":
@@ -405,34 +421,26 @@ NEITHER = "neither"
 def classify(f: SetCostFunction) -> str:
     """Classify marginal-cost behaviour over nested user sets.
 
-    Checks C(X+i) - C(X) against C(Y+i) - C(Y) for every X subseteq Y and
-    i outside Y: non-increasing marginals give "submodular", non-decreasing
-    give "supermodular", both give "modular", neither gives "neither".
+    By the local exchange condition: C(S+i) + C(S+j) >= C(S+i+j) + C(S) for
+    every S and i != j outside S gives "submodular", <= "supermodular", both
+    "modular", neither "neither". That is, each player's marginal table
+    C(S+i) - C(S), over the sets S without i, is non-increasing (or
+    non-decreasing) in S, as ``_monotone`` checks it.
     """
     # every value shares the denominator, so numerators compare as values
     c = f.scaled_table() or [f.scaled_counts()[m.bit_count()] for m in range(1 << f.n)]
-    sub = sup = True
-    top = full_mask(f.n)
-    for y in range(1 << f.n):
-        fy = c[y]
-        outside = top & ~y
-        for x in iter_submasks(y):
-            fx = c[x]
-            rest = outside
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                mx = c[x | bit] - fx
-                my = c[y | bit] - fy
-                if mx < my:
-                    sub = False
-                elif mx > my:
-                    sup = False
-                if not (sub or sup):
-                    return NEITHER
-    if sub and sup:
+    marginals = []
+    for b in range(f.n):
+        half = 1 << b
+        m = []
+        for s in range(0, 1 << f.n, 2 * half):
+            m += map(sub, c[s + half:s + 2 * half], c[s:s + half])
+        marginals.append(m)  # C(S+i) - C(S) for i = b, S without b in mask order
+    rising = all(_monotone(m, f.n - 1) for m in marginals)
+    falling = all(_monotone(m[::-1], f.n - 1) for m in marginals)
+    if rising and falling:
         return MODULAR
-    return SUBMODULAR if sub else SUPERMODULAR
+    return SUPERMODULAR if rising else SUBMODULAR if falling else NEITHER
 
 
 def is_anonymous(f: SetCostFunction) -> bool:
@@ -450,7 +458,7 @@ class GameModel:
 
     Each strategy is a subset of the declared resources (a frozenset of
     resource ids); ``cost_fns[j]`` prices ``resources[j]`` and must have
-    arity n.
+    arity n. ``read_items`` reads each collection, in order but for a strategy.
     """
 
     n: int
@@ -459,11 +467,13 @@ class GameModel:
     cost_fns: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "resources", tuple(self.resources))
-        object.__setattr__(self, "strategy_sets",
-                           tuple(tuple(frozenset(s) for s in sset)
-                                 for sset in self.strategy_sets))
-        object.__setattr__(self, "cost_fns", tuple(self.cost_fns))
+        object.__setattr__(self, "resources", read_items(self.resources, "resources"))
+        object.__setattr__(self, "strategy_sets", tuple(
+            tuple(s if type(s) is frozenset  # as a network's paths come: no copy
+                  else frozenset(read_items(s, f"player {i}: strategy", ordered=False))
+                  for s in read_items(sset, f"player {i}: strategies"))
+            for i, sset in enumerate(read_items(self.strategy_sets, "strategy sets"))))
+        object.__setattr__(self, "cost_fns", read_items(self.cost_fns, "cost functions"))
         check_player_count(self.n)
         if len(set(self.resources)) != len(self.resources):
             raise ValidationError("duplicate resource ids")
@@ -508,8 +518,7 @@ class GameModel:
         return size
 
     def validate_profile(self, profile: Profile) -> None:
-        if not isinstance(profile, (tuple, list)):
-            raise ValidationError(f"profile {profile!r} is not a tuple or list")
+        profile = read_items(profile, "profile")
         if len(profile) != self.n:
             raise ValidationError(f"profile has {len(profile)} entries, game has {self.n} players")
         for i, si in enumerate(profile):

@@ -28,7 +28,8 @@ cost-function validator then accepts or rejects against monotonicity.
 This module only parses the structure: objects, lists, keys and strings.
 Every value goes to the ``core`` reader of library calls: ``players`` to
 the constructor that it is handed to, which reads it with
-``core.check_player_count``, every id to ``core.player_mask``, and every
+``core.check_player_count``, every id to ``core.player_mask``, every
+collection, a block or a cost column, to ``core.read_items``, and every
 rational to ``core.parse_fraction``, a cost column through
 ``core.parse_fractions``, which reads "p/q" columns in bulk.
 ``SetCostFunction`` reduces the numerators and denominators, checks the
@@ -52,6 +53,7 @@ from .core import (
     check_player_count,
     parse_fractions,
     player_mask,
+    read_items,
 )
 from .network import Edge, NetworkModel, to_game
 from .protocols import Protocol, ShapleyProtocol, TableProtocol, WeightSystem
@@ -113,14 +115,9 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
     if not isinstance(obj, dict):
         raise ValidationError("cost must be an object")
     if "anonymous" in obj:
-        values = obj["anonymous"]
-        if not isinstance(values, list):
-            raise ValidationError("anonymous cost must be a list")
-        return SetCostFunction(n, values, anonymous=True)
+        return SetCostFunction(n, read_items(obj["anonymous"], "anonymous cost"), anonymous=True)
     if "table" in obj:
-        entries = obj["table"]
-        if not isinstance(entries, list):
-            raise ValidationError("table cost must be a list")
+        entries = read_items(obj["table"], "table cost")
         check_player_count(n)  # before sizing the table by it
         masks, nums, dens = _table(n, entries)
         table, denominators = [0] * (1 << n), [1] * (1 << n)  # omitted sets cost 0/1
@@ -130,7 +127,7 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
 
 
-def _table(n: int, entries: list) -> tuple[list, list, list]:
+def _table(n: int, entries: tuple) -> tuple[list, list, list]:
     """The user masks, numerators and denominators of the table entries.
     Each field is read and type-checked in one pass that runs in C; a set
     not written as distinct ids in ascending order is read on its own.
@@ -212,13 +209,10 @@ def game_from_json(obj) -> GameModel:
         ids.append(_require(r, "id", str, "resource"))
         fns.append(cost_from_json(n, _require(r, "cost", dict, "resource")))
     strategies = _require(obj, "strategies", list, "game")
-    ssets = []
-    for sset in strategies:
-        if not isinstance(sset, list):
-            raise ValidationError("each player's strategy list must be a list")
-        ssets.append(tuple(frozenset(_strings(strat, "strategy")) for strat in sset))
-    return GameModel(n=n, resources=tuple(ids), strategy_sets=tuple(ssets),
-                     cost_fns=tuple(fns))
+    # read as GameModel reads them, so each strategy is a list of strings first
+    ssets = [[_strings(strat, "strategy") for strat in read_items(sset, f"player {i}: strategies")]
+             for i, sset in enumerate(strategies)]
+    return GameModel(n=n, resources=ids, strategy_sets=ssets, cost_fns=fns)
 
 
 def network_to_json(nm: NetworkModel) -> dict:
@@ -233,10 +227,8 @@ def network_to_json(nm: NetworkModel) -> dict:
 
 def network_from_json(obj) -> NetworkModel:
     net = _require(obj, "network", dict, "file")
-    terminals = _require(net, "terminals", list, "network")
-    for t in terminals:
-        if len(_strings(t, "terminal pair")) != 2:
-            raise ValidationError(f"terminal pair {t!r} must name two vertices")
+    terminals = [_strings(t, "terminal pair")  # NetworkModel reads each pair's length
+                 for t in _require(net, "terminals", list, "network")]
     n = len(terminals)
     edges = []
     for e in _require(net, "edges", list, "network"):
@@ -250,9 +242,9 @@ def network_from_json(obj) -> NetworkModel:
         raise ValidationError("network forced routes are not supported; "
                               "write a restricted strategy set as a flat game")
     return NetworkModel(
-        vertices=tuple(_strings(_require(net, "vertices", None, "network"), "vertices")),
-        edges=tuple(edges),
-        terminals=tuple((t[0], t[1]) for t in terminals),
+        vertices=_strings(_require(net, "vertices", None, "network"), "vertices"),
+        edges=edges,
+        terminals=terminals,
     )
 
 
@@ -276,17 +268,11 @@ def weight_system_to_json(w: WeightSystem) -> dict:
 
 
 def weight_system_from_json(obj) -> WeightSystem:
-    raw = _require(obj, "lambda", None, "weight system")
-    if isinstance(raw, dict):  # n keys, each naming one of n players: a cover
-        weights = [v for _, v in sorted(_by_player(raw, len(raw), "lambda").items())]
-    elif isinstance(raw, list):
-        weights = raw
-    else:
-        raise ValidationError("lambda must be a list or an object")
-    blocks = _require(obj, "blocks", list, "weight system")
-    if not all(map(isinstance, blocks, repeat(list))):
-        raise ValidationError("weight system: each block must be a list")
-    return WeightSystem(weights, blocks)  # its block_masks reads the ids
+    weights = _require(obj, "lambda", None, "weight system")
+    if isinstance(weights, dict):  # n keys, each naming one of n players: a cover
+        weights = [v for _, v in sorted(_by_player(weights, len(weights), "lambda").items())]
+    # WeightSystem reads the weights and blocks, each block with player_mask
+    return WeightSystem(weights, _require(obj, "blocks", None, "weight system"))
 
 
 def load_weight_system(path: str) -> WeightSystem:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CapExceededError, GameModel, SetCostFunction, ValidationError
+from .core import CapExceededError, GameModel, SetCostFunction, ValidationError, read_items
 
 PATH_CAP = 10 ** 5
 
@@ -32,9 +32,10 @@ class NetworkModel:
     """Directed network with one terminal pair per player.
 
     A player's strategies are exactly its simple s-t paths; a restricted
-    strategy set is written as a flat ``GameModel``. Construction
-    enumerates every player's paths once, one enumeration per distinct
-    terminal pair, and fails if any player has none.
+    strategy set is written as a flat ``GameModel``. ``read_items`` reads
+    each collection, and a terminal pair must name two vertices.
+    Construction enumerates every player's paths once, one enumeration per
+    distinct terminal pair, and fails if any player has none.
     """
 
     vertices: tuple[str, ...]
@@ -42,9 +43,13 @@ class NetworkModel:
     terminals: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "terminals", tuple(tuple(t) for t in self.terminals))
+        object.__setattr__(self, "vertices", read_items(self.vertices, "vertices"))
+        object.__setattr__(self, "edges", read_items(self.edges, "edges"))
+        terminals = read_items(self.terminals, "terminals")
+        for t in terminals:
+            if len(read_items(t, "terminal pair")) != 2:
+                raise ValidationError(f"terminal pair {t!r} must name two vertices")
+        object.__setattr__(self, "terminals", tuple(map(tuple, terminals)))
         if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertex names")
         vset = set(self.vertices)

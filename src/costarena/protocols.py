@@ -73,6 +73,7 @@ from .core import (
     mask_members,
     parse_fraction,
     player_mask,
+    read_items,
     read_mask,
     scale_lcm,
 )
@@ -256,26 +257,23 @@ class WeightSystem:
     ``blocks[0]`` has the highest priority: within any user set, the cost
     dividends of a coalition T go to the members of T drawn from the
     earliest block that T touches, in proportion to their weights. Each
-    block is a list, tuple, set or frozenset of player ids.
+    block is read as written by ``player_mask``, then stored as a tuple.
     """
 
     weights: tuple
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(parse_fraction, self.weights)))
-        if not isinstance(self.blocks, (list, tuple)):
-            raise ValidationError(f"blocks {self.blocks!r} are not a list or tuple of blocks")
-        for block in self.blocks:  # a dict would be read by its keys
-            if not isinstance(block, (list, tuple, set, frozenset)):
-                raise ValidationError(f"block {block!r} is not a collection of player ids")
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        object.__setattr__(self, "weights",
+                           tuple(map(parse_fraction, read_items(self.weights, "weights"))))
         n = len(self.weights)
         check_player_count(n)  # each block's subset sums are enumerated
+        masks = [player_mask(b, n) for b in read_items(self.blocks, "blocks")]
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         if any(w <= 0 for w in self.weights):
             raise ValidationError("weights must be positive")
         seen = 0
-        for block, mask in zip(self.blocks, self.block_masks()):
+        for block, mask in zip(self.blocks, masks):
             if not mask:
                 raise ValidationError("empty block in ordered partition")
             if mask & seen or mask.bit_count() < len(block):
@@ -299,10 +297,9 @@ class WeightSystem:
         return tuple(player_mask(b, self.n) for b in self.blocks)
 
     def block_of(self, i: int) -> int:
-        for k, block in enumerate(self.blocks):
-            if i in block:
-                return k
-        raise ValidationError(f"player {i} not in any block")
+        """The index of player i's block; ``player_mask`` reads ``i``."""
+        player_mask((i,), self.n)
+        return next(k for k, block in enumerate(self.blocks) if i in block)
 
 
 class GeneralizedWeightedShapley(Protocol):

@@ -15,6 +15,7 @@ from costarena.core import (
     mask_members,
     player_mask,
     read_int,
+    read_items,
     users_of,
 )
 from costarena.equilibrium import social_cost
@@ -87,6 +88,30 @@ def test_table_refuses_a_bool_key(key):
     with pytest.raises(ValidationError) as caught:
         SetCostFunction.from_table(2, {key: 1, 0b11: 2})
     assert str(caught.value) == f"user set {key} is not an int"
+
+
+def test_table_refuses_two_keys_for_one_set():
+    # as the file reader refuses a table that names one set twice
+    with pytest.raises(ValidationError) as caught:
+        SetCostFunction.from_table(2, {(0, 1): 4, 3: 5})
+    assert str(caught.value) == "duplicate table entry for set 3"
+    with pytest.raises(ValidationError) as caught:
+        SetCostFunction.from_table(2, {(0, 1): 4, frozenset({1, 0}): 5})
+    assert str(caught.value) == "duplicate table entry for set frozenset({0, 1})"
+
+
+def test_read_items_returns_a_tuple():
+    for items in ((1, 2), [1, 2]):
+        assert read_items(items, "x") == (1, 2)
+        assert read_items(items, "x", ordered=False) == (1, 2)
+    assert sorted(read_items({2, 1}, "x", ordered=False)) == [1, 2]
+    assert read_items(frozenset(), "x", ordered=False) == ()
+    with pytest.raises(ValidationError) as caught:
+        read_items({2, 1}, "x")
+    assert str(caught.value) == "x {1, 2} is not a tuple or list"
+    with pytest.raises(ValidationError) as caught:
+        read_items(iter(()), "x", ordered=False)
+    assert str(caught.value).endswith(" is not a tuple, list, set or frozenset")
 
 
 def test_anonymous_cost_lookup():

@@ -193,25 +193,124 @@ FILE_VALUE_SITES = {
     "table set": (lambda v: cost_from_json(2, {"table": [{"set": [1, v], "cost": "1/1"}]}),
                   lambda ids: player_mask(ids, 2), lambda v: [1, v]),
     "block": (lambda v: weight_system_from_json(weight_doc_with_block([v])),
-              lambda ids: player_mask(ids, 2), lambda v: (v,)),
+              lambda ids: player_mask(ids, 2), lambda v: [v]),
     "share users": (lambda v: table_protocol_from_json(table_doc_with_users([0, v])),
                     lambda ids: player_mask(ids, 2), lambda v: [0, v]),
+    "block collection": (lambda v: weight_system_from_json(weight_doc_with_block(v)),
+                         lambda blocks: WeightSystem((1, 1), blocks), lambda v: [v, [1]]),
 }
 
 
+def site_values(site):
+    """A value that ``site`` reads, and values that it refuses."""
+    if "players" in site:
+        return 2, (2.5, True, "2")
+    if site == "block collection":
+        return [0], (5, "0", {"0": 1})
+    return 0, (True, 0.0, "0", 2)
+
+
 @pytest.mark.parametrize("site, value", [
-    (site, value) for site in FILE_VALUE_SITES
-    for value in ((2.5, True, "2") if "players" in site else (True, 0.0, "0", 2))])
+    (site, value) for site in FILE_VALUE_SITES for value in site_values(site)[1]])
 def test_every_file_value_reads_like_its_library_call(site, value):
-    # the file layer checks structure only: a count or an id in a file gets
-    # the message of the core reader that reads it from a library call
+    # the file layer checks structure only: a count, an id or a collection
+    # in a file gets the message of the core reader that reads it from a
+    # library call
     read, call, argument = FILE_VALUE_SITES[site]
-    read(2 if "players" in site else 0)
+    read(site_values(site)[0])
     with pytest.raises(ValidationError) as expected:
         call(argument(value))
     with pytest.raises(ValidationError) as caught:
         read(value)
     assert str(caught.value) == str(expected.value)
+
+
+def game_doc_with_strategies(sset):
+    doc = game_to_json(SHARED)
+    doc["strategies"][0] = sset
+    return doc
+
+
+NETWORK_EDGE = Edge("e", "s", "t", SetCostFunction.anonymous([0, 1, 2]))
+
+#: Every entry point that takes an outside collection, as a call on one
+#: collection, with the name and kind (ordered or not) that it is read as.
+COLLECTION_ENTRY_POINTS = {
+    "profile": (lambda v: SHARED.usage_masks(v), "profile", True),
+    "player_mask": (lambda v: player_mask(v, 2), "player set", False),
+    "resources": (lambda v: GameModel(2, v, SHARED.strategy_sets, SHARED.cost_fns),
+                  "resources", True),
+    "cost functions": (lambda v: GameModel(2, SHARED.resources, SHARED.strategy_sets, v),
+                       "cost functions", True),
+    "strategy sets": (lambda v: GameModel(2, SHARED.resources, v, SHARED.cost_fns),
+                      "strategy sets", True),
+    "strategies": (lambda v: GameModel(2, SHARED.resources, (SHARED.strategy_sets[0], v),
+                                       SHARED.cost_fns), "player 1: strategies", True),
+    "strategy": (lambda v: GameModel(2, SHARED.resources, ((v,), SHARED.strategy_sets[1]),
+                                     SHARED.cost_fns), "player 0: strategy", False),
+    "vertices": (lambda v: NetworkModel(v, (NETWORK_EDGE,), (("s", "t"),) * 2),
+                 "vertices", True),
+    "edges": (lambda v: NetworkModel(("s", "t"), v, (("s", "t"),) * 2), "edges", True),
+    "terminals": (lambda v: NetworkModel(("s", "t"), (NETWORK_EDGE,), v), "terminals", True),
+    "terminal pair": (lambda v: NetworkModel(("s", "t"), (NETWORK_EDGE,), (v, ("s", "t"))),
+                      "terminal pair", True),
+    "weights": (lambda v: WeightSystem(v, ((0, 1),)), "weights", True),
+    "blocks": (lambda v: WeightSystem((1, 1), v), "blocks", True),
+    "block": (lambda v: WeightSystem((1, 1), (v, (1,))), "player set", False),
+    "file anonymous cost": (lambda v: cost_from_json(2, {"anonymous": v}), "anonymous cost",
+                            True),
+    "file table cost": (lambda v: cost_from_json(2, {"table": v}), "table cost", True),
+    "file strategies": (lambda v: game_from_json(game_doc_with_strategies(v)),
+                        "player 0: strategies", True),
+    "file lambda": (lambda v: weight_system_from_json({"lambda": v, "blocks": [[0, 1]]}),
+                    "weights", True),
+    "file blocks": (lambda v: weight_system_from_json({"lambda": ["1/1", "1/1"], "blocks": v}),
+                    "blocks", True),
+    "file block": (lambda v: weight_system_from_json(weight_doc_with_block(v)), "player set",
+                   False),
+}
+
+
+NOT_COLLECTIONS = {"str": "01", "bytes": b"\x00\x01", "dict": {0: 1, 1: 1}, "set": {"s", "t"}}
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry, (_, _, ordered) in COLLECTION_ENTRY_POINTS.items()
+    for kind in NOT_COLLECTIONS
+    # a set is read where its order cannot matter; an object of weights is
+    # read by its keys, which name the players
+    if (kind != "set" or ordered) and (kind != "dict" or entry != "file lambda")])
+def test_every_collection_entry_point_reads_through_read_items(entry, kind):
+    # a str is not split into characters, bytes not read as ids, a dict not
+    # by its keys, and a set not where its order would choose the answer
+    call, what, ordered = COLLECTION_ENTRY_POINTS[entry]
+    value = NOT_COLLECTIONS[kind]
+    kinds = "tuple or list" if ordered else "tuple, list, set or frozenset"
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"{what} {value!r} is not a {kinds}"
+
+
+def test_a_model_takes_lists_and_keeps_a_frozen_strategy():
+    # a str resource is one resource; a frozenset strategy is not copied
+    c1, c2 = SetCostFunction.anonymous([0, 1, 2]), SetCostFunction.anonymous([0, 5, 10])
+    frozen = frozenset({"ab"})
+    game = GameModel(2, ["ab", "a", "b"], [[["a", "b"]], [{"ab"}, frozen]], [c1, c1, c2])
+    assert game.strategy_sets == ((frozenset({"a", "b"}),), (frozen, frozen))
+    assert game.strategy_sets[1][1] is frozen
+
+
+@pytest.mark.parametrize("pair", [("s",), ("s", "t", "t")])
+def test_a_terminal_pair_names_two_vertices(pair):
+    # the file names the pair as a list, the library call as it is given
+    with pytest.raises(ValidationError) as caught:
+        one_edge_network((pair,))
+    assert str(caught.value) == f"terminal pair {pair!r} must name two vertices"
+    doc = network_to_json(one_edge_network((("s", "t"),)))
+    doc["network"]["terminals"] = [list(pair)]
+    with pytest.raises(ValidationError) as caught:
+        network_from_json(doc)
+    assert str(caught.value) == f"terminal pair {list(pair)!r} must name two vertices"
 
 
 def test_a_file_value_exits_2_with_the_library_message(tmp_path, capsys):

@@ -132,19 +132,18 @@ USER_SET_ENTRY_POINTS = {
     (True, "{} True is not an int"),
     (1.0, "{} 1.0 is not an int"),
     ("3", "{} '3' is not an int"),
+    (b"\x01\x00", "{} b'\\x01\\x00' is not an int"),
     (-1, "{} -0b1 outside arity 2"),
     (0b100, "{} 0b100 outside arity 2"),
 ])
 @pytest.mark.parametrize("entry", list(USER_SET_ENTRY_POINTS))
 def test_every_user_set_entry_point_takes_an_int_mask(entry, users, message):
     # a bool is not read as the mask 0b1, no other value reaches a shift,
+    # a str or bytes key of from_table is not read as a collection of ids,
     # and a scope outside the arity is refused, not searched as empty
     call = USER_SET_ENTRY_POINTS[entry]
     f = SetCostFunction.from_table(2, {0b01: 1, 0b10: 1, 0b11: 1})
     call(f, 0b11)
-    if entry == "from_table int key" and isinstance(users, str):
-        # a str key is a collection of player ids to from_table, not a mask
-        message = "player id '3' is not an int"
     with pytest.raises(ValueError) as caught:
         call(f, users)
     assert type(caught.value) is ValidationError
@@ -253,8 +252,12 @@ def test_weight_system_validation():
     w = WeightSystem.plain(3)
     assert w.n == 3
     assert w.block_of(2) == 0
-    with pytest.raises(ValidationError, match="player 3 not in any block"):
+    with pytest.raises(ValidationError) as caught:
         w.block_of(3)
+    assert str(caught.value) == "player id 3 in (3,) out of range 0..2"
+    with pytest.raises(ValidationError) as caught:
+        WeightSystem((1, 1, 1), ((0,), (1, 2))).block_of(True)  # not player 1
+    assert str(caught.value) == "player id True is not an int"
 
 
 def test_plain_weights_reduce_to_shapley():
@@ -923,11 +926,11 @@ def test_table_constructor_reads_every_user_set():
 
 
 @pytest.mark.parametrize("blocks, message", [
-    ((5,), "block 5 is not a collection of player ids"),
-    (({0: 1, 1: 1},), "block {0: 1, 1: 1} is not a collection of player ids"),
-    (("01",), "block '01' is not a collection of player ids"),
-    (5, "blocks 5 are not a list or tuple of blocks"),
-])
+    ((5,), "player set 5 is not a tuple, list, set or frozenset"),
+    (({0: 1, 1: 1},), "player set {0: 1, 1: 1} is not a tuple, list, set or frozenset"),
+    (("01",), "player set '01' is not a tuple, list, set or frozenset"),
+    (5, "blocks 5 is not a tuple or list"),
+], ids=["int block", "dict block", "str block", "int blocks"])
 def test_weight_system_block_is_a_collection_of_ids(blocks, message):
     with pytest.raises(ValidationError) as caught:
         WeightSystem((1, 1), blocks)
