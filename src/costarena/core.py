@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import floordiv, gt, mul, sub
@@ -120,6 +120,15 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
+def members_by_mask(n: int) -> tuple[tuple[int, ...], ...]:
+    """``mask_members(m)`` for every mask m of n players, indexed by m."""
+    members = [()]
+    for i in range(n):
+        members += [m + (i,) for m in members]
+    return tuple(members)
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask`` (including 0 and mask itself), ascending."""
     sub = 0
@@ -189,14 +198,14 @@ def parse_fraction(value) -> Fraction:
     return x
 
 
-def parse_fractions(values: Iterable) -> tuple[list, list]:
-    """The numerators and denominators, not necessarily reduced, of
-    ``values`` as ``parse_fraction`` reads them. A column of ASCII "p/q"
-    strings of at most MAX_DIGITS characters with q > 0, the form that
-    files are written in, is read in passes that run in C; any other
-    column is read by ``parse_fraction`` item by item, so an error names
-    the first value that it refuses."""
-    values = list(values)
+def parse_fractions(values, what: str = "cost values") -> tuple[list, list]:
+    """The numerators and denominators, not necessarily reduced, of the tuple
+    or list ``values`` (``read_items`` reads it as ``what``) as
+    ``parse_fraction`` reads them. ASCII "p/q" strings of at most MAX_DIGITS
+    characters with q > 0, the form of files, are read in passes that run in
+    C; any other column is read item by item, so an error names the first
+    value that it refuses."""
+    values = read_items(values, what)
     if (set(map(type, values)) == {str} and set(map(str.count, values, repeat("/"))) == {1}
             and max(map(len, values)) <= MAX_DIGITS):
         text = "/".join(values)
@@ -319,7 +328,7 @@ class SetCostFunction:
         ``values[k]`` is the cost for any user set of size k; needs n+1
         entries for an n-player function.
         """
-        values = tuple(values)
+        values = read_items(values, "anonymous cost")
         return cls(len(values) - 1, values, anonymous=True)
 
     @classmethod

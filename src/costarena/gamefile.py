@@ -51,6 +51,7 @@ from .core import (
     SetCostFunction,
     ValidationError,
     check_player_count,
+    members_by_mask,
     parse_fractions,
     player_mask,
     read_items,
@@ -77,10 +78,10 @@ def _require(obj, key, kind, where):
     return value
 
 
-def _strings(value, where) -> list:
-    """``value`` if it is a JSON list of strings."""
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
-        raise ValidationError(f"{where}: expected a list of strings")
+def _strings(value, what: str, ordered: bool = True) -> list:
+    """``value`` if ``read_items`` reads it as ``what`` and its members are strings."""
+    if not all(map(isinstance, read_items(value, what, ordered), repeat(str))):
+        raise ValidationError(f"{what}: expected a list of strings")
     return value
 
 
@@ -163,10 +164,7 @@ def _table(n: int, entries: tuple) -> tuple[list, list, list]:
 @cache
 def _member_index(n: int) -> dict:
     """Ascending member tuple -> user mask, for every subset of n players."""
-    members = [()]
-    for i in range(n):
-        members += [m + (i,) for m in members]
-    return dict(zip(members, range(1 << n)))
+    return dict(zip(members_by_mask(n), range(1 << n)))
 
 
 @cache
@@ -210,7 +208,8 @@ def game_from_json(obj) -> GameModel:
         fns.append(cost_from_json(n, _require(r, "cost", dict, "resource")))
     strategies = _require(obj, "strategies", list, "game")
     # read as GameModel reads them, so each strategy is a list of strings first
-    ssets = [[_strings(strat, "strategy") for strat in read_items(sset, f"player {i}: strategies")]
+    ssets = [[_strings(strat, f"player {i}: strategy", ordered=False)
+              for strat in read_items(sset, f"player {i}: strategies")]
              for i, sset in enumerate(strategies)]
     return GameModel(n=n, resources=ids, strategy_sets=ssets, cost_fns=fns)
 

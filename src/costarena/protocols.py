@@ -18,39 +18,31 @@ is the kernel's: ``equilibrium.private_cost``). Shapley and GWS give
 ``TableProtocol`` scales its entries and its fallback's integer shares to
 its own scale.
 
-The Shapley share of player i in user set S is i's marginal cost averaged
-over all orderings of S. The production implementation computes it from
-the Hart--Mas-Colell potential, kept as an integer at scale
-D_f = share_scale(f) and memoized per cost function:
+Shapley and generalized weighted Shapley (GWS) shares are differences of
+one integer potential (Hart & Mas-Colell 1989; Kalai & Samet 1987). GWS
+gives player j an integer weight a_j (the weights over their common
+denominator; A(R) is their sum over R) in a block of an ordered partition.
+For the block B with later blocks L, let R = S & B and W = share_scale(f)
+/ f.denominator, the lcm of A over the nonempty subsets of each block. B's
+potential P over user sets S within B | L is P(S) = 0 when R is empty, else
 
-    Q(empty) = 0,   Q(S) = (D_f * C(S) + sum over i in S of Q(S - i)) / |S|
+    A(R) * P(S) = W * (f.scaled(S) - f.scaled(S & L)) + sum over j in R of a_j * P(S - j)
 
-where every division is exact. Q is the protocol's ``scaled_potential``,
-and ``scaled_share(f, S, i)`` is Q(S) - Q(S - i) read through it, so the
-shares are the potential's differences by construction. The instance
-keeps one store of Q per cost function. For an anonymous cost the store is
-a list by user count, the running sum Q(k) = Q(k - 1) + D_f * C(k) / k,
-exact because k divides D_f / f.denominator = lcm(1, ..., n). For a table
-the store starts as ``_hmc_memo`` below with unit weights, a ``core.Memo``
-that fills the masks read and the subsets they recurse into.
-``scaled_potentials(f)`` replaces it with the whole table, filled in one
-ascending pass, since every S - i is below S. The equilibrium kernel reads
-a store whole for a walk over at least 2^n profiles. A protocol has one
-potential or none: ``_prices_by_potential`` decides which.
+and scaled_share(f, S, i) = a_i * (P(S') - P(S' - i)) for i in B, where
+S' = S & (B | L). Each division is exact: P(S) is the sum over T within S
+that meet B of f.denominator * d(T) * W / A(T & B), where d is the cost's
+dividend, and A(T & B) divides W. ``_potential`` fills P lazily, a
+``core.Memo`` of the masks read and the subsets they recurse into;
+``_potential_row`` fills every mask in one ascending pass.
 
-Generalized weighted Shapley shares come from the same recursion,
-``_hmc_memo``, with integer weights a_j (the weights over their common
-denominator; A(R) is their sum over R). For i in block B of user set S, let
-R = S & B and U = the members of S in later blocks; let L = f.denominator
-(so f.scaled = L * C) and W = share_scale(f) / L, the lcm of A over the
-nonempty subsets of each block:
-
-    Q_U(empty) = 0,
-    A(R) * Q_U(R) = W * (f.scaled(R | U) - f.scaled(U)) + sum over j in R of a_j * Q_U(R - j)
-
-and scaled_share(i, S) = a_i * (Q_U(R) - Q_U(R - i)). Each division
-is exact: Q_U(R) is the sum over nonempty T within R of the game's integer
-dividend L * d(T) times W / A(T), and A(T) divides W.
+Shapley is one block of unit weights: W = lcm(1, ..., n), A(R) = |R|, and
+P is its ``scaled_potential`` Q. It keeps one store of Q per cost function:
+for an anonymous cost a list by user count, the running sum Q(k) = Q(k -
+1) + W * f.scaled(k users) / k, exact as k divides W; for a table the memo,
+until ``scaled_potentials(f)`` replaces it with the whole row, which the
+equilibrium kernel reads for a walk over at least 2^n profiles. GWS keeps
+one memo per (cost function, block). A protocol has one potential or none:
+``_prices_by_potential`` decides which.
 """
 
 from __future__ import annotations
@@ -59,6 +51,7 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from types import MappingProxyType
 
@@ -71,6 +64,7 @@ from .core import (
     full_mask,
     iter_submasks,
     mask_members,
+    members_by_mask,
     parse_fraction,
     player_mask,
     read_items,
@@ -136,11 +130,11 @@ def _player(i, n: int) -> int:
 class ShapleyProtocol(Protocol):
     """Split each resource's cost by the Shapley value of its user set.
 
-    Shares are differences of the integer Hart--Mas-Colell potential Q
-    (see the module docstring), kept per cost function on the instance in
-    one store; cost functions hash by semantic value, so structurally
-    equal functions on different resources share one store. A subclass
-    keeps Q as its potential only while ``_prices_by_potential`` holds.
+    Shares are differences of the integer Hart--Mas-Colell potential Q, one
+    block of unit weights in the module docstring, kept per cost function on
+    the instance in one store; cost functions hash by semantic value, so
+    structurally equal functions on different resources share one store. A
+    subclass keeps Q as its potential only while ``_prices_by_potential`` holds.
     """
 
     name = "shapley"
@@ -149,8 +143,9 @@ class ShapleyProtocol(Protocol):
         # Q per cost function: by user count for an anonymous cost, by mask
         # for a table, so an anonymous cost and an equal table get one each
         self._by_count = Memo(_running_potential)
-        self._by_mask = Memo(lambda f: _hmc_memo(
-            lambda mask, t=f.scaled_table(), k=_UNIT_SCALES[f.n]: k * t[mask], (1,) * f.n))
+        self._by_mask = Memo(lambda f: _potential(
+            lambda users, t=f.scaled_table(), k=_UNIT_SCALES[f.n]: k * t[users],
+            (1,) * f.n, full_mask(f.n)))
 
     def share_scale(self, f: SetCostFunction) -> int:
         return f.denominator * _UNIT_SCALES[f.n]
@@ -165,13 +160,14 @@ class ShapleyProtocol(Protocol):
     def scaled_potentials(self, f: SetCostFunction) -> list:
         """Q of every user set of ``f``, indexed as ``f`` keeps its own values
         (``scaled_counts``, ``scaled_table``): by user count for an
-        anonymous cost, else by mask. A table's 2^n entries are filled in
-        one pass on the first call, and kept in place of its memo."""
+        anonymous cost, else by mask. A table's 2^n entries are filled by
+        ``_potential_row`` on the first call, and kept in place of its memo."""
         if f._anon:
             return self._by_count[f]
         q = self._by_mask.get(f)
         if type(q) is not list:
-            q = self._by_mask[f] = _table_potential(f.scaled_table(), _UNIT_SCALES[f.n])
+            q = self._by_mask[f] = _potential_row(list(map(
+                _UNIT_SCALES[f.n].__mul__, f.scaled_table())), (1,) * f.n, full_mask(f.n))
         return q
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
@@ -199,39 +195,19 @@ def _prices_by_potential(protocol: Protocol) -> bool:
 def _running_potential(f: SetCostFunction) -> list:
     """Q of an anonymous cost by user count: the running sum of D_f * C(k) / k."""
     unit = _UNIT_SCALES[f.n]  # share_scale(f) // f.denominator
-    counts = f.scaled_counts()
-    q = [0]
-    for k in range(1, len(counts)):
-        q.append(q[-1] + unit * counts[k] // k)
-    return q
+    return list(accumulate((unit * c // k for k, c in enumerate(f.scaled_counts()[1:], 1)),
+                           initial=0))
 
 
-def _table_potential(table: tuple, unit: int) -> list:
-    """Q of every mask of a table cost, at ``unit`` times its scaled values,
-    in one ascending pass: Q[S] = (unit * C[S] + sum over i in S of
-    Q[S - i]) // |S|, where every S - i is below S."""
-    q = [0] * len(table)
-    for users in range(1, len(table)):
-        total = unit * table[users]
-        rest = users
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += q[users ^ bit]
-        q[users] = total // users.bit_count()
-    return q
-
-
-def _hmc_memo(value, weights: tuple) -> Memo:
-    """The integer weighted Hart--Mas-Colell potential Q of the game
-    ``value``, as a memo over user masks: Q(0) = 0 and A(R) * Q(R) =
-    value(R) + sum over j in R of a_j * Q(R - j), where a = ``weights`` and
-    A(R) is their sum over R. Callers scale ``value`` so that each division
-    is exact. The fill reads the memo through a weak proxy: no reference cycle."""
+def _potential(value, weights: tuple, own: int) -> Memo:
+    """P of the block ``own`` under ``weights`` as a memo over user masks
+    (module docstring), where value(S) = W * (f.scaled(S) - f.scaled(S & L)).
+    The fill reads the memo through a weak proxy: no reference cycle."""
     def fill(users: int) -> int:
-        total = value(users)
-        size = 0
-        rest = users
+        rest = users & own
+        if not rest:
+            return 0
+        total, size = value(users), 0
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -241,9 +217,27 @@ def _hmc_memo(value, weights: tuple) -> Memo:
         return total // size
 
     memo = Memo(fill)
-    memo[0] = 0
     q = weakref.proxy(memo)
     return memo
+
+
+def _potential_row(values: list, weights: tuple, own: int) -> list:
+    """``_potential``'s P at every mask S, for ``values[S]`` = value(S),
+    filled in groups by S's highest bit h: A(S & own) and h's term are read
+    from S - h, and the other members from ``core.members_by_mask``."""
+    members = members_by_mask(len(weights))
+    q, sizes = [0] * len(values), [0] * len(values)  # P(S), A(S & own)
+    for top in range(len(weights)):
+        high, a = 1 << top, weights[top] * (own >> top & 1)  # a_h if h is in the block
+        for low in range(high):
+            users = high | low
+            size = sizes[users] = sizes[low] + a
+            if size:
+                total = values[users] + a * q[low]
+                for j in members[low & own]:
+                    total += weights[j] * q[users ^ (1 << j)]
+                q[users] = total // size
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +303,9 @@ class GeneralizedWeightedShapley(Protocol):
     T containing i that touch no earlier block. Summed over T's part in
     later blocks, they are the dividends of the game R -> C(R | U) - C(U)
     on B, where U is the users in later blocks, so i's share is that
-    game's weighted Shapley value (Kalai--Samet): a difference of its
-    weighted potential Q_U (module docstring), memoized per (cost
-    function, U) on the instance. One block with unit weights is Shapley.
+    game's weighted Shapley value (Kalai--Samet): a difference of B's
+    potential P (module docstring), memoized per (cost function, block)
+    on the instance. One block with unit weights is Shapley.
     """
 
     name = "gws"
@@ -330,16 +324,17 @@ class GeneralizedWeightedShapley(Protocol):
             sums.update(subset[1:])
         self._weight_scale = scale = scale_lcm(sums, "weight scale")
         masks = system.block_masks()
-        # player -> (its block's mask, the union of the later, disjoint blocks)
-        self._masks = {j: (own, sum(masks[k + 1:]))
-                       for k, own in enumerate(masks) for j in system.blocks[k]}
+        # each block's mask and the union of the later, disjoint blocks
+        blocks = [(own, sum(masks[k + 1:])) for k, own in enumerate(masks)]
+        # player -> (its block's index, the block's mask with the later ones)
+        self._blocks = {j: (k, own | later) for k, (own, later) in enumerate(blocks)
+                        for j in system.blocks[k]}
 
-        def potential(key: tuple) -> Memo:  # holds no self: no reference cycle
-            f, later = key  # Q_U of the game R -> C(R | U) - C(U), times W * L
-            base = f.scaled(later)
-            return _hmc_memo(lambda mask: scale * (f.scaled(mask | later) - base), a)
+        def potentials(f: SetCostFunction) -> list:  # holds no self: no reference cycle
+            return [_potential(lambda users, later=later: scale * (
+                f.scaled(users) - f.scaled(users & later)), a, own) for own, later in blocks]
 
-        self._potentials = Memo(potential)  # (f, U) -> Q_U
+        self._potentials = Memo(potentials)  # f -> P of each block
 
     @property
     def system(self) -> WeightSystem:
@@ -356,10 +351,10 @@ class GeneralizedWeightedShapley(Protocol):
                 f"weight system covers {len(self._weights)} players, cost function {f.n}")
         if not member:
             return 0
-        own, after = self._masks[i]
-        q = self._potentials[f, users & after]
-        mine = users & own
-        return self._weights[i] * (q[mine] - q[mine ^ (1 << i)])
+        k, scope = self._blocks[i]
+        q = self._potentials[f][k]
+        users &= scope
+        return self._weights[i] * (q[users] - q[users ^ (1 << i)])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,8 @@ class TableProtocol(Protocol):
     def __post_init__(self):
         if self.players is not None:
             check_player_count(self.players)
-        given = self.entries
+        if not isinstance(given := self.entries, Mapping):
+            raise ValidationError(f"share entries {given!r} is not a mapping")
         entries, fallback = {}, self.fallback  # entries: (f, users) -> shares, the one store
 
         def scale(f: SetCostFunction) -> int:  # holds no self: no reference cycle
@@ -412,6 +408,8 @@ class TableProtocol(Protocol):
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
         read_mask(users, f.n)
+        if not isinstance(shares, Mapping):
+            raise ValidationError(f"shares {shares!r} is not a mapping")
         shares = {i: parse_fraction(v) for i, v in shares.items()}
         members = player_mask(list(shares), f.n)
         if validate:
@@ -457,11 +455,8 @@ def check_budget_balance(protocol: Protocol, f: SetCostFunction) -> bool:
     every non-member pays exactly 0."""
     for users in range(1 << f.n):
         vec = protocol.shares(f, users)
-        if sum(vec, ZERO) != f.value(users):
+        if sum(vec, ZERO) != f.value(users) or any(vec[i] for i in range(f.n) if ~users >> i & 1):
             return False
-        for i in range(f.n):
-            if not (users >> i) & 1 and vec[i] != 0:
-                return False
     return True
 
 
@@ -476,12 +471,8 @@ def find_share_monotonicity_violation(protocol: Protocol, f: SetCostFunction,
     """
     scope = full_mask(f.n) if within is None else read_mask(within, f.n)
     share = protocol.scaled_share  # one cost function, so one scale
-    for users in iter_submasks(scope):
-        if users == 0:
-            continue
+    for users in iter_submasks(scope):  # an empty set or extra finds none
         for extra in iter_submasks(scope & ~users):
-            if extra == 0:
-                continue
             bigger = users | extra
             for i in mask_members(users):
                 if share(f, users, i) < share(f, bigger, i):

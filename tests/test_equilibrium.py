@@ -523,7 +523,7 @@ def two_halves_game(n, resources):
     rids = tuple(f"r{j}" for j in range(resources))
     half = frozenset(rids[:resources // 2]), frozenset(rids[resources // 2:])
     return GameModel(n, rids, (half,) * n,
-                     (SetCostFunction.anonymous(range(n + 1)),) * resources)
+                     (SetCostFunction.anonymous(list(range(n + 1))),) * resources)
 
 
 def kernel_row_ids(kernel):

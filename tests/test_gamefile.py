@@ -231,6 +231,12 @@ def game_doc_with_strategies(sset):
     return doc
 
 
+def network_doc_with(key, value):
+    doc = network_to_json(NetworkModel(("s", "t"), (NETWORK_EDGE,), (("s", "t"),) * 2))
+    doc["network"][key] = value
+    return doc
+
+
 NETWORK_EDGE = Edge("e", "s", "t", SetCostFunction.anonymous([0, 1, 2]))
 
 #: Every entry point that takes an outside collection, as a call on one
@@ -257,11 +263,19 @@ COLLECTION_ENTRY_POINTS = {
     "weights": (lambda v: WeightSystem(v, ((0, 1),)), "weights", True),
     "blocks": (lambda v: WeightSystem((1, 1), v), "blocks", True),
     "block": (lambda v: WeightSystem((1, 1), (v, (1,))), "player set", False),
+    "anonymous cost": (SetCostFunction.anonymous, "anonymous cost", True),
+    "cost values": (lambda v: SetCostFunction(1, v), "cost values", True),
     "file anonymous cost": (lambda v: cost_from_json(2, {"anonymous": v}), "anonymous cost",
                             True),
     "file table cost": (lambda v: cost_from_json(2, {"table": v}), "table cost", True),
     "file strategies": (lambda v: game_from_json(game_doc_with_strategies(v)),
                         "player 0: strategies", True),
+    "file strategy": (lambda v: game_from_json(game_doc_with_strategies([v])),
+                      "player 0: strategy", False),
+    "file vertices": (lambda v: network_from_json(network_doc_with("vertices", v)), "vertices",
+                      True),
+    "file terminal pair": (lambda v: network_from_json(network_doc_with("terminals", [v])),
+                           "terminal pair", True),
     "file lambda": (lambda v: weight_system_from_json({"lambda": v, "blocks": [[0, 1]]}),
                     "weights", True),
     "file blocks": (lambda v: weight_system_from_json({"lambda": ["1/1", "1/1"], "blocks": v}),
@@ -319,6 +333,18 @@ def test_a_file_value_exits_2_with_the_library_message(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["error: player count 2.5 is not an int"]
+
+
+def test_a_file_strategy_exits_2_with_the_library_message(tmp_path, capsys):
+    # a strategy written as one string is not read as its characters
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_doc_with_strategies(["r"])))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ValidationError) as caught:
+        GameModel(2, SHARED.resources, (("r",), SHARED.strategy_sets[1]), SHARED.cost_fns)
+    assert err.strip().splitlines() == [f"error: {caught.value}"]
+    assert str(caught.value) == "player 0: strategy 'r' is not a tuple, list, set or frozenset"
 
 
 def test_a_share_table_file_names_its_player_count():
@@ -395,7 +421,7 @@ def test_fast_rational_path_matches_fraction():
             continue
         assert cost_from_json(1, {"anonymous": ["0/1", text]}) == built, text
     assert parse_fractions(["03/004", "5/1"]) == ([3, 5], [4, 1])  # not reduced
-    assert parse_fractions(iter([5, F(2, 4)])) == ([5, 1], [1, 2])
+    assert parse_fractions((5, F(2, 4))) == ([5, 1], [1, 2])
     assert parse_fractions([]) == ([], [])
 
 

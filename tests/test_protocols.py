@@ -19,6 +19,7 @@ from costarena.core import (
     SetCostFunction,
     ValidationError,
     full_mask,
+    iter_submasks,
     mask_members,
     player_mask,
     read_mask,
@@ -36,6 +37,7 @@ from costarena.protocols import (
     check_budget_balance,
     find_share_monotonicity_violation,
 )
+from costarena.randomgames import COST_CLASSES, corpus, random_cost
 
 F = Fraction
 SHAPLEY = ShapleyProtocol()
@@ -814,7 +816,7 @@ def test_hmc_potential_equals_alpha_formula():
             assert F(q, scale) == resource_potential(f, users)
 
 
-def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
+def test_one_potential_per_cost_function_and_block(monkeypatch):
     import costarena.protocols as protocols
     calls = []
 
@@ -826,7 +828,7 @@ def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
             return build(*args)
         return counted
 
-    for name in ("_hmc_memo", "_table_potential"):
+    for name in ("_potential", "_potential_row"):
         monkeypatch.setattr(protocols, name, counting(name))
     rng = random.Random(12)
     fa, fb = random_monotone_cost(rng, 3), random_monotone_cost(rng, 3)
@@ -840,11 +842,10 @@ def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
         return GeneralizedWeightedShapley(WeightSystem((1, 2, 3), ((0, 1), (2,))))
 
     # Shapley: the walk's 8 profiles cover the 2^3 user sets, so it stores
-    # one whole potential table per distinct cost function and builds no
-    # memo. GWS: players 0 and 1 see later users {2} or none, player 2
-    # none: 2 cost functions x 2 sets
-    for make, expected in ((ShapleyProtocol, ["_table_potential"] * 2),
-                           (two_blocks, ["_hmc_memo"] * 4)):
+    # one whole potential row per distinct cost function and builds no
+    # memo. GWS: one memo per block of each cost function: 2 x 2
+    for make, expected in ((ShapleyProtocol, ["_potential_row"] * 2),
+                           (two_blocks, ["_potential"] * 4)):
         for _ in range(2):  # a fresh instance builds its stores again
             protocol = make()
             calls.clear()
@@ -852,26 +853,163 @@ def test_one_potential_memo_per_cost_function_and_later_users(monkeypatch):
             assert calls == expected
             analyze(game, protocol)  # and the same one builds none
             assert calls == expected
-    shapley = ShapleyProtocol()
+    shapley, gws = ShapleyProtocol(), two_blocks()
     analyze(game, shapley)
+    analyze(game, gws)
     assert [type(q) for q in shapley._by_mask.values()] == [list, list]
+    # GWS keys its store by cost function alone, one memo per block
+    assert list(gws._potentials) == [fa, fb]
+    assert [[type(q) for q in blocks] for blocks in gws._potentials.values()] == [[Memo] * 2] * 2
     # a lazy kernel keeps one memo per distinct cost function instead
     calls.clear()
     best_response_dynamics(game, ShapleyProtocol(), (0, 0, 0))
-    assert calls == ["_hmc_memo"] * 2
+    assert calls == ["_potential"] * 2
+
+
+def weight_system_in_blocks(rng, n, count):
+    """Random positive weights over a random ordered partition of the n
+    players into min(count, n) blocks."""
+    players = list(range(n))
+    rng.shuffle(players)
+    cuts = sorted(rng.sample(range(1, n), min(count, n) - 1))
+    blocks = [tuple(players[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    return WeightSystem(tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)),
+                        tuple(blocks))
+
+
+def block_values(p, f):
+    """For each block B of GWS ``p``, with later blocks L: B, B | L and the
+    values W * (f.scaled(S & (B | L)) - f.scaled(S & L)) at every mask S,
+    read at S & (B | L) so that B's whole row holds P(S & (B | L))."""
+    masks = p.system.block_masks()
+    table = [f.scaled(m) for m in range(1 << f.n)]
+    out = []
+    for k, own in enumerate(masks):
+        later = sum(masks[k + 1:])
+        scope = own | later
+        out.append((own, scope, [p._weight_scale * (table[m & scope] - table[m & later])
+                                 for m in range(1 << f.n)]))
+    return out
 
 
 def test_one_pass_table_potential_equals_the_memo():
-    # Shapley's whole table, filled in ascending mask order, holds what the
-    # Hart--Mas-Colell memo fills one mask at a time
+    # the whole row, filled in groups by highest bit, holds at every mask
+    # what the memo fills one mask at a time: unit weights on one block,
+    # as Shapley keeps them, and seeded weight systems of 1 to 6 blocks
     import costarena.protocols as protocols
     rng = random.Random(68)
     for n in range(1, 10):
         unit = lcm(*range(1, n + 1))
         for _ in range(19):
-            table = random_monotone_cost(rng, n, den_max=6).scaled_table()
-            memo = protocols._hmc_memo(lambda mask: unit * table[mask], (1,) * n)
-            assert protocols._table_potential(table, unit) == [memo[m] for m in range(1 << n)]
+            values = [unit * c for c in random_monotone_cost(rng, n, den_max=6).scaled_table()]
+            memo = protocols._potential(values.__getitem__, (1,) * n, full_mask(n))
+            row = protocols._potential_row(values, (1,) * n, full_mask(n))
+            assert row == [memo[m] for m in range(1 << n)]
+    for k in range(120):
+        n = 1 + k % 7
+        p = GeneralizedWeightedShapley(weight_system_in_blocks(rng, n, 1 + k % 6))
+        for own, _, values in block_values(p, random_monotone_cost(rng, n, den_max=6)):
+            memo = protocols._potential(values.__getitem__, p._weights, own)
+            row = protocols._potential_row(values, p._weights, own)
+            assert row == [memo[m] for m in range(1 << n)]
+
+
+def test_gws_shares_are_weighted_differences_of_block_rows():
+    # for i in block B, scaled_share(f, S, i) = a_i * (P[S'] - P[S' - i]),
+    # S' = S & (B | L), read from B's whole row; and the row is P, the sum
+    # over T within S' that meet B of the integer dividend of f.scaled at T
+    # times W / A(T & B), each division exact
+    import costarena.protocols as protocols
+    rng = random.Random(31)
+    pairs = 0
+    for k in range(300):
+        n = 1 + k % 6
+        f = random_cost(rng, n, COST_CLASSES[k % 3])
+        p = GeneralizedWeightedShapley(weight_system_in_blocks(rng, n, 1 + (k // 6) % 6))
+        a, scale = p._weights, p._weight_scale
+        dividends = [f.scaled(m) for m in range(1 << n)]
+        for bit in map((1).__lshift__, range(n)):
+            for m in range(1 << n):
+                if m & bit:
+                    dividends[m] -= dividends[m ^ bit]
+        for own, scope, values in block_values(p, f):
+            row = protocols._potential_row(values, a, own)
+            for users in range(1 << n):
+                reference = 0
+                for t in iter_submasks(users & scope):
+                    if t & own:
+                        size = sum(a[j] for j in mask_members(t & own))
+                        assert dividends[t] * scale % size == 0
+                        reference += dividends[t] * scale // size
+                assert row[users] == reference
+                for i in mask_members(users & own):
+                    mine = users & scope
+                    assert p.scaled_share(f, users, i) == a[i] * (row[mine] - row[mine ^ (1 << i)])
+                    pairs += 1
+    assert pairs > 10000
+
+
+def test_shapley_is_one_block_gws_of_unit_weights():
+    # equal shares on every user set, and equal equilibria and costs
+    for f in random_costs(71, count=30):
+        gws = GeneralizedWeightedShapley(WeightSystem.plain(f.n))
+        assert gws.share_scale(f) == SHAPLEY.share_scale(f)
+        for users in range(1 << f.n):
+            assert gws.shares(f, users) == SHAPLEY.shares(f, users)
+    for cost_class in COST_CLASSES:
+        for g in corpus(72, 40, cost_class):
+            plain = analyze(g, GeneralizedWeightedShapley(WeightSystem.plain(g.n)))
+            shapley = analyze(g, ShapleyProtocol())
+            assert (plain.pne, plain.pne_costs, plain.optimum, plain.optimum_cost, plain.poa,
+                    plain.pos) == (shapley.pne, shapley.pne_costs, shapley.optimum,
+                                   shapley.optimum_cost, shapley.poa, shapley.pos)
+
+
+def relabeled(g, w, order):
+    """``g`` and ``w`` with player i renamed ``order[i]``: strategy sets,
+    cost tables, weights and blocks all moved to match."""
+    n = g.n
+
+    def moved(mask):
+        return sum(1 << order[i] for i in mask_members(mask))
+
+    back = {moved(m): m for m in range(1 << n)}
+    costs = tuple(SetCostFunction(n, [f.value(back[m]) for m in range(1 << n)])
+                  for f in g.cost_fns)
+    strategies = [None] * n
+    weights = [None] * n
+    for i in range(n):
+        strategies[order[i]], weights[order[i]] = g.strategy_sets[i], w.weights[i]
+    blocks = tuple(tuple(order[j] for j in block) for block in w.blocks)
+    return (GameModel(n, g.resources, tuple(strategies), costs),
+            WeightSystem(tuple(weights), blocks))
+
+
+def test_relabeling_players_maps_gws_equilibria_and_keeps_every_cost():
+    rng = random.Random(73)
+    for cost_class in COST_CLASSES:
+        for g in corpus(74, 40, cost_class, max_players=5):
+            w = weight_system_in_blocks(rng, g.n, rng.randint(1, 3))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            h, v = relabeled(g, w, order)
+            before = analyze(g, GeneralizedWeightedShapley(w))
+            after = analyze(h, GeneralizedWeightedShapley(v))
+
+            def mapped(profile):
+                out = [None] * g.n
+                for i, s in enumerate(profile):
+                    out[order[i]] = s
+                return tuple(out)
+
+            assert (sorted(zip(map(mapped, before.pne), before.pne_costs))
+                    == sorted(zip(after.pne, after.pne_costs)))
+            assert (before.optimum_cost, before.poa, before.pos) == (
+                after.optimum_cost, after.poa, after.pos)
+            for profile in before.pne:
+                assert private_costs(g, GeneralizedWeightedShapley(w), profile) == tuple(
+                    private_costs(h, GeneralizedWeightedShapley(v), mapped(profile))[order[i]]
+                    for i in range(g.n))
 
 
 def test_whole_potentials_match_the_single_reads():
@@ -897,6 +1035,28 @@ def test_whole_potentials_match_the_single_reads():
                    for m in masks for i in mask_members(m))
         with pytest.raises(ValidationError, match="outside arity"):
             p.scaled_potential(f, rng.choice((-1, 1 << f.n)))
+
+
+#: Each place a share table takes a mapping, handed a list or tuple instead,
+#: with the start of the message that names it.
+MAPPING_ENTRY_POINTS = {
+    "entries": (lambda f: TableProtocol([((f, 1), {0: 1})]), "share entries [("),
+    "entry shares": (lambda f: TableProtocol({(f, 1): [1, 0]}), "shares [1, 0]"),
+    "set_entry shares": (lambda f: TableProtocol().set_entry(f, 1, [1, 0]), "shares [1, 0]"),
+    "unvalidated shares": (lambda f: TableProtocol().set_entry(f, 1, ((0, 1),), validate=False),
+                           "shares ((0, 1),)"),
+}
+
+
+@pytest.mark.parametrize("entry", list(MAPPING_ENTRY_POINTS))
+def test_table_entries_and_shares_are_mappings(entry):
+    # a list or tuple in place of a mapping is one ValidationError naming it
+    build, what = MAPPING_ENTRY_POINTS[entry]
+    f = SetCostFunction.anonymous([0, 1, 2])
+    with pytest.raises(ValidationError) as caught:
+        build(f)
+    assert str(caught.value).startswith(what)
+    assert str(caught.value).endswith(" is not a mapping")
 
 
 @pytest.mark.parametrize("users, message", [
