@@ -15,6 +15,8 @@ size, an index or a seed, by ``read_int``.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -198,22 +200,30 @@ def parse_fraction(value) -> Fraction:
     return x
 
 
+#: A column of "p/q" strings joined by commas, with a comma after the last;
+#: ASCII digits only, since ``\d`` also matches the digits of other scripts.
+_FILE_COLUMN = re.compile(f"(?:[0-9]{{1,{MAX_DIGITS}}}/[0-9]{{1,{MAX_DIGITS}}},)*")
+
+
 def parse_fractions(values, what: str = "cost values") -> tuple[list, list]:
     """The numerators and denominators, not necessarily reduced, of the tuple
     or list ``values`` (``read_items`` reads it as ``what``) as
-    ``parse_fraction`` reads them. ASCII "p/q" strings of at most MAX_DIGITS
-    characters with q > 0, the form of files, are read in passes that run in
-    C; any other column is read item by item, so an error names the first
-    value that it refuses."""
+    ``parse_fraction`` reads them. A column of "p/q" strings, the form of
+    files, with at most MAX_DIGITS ASCII digits in each part and q > 0, is
+    checked and read in passes that run in C; any other column is read item
+    by item, so an error names the first value that it refuses."""
     values = read_items(values, what)
-    if (set(map(type, values)) == {str} and set(map(str.count, values, repeat("/"))) == {1}
-            and max(map(len, values)) <= MAX_DIGITS):
-        text = "/".join(values)
-        parts = text.split("/")
-        if text.isascii() and "".join(parts).isdigit() and "" not in parts:
-            dens = list(map(int, parts[1::2]))
-            if 0 not in dens:
-                return list(map(int, parts[::2])), dens
+    if set(map(type, values)) == {str}:
+        text = ",".join(values) + ","
+        if _FILE_COLUMN.fullmatch(text):
+            text = text.replace("/", ",") + "0"  # the 0 closes the last comma
+            try:
+                ints = json.loads(f"[{text}]")
+            except ValueError:  # JSON refuses a leading zero
+                ints = list(map(int, text.split(",")))
+            # a value with a comma in it would add entries
+            if len(ints) == 2 * len(values) + 1 and 0 not in (dens := ints[1::2]):
+                return ints[:-1:2], dens
     fractions = list(map(parse_fraction, values))
     return [x.numerator for x in fractions], [x.denominator for x in fractions]
 
@@ -225,6 +235,18 @@ def _exponent(text: str) -> int:
         return int(tail) if e else 0
     except ValueError:  # no exponent; Fraction rejects such a string itself
         return 0
+
+
+def _over_common_denominator(nums: list, dens: list) -> tuple[int, list]:
+    """L and the numerators over L of the values ``nums[k] / dens[k]``, with
+    L the lcm of the reduced denominators, which ``scale_lcm`` holds to the
+    bit budget."""
+    factors = list(map(gcd, nums, dens))
+    if max(factors, default=1) > 1:  # values are mostly reduced already
+        nums = list(map(floordiv, nums, factors))
+        dens = list(map(floordiv, dens, factors))
+    denominator = scale_lcm(set(dens), "common denominator of a cost function")
+    return denominator, list(map(mul, nums, map(floordiv, repeat(denominator), dens)))
 
 
 def _monotone(table: tuple, n: int) -> bool:
@@ -266,9 +288,8 @@ class SetCostFunction:
         """``values`` are the 2^n table entries, or the n+1 size-indexed
         entries when ``anonymous``: rationals, read by ``parse_fractions``,
         or ints, not bools, with ``values[k] / denominators[k]`` the k-th
-        entry, not necessarily reduced. Only here is each entry reduced, L
-        taken as the lcm of the reduced denominators and every numerator
-        scaled to it."""
+        entry, not necessarily reduced. ``_over_common_denominator`` reduces
+        the entries and scales them to one denominator L."""
         if denominators is None:
             nums, dens = parse_fractions(values)
         else:
@@ -283,22 +304,32 @@ class SetCostFunction:
                     read_int(x, "cost denominator", None)
             if min(dens, default=1) <= 0:
                 raise ValidationError(f"cost denominator {min(dens)} is not positive")
-        factors = list(map(gcd, nums, dens))
-        if max(factors, default=1) > 1:  # values are mostly reduced already
-            nums = list(map(floordiv, nums, factors))
-            dens = list(map(floordiv, dens, factors))
-        denominator = scale_lcm(set(dens), "common denominator of a cost function")
-        if anonymous and len(nums) < 2:
+        denominator, scaled = _over_common_denominator(nums, dens)
+        if anonymous and len(scaled) < 2:
             raise ValidationError("anonymous cost needs at least 2 entries (n >= 1)")
         check_player_count(n)
         size = n + 1 if anonymous else 1 << n
-        if len(nums) != size:
+        if len(scaled) != size:
             raise ValidationError(
-                f"{'anonymous cost' if anonymous else 'table'} has {len(nums)} "
+                f"{'anonymous cost' if anonymous else 'table'} has {len(scaled)} "
                 f"entries, expected {size}")
+        self._store(n, denominator, scaled, anonymous)
+
+    @classmethod
+    def _from_scaled(cls, n: int, denominator: int, table: list) -> "SetCostFunction":
+        """The table cost whose 2^n numerators over ``denominator`` are
+        ``table``: for a reader that has reduced its own entries with
+        ``_over_common_denominator``."""
+        f = cls.__new__(cls)
+        f._store(n, denominator, table, False)
+        return f
+
+    def _store(self, n: int, denominator: int, scaled: list, anonymous: bool) -> None:
+        """The step that every construction ends in: keeps the numerators
+        and validates them."""
         self.n = n
         self.denominator = denominator
-        self._scaled = tuple(map(mul, nums, map(floordiv, repeat(denominator), dens)))
+        self._scaled = tuple(scaled)
         self._anon = anonymous
         self._hash = None
         self._validate()

@@ -31,9 +31,12 @@ the constructor that it is handed to, which reads it with
 ``core.check_player_count``, every id to ``core.player_mask``, every
 collection, a block or a cost column, to ``core.read_items``, and every
 rational to ``core.parse_fraction``, a cost column through
-``core.parse_fractions``, which reads "p/q" columns in bulk.
-``SetCostFunction`` reduces the numerators and denominators, checks the
-bit budget and scales them to one canonical denominator.
+``core.parse_fractions``, which reads "p/q" columns in bulk. An anonymous
+cost goes to the ``SetCostFunction`` constructor. A table's listed entries
+alone go to ``core._over_common_denominator``, which reduces them, checks
+the bit budget and scales them to one canonical denominator; the table of
+2^n numerators that they are scattered into is stored and validated as
+the constructor stores its own.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .core import (
     GameModel,
     SetCostFunction,
     ValidationError,
+    _over_common_denominator,
     check_player_count,
     members_by_mask,
     parse_fractions,
@@ -115,16 +119,18 @@ def cost_to_json(f: SetCostFunction) -> dict:
 def cost_from_json(n: int, obj) -> SetCostFunction:
     if not isinstance(obj, dict):
         raise ValidationError("cost must be an object")
+    if "anonymous" in obj and "table" in obj:
+        raise ValidationError("cost has both an 'anonymous' and a 'table' key")
     if "anonymous" in obj:
         return SetCostFunction(n, read_items(obj["anonymous"], "anonymous cost"), anonymous=True)
     if "table" in obj:
         entries = read_items(obj["table"], "table cost")
         check_player_count(n)  # before sizing the table by it
         masks, nums, dens = _table(n, entries)
-        table, denominators = [0] * (1 << n), [1] * (1 << n)  # omitted sets cost 0/1
-        deque(map(table.__setitem__, masks, nums), 0)
-        deque(map(denominators.__setitem__, masks, dens), 0)
-        return SetCostFunction(n, table, denominators=denominators)
+        denominator, scaled = _over_common_denominator(nums, dens)
+        table = [0] * (1 << n)  # omitted sets cost 0
+        deque(map(table.__setitem__, masks, scaled), 0)
+        return SetCostFunction._from_scaled(n, denominator, table)
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
 
 

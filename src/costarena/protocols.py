@@ -377,7 +377,8 @@ class TableProtocol(Protocol):
     share, times the ratio of the scales. A cost function whose arity is
     not ``players`` (when set, as a file sets it) raises. Every entry's user
     set is read as a mask of its cost function's players, validated or
-    not. The fields are read-only once validated.
+    not, and each key must be a (cost function, user set) pair. The fields
+    are read-only once validated.
     """
 
     name = "table"
@@ -402,11 +403,17 @@ class TableProtocol(Protocol):
         object.__setattr__(self, "_scales", Memo(scale))  # set past the frozen fields
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "entries", MappingProxyType(entries))
-        for (f, users), shares in given.items():
-            self.set_entry(f, users, shares, validate=False)
+        for key, shares in given.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValidationError(
+                    f"share entry key {key!r} is not a (cost function, user set) pair")
+            self.set_entry(*key, shares, validate=False)
 
     def set_entry(self, f: SetCostFunction, users: int, shares: dict[int, Fraction],
                   *, validate: bool = True) -> None:
+        if not isinstance(f, SetCostFunction):
+            raise ValidationError(
+                f"share entry key {(f, users)!r} is not a (cost function, user set) pair")
         read_mask(users, f.n)
         if not isinstance(shares, Mapping):
             raise ValidationError(f"shares {shares!r} is not a mapping")

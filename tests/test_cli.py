@@ -148,8 +148,10 @@ def one_player_game(**changes):
     edge_network(["st"]),
     one_player_game(resources=[{"id": "r", "cost": {"anonymous": ["0/1", "1e5000"]}}]),
     one_player_game(resources=[{"id": "r", "cost": {"anonymous": ["0/1", "1e-99999999"]}}]),
+    one_player_game(resources=[{"id": "r", "cost": {"anonymous": ["0/1", "5/1"],
+                                                     "table": [{"set": [0], "cost": "7/1"}]}}]),
 ], ids=["players-true", "nested-strategy", "terminal-int", "terminal-string",
-        "cost-1e5000", "cost-exponent-8-digits"])
+        "cost-1e5000", "cost-exponent-8-digits", "cost-anonymous-and-table"])
 def test_malformed_game_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))

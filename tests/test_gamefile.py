@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -470,6 +470,8 @@ MALFORMED_COSTS = [
     (0, {"anonymous": ["0/1"]}, "anonymous cost needs at least 2 entries (n >= 1)"),
     (17, {"anonymous": ["0/1"] * 18}, "player count 17 out of range 1..16"),
     (0, {"table": []}, "player count 0 out of range 1..16"),
+    (1, {"anonymous": ["0/1", "5/1"], "table": [{"set": [0], "cost": "7/1"}]},
+     "cost has both an 'anonymous' and a 'table' key"),
 ]
 
 
@@ -576,6 +578,48 @@ def test_bit_budget_applies_to_reduced_values():
     f = cost_from_json(n, {"table": entries})
     assert f == expected and f.denominator == 1
     assert_same_cost(f, reference_table(n, entries))
+
+
+def test_each_listed_entry_is_reduced_before_the_lcm():
+    """Every nonempty set of 8 players at "p/p", each over its own prime
+    above 2^20: the written denominators' lcm has 5101 bits, past
+    MAX_SCALE_BITS, but every value is 1, so L is 1 and the table loads."""
+    n = 8
+    primes = [p for p in range((1 << 20) + 1, (1 << 20) + 5000, 2)
+              if all(p % d for d in range(3, isqrt(p) + 1, 2))][:(1 << n) - 1]
+    assert len(primes) == (1 << n) - 1 and prod(primes).bit_length() == 5101 > MAX_SCALE_BITS
+    entries = [{"set": [i for i in range(n) if mask >> i & 1], "cost": f"{p}/{p}"}
+               for mask, p in zip(range(1, 1 << n), primes)]
+    f = cost_from_json(n, {"table": entries})
+    assert f == SetCostFunction(n, [0] + [1] * ((1 << n) - 1)) and f.denominator == 1
+    assert_same_cost(f, reference_table(n, entries))
+
+
+@pytest.mark.parametrize("leading_zeros", [False, True], ids=["plain", "leading zeros"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_unreduced_and_zero_entries_load_like_the_reference(n, leading_zeros):
+    # values written unreduced ("6/4"), as zero over any denominator ("0/7")
+    # and, in one column of each size, with leading zeros ("03/004"), which
+    # JSON's int reader refuses
+    rng = random.Random(f"{n}:{leading_zeros}")
+    values = sorted(F(max(0, rng.randint(-20, 99)), rng.randint(1, 9))
+                    for _ in range((1 << n) - 1))
+    forms = ["{a}/{b}", "{ka}/{kb}"] + ["0{a}/00{b}"] * leading_zeros
+    entries = []
+    for mask, x in zip(range(1, 1 << n), values):
+        k = rng.randint(2, 5)
+        form = rng.choice(forms) if x else f"0/{rng.randint(1, 9)}"
+        entries.append({"set": [i for i in range(n) if mask >> i & 1],
+                        "cost": form.format(a=x.numerator, b=x.denominator,
+                                            ka=k * x.numerator, kb=k * x.denominator)})
+    rng.shuffle(entries)
+    costs = [e["cost"] for e in entries]
+    parts = [tuple(map(int, c.split("/"))) for c in costs]
+    assert any(p == 0 for p, _ in parts) and any(p and gcd(p, q) > 1 for p, q in parts)
+    assert any(c[0] == "0" and c[1] != "/" for c in costs) == leading_zeros
+    f = cost_from_json(n, {"table": entries})
+    assert_same_cost(f, reference_table(n, entries))
+    assert_same_cost(f, SetCostFunction(n, [0] + values))
 
 
 REJECTED_TABLES = [

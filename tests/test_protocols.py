@@ -1059,6 +1059,31 @@ def test_table_entries_and_shares_are_mappings(entry):
     assert str(caught.value).endswith(" is not a mapping")
 
 
+#: Share-table keys that are not a (cost function, user set) pair.
+BAD_ENTRY_KEYS = {
+    "cost function alone": lambda f: f,
+    "one-tuple": lambda f: (f,),
+    "three-tuple": lambda f: (f, 1, 2),
+    "user set first": lambda f: (1, f),
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_ENTRY_KEYS))
+def test_table_entry_keys_are_pairs(shape):
+    # a bad key is one ValidationError naming it, in the constructor and,
+    # for a pair, in set_entry, which takes the pair's two halves
+    f = SetCostFunction.anonymous([0, 1, 2])
+    key = BAD_ENTRY_KEYS[shape](f)
+    message = f"share entry key {key!r} is not a (cost function, user set) pair"
+    builds = [lambda: TableProtocol({key: {0: 1}})]
+    if isinstance(key, tuple) and len(key) == 2:
+        builds.append(lambda: TableProtocol().set_entry(*key, {0: 1}))
+    for build in builds:
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("users, message", [
     (5, "user set 0b101 outside arity 2"),
     (True, "user set True is not an int"),
