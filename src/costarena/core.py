@@ -220,7 +220,10 @@ def parse_fractions(values, what: str = "cost values") -> tuple[list, list]:
             try:
                 ints = json.loads(f"[{text}]")
             except ValueError:  # JSON refuses a leading zero
-                ints = list(map(int, text.split(",")))
+                try:
+                    ints = list(map(int, text.split(",")))
+                except ValueError:  # a part past the interpreter's digit limit
+                    ints = ()
             # a value with a comma in it would add entries
             if len(ints) == 2 * len(values) + 1 and 0 not in (dens := ints[1::2]):
                 return ints[:-1:2], dens

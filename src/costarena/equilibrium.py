@@ -37,9 +37,15 @@ other row, and every row of any other kernel, is a ``core.Memo`` that fills
 one user-mask entry on first touch, a cost row from the same integers (a
 table's own at factor 1); share rows are always such memos.
 
-The walk visits profiles as an odometer, in the lexicographic order of
-``itertools.product``, and on each step updates only the usage masks and
-the running total of the players whose digit changed. When asked, it
+The walk visits profiles in reflected mixed-radix Gray order (Knuth,
+TAOCP 4A, 7.2.1.1, Algorithm H): each step moves one player to the next
+or the previous of its strategies. The fastest player sweeps its
+strategies up, then down, and so on; at either end it stays for one step
+while a slower player moves. So a step updates only the usage masks,
+and the running total, of the resources in which the mover's two adjacent
+strategies differ. The order in which players turn is free: the one whose
+adjacent strategies differ in the fewest resources on average turns
+fastest, and a player with one strategy never turns. When asked, it
 checks each profile's stability in the same loop: leaving strategy c for
 s, a player pays on the resources of s - c and saves what it pays on
 c - s, while the resources in both cancel, so only those two sets are
@@ -52,8 +58,11 @@ player can reach once and then sums per strategy, since a network
 player's paths share most of their edges.
 
 ``analyze`` takes the equilibria, their social costs and potentials, and
-the optimum from one walk. Ties break lexicographically, so reports are
-reproducible. The profile-space size is capped at ``PROFILE_CAP``.
+the optimum from one walk. The visit order is the walk's own, and no
+report shows it: ``analyze`` sorts the equilibria by profile, and every
+minimum is the least (value, profile) pair, so ties break
+lexicographically and reports are reproducible. The profile-space size
+is capped at ``PROFILE_CAP``.
 
 Each number of one profile (``is_pne``, ``best_response``, ``potential``
 under Shapley, ``private_cost(s)``, ``social_cost``) is a view of a kernel
@@ -66,6 +75,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 
 from .core import (
     CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, read_int, scale_lcm)
@@ -183,15 +193,17 @@ class _Kernel:
         return self
 
     def walk(self, rows, stable: bool = False):
-        """Walk every profile in lexicographic order and yield ``(profile,
-        total, is_stable)`` for the ones the callers keep, where ``total``
-        is the sum over resources r of ``rows[r][usage[r]]``: each profile
-        whose total is below every earlier one, so the last of these is the
-        lexicographically first minimum, and, when ``stable`` is asked
-        for, each profile that no player can improve on (``is_stable`` is
-        False when it is not asked for). The kernel's current profile is
-        the yielded one while the caller reads it, and the first one again
-        after the last. Raises CapExceededError before the first profile if
+        """Walk every profile once, in reflected Gray order (module
+        docstring), and yield ``(profile, total, is_stable)`` for the ones
+        the callers keep, where ``total`` is the sum over resources r of
+        ``rows[r][usage[r]]``: each profile whose total is below every
+        earlier one, or equal to the lowest and lexicographically smaller
+        than the profile that set it, so the last of these is the
+        lexicographically first minimum, and, when ``stable`` is asked for,
+        each profile that no player can improve on (``is_stable`` is False
+        when it is not asked for). The kernel's current profile is the
+        yielded one while the caller reads it, and the last one visited
+        after the walk. Raises CapExceededError before the first profile if
         the space is larger than the cap."""
         size = self.model.profile_space_size()
         if size > PROFILE_CAP:
@@ -200,18 +212,29 @@ class _Kernel:
         self.at((0,) * len(strategies))
         usage, digits = self.usage, self.profile
         total = sum(row[mask] for row, mask in zip(rows, usage))
-        best = total + 1
-        counts = [len(sset) for sset in strategies]
-        # the digits that turn, fastest first: (player i, its bit, the
-        # resources whose bit i flips as digit i steps from each a, count)
-        wheel = [(i, 1 << i, [tuple(sorted(set(sset[a]) ^ set(sset[(a + 1) % k])))
-                              for a in range(k)], k)
-                 for i, (sset, k) in enumerate(zip(strategies, counts)) if k > 1][::-1]
+        best, kept = total + 1, None  # the lowest total and its profile
+        # the players with a choice, (resources flipped per step on average,
+        # player i, its bit, its turns), sorted so that the one that flips
+        # the fewest turns fastest: it makes most of the steps. A turn is the
+        # resources whose bit i flips and i's new strategy; i steps up to its
+        # last strategy, down to its first and so on, and at either end
+        # (None) it stays, and the next player turns instead
+        wheel = []
+        for i, sset in enumerate(strategies):
+            k = len(sset)
+            if k > 1:
+                steps = [tuple(set(a).symmetric_difference(b)) for a, b in zip(sset, sset[1:])]
+                turns = list(zip(steps, range(1, k)))
+                turns.append(None)
+                turns += zip(reversed(steps), range(k - 2, -1, -1))
+                turns.append(None)
+                wheel.append((sum(map(len, steps)) / (k - 1), i, 1 << i, cycle(turns)))
+        wheel.sort()
         checked = []  # (player, bit, its deviation rows) per player with a table
         summed = []  # players checked by full sums
         if stable:
             self.deviations = [None] * len(strategies)
-            for i, k in enumerate(counts):
+            for i, k in enumerate(map(len, strategies)):
                 if 1 < k and _ROW_READS * k <= size and k * (k - 1) <= DEVIATION_CAP:
                     table = self.deviations[i] = [None] * k
                     checked.append((i, 1 << i, table))
@@ -250,24 +273,23 @@ class _Kernel:
                     if self._improves(i):
                         calm = False
                         break
-            if total < best or calm:
-                if total < best:
-                    best = total
+            if total < best or total == best and digits < kept:
+                best, kept = total, digits.copy()
                 yield tuple(digits), total, calm
-            for i, bit, steps, count in wheel:
-                a = digits[i]
-                for r in steps[a]:
-                    row = rows[r]
-                    mask = usage[r]
-                    total -= row[mask]
-                    mask ^= bit
-                    usage[r] = mask
-                    total += row[mask]
-                a += 1
-                if a < count:
-                    digits[i] = a
+            elif calm:
+                yield tuple(digits), total, calm
+            for _, i, bit, turns in wheel:
+                turn = next(turns)
+                if turn:
+                    flips, digits[i] = turn
+                    for r in flips:
+                        row = rows[r]
+                        mask = usage[r]
+                        total -= row[mask]
+                        mask ^= bit
+                        usage[r] = mask
+                        total += row[mask]
                     break
-                digits[i] = 0
             else:
                 return
 
@@ -528,21 +550,21 @@ def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     in one walk; ``potentials`` is None for a protocol without one
     (``AnalysisReport``)."""
     kernel = _Kernel(model, protocol, whole=True)
-    pne, scaled, potentials = [], [], []
-    opt_p = opt_c = None
+    pne = []
+    optimum = None  # (cost, profile), the least
     for profile, cost, stable in kernel.walk(kernel.costs, stable=True):
-        if opt_c is None or cost < opt_c:
-            opt_p, opt_c = profile, cost
+        if optimum is None or (cost, profile) < optimum:
+            optimum = cost, profile
         if stable:
-            pne.append(profile)
-            scaled.append(cost)
-            potentials.append(kernel.potential())
-    costs = tuple(Fraction(c, kernel.scale) for c in scaled)
-    opt_cost = Fraction(opt_c, kernel.scale)
+            pne.append((profile, cost, kernel.potential()))
+    pne.sort()  # by profile, since no two are equal; the walk's order is its own
+    costs = tuple(Fraction(cost, kernel.scale) for _, cost, _ in pne)
+    opt_cost = Fraction(optimum[0], kernel.scale)
     if pne:
         poa = _ratio(max(costs), opt_cost)
         pos = _ratio(min(costs), opt_cost)
     else:
         poa = pos = None
-    return AnalysisReport(protocol.name, tuple(pne), costs, opt_p, opt_cost, poa, pos,
-                          None if kernel.potentials is None else tuple(potentials))
+    return AnalysisReport(protocol.name, tuple(profile for profile, _, _ in pne), costs,
+                          optimum[1], opt_cost, poa, pos,
+                          None if kernel.potentials is None else tuple(phi for _, _, phi in pne))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,23 @@ def test_numbers_over_the_digit_limit_exit_2(tmp_path, capsys):
     rc, out, err = run(capsys, "analyze", str(path))
     assert (rc, out) == (2, None)
     assert err == "error: a result has more than 4300 digits and cannot be written\n"
+
+
+def test_a_part_past_a_lowered_digit_limit_exits_2(tmp_path, capsys):
+    # under a lowered int digit limit (PYTHONINTMAXSTRDIGITS=640), a cost
+    # part of 1000 digits is refused as a bad rational, not with a traceback
+    path = tmp_path / "game.json"
+    big = "9" * 1000 + "/1"
+    path.write_text(json.dumps(one_player_game(
+        resources=[{"id": "r", "cost": {"anonymous": ["0/1", big]}}])))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out, err = run(capsys, "analyze", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out) == (2, None)
+    assert err == f"error: bad rational {big!r}\n"
 
 
 def primes(count):

@@ -590,6 +590,97 @@ def test_every_profile_stable_in_lexicographic_order():
     assert report.poa == report.pos == 1
 
 
+def random_bundles(rng, rids, counts):
+    """For each player, ``counts[i]`` random subsets of ``rids``, repeats
+    and the empty set allowed."""
+    return tuple(tuple(frozenset(r for r in rids if rng.random() < 0.5) for _ in range(k))
+                 for k in counts)
+
+
+def test_walk_yields_every_profile_once_one_player_moving_per_step():
+    # under all-zero costs every profile ties and is stable, so the walk
+    # yields each profile it visits: each of itertools.product's exactly
+    # once, each after the first one strategy of one player away from the
+    # one before, and the last profile yielded is where the kernel stays
+    rng = random.Random(41)
+    rids = ("a", "b", "c", "d")
+    for n in range(1, 7):
+        for _ in range(5):
+            counts = [rng.randint(1, 5) for _ in range(n)]
+            g = GameModel(n, rids, random_bundles(rng, rids, counts),
+                          (SetCostFunction.zero(n),) * len(rids))
+            kernel = _Kernel(g, SHAPLEY, whole=True)
+            walked = list(kernel.walk(kernel.costs, stable=True))
+            assert all(total == 0 and calm for _, total, calm in walked)
+            profiles = [p for p, _, _ in walked]
+            assert sorted(profiles) == reference_profiles(g)
+            for before, after in zip(profiles, profiles[1:]):
+                moves = [(a, b) for a, b in zip(before, after) if a != b]
+                assert len(moves) == 1 and abs(moves[0][0] - moves[0][1]) == 1
+            assert tuple(kernel.profile) == profiles[-1]
+
+
+class CountedRow:
+    """A row that counts its reads."""
+
+    def __init__(self, row):
+        self.row, self.reads = row, 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return self.row[mask]
+
+
+def test_walk_flips_only_the_moving_players_changed_resources():
+    # each step updates only the resources that the moving player's old and
+    # new strategies do not share, and player 1, with one strategy on a
+    # resource of its own, never turns: that row is read once, for the
+    # first total
+    rng = random.Random(42)
+    rids = ("a", "b", "c", "own")
+    for counts in ((4, 1, 3), (1, 1, 5), (2, 1, 2, 3)):
+        bundles = list(random_bundles(rng, rids[:3], counts))
+        bundles[1] = (frozenset({"own", "a"}),)
+        n = len(counts)
+        g = GameModel(n, rids, tuple(bundles), (SetCostFunction.zero(n),) * len(rids))
+        kernel = _Kernel(g, SHAPLEY)
+        rows = list(map(CountedRow, kernel.costs))
+        profiles = [p for p, _, _ in kernel.walk(rows, stable=True)]
+        flips = dict.fromkeys(rids, 0)
+        for before, after in zip(profiles, profiles[1:]):
+            for i, (a, b) in enumerate(zip(before, after)):
+                for r in bundles[i][a] ^ bundles[i][b]:
+                    flips[r] += 1
+        assert flips["own"] == 0
+        assert [row.reads for row in rows] == [1 + 2 * flips[r] for r in rids]
+
+
+def test_minima_break_ties_lexicographically():
+    # costs of a few small integers tie often, some players have a strategy
+    # twice, and the walk does not visit profiles in lexicographic order:
+    # each minimum is still the least (value, profile) of brute force
+    rng = random.Random(43)
+    rids = ("a", "b", "c")
+    tied = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        counts = [rng.randint(1, 4) for _ in range(n)]
+        bundles = [list(s) for s in random_bundles(rng, rids, counts)]
+        for s in bundles:
+            if len(s) > 1 and rng.random() < 0.5:
+                s[rng.randrange(len(s))] = s[0]
+        costs = tuple(SetCostFunction.anonymous(list(itertools.accumulate(
+            [0] + [rng.randint(0, 1) for _ in range(n)]))) for _ in rids)
+        g = GameModel(n, rids, tuple(map(tuple, bundles)), costs)
+        profiles = reference_profiles(g)
+        cost, profile = min((reference_cost(g, p), p) for p in profiles)
+        tied += sum(reference_cost(g, p) == cost for p in profiles) > 1
+        report = analyze(g, SHAPLEY)
+        assert (report.optimum, report.optimum_cost) == (profile, cost) == social_optimum(g)
+        assert potential_minimizer(g) == min((alpha_potential(g, p), p) for p in profiles)[1]
+    assert tied > 30
+
+
 def deviation_pairs(kernel):
     """Per player, the deviation pairs its table holds, or None for a
     player without a table."""
@@ -610,7 +701,7 @@ def test_deviation_table_is_bounded(monkeypatch):
     g = GameModel(4, rids, sets, tuple(random_cost(rng, 4) for _ in rids))
     monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 12)
     kernel = _Kernel(g, SHAPLEY)
-    pne = [p for p, _, stable in kernel.walk(kernel.costs, stable=True) if stable]
+    pne = sorted(p for p, _, stable in kernel.walk(kernel.costs, stable=True) if stable)
     assert deviation_pairs(kernel) == [None, 4 * 3, 3 * 2, None]
     for protocol in (SHAPLEY, rigged_table(g, rng), HalfSplit()):
         report = analyze(g, protocol)
@@ -631,7 +722,7 @@ def test_deviation_cap_only_moves_work():
     kernel = _Kernel(g, SHAPLEY)
     walked = list(kernel.walk(kernel.costs, stable=True))
     assert deviation_pairs(kernel) == [None, k * (k - 1)]
-    stable = [p for p, _, calm in walked if calm]
+    stable = sorted(p for p, _, calm in walked if calm)
     assert stable == [p for p in reference_profiles(g) if kernel.at(p).stable()]
     assert analyze(g, SHAPLEY).pne == tuple(stable)
 
@@ -652,7 +743,7 @@ def test_full_sums_match_the_reference(monkeypatch):
     monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 0)
     for g, protocol in itertools.islice(reference_cases(), 0, None, 7):
         kernel = _Kernel(g, protocol)
-        stable = [p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm]
+        stable = sorted(p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm)
         assert all(table is None for table in kernel.deviations)
         assert stable == reference_analysis(g, protocol)[0]
 
@@ -940,7 +1031,8 @@ def kernel_state(kernel):
 
 def test_kernel_profile_and_masks_change_together():
     # after at, after each move, at each profile a walk yields and after
-    # the walk, the kernel answers as a fresh kernel at the same profile
+    # the walk, at the last profile it visited, the kernel answers as a
+    # fresh kernel at the same profile
     g = tension_game()
     kernel = _Kernel(g, SHAPLEY).at((0, 1))
     kernel.move(1, 0)
@@ -962,7 +1054,7 @@ def test_kernel_profile_and_masks_change_together():
                     assert kernel_state(kernel) == fresh(want)
                 for profile, _, _ in kernel.walk(kernel.costs, stable=True):
                     assert kernel_state(kernel) == fresh(profile)
-                assert kernel_state(kernel) == fresh((0,) * g.n)
+                assert kernel_state(kernel) == fresh(tuple(kernel.profile))
 
 
 def test_views_refuse_a_game_past_the_scale_bits_like_analyze():
