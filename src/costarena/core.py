@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import floordiv, gt, mul, sub
+from operator import attrgetter, floordiv, gt, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 16
@@ -177,12 +177,13 @@ def parse_fraction(value) -> Fraction:
     """The one reader of an outside rational, from a file, an argument or a
     library call: a ``Fraction`` as it is, an int, or a string in
     ``fractions.Fraction``'s grammar ("p/q", "7", "1.5", "1e3"). Anything
-    else, a bool or a float included, raises ValidationError."""
+    else, a bool or a float included, and any value whose numerator or
+    denominator has more than MAX_DIGITS digits, raises ValidationError."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
+        x = value
+    elif isinstance(value, bool) or isinstance(value, float):
         raise ValidationError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         x = Fraction(value)
     elif isinstance(value, str):
         text = value.strip()
@@ -208,12 +209,20 @@ _FILE_COLUMN = re.compile(f"(?:[0-9]{{1,{MAX_DIGITS}}}/[0-9]{{1,{MAX_DIGITS}}},)
 def parse_fractions(values, what: str = "cost values") -> tuple[list, list]:
     """The numerators and denominators, not necessarily reduced, of the tuple
     or list ``values`` (``read_items`` reads it as ``what``) as
-    ``parse_fraction`` reads them. A column of "p/q" strings, the form of
-    files, with at most MAX_DIGITS ASCII digits in each part and q > 0, is
-    checked and read in passes that run in C; any other column is read item
-    by item, so an error names the first value that it refuses."""
+    ``parse_fraction`` reads them. Two kinds of column are checked and read
+    in passes that run in C: "p/q" strings, the form of files, with at most
+    MAX_DIGITS ASCII digits in each part and q > 0; and exact ``int`` and
+    ``Fraction`` members (no bool), by ``numerator`` and ``denominator``
+    under one digit bound. Any other column, or one that fails its check,
+    is read item by item, so an error names the first value it refuses."""
     values = read_items(values, what)
-    if set(map(type, values)) == {str}:
+    kinds = set(map(type, values))
+    if kinds <= {int, Fraction}:
+        nums = list(map(attrgetter("numerator"), values))
+        dens = list(map(attrgetter("denominator"), values)) if Fraction in kinds else []
+        if _short(nums, dens):  # an int's denominator is 1
+            return nums, dens or [1] * len(nums)
+    elif kinds == {str}:
         text = ",".join(values) + ","
         if _FILE_COLUMN.fullmatch(text):
             text = text.replace("/", ",") + "0"  # the 0 closes the last comma
@@ -231,6 +240,12 @@ def parse_fractions(values, what: str = "cost values") -> tuple[list, list]:
     return [x.numerator for x in fractions], [x.denominator for x in fractions]
 
 
+def _short(nums, dens) -> bool:
+    """``parse_fraction``'s digit bound over whole columns (``dens`` > 0)."""
+    return not nums or (max(nums) < _TOO_LONG and -min(nums) < _TOO_LONG
+                        and (not dens or max(dens) < _TOO_LONG))
+
+
 def _exponent(text: str) -> int:
     """The decimal exponent written at the end of ``text``, else 0."""
     _, e, tail = text.replace("E", "e").rpartition("e")
@@ -243,7 +258,13 @@ def _exponent(text: str) -> int:
 def _over_common_denominator(nums: list, dens: list) -> tuple[int, list]:
     """L and the numerators over L of the values ``nums[k] / dens[k]``, with
     L the lcm of the reduced denominators, which ``scale_lcm`` holds to the
-    bit budget."""
+    bit budget. When all share one denominator d (ints over 1, ``randomgames``
+    over ``SCALE``), L is d / g and each numerator is divided by g, for g =
+    gcd(d, every numerator): the lcm of the divisors d / gcd(d, n_k) of d."""
+    if dens and dens.count(d := dens[0]) == len(dens):
+        g = gcd(d, *nums)
+        return scale_lcm((d // g,), "common denominator of a cost function"), (
+            nums if g == 1 else list(map(floordiv, nums, repeat(g))))
     factors = list(map(gcd, nums, dens))
     if max(factors, default=1) > 1:  # values are mostly reduced already
         nums = list(map(floordiv, nums, factors))
@@ -254,21 +275,34 @@ def _over_common_denominator(nums: list, dens: list) -> tuple[int, list]:
 
 def _monotone(table: tuple, n: int) -> bool:
     """True iff ``table[mask] <= table[mask | bit]`` for every mask and bit.
-    Per bit, compares the slices of masks without and with it: strided
+    Up to 5 players, compares all n * 2^(n-1) pairs in one pass. Past that,
+    per bit, compares the slices of masks without and with it: strided
     through the whole table for a low bit, block by block for a high one,
     so that each of the about 2 * 2^(n/2) passes runs in C."""
+    if 0 < n <= 5:
+        without, with_ = _mask_pairs(n)
+        return not any(map(gt, without(table), with_(table)))
     size = 1 << n
     for b in range(n):
         half = 1 << b
         step = half << 1
         if half * half <= size // 2:
-            pairs = ((table[o::step], table[o + half::step]) for o in range(half))
+            for o in range(half):
+                if any(map(gt, table[o::step], table[o + half::step])):
+                    return False
         else:
-            pairs = ((table[s:s + half], table[s + half:s + step])
-                     for s in range(0, size, step))
-        if any(any(map(gt, low, high)) for low, high in pairs):
-            return False
+            for s in range(0, size, step):
+                if any(map(gt, table[s:s + half], table[s + half:s + step])):
+                    return False
     return True
+
+
+@cache
+def _mask_pairs(n: int) -> tuple:
+    """Two itemgetters: of every mask of n players without a bit, and of
+    the same mask with it, pair by pair, each led by mask 0 so it gives a tuple."""
+    pairs = [(m, m | 1 << b) for b in range(n) for m in range(1 << n) if not m >> b & 1]
+    return itemgetter(0, *(m for m, _ in pairs)), itemgetter(0, *(s for _, s in pairs))
 
 
 class SetCostFunction:
@@ -290,9 +324,10 @@ class SetCostFunction:
                  denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
         entries when ``anonymous``: rationals, read by ``parse_fractions``,
-        or ints, not bools, with ``values[k] / denominators[k]`` the k-th
-        entry, not necessarily reduced. ``_over_common_denominator`` reduces
-        the entries and scales them to one denominator L."""
+        or, the integer form, ints, not bools, with ``values[k] /
+        denominators[k]`` the k-th entry, not necessarily reduced, each part
+        held to MAX_DIGITS digits. ``_over_common_denominator`` reduces the
+        entries and scales them to one denominator L."""
         if denominators is None:
             nums, dens = parse_fractions(values)
         else:
@@ -307,6 +342,8 @@ class SetCostFunction:
                     read_int(x, "cost denominator", None)
             if min(dens, default=1) <= 0:
                 raise ValidationError(f"cost denominator {min(dens)} is not positive")
+            if not _short(nums, dens):
+                raise ValidationError(f"bad rational: more than {MAX_DIGITS} digits")
         denominator, scaled = _over_common_denominator(nums, dens)
         if anonymous and len(scaled) < 2:
             raise ValidationError("anonymous cost needs at least 2 entries (n >= 1)")
@@ -380,7 +417,9 @@ class SetCostFunction:
             raise ValidationError(
                 f"cost of the empty set is {self._fraction(v[0])}, must be 0")
         if self._anon:
-            for k in range(self.n):
+            if not any(map(gt, v, v[1:])):
+                return
+            for k in range(self.n):  # find the first decrease, for the message
                 if v[k] > v[k + 1]:
                     raise ValidationError(
                         f"anonymous cost decreases from size {k} to {k + 1}: "

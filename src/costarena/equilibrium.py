@@ -7,9 +7,9 @@ cost denominator and of the protocol's ``share_scale`` of every cost
 function, so each cost and each share is an integer multiple of 1/D. The
 ints come from the layers below without a ``Fraction`` in between: a cost
 row holds (D / f.denominator) * f.scaled(mask), and a potential row (D /
-share_scale(f)) * protocol.scaled_potential(f, mask) for a protocol priced
-by its potential (below). Each of these scales must stay within
-``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
+share_scale(f)) * Q(mask), Q from ``protocol.scaled_potentials(f)``, for a
+protocol priced by its potential (below). Each of these scales must stay
+within ``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
 Cost functions compare by value, so resources with equal costs read the
 same rows.
 
@@ -33,9 +33,11 @@ walks: a table's cost row is its own integers (``scaled_table``), times
 the factor; an anonymous cost's rows are read by user count from n + 1
 integers (``scaled_counts``, Shapley's running sum); and a table's
 potential is the protocol's one-pass table (``scaled_potentials``). Every
-other row, and every row of any other kernel, is a ``core.Memo`` that fills
-one user-mask entry on first touch, a cost row from the same integers (a
-table's own at factor 1); share rows are always such memos.
+other row, and every row of any other kernel, fills one user-mask entry on
+first touch from the same stores, a potential row from the protocol's own
+(``scaled_potentials(f, whole=False)``, a table's lazy memo): it is that
+store itself for a table at factor 1, else a ``core.Memo`` over it. No row
+checks its masks, which are user sets by construction. Share rows are memos.
 
 The walk visits profiles in reflected mixed-radix Gray order (Knuth,
 TAOCP 4A, 7.2.1.1, Algorithm H): each step moves one player to the next
@@ -99,11 +101,12 @@ INFINITE = math.inf
 
 
 def _row(values, factor: int, n: int, counts: list[int] | None):
-    """``factor`` times ``values``, n players' stored integers by mask or by
-    user count 0..n (the two agree at n = 1), as a row by mask: ``values``
-    itself if by mask at factor 1; else a whole list with ``counts``, the
-    popcount of each mask, and a ``Memo`` filled on first read without."""
-    by_mask = len(values) == 1 << n
+    """``factor`` times ``values``, n players' stored integers by mask (a
+    ``Memo`` always is) or by user count 0..n (the two agree at n = 1), as a
+    row by mask: ``values`` itself if by mask at factor 1; else a whole list
+    with ``counts``, the popcount of each mask, and a ``Memo`` filled on
+    first read without."""
+    by_mask = type(values) is Memo or len(values) == 1 << n
     if counts is not None:
         if factor != 1:
             values = [factor * x for x in values]
@@ -165,13 +168,8 @@ class _Kernel:
             return
         factors = [scale // d for d in own]
         if _prices_by_potential(protocol):
-            if counts is not None:
-                rows = [_row(protocol.scaled_potentials(f), k, model.n, counts)
-                        for f, k in zip(distinct, factors)]
-            else:
-                potential = protocol.scaled_potential
-                rows = [Memo(lambda m, f=f, k=k: k * potential(f, m))
-                        for f, k in zip(distinct, factors)]
+            rows = [_row(protocol.scaled_potentials(f, whole=counts is not None), k,
+                         model.n, counts) for f, k in zip(distinct, factors)]
             self.potentials = [rows[j] for j in ids]
             entries = [[(r, row, row) for r, row in enumerate(self.potentials)]] * model.n
         else:
@@ -517,10 +515,11 @@ def potential_minimizer(model: GameModel) -> Profile:
     return profile
 
 
-def _ratio(target: Fraction, opt: Fraction):
+def _ratio(target: int, opt: int):
+    """target / opt, two costs over one scale."""
     if opt == 0:
         return Fraction(1) if target == 0 else INFINITE
-    return target / opt
+    return Fraction(target, opt)
 
 
 @dataclass(frozen=True)
@@ -561,8 +560,8 @@ def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     costs = tuple(Fraction(cost, kernel.scale) for _, cost, _ in pne)
     opt_cost = Fraction(optimum[0], kernel.scale)
     if pne:
-        poa = _ratio(max(costs), opt_cost)
-        pos = _ratio(min(costs), opt_cost)
+        poa = _ratio(max(cost for _, cost, _ in pne), optimum[0])
+        pos = _ratio(min(cost for _, cost, _ in pne), optimum[0])
     else:
         poa = pos = None
     return AnalysisReport(protocol.name, tuple(profile for profile, _, _ in pne), costs,

@@ -40,9 +40,10 @@ P is its ``scaled_potential`` Q. It keeps one store of Q per cost function:
 for an anonymous cost a list by user count, the running sum Q(k) = Q(k -
 1) + W * f.scaled(k users) / k, exact as k divides W; for a table the memo,
 until ``scaled_potentials(f)`` replaces it with the whole row, which the
-equilibrium kernel reads for a walk over at least 2^n profiles. GWS keeps
-one memo per (cost function, block). A protocol has one potential or none:
-``_prices_by_potential`` decides which.
+equilibrium kernel reads for a walk over at least 2^n profiles; any other
+kernel reads the store as it is (``scaled_potentials(f, whole=False)``).
+GWS keeps one memo per (cost function, block). A protocol has one
+potential or none: ``_prices_by_potential`` decides which.
 """
 
 from __future__ import annotations
@@ -157,13 +158,17 @@ class ShapleyProtocol(Protocol):
             return self._by_count[f][users.bit_count()]
         return self._by_mask[f][users]
 
-    def scaled_potentials(self, f: SetCostFunction) -> list:
-        """Q of every user set of ``f``, indexed as ``f`` keeps its own values
-        (``scaled_counts``, ``scaled_table``): by user count for an
-        anonymous cost, else by mask. A table's 2^n entries are filled by
-        ``_potential_row`` on the first call, and kept in place of its memo."""
+    def scaled_potentials(self, f: SetCostFunction, whole: bool = True) -> list | Memo:
+        """Q of every user set of ``f``, the instance's own store, indexed as
+        ``f`` keeps its own values (``scaled_counts``, ``scaled_table``): by
+        user count for an anonymous cost, else by mask. With ``whole``, a
+        table's 2^n entries are filled by ``_potential_row`` on the first
+        call and kept in place of its memo; without, the store is returned
+        as it is, and no read of it checks its mask."""
         if f._anon:
             return self._by_count[f]
+        if not whole:
+            return self._by_mask[f]
         q = self._by_mask.get(f)
         if type(q) is not list:
             q = self._by_mask[f] = _potential_row(list(map(

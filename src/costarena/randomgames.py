@@ -23,7 +23,7 @@ import random
 
 from .core import (
     MAX_PLAYERS, SUBMODULAR, SUPERMODULAR, CapExceededError, GameModel, SetCostFunction,
-    ValidationError, full_mask, mask_members, read_int)
+    ValidationError, full_mask, read_int)
 
 ARBITRARY = "arbitrary"
 COST_CLASSES = (ARBITRARY, SUBMODULAR, SUPERMODULAR)
@@ -76,9 +76,13 @@ def _pairwise_cost(rng: random.Random, n: int) -> SetCostFunction:
     rates = [_small_fraction(rng, 6) for _ in range(n)]
     surcharges = {pair: _small_fraction(rng, 4)
                   for pair in itertools.combinations(range(n), 2)}
-    return _cost(n, [sum(rates[i] for i in members)
-                     + sum(surcharges[pair] for pair in itertools.combinations(members, 2))
-                     for members in map(mask_members, range(1 << n))])
+    table = [0]
+    for h in range(n):  # C(T + h) = C(T) + rate of h + h's surcharges with T, for T below h
+        links = [0]
+        for j in range(h):
+            links += [x + surcharges[j, h] for x in links]
+        table += [c + rates[h] + x for c, x in zip(table, links)]
+    return _cost(n, table)
 
 
 def random_cost(rng: random.Random, n: int, cost_class: str = ARBITRARY) -> SetCostFunction:

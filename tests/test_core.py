@@ -1,18 +1,24 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from costarena.core import (
+    MAX_DIGITS,
     GameModel,
     SetCostFunction,
     ValidationError,
+    _monotone,
+    _over_common_denominator,
     classify,
     full_mask,
     is_anonymous,
     iter_submasks,
     mask_members,
+    parse_fraction,
+    parse_fractions,
     player_mask,
     read_int,
     read_items,
@@ -212,6 +218,155 @@ def test_integer_columns_take_ints(nums, dens, message):
         with pytest.raises(ValidationError) as caught:
             SetCostFunction(1, nums, anonymous=anonymous, denominators=dens)
         assert str(caught.value) == message
+
+
+def test_the_digit_bound_holds_in_every_form():
+    # an int, a Fraction's numerator or denominator, and the integer form's
+    # numerators and denominators: up to MAX_DIGITS digits, and no more
+    message = f"bad rational: more than {MAX_DIGITS} digits"
+    longest = 10 ** MAX_DIGITS - 1
+    for x, refused in ((longest, False), (longest + 1, True)):
+        forms = [
+            lambda: parse_fraction(x),
+            lambda: parse_fraction(F(x)),
+            lambda: parse_fraction(F(1, x)),
+            lambda: parse_fractions([0, x]),
+            lambda: parse_fractions([0, -x]),
+            lambda: parse_fractions([F(1, 2), F(x)]),
+            lambda: parse_fractions([1, F(3, x)]),
+            lambda: SetCostFunction.anonymous([0, x]),
+            lambda: SetCostFunction.anonymous([0, F(x)]),
+            lambda: SetCostFunction(1, [0, x], denominators=[1, 1]),
+            lambda: SetCostFunction(1, [0, x], denominators=[1, x]),
+        ]
+        for k, form in enumerate(forms):
+            if refused:
+                with pytest.raises(ValidationError) as caught:
+                    form()
+                assert str(caught.value) == message, k
+            else:
+                form()
+    assert SetCostFunction(1, [0, longest], denominators=[1, longest]).scaled(1) == 1
+    # a negative numerator is held to the bound before the cost is checked
+    with pytest.raises(ValidationError, match="not monotone"):
+        SetCostFunction(1, [0, -longest], denominators=[1, 1])
+    with pytest.raises(ValidationError, match=message):
+        SetCostFunction(1, [0, -longest - 1], denominators=[1, 1])
+
+
+def item_by_item(values, denominators=None):
+    """L and the numerators over L of a column read one value at a time,
+    by ``parse_fraction`` or as ``values[k] / denominators[k]``, with L the
+    lcm of the reduced denominators: the column readers' reference."""
+    if denominators is None:
+        fractions = list(map(parse_fraction, values))
+    else:
+        fractions = list(map(F, values, denominators))
+    scale = math.lcm(*(x.denominator for x in fractions))
+    return scale, [x.numerator * (scale // x.denominator) for x in fractions]
+
+
+def first_violation(n, scale, scaled, anonymous):
+    """The message of the first decrease in a column, found by brute force."""
+    if anonymous:
+        k = next(k for k in range(n) if scaled[k] > scaled[k + 1])
+        return (f"anonymous cost decreases from size {k} to {k + 1}: "
+                f"{F(scaled[k], scale)} > {F(scaled[k + 1], scale)}")
+    low, high = next((m, m | 1 << k) for m in range(1 << n) for k in range(n)
+                     if not m >> k & 1 and scaled[m] > scaled[m | 1 << k])
+    return f"cost not monotone: C({high:#b}) < C({low:#b})"
+
+
+def test_column_readers_match_item_by_item():
+    # ints, Fractions, the two mixed, and the integer form over one
+    # denominator, zero and negative numerators included: each column
+    # builds the cost that reading it item by item gives, or is refused
+    # with the same message
+    rng = random.Random(34)
+    kinds = set()
+    for trial in range(600):
+        kind = ("ints", "fractions", "mixed", "one denominator")[trial % 4]
+        n, anonymous = rng.randint(1, 5), rng.random() < 0.5
+        if anonymous:
+            column = [0] + sorted(rng.randrange(12) for _ in range(n))
+        else:
+            column = [0] * (1 << n)
+            for m in range(1, 1 << n):
+                column[m] = max(column[m & ~(1 << k)] for k in range(n) if m >> k & 1)
+                column[m] += rng.randrange(3)
+        if rng.random() < 0.3:  # a dip, or a negative entry
+            column[rng.randrange(len(column))] -= rng.randint(1, 4)
+        denominators = None
+        if kind == "fractions":
+            values = [F(x, rng.randint(1, 6)) for x in column]
+        elif kind == "mixed":
+            values = [F(x, rng.randint(1, 6)) if rng.random() < 0.5 else x for x in column]
+        elif kind == "one denominator":
+            scale = rng.choice((1, 6, 12, 360360))
+            factor = rng.choice((1, 2, 3))
+            values, denominators = [factor * x for x in column], [scale] * len(column)
+        else:
+            values = column
+        if kind != "one denominator" and rng.random() < 0.1:
+            values[rng.randrange(1, len(values))] = True
+        expected = None
+        try:
+            scale, scaled = item_by_item(values, denominators)
+        except ValidationError as exc:
+            expected = str(exc)
+        else:
+            if scaled[0] != 0:
+                expected = f"cost of the empty set is {F(scaled[0], scale)}, must be 0"
+            elif any(a > b for a, b in zip(scaled, scaled[1:])) if anonymous else (
+                    not all(scaled[m] <= scaled[m | 1 << k]
+                            for m in range(1 << n) for k in range(n))):
+                expected = first_violation(n, scale, scaled, anonymous)
+        if expected is not None:
+            with pytest.raises(ValidationError) as caught:
+                SetCostFunction(n, values, anonymous=anonymous, denominators=denominators)
+            assert str(caught.value) == expected, (kind, values)
+            kinds.add((kind, "refused"))
+            continue
+        f = SetCostFunction(n, values, anonymous=anonymous, denominators=denominators)
+        assert f.denominator == scale
+        assert (f.scaled_counts() if anonymous else f.scaled_table()) == tuple(scaled)
+        table = [scaled[m.bit_count()] for m in range(1 << n)] if anonymous else scaled
+        reference = SetCostFunction._from_scaled(n, scale, table)
+        assert f == reference and hash(f) == hash(reference)
+        assert [f.scaled(m) for m in range(1 << n)] == table
+        kinds.add((kind, "built"))
+    assert len(kinds) == 8
+    message = "not an exact rational: True"
+    for values in ([0, True], [0, 1, True, 2], [0, F(1, 2), True]):
+        with pytest.raises(ValidationError) as caught:
+            parse_fractions(values)
+        assert str(caught.value) == message
+    # the empty column, and the common denominator of each kind of column
+    assert parse_fractions([]) == ([], []) and _over_common_denominator([], []) == (1, [])
+    with pytest.raises(ValidationError, match="table has 0 entries, expected 2"):
+        SetCostFunction(1, [])
+    for _ in range(200):
+        size = rng.randint(1, 9)
+        nums = [rng.randint(-40, 40) for _ in range(size)]
+        dens = [rng.choice((1, 4, 6, 30))] * size if rng.random() < 0.5 else [
+            rng.randint(1, 30) for _ in range(size)]
+        assert _over_common_denominator(nums, dens) == item_by_item(nums, dens)
+
+
+def test_monotone_matches_brute_force():
+    # monotone tables, and tables with one entry moved up or down
+    rng = random.Random(8)
+    for n in range(1, 9):
+        seen = set()
+        for _ in range(40):
+            table = [rng.randrange(3) + 2 * m.bit_count() for m in range(1 << n)]
+            if rng.random() < 0.5:
+                table[rng.randrange(1 << n)] += rng.choice((-3, -2, 2, 3))
+            expected = all(table[m] <= table[m | 1 << k]
+                           for m in range(1 << n) for k in range(n))
+            assert _monotone(tuple(table), n) is expected
+            seen.add(expected)
+        assert seen == {False, True}
 
 
 def test_scaled_table_is_every_numerator_of_a_table():

@@ -799,6 +799,56 @@ def test_table_cost_rows_read_the_tables_integers():
     assert all(isinstance(row, Memo) for row in _Kernel(g, SHAPLEY, whole=True).costs)
 
 
+def test_lazy_potential_rows_read_the_protocols_store(monkeypatch):
+    # a lazy Shapley kernel's potential row of f is factor * Q at every
+    # mask, read from the store that scaled_potentials(f, whole=False)
+    # gives: at factor 1 a table's row is that memo itself. Filling the
+    # rows never calls scaled_potential
+    anonymous = SetCostFunction.anonymous([0, F(1, 2), F(2, 3), 1])
+    flat = SetCostFunction.anonymous([0, 1, 1, 2])
+    table = SetCostFunction.from_table(3, {0b001: 1, 0b010: 2, 0b100: F(3, 2), 0b011: F(5, 2),
+                                           0b101: 2, 0b110: 3, 0b111: F(7, 2)})
+    other = SetCostFunction.from_table(3, {0b001: 2, 0b010: 1, 0b100: 1, 0b011: 3,
+                                           0b101: F(5, 2), 0b110: F(4, 3), 0b111: 4})
+    either = (frozenset("a"), frozenset("b"), frozenset("ab"))
+    calls = []
+    read = ShapleyProtocol.scaled_potential
+
+    def counted(self, f, users):
+        calls.append(users)
+        return read(self, f, users)
+
+    factors = set()
+    for fns in ((table, table), (other, other), (anonymous, table), (table, other),
+                (flat, table)):
+        g = GameModel(3, ("a", "b"), (either,) * 3, fns)
+        protocol = ShapleyProtocol()
+        with monkeypatch.context() as patch:
+            patch.setattr(ShapleyProtocol, "scaled_potential", counted)
+            kernel = _Kernel(g, protocol)
+            rows = [[row[m] for m in range(8)] for row in kernel.potentials]
+        assert calls == []
+        fresh = ShapleyProtocol()
+        for f, row, filled in zip(fns, kernel.potentials, rows):
+            k = kernel.scale // protocol.share_scale(f)
+            factors.add((f._anon, k == 1))
+            assert filled == [k * fresh.scaled_potential(f, m) for m in range(8)]
+            store = protocol.scaled_potentials(f, whole=False)
+            assert type(store) is (list if f._anon else Memo)
+            assert (row is store) is (k == 1 and not f._anon)
+    assert factors == {(False, False), (False, True), (True, False), (True, True)}
+    # whole=False hands out the store unfilled; a whole row, once built,
+    # replaces the memo, and a later lazy kernel reads that row
+    protocol = ShapleyProtocol()
+    memo = protocol.scaled_potentials(table, whole=False)
+    assert type(memo) is Memo and not memo
+    assert protocol.scaled_potentials(table, whole=False) is memo
+    whole = protocol.scaled_potentials(table)
+    assert type(whole) is list and protocol.scaled_potentials(table, whole=False) is whole
+    g = GameModel(3, ("a", "b"), (either,) * 3, (table, table))
+    assert _Kernel(g, protocol).potentials[0] is whole
+
+
 class LazyKernel(_Kernel):
     """The kernel with every row lazy, whatever it is compiled for."""
 
