@@ -10,13 +10,15 @@ from a file, a CLI argument or a library call, is read by
 ``parse_fraction``, or a column at a time by ``parse_fractions``; every
 player id by ``player_mask``, every user set by ``read_mask``, every
 collection by ``read_items``, and every other outside integer, a count, a
-size, an index or a seed, by ``read_int``.
+size, an index or a seed, by ``read_int``. A table cost's listed (set,
+cost) entries, from ``from_table`` or a file, are read by one classmethod.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -129,6 +131,12 @@ def members_by_mask(n: int) -> tuple[tuple[int, ...], ...]:
     for i in range(n):
         members += [m + (i,) for m in members]
     return tuple(members)
+
+
+@cache
+def _member_index(n: int) -> dict:
+    """Ascending member tuple -> user mask, for every subset of n players."""
+    return dict(zip(members_by_mask(n), range(1 << n)))
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -324,14 +332,16 @@ class SetCostFunction:
                  denominators: Iterable[int] | None = None):
         """``values`` are the 2^n table entries, or the n+1 size-indexed
         entries when ``anonymous``: rationals, read by ``parse_fractions``,
-        or, the integer form, ints, not bools, with ``values[k] /
-        denominators[k]`` the k-th entry, not necessarily reduced, each part
-        held to MAX_DIGITS digits. ``_over_common_denominator`` reduces the
-        entries and scales them to one denominator L."""
+        or, the integer form, two columns for ``read_items`` of ints, not
+        bools, with ``values[k] / denominators[k]`` the k-th entry, not
+        necessarily reduced, each part held to MAX_DIGITS digits.
+        ``_over_common_denominator`` reduces the entries and scales them to
+        one denominator L."""
         if denominators is None:
             nums, dens = parse_fractions(values)
         else:
-            nums, dens = list(values), list(denominators)
+            nums = read_items(values, "cost numerators")
+            dens = read_items(denominators, "cost denominators")
             if len(nums) != len(dens):
                 raise ValidationError(
                     f"cost function has {len(nums)} numerators and {len(dens)} denominators")
@@ -355,15 +365,6 @@ class SetCostFunction:
                 f"entries, expected {size}")
         self._store(n, denominator, scaled, anonymous)
 
-    @classmethod
-    def _from_scaled(cls, n: int, denominator: int, table: list) -> "SetCostFunction":
-        """The table cost whose 2^n numerators over ``denominator`` are
-        ``table``: for a reader that has reduced its own entries with
-        ``_over_common_denominator``."""
-        f = cls.__new__(cls)
-        f._store(n, denominator, table, False)
-        return f
-
     def _store(self, n: int, denominator: int, scaled: list, anonymous: bool) -> None:
         """The step that every construction ends in: keeps the numerators
         and validates them."""
@@ -382,15 +383,46 @@ class SetCostFunction:
         else a mask (``read_mask``); no two keys may name one set. Omitted
         sets cost 0 (rejected afterwards if that breaks monotonicity).
         """
-        check_player_count(n)  # before sizing the table by it
-        table = {}
-        for key, value in entries.items():
-            mask = (player_mask(key, n) if isinstance(key, (tuple, list, set, frozenset))
-                    else read_mask(key, n))
-            if mask in table:
-                raise ValidationError(f"duplicate table entry for set {key!r}")
+        check_player_count(n)
+        if not isinstance(entries, Mapping):
+            raise ValidationError(f"table {entries!r} is not a mapping")
+        return cls._listed(n, list(entries), list(entries.values()))
+
+    @classmethod
+    def _listed(cls, n: int, keys: list, values: list) -> "SetCostFunction":
+        """The table cost of ``values[k]`` on the set ``keys[k]``, and of 0 on
+        every set not listed: the one reader of listed entries, behind
+        ``from_table`` and a file's ``table``. A key is read as
+        ``from_table`` reads it, in one pass that runs in C when every key
+        is a tuple or list of ints; any other key, or one not written as
+        distinct ids in ascending order, is read on its own. Faults are
+        looked for kind by kind: a key, a repeated set, a rational; the
+        first entry with the first kind found is named. Only the listed
+        values are parsed and reduced."""
+        check_player_count(n)  # before sizing the index and the table by it
+        # only int members are looked up: the index would take True for 1
+        masks = (list(map(_member_index(n).get, map(tuple, keys)))
+                 if set(map(type, keys)) <= {tuple, list}
+                 and set(map(type, chain.from_iterable(keys))) <= {int}
+                 else [None] * len(keys))
+        if None in masks:
+            masks = [mask if mask is not None
+                     else player_mask(key, n) if isinstance(key, (tuple, list, set, frozenset))
+                     else read_mask(key, n)
+                     for mask, key in zip(masks, keys)]
+        if len(set(masks)) != len(masks):
+            seen = set()
+            for mask, key in zip(masks, keys):
+                if mask in seen:
+                    raise ValidationError(f"duplicate table entry for set {key!r}")
+                seen.add(mask)
+        denominator, scaled = _over_common_denominator(*parse_fractions(values))
+        table = [0] * (1 << n)  # omitted sets cost 0
+        for mask, value in zip(masks, scaled):
             table[mask] = value
-        return cls(n, [table.get(mask, 0) for mask in range(1 << n)])
+        f = cls.__new__(cls)
+        f._store(n, denominator, table, False)
+        return f
 
     @classmethod
     def anonymous(cls, values) -> "SetCostFunction":
@@ -562,6 +594,8 @@ class GameModel:
         if len(self.cost_fns) != len(self.resources):
             raise ValidationError("one cost function per resource required")
         for rid, f in zip(self.resources, self.cost_fns):
+            if not isinstance(f, SetCostFunction):
+                raise ValidationError(f"cost function of {rid!r} is not a SetCostFunction: {f!r}")
             if f.n != self.n:
                 raise ValidationError(f"cost function of {rid!r} has arity {f.n}, game has {self.n}")
         if len(self.strategy_sets) != self.n:

@@ -32,20 +32,17 @@ the constructor that it is handed to, which reads it with
 collection, a block or a cost column, to ``core.read_items``, and every
 rational to ``core.parse_fraction``, a cost column through
 ``core.parse_fractions``, which reads "p/q" columns in bulk. An anonymous
-cost goes to the ``SetCostFunction`` constructor. A table's listed entries
-alone go to ``core._over_common_denominator``, which reduces them, checks
-the bit budget and scales them to one canonical denominator; the table of
-2^n numerators that they are scattered into is stored and validated as
-the constructor stores its own.
+cost goes to the ``SetCostFunction`` constructor, and a table's sets and
+costs, as two columns, to the one reader behind ``from_table``, which
+parses and reduces only the listed entries.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from .core import (
@@ -53,10 +50,7 @@ from .core import (
     GameModel,
     SetCostFunction,
     ValidationError,
-    _over_common_denominator,
     check_player_count,
-    members_by_mask,
-    parse_fractions,
     player_mask,
     read_items,
 )
@@ -125,52 +119,20 @@ def cost_from_json(n: int, obj) -> SetCostFunction:
         return SetCostFunction(n, read_items(obj["anonymous"], "anonymous cost"), anonymous=True)
     if "table" in obj:
         entries = read_items(obj["table"], "table cost")
-        check_player_count(n)  # before sizing the table by it
-        masks, nums, dens = _table(n, entries)
-        denominator, scaled = _over_common_denominator(nums, dens)
-        table = [0] * (1 << n)  # omitted sets cost 0
-        deque(map(table.__setitem__, masks, scaled), 0)
-        return SetCostFunction._from_scaled(n, denominator, table)
+        check_player_count(n)  # its message comes before any entry's
+        try:  # each field in one pass that runs in C
+            sets = list(map(itemgetter("set"), entries))
+            costs = list(map(itemgetter("cost"), entries))
+            typed = set(map(type, entries)) <= {dict} and set(map(type, sets)) <= {list}
+        except (KeyError, TypeError):
+            typed = False
+        if not typed:  # name the first malformed entry
+            sets, costs = [], []
+            for e in entries:
+                sets.append(_require(e, "set", list, "table entry"))
+                costs.append(_require(e, "cost", None, "table entry"))
+        return SetCostFunction._listed(n, sets, costs)
     raise ValidationError("cost needs an 'anonymous' or 'table' key")
-
-
-def _table(n: int, entries: tuple) -> tuple[list, list, list]:
-    """The user masks, numerators and denominators of the table entries.
-    Each field is read and type-checked in one pass that runs in C; a set
-    not written as distinct ids in ascending order is read on its own.
-    Faults are looked for kind by kind: an entry's structure, a member id,
-    a duplicate set, a rational; the first entry with the first kind
-    found is named."""
-    try:
-        sets = list(map(itemgetter("set"), entries))
-        costs = list(map(itemgetter("cost"), entries))
-        typed = (set(map(type, entries)) <= {dict} and set(map(type, sets)) <= {list}
-                 and set(map(type, chain.from_iterable(sets))) <= {int})
-    except (KeyError, TypeError):
-        typed = False
-    if not typed:  # name the first malformed entry
-        sets, costs = [], []
-        for e in entries:
-            sets.append(_require(e, "set", list, "table entry"))
-            costs.append(_require(e, "cost", None, "table entry"))
-    # only int members are looked up: the index would take True for 1
-    masks = list(map(_member_index(n).get, map(tuple, sets))) if typed else [None] * len(sets)
-    if None in masks:  # untyped, or written out of order or with a member twice
-        masks = [player_mask(members, n) if mask is None else mask
-                 for mask, members in zip(masks, sets)]
-    if len(set(masks)) != len(masks):
-        seen = set()
-        for mask, members in zip(masks, sets):
-            if mask in seen:
-                raise ValidationError(f"duplicate table entry for set {members!r}")
-            seen.add(mask)
-    return (masks, *parse_fractions(costs))
-
-
-@cache
-def _member_index(n: int) -> dict:
-    """Ascending member tuple -> user mask, for every subset of n players."""
-    return dict(zip(members_by_mask(n), range(1 << n)))
 
 
 @cache

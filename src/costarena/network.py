@@ -62,6 +62,8 @@ class NetworkModel:
         for e in self.edges:
             if e.tail not in vset or e.head not in vset:
                 raise ValidationError(f"edge {e.id!r} touches unknown vertices")
+            if not isinstance(e.cost, SetCostFunction):
+                raise ValidationError(f"edge {e.id!r} cost {e.cost!r} is not a SetCostFunction")
             if e.cost.n != n:
                 raise ValidationError(
                     f"edge {e.id!r} cost arity {e.cost.n}, game has {n} players")

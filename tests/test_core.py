@@ -198,6 +198,10 @@ def test_integer_values_over_a_canonical_denominator():
         SetCostFunction(2, [0, 3, 0, 2], denominators=[2] * 4)
     with pytest.raises(ValidationError, match="from size 1 to 2: 3/2 > 1"):
         SetCostFunction(2, [0, 3, 2], anonymous=True, denominators=[2] * 3)
+    # read_items reads both columns, as it reads the rational form's column
+    assert SetCostFunction(1, (0, 2), denominators=(1, 2)) == SetCostFunction(1, [0, 1])
+    with pytest.raises(ValidationError, match="^cost numerators <list_iterator "):
+        SetCostFunction(1, iter([0, 1]), denominators=iter([1, 1]))
     with pytest.raises(ValidationError, match="empty set is 1/3"):
         SetCostFunction(1, [2, 4], denominators=[6] * 2)
 
@@ -331,7 +335,7 @@ def test_column_readers_match_item_by_item():
         assert f.denominator == scale
         assert (f.scaled_counts() if anonymous else f.scaled_table()) == tuple(scaled)
         table = [scaled[m.bit_count()] for m in range(1 << n)] if anonymous else scaled
-        reference = SetCostFunction._from_scaled(n, scale, table)
+        reference = SetCostFunction(n, table, denominators=[scale] * len(table))
         assert f == reference and hash(f) == hash(reference)
         assert [f.scaled(m) for m in range(1 << n)] == table
         kinds.add((kind, "built"))

@@ -9,8 +9,8 @@ message and no traceback; exit 1 would claim a failed bound check.
 
 Table cost entries get their own mutations, in the shapes that leave the
 table reader's passes for its per-entry paths; each such mutant must load
-to the cost that ``SetCostFunction.from_table`` builds from the entries
-over ``parse_fraction``, or fail where that reference fails.
+to the cost that the rational constructor builds from a dense list of the
+entries over ``parse_fraction``, or fail where that reference fails.
 """
 
 from __future__ import annotations
@@ -191,20 +191,22 @@ ENTRY_MUTATIONS = (
 
 
 def reference_cost(n, entries):
-    """The table cost that ``from_table`` builds over ``parse_fraction``,
-    or None where an entry is malformed or a set is written twice."""
+    """The table cost that the rational constructor builds over a dense
+    list of ``parse_fraction`` of each written cost, at the mask of its set,
+    or None where an entry is malformed, names an id outside 0..n-1 or
+    writes a set twice."""
     table = {}
     for e in entries:
         if (type(e) is not dict or not {"set", "cost"} <= e.keys() or type(e["set"]) is not list
-                or not all(type(i) is int for i in e["set"])):
+                or not all(type(i) is int and 0 <= i < n for i in e["set"])):
             return None
-        key = frozenset(e["set"])
-        if key in table:
+        mask = sum(1 << i for i in set(e["set"]))
+        if mask in table:
             return None
-        table[key] = e["cost"]
+        table[mask] = e["cost"]
     try:
-        return SetCostFunction.from_table(
-            n, {tuple(k): parse_fraction(v) for k, v in table.items()})
+        return SetCostFunction(
+            n, [parse_fraction(table[mask]) if mask in table else 0 for mask in range(1 << n)])
     except ValidationError:
         return None
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -491,10 +492,15 @@ def table_with(at, entry):
 
 
 def reference_table(n, entries):
-    """The table cost built without the file reader: ``from_table`` over
-    ``parse_fraction`` of each written cost."""
-    return SetCostFunction.from_table(
-        n, {tuple(e["set"]): parse_fraction(e["cost"]) for e in entries})
+    """The table cost built without the listed-entry reader: the rational
+    constructor over a dense list of ``parse_fraction`` of each written
+    cost, at the mask of its set, and 0 at every set not written."""
+    dense = {}
+    for e in entries:
+        mask = sum(1 << i for i in set(e["set"]))
+        assert mask not in dense, e
+        dense[mask] = parse_fraction(e["cost"])
+    return SetCostFunction(n, [dense.get(mask, 0) for mask in range(1 << n)])
 
 
 def assert_same_cost(f, g):
@@ -522,6 +528,66 @@ ACCEPTED_TABLES = {
 @pytest.mark.parametrize("entries", ACCEPTED_TABLES.values(), ids=ACCEPTED_TABLES)
 def test_bulk_table_reader_equals_checked_loop(entries):
     assert_same_cost(cost_from_json(2, {"table": entries}), reference_table(2, entries))
+
+
+class ListKeyed(Mapping):
+    """A mapping over (key, value) pairs, whose keys may be lists, as a dict's cannot."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(v for k, v in self.pairs if k == key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+KEY_FORMS = ("ascending", "shuffled", "frozenset", "mask", "mixed")
+
+
+def written_key(mask, n, form, rng):
+    """The set ``mask`` of n players as a ``from_table`` key of ``form``."""
+    members = [i for i in range(n) if mask >> i & 1]
+    if form == "mixed":
+        form = rng.choice(KEY_FORMS[:-1])
+    if form == "ascending":
+        return tuple(members)
+    if form == "shuffled":  # a list, out of order, with members repeated
+        rng.shuffle(members)
+        return members + rng.sample(members, min(len(members), rng.randint(0, 2)))
+    return frozenset(members) if form == "frozenset" else mask
+
+
+def test_from_table_reads_every_key_form_as_a_dense_reference():
+    rng = random.Random(35)
+    for n in range(1, 9):
+        for form in KEY_FORMS:
+            dense = [F(0)] * (1 << n)
+            for m in range(1, 1 << n):
+                dense[m] = max(dense[m & ~(1 << k)] for k in range(n) if m >> k & 1)
+                dense[m] += F(rng.randrange(3), rng.randint(1, 6))
+            listed = [m for m in range(1 << n) if dense[m] or rng.random() < 0.3]
+            rng.shuffle(listed)
+            pairs = [(written_key(m, n, form, rng), dense[m]) for m in listed]
+            entries = ListKeyed(pairs) if form in ("shuffled", "mixed") else dict(pairs)
+            assert_same_cost(SetCostFunction.from_table(n, entries), SetCostFunction(n, dense))
+    # from_table and a file name each fault alike: a bad id, a set written
+    # twice, a bad rational and a dip
+    for written, message in [
+            ([([0], "1/1"), ([0, 2], "2/1")], "player id 2 in [0, 2] out of range 0..1"),
+            ([([1], "1/1"), ([1, 1], "2/1")], "duplicate table entry for set [1, 1]"),
+            ([([0], "1/1"), ([1], "x")], "bad rational 'x'"),
+            ([([0], "3/1"), ([0, 1], "2/1")], "cost not monotone: C(0b11) < C(0b1)")]:
+        doc = {"table": [{"set": s, "cost": c} for s, c in written]}
+        for build in (lambda: SetCostFunction.from_table(2, ListKeyed(written)),
+                      lambda: cost_from_json(2, doc)):
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert str(caught.value) == message
 
 
 def test_bulk_table_reader_reads_written_tables():
@@ -955,6 +1021,16 @@ def one_edge_network(terminals):
     (lambda: WeightSystem((1, 1), ((1,), (0, 1))), "player 1 appears twice in partition"),
     (lambda: WeightSystem((1, 1, 1), ((2, 0),)), "ordered partition must cover every player"),
     (lambda: WeightSystem((1, 1), ((0, 1), ())), "empty block in ordered partition"),
+    (lambda: SetCostFunction.from_table(2, [((0,), 1)]), "table [((0,), 1)] is not a mapping"),
+    (lambda: SetCostFunction(1, 5, denominators=[1]), "cost numerators 5 is not a tuple or list"),
+    (lambda: SetCostFunction(1, {0: 0, 1: 1}, denominators=[1, 1]),
+     "cost numerators {0: 0, 1: 1} is not a tuple or list"),
+    (lambda: SetCostFunction(1, [0, 1], denominators={1, 2}),
+     "cost denominators {1, 2} is not a tuple or list"),
+    (lambda: GameModel(1, ("r",), ((frozenset({"r"}),),), (5,)),
+     "cost function of 'r' is not a SetCostFunction: 5"),
+    (lambda: NetworkModel(("s", "t"), (Edge("e", "s", "t", 5),), (("s", "t"),)),
+     "edge 'e' cost 5 is not a SetCostFunction"),
 ])
 def test_rejections_name_the_fault(build, message):
     with pytest.raises(ValidationError) as caught:
