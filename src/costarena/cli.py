@@ -4,6 +4,10 @@ Machine-readable JSON goes to stdout, a short human summary to stderr.
 Exit codes: 0 success, 2 validation/input error, 3 enumeration cap
 exceeded (or non-convergence under ``dynamics --strict``). Exit code 1 is
 reserved for ``verify-bounds`` finding an actual bound violation.
+
+The parser keeps structure only: every value goes as text to the library
+reader that takes it, and every refusal, the parser's too, is one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -15,36 +19,16 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .core import (
-    SUBMODULAR, SUPERMODULAR, CapExceededError, ValidationError, mask_members,
-    parse_fraction)
+from .core import SUBMODULAR, SUPERMODULAR, CapExceededError, ValidationError, mask_members
 from .equilibrium import INFINITE, analyze, best_response_dynamics
 from .gadgets import (
-    GadgetSpec,
-    KINDS,
-    POA_UNBOUNDED,
-    POS_LINEAR,
-    POS_NHARMONIC,
-    build_poa_unbounded,
-    build_pos_linear,
-    build_pos_nharmonic,
-    verify_gadget,
-)
+    KINDS, POS_LINEAR, POS_NHARMONIC, GadgetSpec, build_poa_unbounded, build_pos_linear,
+    build_pos_nharmonic, verify_gadget)
 from .gamefile import (
-    fraction_to_str,
-    load_game,
-    load_table_protocol,
-    load_weight_system,
-    network_to_json,
-)
+    fraction_to_str, load_game, load_table_protocol, load_weight_system, network_to_json)
 from .potential import harmonic
 from .protocols import (
-    GeneralizedWeightedShapley,
-    Protocol,
-    ProtocolError,
-    ShapleyProtocol,
-    WeightSystem,
-)
+    GeneralizedWeightedShapley, Protocol, ProtocolError, ShapleyProtocol, WeightSystem)
 from .randomgames import COST_CLASSES, corpus
 
 
@@ -75,6 +59,15 @@ def resolve_protocol(spec: str) -> tuple[Protocol, WeightSystem | None]:
         return load_table_protocol(spec[6:]), None
     raise ValidationError(
         f"unknown protocol {spec!r}; use shapley, gws:<file> or table:<file>")
+
+
+def _int(text, what: str) -> int | None:
+    """An integer argument as ``int()`` reads its text, for the library
+    reader that range-checks it; None (not given) stays None."""
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise ValidationError(f"{what} {text!r} is not an int") from None
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
@@ -145,15 +138,14 @@ def cmd_shares(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gadget(args) -> int:
+    spec = GadgetSpec(args.kind, n=_int(args.n, "player count"), eps=args.eps, a=args.a)
     protocol, weights = resolve_protocol(args.protocol)
     case = None
-    if args.kind == POS_LINEAR:
-        spec = GadgetSpec(POS_LINEAR, n=args.n, eps=args.eps)
+    if spec.kind == POS_LINEAR:
         if protocol.name != "shapley":  # the gadget's ratio holds under Shapley only
             raise ValidationError("pos_linear needs the shapley protocol")
         nm = build_pos_linear(spec.n, spec.eps)
-    elif args.kind == POS_NHARMONIC:
-        spec = GadgetSpec(POS_NHARMONIC, n=args.n, eps=args.eps)
+    elif spec.kind == POS_NHARMONIC:
         if weights is None:
             if protocol.name != "shapley":
                 raise ValidationError("pos_nharmonic needs shapley or gws:<file>")
@@ -161,7 +153,6 @@ def cmd_gadget(args) -> int:
             protocol = GeneralizedWeightedShapley(weights)
         nm = build_pos_nharmonic(spec.n, spec.eps, weights)
     else:
-        spec = GadgetSpec(POA_UNBOUNDED, a=args.a)
         nm, case = build_poa_unbounded(spec.a, protocol)
     expected = spec.expected_ratio(case)
     report = verify_gadget(nm, expected, spec.kind, protocol)
@@ -194,22 +185,21 @@ def cmd_gadget(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dynamics(args) -> int:
+    max_steps, seed = _int(args.max_steps, "max_steps"), _int(args.seed, "seed")
     model, _ = load_game(args.file)
     protocol, _ = resolve_protocol(args.protocol)
     if args.start is None:
         start = (0,) * model.n
     elif args.start.startswith("random:"):
         try:
-            seed = int(args.start[7:])
+            rng = random.Random(int(args.start[7:]))
         except ValueError:
             raise ValidationError(f"bad start {args.start!r}") from None
-        rng = random.Random(seed)
         start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
     else:
         start = _parse_profile(args.start)
     result = best_response_dynamics(model, protocol, start,
-                                    max_steps=args.max_steps,
-                                    schedule=args.schedule, seed=args.seed)
+                                    max_steps=max_steps, schedule=args.schedule, seed=seed)
     _emit({
         "protocol": protocol.name,
         "start": list(start),
@@ -241,7 +231,8 @@ def cmd_dynamics(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     protocol = ShapleyProtocol()
-    games = corpus(args.seed, args.count, args.cost_class)
+    seed, count = _int(args.seed, "seed"), _int(args.count, "game count")
+    games = corpus(seed, count, args.cost_class)
     violations = []
     checked = []
     limits = {}  # player count n -> (n, H_n, n * H_n), each computed once
@@ -270,13 +261,13 @@ def cmd_verify_bounds(args) -> int:
     ok = not violations
     _emit({
         "class": args.cost_class,
-        "seed": args.seed,
-        "count": args.count,
+        "seed": seed,
+        "count": count,
         "bounds": sorted(set(checked)),
         "violations": violations,
         "ok": ok,
     })
-    _note(f"{args.count} {args.cost_class} games, seed {args.seed}: "
+    _note(f"{count} {args.cost_class} games, seed {seed}: "
           + ("all bounds hold" if ok else f"{len(violations)} violations"))
     return 0 if ok else 1
 
@@ -285,8 +276,15 @@ def cmd_verify_bounds(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses in one ``error:`` line with exit 2, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="costarena",
         description="Exact analysis of cost-sharing games with "
                     "set-dependent resource costs.")
@@ -308,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shares)
 
     p = sub.add_parser("gadget", help="generate and verify a worst-case game")
-    p.add_argument("kind", choices=KINDS)
-    p.add_argument("--n", type=int, help="player count (pos_* kinds)")
-    p.add_argument("--eps", type=parse_fraction, help="gap parameter, e.g. 1/4")
-    p.add_argument("--a", type=parse_fraction, help="target ratio (poa_unbounded)")
+    p.add_argument("kind", help="one of " + ", ".join(KINDS))
+    p.add_argument("--n", help="player count (pos_* kinds)")
+    p.add_argument("--eps", help="gap parameter, e.g. 1/4")
+    p.add_argument("--a", help="target ratio (poa_unbounded)")
     p.add_argument("--out", help="write the generated game file here")
     add_protocol(p)
     p.set_defaults(func=cmd_gadget)
@@ -320,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--start", default=None,
                    help="comma-separated indices or random:<seed> (default all zeros)")
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-    p.add_argument("--schedule", choices=("round-robin", "random"),
-                   default="round-robin")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--max-steps", dest="max_steps",
+                   help="most changes to make, at most equilibrium.STEP_CAP")
+    p.add_argument("--schedule", default="round-robin", help="round-robin (default) or random")
+    p.add_argument("--seed", default=0,
                    help="sweep shuffle seed for --schedule random (default 0)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the step cap is hit before convergence")
@@ -332,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds",
                        help="check the equilibrium ratio bounds on random games")
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--class", dest="cost_class", choices=COST_CLASSES,
-                   default="arbitrary")
+    p.add_argument("--seed", default=2026)
+    p.add_argument("--count", default=200)
+    p.add_argument("--class", dest="cost_class", default="arbitrary",
+                   help="one of " + ", ".join(COST_CLASSES) + " (default arbitrary)")
     p.set_defaults(func=cmd_verify_bounds)
     return parser
 

@@ -86,6 +86,10 @@ from .protocols import Protocol, ShapleyProtocol, _prices_by_potential
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
 PROFILE_CAP = 10 ** 7
 
+#: Most changes best-response dynamics may make, and so store in its trace:
+#: the default budget is at most this, and a larger ``max_steps`` is refused.
+STEP_CAP = 10 ** 5
+
 #: Most deviation pairs the walk keeps for one player: k(k - 1) for k
 #: strategies. A player past it is checked by full sums instead, with the
 #: same answers.
@@ -429,16 +433,17 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     ``schedule="random"`` in the order ``random.Random(seed)`` shuffles;
     ``seed`` must be an int whatever the schedule. A
     run converges when a full sweep accepts no change; ``max_steps`` (an
-    int, not negative) bounds accepted changes, and a run stops short only
+    int in 0..STEP_CAP) bounds accepted changes, and a run stops short only
     to make one more (default 10x the profile-space size, above the number
-    of distinct potential values). Under a protocol priced by its
-    potential (module docstring), each trace entry records that potential
-    for the profile after the change; under any other, ``phi`` is None.
+    of distinct potential values, or STEP_CAP if that is smaller). Under a
+    protocol priced by its potential (module docstring), each trace entry
+    records that potential for the profile after the change; under any
+    other, ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:
-        max_steps = 10 * model.profile_space_size()
-    read_int(max_steps, "max_steps")
+        max_steps = min(10 * model.profile_space_size(), STEP_CAP)
+    read_int(max_steps, "max_steps", 0, STEP_CAP)
     read_int(seed, "seed", None)
     if schedule not in ("round-robin", "random"):
         raise ValidationError(f"unknown schedule {schedule!r}")

@@ -67,6 +67,7 @@ from .core import (
     mask_members,
     members_by_mask,
     parse_fraction,
+    parse_fractions,
     player_mask,
     read_items,
     read_mask,
@@ -366,6 +367,30 @@ class GeneralizedWeightedShapley(Protocol):
 # Explicit share tables
 # ---------------------------------------------------------------------------
 
+class _EntryView(Mapping):
+    """The read-only (cost function, user set) -> shares view of a store
+    keyed by cost function and then by user set."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: dict):
+        self._store = store
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        return self._store[key[0]][key[1]]
+
+    def __iter__(self):
+        return ((f, users) for f, row in self._store.items() for users in row)
+
+    def __len__(self):
+        return sum(map(len, self._store.values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class TableProtocol(Protocol):
     """Shares looked up from explicit (cost function, user set) entries.
@@ -375,8 +400,10 @@ class TableProtocol(Protocol):
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
     protocols in negative tests; the constructor copies its entries in as
-    unvalidated ones. Pricing and ``share_scale`` read one store, of which
-    ``entries`` and each entry's shares are read-only views, so only
+    unvalidated ones. Pricing and ``share_scale`` read one store, keyed by
+    cost function and then by user set, so ``share_scale(f)`` reads only
+    ``f``'s entries. ``entries``, keyed by (cost function, user set) pairs,
+    and each entry's shares are read-only views of it, so only
     ``set_entry`` adds an entry, and it drops that function's kept share
     scale. A scaled share is an entry's value or the fallback's scaled
     share, times the ratio of the scales. A cost function whose arity is
@@ -396,18 +423,18 @@ class TableProtocol(Protocol):
             check_player_count(self.players)
         if not isinstance(given := self.entries, Mapping):
             raise ValidationError(f"share entries {given!r} is not a mapping")
-        entries, fallback = {}, self.fallback  # entries: (f, users) -> shares, the one store
+        entries, fallback = {}, self.fallback  # entries: f -> users -> shares, the one store
 
         def scale(f: SetCostFunction) -> int:  # holds no self: no reference cycle
-            scales = {v.denominator for users in range(1 << f.n)
-                      for v in entries.get((f, users), {}).values()}
+            scales = {v.denominator for shares in entries.get(f, {}).values()
+                      for v in shares.values()}
             if fallback is not None:
                 scales.add(fallback.share_scale(f))
             return scale_lcm(scales, "common denominator of the share table")
 
         object.__setattr__(self, "_scales", Memo(scale))  # set past the frozen fields
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "entries", _EntryView(entries))
         for key, shares in given.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ValidationError(
@@ -422,7 +449,8 @@ class TableProtocol(Protocol):
         read_mask(users, f.n)
         if not isinstance(shares, Mapping):
             raise ValidationError(f"shares {shares!r} is not a mapping")
-        shares = {i: parse_fraction(v) for i, v in shares.items()}
+        nums, dens = parse_fractions(list(shares.values()), "shares")
+        shares = dict(zip(shares, map(Fraction, nums, dens)))
         members = player_mask(list(shares), f.n)
         if validate:
             if members != users:
@@ -432,13 +460,12 @@ class TableProtocol(Protocol):
                 raise ValidationError(
                     f"shares for {users:#b} sum to {sum(shares.values())}, "
                     f"cost is {f.value(users)}")
-        self._entries[(f, users)] = MappingProxyType(shares)
+        self._entries.setdefault(f, {})[users] = MappingProxyType(shares)
         self._scales.pop(f, None)  # share_scale(f) reads f's entries
 
     def share_scale(self, f: SetCostFunction) -> int:
         """The lcm of the denominators in ``f``'s own entries and of the
-        fallback's scale; entries for other cost functions do not count, and
-        only ``f``'s 2^n keys are looked up."""
+        fallback's scale; only ``f``'s listed entries are read."""
         return self._scales[f]
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
@@ -446,7 +473,7 @@ class TableProtocol(Protocol):
         if self.players is not None and f.n != self.players:
             raise ProtocolError(
                 f"share table covers {self.players} players, cost function {f.n}")
-        entry = self._entries.get((f, users))
+        entry = self._entries.get(f, {}).get(users)
         if entry is not None:
             value = entry.get(i, ZERO)
             return value.numerator * (self.share_scale(f) // value.denominator)

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from costarena import equilibrium
 from costarena.cli import main
-from costarena.core import MAX_SCALE_BITS, GameModel, SetCostFunction, scale_lcm
-from costarena.equilibrium import AnalysisReport
+from costarena.core import (
+    MAX_SCALE_BITS, GameModel, SetCostFunction, ValidationError, check_player_count,
+    parse_fraction, read_int, scale_lcm)
+from costarena.equilibrium import AnalysisReport, best_response_dynamics
+from costarena.gadgets import GadgetSpec
 from costarena.gamefile import game_to_json, network_to_json
 from costarena.network import to_game
-from costarena.randomgames import CORPUS_CAP
+from costarena.protocols import ShapleyProtocol
+from costarena.randomgames import CORPUS_CAP, corpus
 
 F = Fraction
 
@@ -22,16 +27,19 @@ def run(capsys, *argv):
     return rc, doc, captured.err
 
 
-def tension_file(tmp_path):
-    g = GameModel(
+def tension_game():
+    return GameModel(
         2, ("e1", "e2"),
         ((frozenset({"e1"}),),
          (frozenset({"e1"}), frozenset({"e2"}))),
         (SetCostFunction.anonymous([0, 0, F(3, 2)]),
          SetCostFunction.anonymous([0, 1, 2])),
     )
+
+
+def tension_file(tmp_path):
     p = tmp_path / "game.json"
-    p.write_text(json.dumps(game_to_json(g)))
+    p.write_text(json.dumps(game_to_json(tension_game())))
     return str(p)
 
 
@@ -433,11 +441,10 @@ def test_gadget_bad_parameters(capsys):
 
 @pytest.mark.parametrize("flag, kind", [("--eps", "pos_linear"), ("--a", "poa_unbounded")])
 def test_gadget_parameters_get_the_file_exponent_guard(capsys, flag, kind):
-    # the exponent is refused before Fraction computes 10 ** 5000
-    with pytest.raises(SystemExit) as exc:
-        main(["gadget", kind, "--n", "2", flag, "1e-5000"])
-    assert exc.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    # the exponent is refused before Fraction computes 10 ** 5000: a value
+    # Fraction had read would be refused for its 5000 digits instead
+    assert run(capsys, "gadget", kind, "--n", "2", flag, "1e-5000") == (
+        2, None, "error: bad rational '1e-5000'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +521,49 @@ def test_dynamics_strict_flags_non_convergence(tmp_path, capsys):
     assert doc2["converged"] is False
 
 
+def cycling_files(tmp_path):
+    """Players 0 and 1 each pick resource a or b, which share one anonymous
+    cost; a share table lets player 0 pay nothing beside player 1, who pays
+    it all, so 0 follows 1 and 1 leaves, forever. Ten more players each
+    pick one of 10 free resources, which only grows the profile space."""
+    n = 12
+    pair = SetCostFunction.anonymous(list(range(n + 1)))
+    free = tuple(f"f{k}" for k in range(10))
+    g = GameModel(
+        n, ("a", "b") + free,
+        ((frozenset({"a"}), frozenset({"b"})),) * 2
+        + (tuple(frozenset({r}) for r in free),) * (n - 2),
+        (pair, pair) + (SetCostFunction.anonymous([0] * (n + 1)),) * len(free),
+    )
+    game_path = tmp_path / "cycle.json"
+    game_path.write_text(json.dumps(game_to_json(g)))
+    table_path = tmp_path / "cycle-table.json"
+    table_path.write_text(json.dumps({
+        "players": n,
+        "fallback": "shapley",
+        "entries": [{"cost": {"anonymous": [f"{k}/1" for k in range(n + 1)]},
+                     "users": [0, 1], "shares": {"0": "0/1", "1": "2/1"}}],
+    }))
+    return str(game_path), str(table_path), g.profile_space_size()
+
+
+def test_dynamics_default_budget_stops_at_the_step_cap(tmp_path, capsys, monkeypatch):
+    game_path, table_path, size = cycling_files(tmp_path)
+    assert size == 4 * 10 ** 10  # a budget of 10x this would never end
+    monkeypatch.setattr(equilibrium, "STEP_CAP", 40)  # read at call time
+    argv = ("dynamics", game_path, "--protocol", f"table:{table_path}")
+    rc, doc, _ = run(capsys, *argv, "--strict")
+    assert (rc, doc["converged"], len(doc["steps"])) == (3, False, 40)
+    assert {s["player"] for s in doc["steps"]} == {0, 1}
+    rc, doc, _ = run(capsys, *argv)
+    assert (rc, doc["converged"], len(doc["steps"])) == (0, False, 40)
+    # an explicit budget up to the cap is kept, and one above it refused
+    rc, doc, _ = run(capsys, *argv, "--max-steps", "7", "--strict")
+    assert (rc, len(doc["steps"])) == (3, 7)
+    assert run(capsys, *argv, "--max-steps", "41") == (
+        2, None, "error: max_steps 41 out of range 0..40\n")
+
+
 def test_dynamics_bad_start(tmp_path, capsys):
     rc, _, _ = run(capsys, "dynamics", tension_file(tmp_path),
                    "--start", "random:x")
@@ -573,6 +623,62 @@ def test_verify_bounds_game_without_equilibrium_exits_1(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
+
+def reader_message(read) -> str:
+    with pytest.raises(ValidationError) as caught:
+        read()
+    return str(caught.value)
+
+
+REFUSALS = [
+    # the value goes as text to the library reader, and its message is the line
+    (("gadget", "poa_unbounded", "--a", "x"), lambda: parse_fraction("x")),
+    (("gadget", "poa_unbounded", "--a", "1e100000"), lambda: parse_fraction("1e100000")),
+    (("gadget", "pos_linear", "--n", "x"), lambda: read_int("x", "player count")),
+    (("gadget", "pos_linear", "--n", "x", "--eps", "1/4"), lambda: read_int("x", "player count")),
+    (("gadget", "pos_linear", "--n", "300", "--eps", "1/4"), lambda: check_player_count(300)),
+    (("gadget", "bogus"), lambda: GadgetSpec("bogus")),
+    (("verify-bounds", "--count", "x"), lambda: read_int("x", "game count")),
+    (("verify-bounds", "--seed", "1.5"), lambda: read_int("1.5", "seed")),
+    (("verify-bounds", "--class", "x"), lambda: corpus(0, 1, "x")),
+    (("dynamics", None, "--max-steps", "x"), lambda: read_int("x", "max_steps")),
+    (("dynamics", None, "--max-steps", str(equilibrium.STEP_CAP + 1)),
+     lambda: read_int(equilibrium.STEP_CAP + 1, "max_steps", 0, equilibrium.STEP_CAP)),
+    (("dynamics", None, "--seed", "x"), lambda: read_int("x", "seed")),
+    (("dynamics", None, "--schedule", "x"),
+     lambda: best_response_dynamics(tension_game(), ShapleyProtocol(), (0, 0), schedule="x")),
+    # structure is the parser's, in one line too
+    (("analyze",), "the following arguments are required: file"),
+    (("analyze", None, "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[" ".join(a or "FILE" for a in argv) or "(none)" for argv, _ in REFUSALS])
+def test_every_refusal_is_one_error_line(tmp_path, capsys, argv, message):
+    argv = [tension_file(tmp_path) if a is None else a for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # the parser's refusals exit from parse_args
+        rc = exc.code
+    if callable(message):
+        message = reader_message(message)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "verify-bounds" in capsys.readouterr().out
+
+
+def test_int_arguments_read_as_int_reads_them(capsys):
+    # Python's int() grammar, as the parser's int converter read it
+    rc, doc, _ = run(capsys, "verify-bounds", "--count", " +0_3 ", "--seed", "1_0")
+    assert (rc, doc["count"], doc["seed"]) == (0, 3, 10)
+
 
 def test_missing_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit):

@@ -204,6 +204,20 @@ def test_brd_step_budget_is_not_negative():
         best_response_dynamics(g, t, (0, 0), max_steps=-1)
 
 
+def test_brd_default_budget_is_capped(monkeypatch):
+    # the default is 10x the profile-space size, at most STEP_CAP, which is
+    # read at call time; an explicit budget above the cap is refused
+    g, t = chase_game()
+    assert len(best_response_dynamics(g, t, (0, 0)).trace) == 10 * g.profile_space_size()
+    monkeypatch.setattr("costarena.equilibrium.STEP_CAP", 12)
+    res = best_response_dynamics(g, t, (0, 0))
+    assert (res.converged, len(res.trace)) == (False, 12)
+    assert best_response_dynamics(g, t, (0, 0), max_steps=12) == res
+    with pytest.raises(ValidationError) as caught:
+        best_response_dynamics(g, t, (0, 0), max_steps=13)
+    assert str(caught.value) == "max_steps 13 out of range 0..12"
+
+
 def test_brd_step_budget_counts_only_changes():
     # the cap bounds accepted changes: a stable start needs none
     g = tension_game()

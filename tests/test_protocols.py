@@ -21,6 +21,7 @@ from costarena.core import (
     full_mask,
     iter_submasks,
     mask_members,
+    parse_fraction,
     player_mask,
     read_mask,
     scale_lcm,
@@ -433,6 +434,69 @@ def test_floats_rejected_in_weights_and_share_entries():
     with pytest.raises(ValidationError, match="not an exact rational: 0.5"):
         t.set_entry(f, 0b01, {0: 0.5}, validate=False)
     assert t.entries == {}
+
+
+def share_column(rng, k):
+    """k share values of one seeded kind: "p/q" strings, ints, Fractions, other
+    strings ``Fraction`` parses, or a mix of these; about a third of the
+    columns then get one value that ``parse_fraction`` refuses."""
+    draw = {
+        "file": lambda: f"{rng.randint(0, 99)}/{rng.randint(1, 9)}",
+        "int": lambda: rng.randint(-9, 99),
+        "fraction": lambda: F(rng.randint(-9, 99), rng.randint(1, 9)),
+        "text": lambda: rng.choice([" 1/3 ", "1.5", "2e2", "7", "-4/6", "03/004"]),
+    }
+    kind = rng.choice([*draw, "mixed"])
+    column = [(draw.get(kind) or rng.choice(list(draw.values())))() for _ in range(k)]
+    if rng.random() < 0.3:
+        column[rng.randrange(k)] = rng.choice(
+            [0.5, True, None, "x", "1/0", "1e-5000", "9" * 4301 + "/1", 10 ** 4300,
+             F(1, 10 ** 4300)])
+    return column
+
+
+def test_share_entry_column_reads_like_each_share():
+    # a share column read at once gives the values, or the first message,
+    # that parse_fraction gives share by share
+    rng = random.Random(36)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        f = SetCostFunction.anonymous(list(range(k + 1)))
+        column = share_column(rng, k)
+        table = TableProtocol()
+        try:
+            expected = {i: parse_fraction(v) for i, v in enumerate(column)}
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                table.set_entry(f, full_mask(k), dict(enumerate(column)), validate=False)
+            assert str(caught.value) == str(exc) and table.entries == {}
+            continue
+        table.set_entry(f, full_mask(k), dict(enumerate(column)), validate=False)
+        shares = table.entries[(f, full_mask(k))]
+        assert shares == expected and list(shares) == list(range(k))
+        assert all(type(v) is Fraction for v in shares.values())
+
+
+def test_table_share_scale_reads_only_listed_entries(monkeypatch):
+    # every store lookup hashes the cost function; on a 16-player cost
+    # share_scale reads its listed entries, not its 2^16 user sets
+    f = SetCostFunction.anonymous(list(range(17)))
+    table = TableProtocol()
+    listed = {0b11: {0: F(1, 3), 1: F(5, 3)}, 0b101: {0: F(1, 5), 2: F(9, 5)},
+              1 << 15: {15: F(1)}, 0b1 << 8: {8: F(1, 7)}}
+    for users, shares in listed.items():
+        table.set_entry(f, users, shares, validate=False)
+    calls = 0
+    hash_of = SetCostFunction.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return hash_of(self)
+
+    monkeypatch.setattr(SetCostFunction, "__hash__", counted)
+    assert table.share_scale(f) == lcm(SHAPLEY.share_scale(f), 3, 5, 7)
+    assert 0 < calls <= len(listed)
 
 
 # ---------------------------------------------------------------------------
