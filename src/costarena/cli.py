@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout, a short human summary to stderr.
+Machine-readable JSON goes to stdout, a short human summary to stderr:
+``analyze`` and ``dynamics`` print their counts there, not one line per
+equilibrium or step, which the JSON holds.
 Exit codes: 0 success, 2 validation/input error, 3 enumeration cap
 exceeded (or non-convergence under ``dynamics --strict``). Exit code 1 is
 reserved for ``verify-bounds`` finding an actual bound violation.
@@ -100,8 +102,6 @@ def cmd_analyze(args) -> int:
     _emit(doc)
     _note(f"protocol: {report.protocol}")
     _note(f"equilibria: {len(report.pne)}")
-    for p, c in zip(report.pne, report.pne_costs):
-        _note(f"  {list(p)}  cost {c}")
     _note(f"optimum: {list(report.optimum)}  cost {report.optimum_cost}")
     _note(f"poa: {doc['poa']}   pos: {doc['pos']}")
     return 0
@@ -217,9 +217,6 @@ def cmd_dynamics(args) -> int:
     _note(f"start {list(start)} -> final {list(result.profile)} "
           f"({'converged' if result.converged else 'step cap hit'}, "
           f"{len(result.trace)} changes, {result.sweeps} sweeps)")
-    for s in result.trace:
-        _note(f"  player {s.player}: {s.old} -> {s.new}  "
-              f"cost {s.cost_before} -> {s.cost_after}  phi {s.phi}")
     if args.strict and not result.converged:
         return 3
     return 0

@@ -263,21 +263,22 @@ def _exponent(text: str) -> int:
         return 0
 
 
-def _over_common_denominator(nums: list, dens: list) -> tuple[int, list]:
+def _over_common_denominator(nums: list, dens: list,
+                             what: str = "common denominator of a cost function") -> tuple:
     """L and the numerators over L of the values ``nums[k] / dens[k]``, with
     L the lcm of the reduced denominators, which ``scale_lcm`` holds to the
-    bit budget. When all share one denominator d (ints over 1, ``randomgames``
-    over ``SCALE``), L is d / g and each numerator is divided by g, for g =
-    gcd(d, every numerator): the lcm of the divisors d / gcd(d, n_k) of d."""
+    bit budget as ``what`` (cost columns and share-table entries). When all
+    share one denominator d (ints over 1, ``randomgames`` over ``SCALE``), L
+    is d / g and each numerator is divided by g, for g = gcd(d, every
+    numerator): the lcm of the divisors d / gcd(d, n_k) of d."""
     if dens and dens.count(d := dens[0]) == len(dens):
         g = gcd(d, *nums)
-        return scale_lcm((d // g,), "common denominator of a cost function"), (
-            nums if g == 1 else list(map(floordiv, nums, repeat(g))))
+        return scale_lcm((d // g,), what), nums if g == 1 else list(map(floordiv, nums, repeat(g)))
     factors = list(map(gcd, nums, dens))
     if max(factors, default=1) > 1:  # values are mostly reduced already
         nums = list(map(floordiv, nums, factors))
         dens = list(map(floordiv, dens, factors))
-    denominator = scale_lcm(set(dens), "common denominator of a cost function")
+    denominator = scale_lcm(set(dens), what)
     return denominator, list(map(mul, nums, map(floordiv, repeat(denominator), dens)))
 
 

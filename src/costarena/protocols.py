@@ -15,8 +15,11 @@ lcm of the share scales, so its walk adds and compares Python ints only;
 ``share`` is their ``Fraction`` view on the base class (a player's payment
 is the kernel's: ``equilibrium.private_cost``). Shapley and GWS give
 ``scaled_share`` as the integer potential differences below;
-``TableProtocol`` scales its entries and its fallback's integer shares to
-its own scale.
+``TableProtocol`` keeps each entry as integers over one denominator and
+scales them and its fallback's integer shares to its own scale. No
+``Fraction`` is stored in this module: one is built only where a value
+leaves it, in ``share``, a share table's ``entries`` view, ``WeightSystem``
+and error messages.
 
 Shapley and generalized weighted Shapley (GWS) shares are differences of
 one integer potential (Hart & Mas-Colell 1989; Kalai & Samet 1987). GWS
@@ -61,6 +64,7 @@ from .core import (
     Memo,
     SetCostFunction,
     ValidationError,
+    _over_common_denominator,
     check_player_count,
     full_mask,
     iter_submasks,
@@ -73,8 +77,6 @@ from .core import (
     read_mask,
     scale_lcm,
 )
-
-ZERO = Fraction(0)
 
 #: lcm(1, ..., n) for every player count n: the Shapley share scale per unit
 _UNIT_SCALES = tuple(lcm(*range(1, n + 1)) for n in range(MAX_PLAYERS + 1))
@@ -369,7 +371,8 @@ class GeneralizedWeightedShapley(Protocol):
 
 class _EntryView(Mapping):
     """The read-only (cost function, user set) -> shares view of a store
-    keyed by cost function and then by user set."""
+    keyed by cost function and then by user set, whose (den, numerators)
+    entries it reads as ``Fraction`` shares."""
 
     __slots__ = ("_store",)
 
@@ -379,7 +382,8 @@ class _EntryView(Mapping):
     def __getitem__(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
             raise KeyError(key)
-        return self._store[key[0]][key[1]]
+        den, nums = self._store[key[0]][key[1]]
+        return MappingProxyType({i: Fraction(v, den) for i, v in nums.items()})
 
     def __iter__(self):
         return ((f, users) for f, row in self._store.items() for users in row)
@@ -400,13 +404,18 @@ class TableProtocol(Protocol):
     validates budget balance unless told not to; unvalidated entries may
     deliberately break it (or pay absent players) to model defective
     protocols in negative tests; the constructor copies its entries in as
-    unvalidated ones. Pricing and ``share_scale`` read one store, keyed by
-    cost function and then by user set, so ``share_scale(f)`` reads only
-    ``f``'s entries. ``entries``, keyed by (cost function, user set) pairs,
-    and each entry's shares are read-only views of it, so only
-    ``set_entry`` adds an entry, and it drops that function's kept share
-    scale. A scaled share is an entry's value or the fallback's scaled
-    share, times the ratio of the scales. A cost function whose arity is
+    unvalidated ones. ``set_entry`` reduces an entry's shares by
+    ``core._over_common_denominator``, the reducer of cost columns, to
+    (den, {player: numerator}), and refuses one whose den passes the bit
+    budget. Pricing and ``share_scale`` read these integers from one store,
+    keyed by cost function and then by user set, so ``share_scale(f)``, the
+    lcm of ``f``'s entry dens and the fallback's scale, reads only ``f``'s
+    entries. ``entries``, keyed by (cost function, user set) pairs, is a
+    read-only view of it that builds each entry's shares as a fresh
+    read-only mapping of ``Fraction``s, so only ``set_entry`` adds an
+    entry, and it drops that function's kept share scale. A scaled share is
+    an entry's numerator or the fallback's scaled share, times the ratio of
+    the scales. A cost function whose arity is
     not ``players`` (when set, as a file sets it) raises. Every entry's user
     set is read as a mask of its cost function's players, validated or
     not, and each key must be a (cost function, user set) pair. The fields
@@ -423,11 +432,11 @@ class TableProtocol(Protocol):
             check_player_count(self.players)
         if not isinstance(given := self.entries, Mapping):
             raise ValidationError(f"share entries {given!r} is not a mapping")
-        entries, fallback = {}, self.fallback  # entries: f -> users -> shares, the one store
+        # entries: f -> users -> (den, {player: numerator}), the one store
+        entries, fallback = {}, self.fallback
 
         def scale(f: SetCostFunction) -> int:  # holds no self: no reference cycle
-            scales = {v.denominator for shares in entries.get(f, {}).values()
-                      for v in shares.values()}
+            scales = {den for den, _ in entries.get(f, {}).values()}
             if fallback is not None:
                 scales.add(fallback.share_scale(f))
             return scale_lcm(scales, "common denominator of the share table")
@@ -449,22 +458,21 @@ class TableProtocol(Protocol):
         read_mask(users, f.n)
         if not isinstance(shares, Mapping):
             raise ValidationError(f"shares {shares!r} is not a mapping")
-        nums, dens = parse_fractions(list(shares.values()), "shares")
-        shares = dict(zip(shares, map(Fraction, nums, dens)))
+        den, nums = _over_common_denominator(*parse_fractions(list(shares.values()), "shares"),
+                                             "common denominator of the share table")
         members = player_mask(list(shares), f.n)
         if validate:
             if members != users:
                 raise ValidationError(
                     f"share entry keys {sorted(shares)} do not match user set {users:#b}")
-            if sum(shares.values(), ZERO) != f.value(users):
-                raise ValidationError(
-                    f"shares for {users:#b} sum to {sum(shares.values())}, "
-                    f"cost is {f.value(users)}")
-        self._entries.setdefault(f, {})[users] = MappingProxyType(shares)
+            if sum(nums) * f.denominator != f.scaled(users) * den:
+                raise ValidationError(f"shares for {users:#b} sum to {Fraction(sum(nums), den)}, "
+                                      f"cost is {f.value(users)}")
+        self._entries.setdefault(f, {})[users] = den, dict(zip(shares, nums))
         self._scales.pop(f, None)  # share_scale(f) reads f's entries
 
     def share_scale(self, f: SetCostFunction) -> int:
-        """The lcm of the denominators in ``f``'s own entries and of the
+        """The lcm of the denominators of ``f``'s own entries and of the
         fallback's scale; only ``f``'s listed entries are read."""
         return self._scales[f]
 
@@ -475,8 +483,8 @@ class TableProtocol(Protocol):
                 f"share table covers {self.players} players, cost function {f.n}")
         entry = self._entries.get(f, {}).get(users)
         if entry is not None:
-            value = entry.get(i, ZERO)
-            return value.numerator * (self.share_scale(f) // value.denominator)
+            den, nums = entry
+            return nums.get(i, 0) * (self.share_scale(f) // den)
         if not member:
             return 0
         if (fallback := self.fallback) is None:
@@ -491,10 +499,12 @@ class TableProtocol(Protocol):
 
 def check_budget_balance(protocol: Protocol, f: SetCostFunction) -> bool:
     """True iff for every user set S the members' shares sum to C(S) and
-    every non-member pays exactly 0."""
+    every non-member pays exactly 0, read from the integer shares."""
+    scale = protocol.share_scale(f)
     for users in range(1 << f.n):
-        vec = protocol.shares(f, users)
-        if sum(vec, ZERO) != f.value(users) or any(vec[i] for i in range(f.n) if ~users >> i & 1):
+        vec = [protocol.scaled_share(f, users, i) for i in range(f.n)]
+        if (sum(vec) * f.denominator != f.scaled(users) * scale
+                or any(vec[i] for i in range(f.n) if ~users >> i & 1)):
             return False
     return True
 

@@ -70,6 +70,20 @@ def chase_files(tmp_path):
 # analyze
 # ---------------------------------------------------------------------------
 
+def test_analyze_summary_is_four_lines_however_many_equilibria(tmp_path, capsys):
+    # three players, four free resources each: all 64 profiles are equilibria,
+    # and every one is in the stdout JSON, not on stderr
+    free = ("a", "b", "c", "d")
+    g = GameModel(3, free, (tuple(frozenset({r}) for r in free),) * 3,
+                  (SetCostFunction.anonymous([0] * 4),) * 4)
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(game_to_json(g)))
+    rc, doc, err = run(capsys, "analyze", str(path))
+    assert (rc, len(doc["pne"])) == (0, 64)
+    assert err.splitlines() == ["protocol: shapley", "equilibria: 64",
+                                "optimum: [0, 0, 0]  cost 0", "poa: 1/1   pos: 1/1"]
+
+
 def test_analyze_shared_edge(tmp_path, capsys):
     rc, doc, err = run(capsys, "analyze", tension_file(tmp_path))
     assert rc == 0
@@ -552,11 +566,14 @@ def test_dynamics_default_budget_stops_at_the_step_cap(tmp_path, capsys, monkeyp
     assert size == 4 * 10 ** 10  # a budget of 10x this would never end
     monkeypatch.setattr(equilibrium, "STEP_CAP", 40)  # read at call time
     argv = ("dynamics", game_path, "--protocol", f"table:{table_path}")
-    rc, doc, _ = run(capsys, *argv, "--strict")
+    rc, doc, err = run(capsys, *argv, "--strict")
     assert (rc, doc["converged"], len(doc["steps"])) == (3, False, 40)
     assert {s["player"] for s in doc["steps"]} == {0, 1}
-    rc, doc, _ = run(capsys, *argv)
+    assert err.count("\n") == 1  # the summary line, not one per step
+    rc, doc, err = run(capsys, *argv)
     assert (rc, doc["converged"], len(doc["steps"])) == (0, False, 40)
+    assert err == "start [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] -> final " + (
+        f"{doc['final']} (step cap hit, 40 changes, {doc['sweeps']} sweeps)\n")
     # an explicit budget up to the cap is kept, and one above it refused
     rc, doc, _ = run(capsys, *argv, "--max-steps", "7", "--strict")
     assert (rc, len(doc["steps"])) == (3, 7)

@@ -28,6 +28,7 @@ from costarena.core import (
 )
 from costarena.equilibrium import (
     analyze, best_response_dynamics, is_pne, private_cost, private_costs)
+from costarena.gamefile import cost_to_json, fraction_to_str, table_protocol_from_json
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
@@ -860,6 +861,121 @@ def test_table_share_scale_does_not_scan_other_entries(monkeypatch):
     for f in fresh:
         assert table.share_scale(f) == 2
     assert calls <= len(fresh)
+
+
+def balanced_shares(rng, f, users):
+    """Shares of ``users`` over small denominators that sum to its cost."""
+    members = mask_members(users)
+    cuts = sorted(F(rng.randint(0, d), d) for d in rng.choices(range(1, 8), k=len(members) - 1))
+    parts = [b - a for a, b in zip([F(0), *cuts], [*cuts, F(1)])]
+    return {i: f.value(users) * p for i, p in zip(members, parts)}
+
+
+def test_integer_store_reads_like_a_fraction_reference():
+    # tables built through set_entry, validated and not, with user sets
+    # drawn again so that some entries are replaced, read like a dict of
+    # Fraction entries kept beside them
+    rng = random.Random(38)
+    for f in random_costs(38, count=16, max_n=4):
+        n = f.n
+        for fallback in (ShapleyProtocol(), None):
+            table, reference = TableProtocol(fallback=fallback), {}
+            for _ in range(2 * n + 2):
+                users = rng.randrange(1 << n)
+                if rng.random() < 0.5:
+                    shares = balanced_shares(rng, f, users)
+                    table.set_entry(f, users, shares)
+                else:
+                    shares = {i: F(rng.randint(-3, 9), rng.randint(1, 12))
+                              for i in rng.sample(range(n), rng.randint(0, n))}
+                    table.set_entry(f, users, shares, validate=False)
+                reference[(f, users)] = shares
+            assert dict(table.entries) == reference
+            assert all(type(v) is Fraction for e in table.entries.values() for v in e.values())
+            scale = lcm(*(v.denominator for e in reference.values() for v in e.values()),
+                        *(() if fallback is None else (fallback.share_scale(f),)))
+            assert table.share_scale(f) == scale
+            for users in range(1 << n):
+                entry = reference.get((f, users))
+                for i in range(n):
+                    if entry is None and users >> i & 1 and fallback is None:
+                        with pytest.raises(ProtocolError):
+                            table.share(f, users, i)
+                        continue
+                    want = (entry.get(i, 0) if entry is not None
+                            else fallback.share(f, users, i) if users >> i & 1 else 0)
+                    assert table.share(f, users, i) == want
+                    assert table.scaled_share(f, users, i) == want * scale
+
+
+def test_a_replaced_entry_counts_as_it_now_stands():
+    f = SetCostFunction.anonymous([0, 1, 2])
+    table = TableProtocol()
+    table.set_entry(f, 0b11, {0: F(1, 3), 1: F(5, 3)})
+    assert table.share_scale(f) == lcm(SHAPLEY.share_scale(f), 3) == 6
+    table.set_entry(f, 0b11, {0: F(1, 7), 1: F(13, 7)})
+    assert table.share_scale(f) == lcm(SHAPLEY.share_scale(f), 7) == 14
+    assert table.entries[(f, 0b11)] == {0: F(1, 7), 1: F(13, 7)}
+    assert table.scaled_share(f, 0b11, 1) == 26
+
+
+@pytest.mark.parametrize("shares", [
+    {0: F(1, 3 ** 3000), 1: 2 - F(1, 3 ** 3000)},  # one denominator of 4755 bits
+    {0: F(1, 3 ** 1500), 1: F(1, 5 ** 1500)},  # two that pass the budget together
+], ids=["one share", "two shares"])
+@pytest.mark.parametrize("validate", [False, True])
+def test_an_entry_over_the_bit_budget_is_refused_when_set(shares, validate):
+    f = SetCostFunction.anonymous([0, 1, 2])
+    table = TableProtocol({(f, 0b01): {0: F(1, 3)}})
+    with pytest.raises(ValidationError) as caught:
+        table.set_entry(f, 0b11, shares, validate=validate)
+    assert str(caught.value) == "common denominator of the share table has more than 4096 bits"
+    assert dict(table.entries) == {(f, 0b01): {0: F(1, 3)}} and table.share_scale(f) == 6
+    # a file that lists such an entry is refused as it loads, though no game
+    # prices its cost function yet
+    doc = {"players": 2, "entries": [{
+        "cost": cost_to_json(f), "users": [0, 1],
+        "shares": {str(i): fraction_to_str(v) for i, v in shares.items()}}]}
+    with pytest.raises(ValidationError) as caught:
+        table_protocol_from_json(doc)
+    assert str(caught.value) == "common denominator of the share table has more than 4096 bits"
+
+
+def fraction_budget_balance(protocol, f):
+    """``check_budget_balance`` read from ``Fraction`` shares."""
+    return all(sum((protocol.share(f, users, i) for i in range(f.n)), F(0)) == f.value(users)
+               and not any(protocol.share(f, users, i) for i in range(f.n) if ~users >> i & 1)
+               for users in range(1 << f.n))
+
+
+def test_budget_balance_check_agrees_with_a_fraction_reference():
+    # a rigged table lists some user sets: balanced, off, or balanced with
+    # a share moved to an absent player; a table with no fallback lists
+    # every user set, balanced, so its scale need not be a multiple of the
+    # cost's denominator
+    rng = random.Random(39)
+    seen = set()
+    for f in random_costs(39, count=24, max_n=4):
+        n = f.n
+        rigged, listed = TableProtocol(), TableProtocol(fallback=None)
+        for users in range(1 << n):
+            listed.set_entry(f, users, balanced_shares(rng, f, users))
+            if rng.random() < 0.2:
+                shares = balanced_shares(rng, f, users)
+                kind = rng.choice(["balanced", "off", "absent"])
+                if kind == "off" and users:
+                    shares[mask_members(users)[0]] += F(1, rng.randint(1, 5))
+                elif kind == "absent" and users and users != full_mask(n):
+                    absent = rng.choice([i for i in range(n) if ~users >> i & 1])
+                    shares[mask_members(users)[0]] -= 1
+                    shares[absent] = F(1)
+                rigged.set_entry(f, users, shares, validate=False)
+        for protocol in (SHAPLEY, GeneralizedWeightedShapley(random_weight_system(rng, n)),
+                         EvenSplit(), rigged, listed):
+            want = fraction_budget_balance(protocol, f)
+            assert check_budget_balance(protocol, f) == want, (protocol, f)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_hmc_share_equals_permutation_average():
