@@ -60,6 +60,22 @@ class Memo(dict):
         return value
 
 
+def scaled_row(values, factor: int, n: int, counts: list[int] | None):
+    """``factor`` times ``values``, n players' stored integers by mask (a
+    ``Memo`` always is) or by user count 0..n (the two agree at n = 1), as a
+    row by mask: ``values`` itself if by mask at factor 1; else a whole list
+    with ``counts``, the popcount of each mask, and a ``Memo`` filled on
+    first read without."""
+    by_mask = type(values) is Memo or len(values) == 1 << n
+    if counts is not None:
+        if factor != 1:
+            values = [factor * x for x in values]
+        return values if by_mask else list(map(values.__getitem__, counts))
+    if by_mask:
+        return values if factor == 1 else Memo(lambda m: factor * values[m])
+    return Memo(lambda m: factor * values[m.bit_count()])
+
+
 def read_int(value, what: str, low: int | None = 0, high: int | None = None) -> int:
     """The one reader of an outside integer: ``value`` itself if it is an
     int, not a bool, in ``low..high`` (no bound where a bound is None).

@@ -6,25 +6,29 @@ Compiling picks a single denominator D for the game, the lcm of every
 cost denominator and of the protocol's ``share_scale`` of every cost
 function, so each cost and each share is an integer multiple of 1/D. The
 ints come from the layers below without a ``Fraction`` in between: a cost
-row holds (D / f.denominator) * f.scaled(mask), and a potential row (D /
-share_scale(f)) * Q(mask), Q from ``protocol.scaled_potentials(f)``, for a
-protocol priced by its potential (below). Each of these scales must stay
-within ``core.MAX_SCALE_BITS``. Strategies become tuples of resource indices.
-Cost functions compare by value, so resources with equal costs read the
-same rows.
+row holds (D / f.denominator) * f.scaled(mask), and the protocol hands
+over its own rows at D (below). Each of these scales must stay within
+``core.MAX_SCALE_BITS``, and asking for every share scale refuses a
+protocol sized for another player count before any share is read.
+Strategies become tuples of resource indices. Cost functions compare by
+value, so resources with equal costs read the same rows.
 
 A player's payment on a resource is read from an entry (r, row, base):
 player i pays row[S] - base[S - i] on r, where S is r's user set with i in
-it. A protocol has one potential, used for everything or for nothing.
-For one priced by its potential (``protocols._prices_by_potential``:
-Shapley), row and base are the same potential row Q, one per distinct
-cost function, since its share is Q(S) - Q(S - i) (Hart & Mas-Colell
-1989); these rows are also ``analyze``'s potentials, the ``phi`` of
-``best_response_dynamics`` and the rows ``potential_minimizer`` walks.
-Every other protocol has no potential and is priced by its own shares:
-row is the share row of (cost function, player), holding (D /
+it. The protocol gives the pairs: the kernel asks ``protocol._rows(f, D,
+...)`` once per distinct cost function for a (row, base) pair per player
+and a potential row or None. A protocol has one potential, used for
+everything or for nothing: Shapley gives the potential row Q as every
+player's row and base, since its share is Q(S) - Q(S - i) (Hart &
+Mas-Colell 1989), and these rows are also ``analyze``'s potentials, the
+``phi`` of ``best_response_dynamics`` and the rows ``potential_minimizer``
+walks. A share table with a fallback gives the fallback's pairs with its
+listed entries laid over each player's row, and no potential. Every other
+protocol, a Shapley subclass with its own share or potential methods
+included, is priced by its own shares: row is a ``core.Memo`` of (D /
 share_scale(f)) * protocol.scaled_share(f, mask, i), and base is one
-all-zero row, so an entry that charges a non-member is never read.
+all-zero row, so an entry that charges a non-member is never read. The
+kernel reports potentials when every cost function's rows come with one.
 
 A kernel compiled for a walk (``analyze``, ``social_optimum``,
 ``potential_minimizer``) fills its cost and potential rows whole,
@@ -37,7 +41,7 @@ other row, and every row of any other kernel, fills one user-mask entry on
 first touch from the same stores, a potential row from the protocol's own
 (``scaled_potentials(f, whole=False)``, a table's lazy memo): it is that
 store itself for a table at factor 1, else a ``core.Memo`` over it. No row
-checks its masks, which are user sets by construction. Share rows are memos.
+checks its masks, which are user sets by construction.
 
 The walk visits profiles in reflected mixed-radix Gray order (Knuth,
 TAOCP 4A, 7.2.1.1, Algorithm H): each step moves one player to the next
@@ -79,9 +83,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 
-from .core import (
-    CapExceededError, GameModel, Memo, Profile, ValidationError, player_mask, read_int, scale_lcm)
-from .protocols import Protocol, ShapleyProtocol, _prices_by_potential
+from .core import (CapExceededError, GameModel, Profile, ValidationError, player_mask,
+                   read_int, scale_lcm, scaled_row)
+from .protocols import Protocol, ShapleyProtocol
 
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
 PROFILE_CAP = 10 ** 7
@@ -104,22 +108,6 @@ _ROW_READS = 8
 INFINITE = math.inf
 
 
-def _row(values, factor: int, n: int, counts: list[int] | None):
-    """``factor`` times ``values``, n players' stored integers by mask (a
-    ``Memo`` always is) or by user count 0..n (the two agree at n = 1), as a
-    row by mask: ``values`` itself if by mask at factor 1; else a whole list
-    with ``counts``, the popcount of each mask, and a ``Memo`` filled on
-    first read without."""
-    by_mask = type(values) is Memo or len(values) == 1 << n
-    if counts is not None:
-        if factor != 1:
-            values = [factor * x for x in values]
-        return values if by_mask else list(map(values.__getitem__, counts))
-    if by_mask:
-        return values if factor == 1 else Memo(lambda m: factor * values[m])
-    return Memo(lambda m: factor * values[m.bit_count()])
-
-
 class _Kernel:
     """One game compiled for one protocol (or for none, when only costs
     are asked for).
@@ -131,12 +119,13 @@ class _Kernel:
     i; ``reach[i]``, built on i's first best response, holds one entry per
     resource that i can reach; ``potentials[r][mask]`` is D times the
     protocol's potential of ``mask`` under r's cost function, and every
-    entry of r is (r, potentials[r], potentials[r]), for a protocol priced
-    by its potential; for any other protocol, or none, ``potentials`` is
-    None. Resources with equal cost functions point at the same rows. With
-    ``whole``, cost and potential rows are filled whole when 2^n is at most
-    the profile-space size (module docstring). ``profile`` is the current profile, a list of
-    strategy indices, and ``usage`` holds its user masks: ``at``, ``move``
+    entry of r is (r, potentials[r], potentials[r]), for a protocol whose
+    rows come with a potential; for any other protocol, or none,
+    ``potentials`` is None. Resources with equal cost functions point at
+    the same rows. With ``whole``, cost and potential rows are filled whole
+    when 2^n is at most the profile-space size (module docstring).
+    ``profile`` is the current profile, a list of strategy indices, and
+    ``usage`` holds its user masks: ``at``, ``move``
     and the walk change the two together, so they agree whenever a caller
     reads them.
 
@@ -162,28 +151,18 @@ class _Kernel:
         counts = None
         if whole and 1 << model.n <= model.profile_space_size() <= PROFILE_CAP:
             counts = list(map(int.bit_count, range(1 << model.n)))
-        costs = [_row(f.scaled_table() or f.scaled_counts(), scale // f.denominator,
-                      model.n, counts) for f in distinct]
+        costs = [scaled_row(f.scaled_table() or f.scaled_counts(), scale // f.denominator,
+                            model.n, counts) for f in distinct]
         self.costs = [costs[j] for j in ids]
         self.profile: list[int] = []
         self.usage: list[int] = []
         self.potentials = None
         if protocol is None:
             return
-        factors = [scale // d for d in own]
-        if _prices_by_potential(protocol):
-            rows = [_row(protocol.scaled_potentials(f, whole=counts is not None), k,
-                         model.n, counts) for f, k in zip(distinct, factors)]
-            self.potentials = [rows[j] for j in ids]
-            entries = [[(r, row, row) for r, row in enumerate(self.potentials)]] * model.n
-        else:
-            share = protocol.scaled_share
-            zero = [0] * (1 << model.n)
-            entries = []
-            for i in range(model.n):
-                shares = [Memo(lambda m, f=f, i=i, k=k: k * share(f, m, i))
-                          for f, k in zip(distinct, factors)]
-                entries.append([(r, shares[j], zero) for r, j in enumerate(ids)])
+        rows = [protocol._rows(f, scale, counts) for f in distinct]
+        if all(q is not None for _, q in rows):
+            self.potentials = [rows[j][1] for j in ids]
+        entries = [[(r, *rows[j][0][i]) for r, j in enumerate(ids)] for i in range(model.n)]
         self.options = [[tuple(map(mine.__getitem__, strategy)) for strategy in sset]
                         for mine, sset in zip(entries, self.strategies)]
         self.reach = [None] * model.n
@@ -436,9 +415,9 @@ def best_response_dynamics(model: GameModel, protocol: Protocol, start: Profile,
     int in 0..STEP_CAP) bounds accepted changes, and a run stops short only
     to make one more (default 10x the profile-space size, above the number
     of distinct potential values, or STEP_CAP if that is smaller). Under a
-    protocol priced by its potential (module docstring), each trace entry
-    records that potential for the profile after the change; under any
-    other, ``phi`` is None.
+    protocol that gives the kernel a potential (module docstring), each
+    trace entry records that potential for the profile after the change;
+    under any other, ``phi`` is None.
     """
     model.validate_profile(start)
     if max_steps is None:

@@ -10,8 +10,9 @@ members' shares of a user set sum to its cost (budget balance);
 
 Every protocol gives integer shares: ``scaled_share(f, S, i)`` is the
 share times the positive integer ``share_scale(f)``. The equilibrium kernel
-reads these, or a Shapley potential (below), and scales a whole game by the
-lcm of the share scales, so its walk adds and compares Python ints only;
+scales a whole game by the lcm of the share scales and asks each protocol
+for its rows at that scale (below), so its walk adds and compares Python
+ints only;
 ``share`` is their ``Fraction`` view on the base class (a player's payment
 is the kernel's: ``equilibrium.private_cost``). Shapley and GWS give
 ``scaled_share`` as the integer potential differences below;
@@ -46,7 +47,9 @@ until ``scaled_potentials(f)`` replaces it with the whole row, which the
 equilibrium kernel reads for a walk over at least 2^n profiles; any other
 kernel reads the store as it is (``scaled_potentials(f, whole=False)``).
 GWS keeps one memo per (cost function, block). A protocol has one
-potential or none: ``_prices_by_potential`` decides which.
+potential or none, and hands the kernel its rows itself (``Protocol._rows``):
+Shapley its Q, a share table with a fallback the fallback's rows with its
+listed entries laid over them, and any other protocol its share rows.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import lcm
 from types import MappingProxyType
@@ -76,6 +80,7 @@ from .core import (
     read_items,
     read_mask,
     scale_lcm,
+    scaled_row,
 )
 
 #: lcm(1, ..., n) for every player count n: the Shapley share scale per unit
@@ -95,8 +100,9 @@ class Protocol:
     even split, for example, has share_scale(f) = f.denominator * lcm(1..n)
     and scaled_share(f, S, i) = f.scaled(S) * lcm(1..n) // |S| for i in S.
 
-    The equilibrium kernel prices a custom protocol by ``scaled_share``
-    and reports no potential for it (``_prices_by_potential``).
+    The equilibrium kernel asks a protocol for its rows (``_rows``), and
+    this class gives share rows of ``scaled_share``: a custom protocol is
+    priced by its shares and reports no potential.
     """
 
     name = "abstract"
@@ -119,6 +125,21 @@ class Protocol:
         """``share(f, users, i) * share_scale(f)``, an integer."""
         raise NotImplementedError(f"protocol {self.name!r} defines no scaled_share")
 
+    def _rows(self, f: SetCostFunction, scale: int, counts: list[int] | None) -> tuple:
+        """The equilibrium kernel's rows for ``f`` at its denominator
+        ``scale``, a multiple of ``share_scale(f)``: a (row, base) pair for
+        each player i of ``f``, where i pays row[S] - base[S - i] on a user
+        set S that holds i, and the potential row, or None. ``counts``, the
+        popcount of each mask, is given when the kernel fills rows whole.
+        Here, i's row is a ``core.Memo`` of its scaled shares at ``scale``,
+        every base the one all-zero row of f.n players, and no potential."""
+        share, k, zero = self.scaled_share, scale // self.share_scale(f), _zero_row(f.n)
+        return [(Memo(lambda m, i=i: k * share(f, m, i)), zero) for i in range(f.n)], None
+
+
+#: The all-zero base of n players' share rows, one tuple per player count
+_zero_row = cache(lambda n: (0,) * (1 << n))
+
 
 def _player(i, n: int) -> int:
     """``i``, read by ``player_mask`` unless it is an int in 0..n-1."""
@@ -138,7 +159,9 @@ class ShapleyProtocol(Protocol):
     block of unit weights in the module docstring, kept per cost function on
     the instance in one store; cost functions hash by semantic value, so
     structurally equal functions on different resources share one store. A
-    subclass keeps Q as its potential only while ``_prices_by_potential`` holds.
+    subclass keeps Q as its potential only while its class keeps the
+    package's ``scaled_share``, ``scaled_potential`` and ``scaled_potentials``
+    (``_rows``); a ``share_scale`` override rescales shares and Q alike.
     """
 
     name = "shapley"
@@ -185,19 +208,18 @@ class ShapleyProtocol(Protocol):
         q = self.scaled_potential
         return q(f, users) - q(f, users ^ (1 << i))
 
-
-def _prices_by_potential(protocol: Protocol) -> bool:
-    """Whether ``protocol`` has a potential: whether its shares are, by
-    construction, the differences of ``scaled_potential``, so that the
-    equilibrium kernel prices them by it and reports it. Only a
-    ``ShapleyProtocol`` whose class keeps the package's ``scaled_share``,
-    ``scaled_potential`` and ``scaled_potentials`` does; a ``share_scale``
-    override rescales shares and potential alike. Any other protocol is
-    priced by its shares and has no potential."""
-    kind, own = type(protocol), ShapleyProtocol
-    return (isinstance(protocol, own) and kind.scaled_share is own.scaled_share
-            and kind.scaled_potential is own.scaled_potential
-            and kind.scaled_potentials is own.scaled_potentials)
+    def _rows(self, f: SetCostFunction, scale: int, counts: list[int] | None) -> tuple:
+        """(Q, Q) for every player, and Q as the potential, Q scaled to
+        ``scale``: whole with ``counts``, else read from the store as it is.
+        A subclass that overrides a share or potential method is priced by
+        its shares and has no potential."""
+        kind, own = type(self), ShapleyProtocol
+        if kind is not own and any(getattr(kind, name) is not getattr(own, name) for name in (
+                "scaled_share", "scaled_potential", "scaled_potentials")):
+            return super()._rows(f, scale, counts)
+        q = scaled_row(self.scaled_potentials(f, whole=counts is not None),
+                       scale // self.share_scale(f), f.n, counts)
+        return [(q, q)] * f.n, q
 
 
 def _running_potential(f: SetCostFunction) -> list:
@@ -313,7 +335,9 @@ class GeneralizedWeightedShapley(Protocol):
     on B, where U is the users in later blocks, so i's share is that
     game's weighted Shapley value (Kalai--Samet): a difference of B's
     potential P (module docstring), memoized per (cost function, block)
-    on the instance. One block with unit weights is Shapley.
+    on the instance. One block with unit weights is Shapley. A cost
+    function of another arity than the weight system's raises
+    ``ProtocolError`` from ``share_scale``, so as a kernel compiles.
     """
 
     name = "gws"
@@ -350,13 +374,14 @@ class GeneralizedWeightedShapley(Protocol):
         return self._system
 
     def share_scale(self, f: SetCostFunction) -> int:
+        if len(self._weights) != f.n:
+            raise ProtocolError(
+                f"weight system covers {len(self._weights)} players, cost function {f.n}")
         return f.denominator * self._weight_scale
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         member = (read_mask(users, f.n) >> _player(i, f.n)) & 1
-        if len(self._weights) != f.n:
-            raise ProtocolError(
-                f"weight system covers {len(self._weights)} players, cost function {f.n}")
+        self.share_scale(f)  # refuses a cost function of another arity
         if not member:
             return 0
         k, scope = self._blocks[i]
@@ -416,7 +441,9 @@ class TableProtocol(Protocol):
     entry, and it drops that function's kept share scale. A scaled share is
     an entry's numerator or the fallback's scaled share, times the ratio of
     the scales. A cost function whose arity is
-    not ``players`` (when set, as a file sets it) raises. Every entry's user
+    not ``players`` (when set, as a file sets it) raises ``ProtocolError``
+    from ``share_scale``, which the kernel asks of every cost function it
+    compiles, so before any share is read. Every entry's user
     set is read as a mask of its cost function's players, validated or
     not, and each key must be a (cost function, user set) pair. The fields
     are read-only once validated.
@@ -433,9 +460,11 @@ class TableProtocol(Protocol):
         if not isinstance(given := self.entries, Mapping):
             raise ValidationError(f"share entries {given!r} is not a mapping")
         # entries: f -> users -> (den, {player: numerator}), the one store
-        entries, fallback = {}, self.fallback
+        entries, fallback, players = {}, self.fallback, self.players
 
         def scale(f: SetCostFunction) -> int:  # holds no self: no reference cycle
+            if players is not None and f.n != players:
+                raise ProtocolError(f"share table covers {players} players, cost function {f.n}")
             scales = {den for den, _ in entries.get(f, {}).values()}
             if fallback is not None:
                 scales.add(fallback.share_scale(f))
@@ -478,19 +507,49 @@ class TableProtocol(Protocol):
 
     def scaled_share(self, f: SetCostFunction, users: int, i: int) -> int:
         member = (read_mask(users, f.n) >> _player(i, f.n)) & 1
-        if self.players is not None and f.n != self.players:
-            raise ProtocolError(
-                f"share table covers {self.players} players, cost function {f.n}")
+        scale = self.share_scale(f)  # refuses a cost function of another arity
         entry = self._entries.get(f, {}).get(users)
         if entry is not None:
             den, nums = entry
-            return nums.get(i, 0) * (self.share_scale(f) // den)
+            return nums.get(i, 0) * (scale // den)
         if not member:
             return 0
         if (fallback := self.fallback) is None:
             raise ProtocolError(f"no share entry for user set {users:#b}")
-        factor = self.share_scale(f) // fallback.share_scale(f)
-        return fallback.scaled_share(f, users, i) * factor
+        return fallback.scaled_share(f, users, i) * (scale // fallback.share_scale(f))
+
+    def _rows(self, f: SetCostFunction, scale: int, counts: list[int] | None) -> tuple:
+        """The fallback's rows at ``scale``, with player i's row laid over
+        at each listed S that holds i: num_i * (scale // den) + base[S - i],
+        so i pays its listed share there and the fallback's share elsewhere.
+        A player with no such S keeps the fallback's pair, and no potential
+        is reported. A table with no fallback, or whose class overrides
+        ``scaled_share``, is priced by its shares."""
+        if self.fallback is None or type(self).scaled_share is not TableProtocol.scaled_share:
+            return super()._rows(f, scale, counts)
+        rows, _ = self.fallback._rows(f, scale, counts)
+        listed = self._entries.get(f, {}).items()
+        for i, (row, base) in enumerate(rows):
+            bit = 1 << i
+            over = {users: nums.get(i, 0) * (scale // den) + base[users ^ bit]
+                    for users, (den, nums) in listed if users & bit}
+            if over:
+                rows[i] = _Overlay(over, row), base
+        return rows, None
+
+
+class _Overlay(dict):
+    """A row that holds its listed masks and reads every other one from the
+    row beneath, keeping nothing it reads."""
+
+    __slots__ = ("under",)
+
+    def __init__(self, listed: dict, under):
+        super().__init__(listed)
+        self.under = under
+
+    def __missing__(self, mask: int) -> int:
+        return self.under[mask]
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,28 @@ def test_share_table_for_another_player_count_exits_2(tmp_path, capsys):
         assert err == "error: share table covers 3 players, cost function 2\n"
 
 
+@pytest.mark.parametrize("prefix, doc, message", [
+    ("gws", {"lambda": ["1/1", "2/1"], "blocks": [[0, 1]]},
+     "weight system covers 2 players, cost function 3"),
+    ("table", {"players": 2, "fallback": "shapley", "entries": []},
+     "share table covers 2 players, cost function 3"),
+])
+def test_protocol_for_another_player_count_exits_2_unread(tmp_path, capsys, prefix, doc,
+                                                            message):
+    # each of the three players has one strategy, so no share is ever read;
+    # the protocol's share scale still refuses the game's cost function
+    game = tmp_path / "one.json"
+    game.write_text(json.dumps({
+        "players": 3,
+        "resources": [{"id": "r", "cost": {"anonymous": ["0/1", "1/1", "2/1", "3/1"]}}],
+        "strategies": [[["r"]]] * 3}))
+    protocol = tmp_path / "two.json"
+    protocol.write_text(json.dumps(doc))
+    for command in ("analyze", "dynamics"):
+        rc, out, err = run(capsys, command, str(game), "--protocol", f"{prefix}:{protocol}")
+        assert (rc, out, err) == (2, None, f"error: {message}\n")
+
+
 def test_analyze_unknown_protocol(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", tension_file(tmp_path),
                      "--protocol", "nucleolus")

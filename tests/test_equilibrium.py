@@ -517,8 +517,43 @@ def reference_cases():
     yield freeloader_game()
 
 
+def listed_table(model, rng, fallback, listed):
+    """A share table over ``fallback`` that lists ``listed`` ("nothing",
+    "some" or "every") of the nonempty user sets of each of the game's cost
+    functions: half of them validated, the whole cost to one member, and
+    half unvalidated, which may break budget balance or charge a player
+    outside the user set."""
+    table = TableProtocol(fallback=fallback)
+    for f in dict.fromkeys(model.cost_fns):
+        for users in range(1, 1 << model.n):
+            if listed == "every" or listed == "some" and rng.random() < 0.3:
+                members = [i for i in range(model.n) if users >> i & 1]
+                if rng.random() < 0.5:
+                    payer = rng.choice(members)
+                    table.set_entry(f, users, {i: f.value(users) if i == payer else F(0)
+                                               for i in members})
+                else:
+                    table.set_entry(f, users, {i: F(rng.randint(0, 9), rng.choice((1, 7, 11)))
+                                               for i in range(model.n)}, validate=False)
+    return table
+
+
+def share_table_cases():
+    """Seeded games under share tables that list nothing, some or every
+    user set over Shapley and over ``EvenShapley``, every user set with no
+    fallback, and ``rigged_table``."""
+    rng = random.Random(39)
+    games = [g for cost_class in COST_CLASSES for g in corpus(39, 8, cost_class, max_players=5)]
+    for g in games + list(walk_shaped_games(39, 1)):
+        for fallback in (SHAPLEY, EvenShapley()):
+            for listed in ("nothing", "some", "every"):
+                yield g, listed_table(g, rng, fallback, listed)
+        yield g, listed_table(g, rng, None, "every")
+        yield g, rigged_table(g, rng)
+
+
 def test_analyze_matches_brute_force_reference():
-    for g, protocol in reference_cases():
+    for g, protocol in itertools.chain(reference_cases(), share_table_cases()):
         report = analyze(g, protocol)
         pne, costs, opt, opt_c, poa, pos = reference_analysis(g, protocol)
         assert report.pne == tuple(pne)
@@ -781,9 +816,18 @@ def test_kernel_keeps_rows_per_cost_function():
         assert rows == bases <= potentials
     # a share-only protocol keeps a share row per (cost function, player)
     # and one all-zero base
-    for protocol in (two_block_gws(g.n), TableProtocol(), HalfSplit()):
+    for protocol in (two_block_gws(g.n), HalfSplit()):
         costs, rows, bases, potentials = kernel_row_ids(_Kernel(g, protocol))
         assert len(rows) == g.n and len(bases) == 1 and not rows & bases
+    # an empty share table over Shapley compiles to Shapley's rows: each
+    # player's row is its base and holds Q, and no potential is reported
+    q = _Kernel(g, SHAPLEY).potentials[0]
+    for kernel in (_Kernel(g, TableProtocol()), _Kernel(g, TableProtocol(), whole=True)):
+        assert kernel.potentials is None
+        for options in kernel.options:
+            for _, row, base in (entry for option in options for entry in option):
+                assert row is base and [row[m] for m in range(1 << g.n)] == [
+                    q[m] for m in range(1 << g.n)]
 
 
 def test_table_cost_rows_read_the_tables_integers():
@@ -1013,6 +1057,38 @@ def test_kernel_prices_only_shapley_by_its_potential():
         assert any(analyze(g, protocol).pne != analyze(g, SHAPLEY).pne for g in games)
 
 
+class ShiftedTable(TableProtocol):
+    """A share table whose class overrides ``scaled_share``: player i pays
+    what the table gives player i + 1 (mod n), so the kernel must price it
+    by its shares, not by the rows of its entries and fallback."""
+
+    def scaled_share(self, f, users, i):
+        if not users >> i & 1:
+            return 0
+        return super().scaled_share(f, users, (i + 1) % f.n)
+
+
+def test_share_table_that_overrides_its_shares_is_priced_by_them():
+    rng = random.Random(41)
+    differs = False
+    for cost_class in COST_CLASSES:
+        for g in corpus(41, 4, cost_class, max_players=4):
+            shifted = ShiftedTable()
+            for f in dict.fromkeys(g.cost_fns):
+                users = rng.randrange(1, 1 << g.n)
+                shifted.set_entry(f, users, {i: F(rng.randint(0, 9), 7) for i in range(g.n)},
+                                  validate=False)
+            _, rows, bases, _ = kernel_row_ids(_Kernel(g, shifted))
+            assert len(bases) == 1 and not rows & bases
+            report = analyze(g, shifted)
+            pne, costs, opt, opt_c, poa, pos = reference_analysis(g, shifted)
+            assert (report.pne, report.pne_costs, report.poa, report.potentials) == (
+                tuple(pne), tuple(costs), poa, None)
+            plain = TableProtocol(shifted.entries)
+            differs |= analyze(g, plain).pne != report.pne
+    assert differs
+
+
 def test_potential_minimizer_matches_brute_force_reference():
     for cost_class in COST_CLASSES:
         for g in corpus(32, 40, cost_class, max_players=5):
@@ -1022,7 +1098,7 @@ def test_potential_minimizer_matches_brute_force_reference():
 
 def test_brd_matches_fraction_reference():
     rng = random.Random(5)
-    for k, (g, protocol) in enumerate(reference_cases()):
+    for k, (g, protocol) in enumerate(itertools.chain(reference_cases(), share_table_cases())):
         start = tuple(rng.randrange(len(s)) for s in g.strategy_sets)
         schedule = ("round-robin", "random")[k % 2]
         res = best_response_dynamics(g, protocol, start, max_steps=30,

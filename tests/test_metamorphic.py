@@ -2,12 +2,20 @@
 
 The ``Fraction`` oracle in ``oracle.py`` reads the same game as the kernel,
 so it cannot notice a game that the kernel assembles wrongly, say a cost
-paired with the wrong resource. A restated game can: shuffling the
-resources and renaming them changes nothing about the game, so the
-``analyze`` report and the ``best_response_dynamics`` trace must come out
-equal, under Shapley, a generalized weighted Shapley system of one to three
-blocks and a share table with unvalidated entries on some of the game's
-cost functions.
+paired with the wrong resource. A restated game can:
+
+* shuffling the resources and renaming them changes nothing about the
+  game, so the ``analyze`` report and the ``best_response_dynamics`` trace
+  must come out equal, under Shapley, a generalized weighted Shapley system
+  of one to three blocks and a share table with unvalidated entries on some
+  of the game's cost functions;
+* adding a resource that costs nothing to every strategy changes nothing
+  either, under the same three protocols;
+* relabeling the players, with each table cost and each share-table entry
+  relabeled to match, maps every answer to the relabeled players: the
+  equilibria with their costs and potentials, the optimum cost and both
+  ratios, and each player's payment and best response, under Shapley and a
+  share table.
 """
 
 import random
@@ -15,8 +23,9 @@ from fractions import Fraction
 
 import pytest
 
-from costarena.core import GameModel, mask_members
-from costarena.equilibrium import analyze, best_response_dynamics
+from costarena.core import GameModel, SetCostFunction, mask_members
+from costarena.equilibrium import (
+    analyze, best_response, best_response_dynamics, private_costs, social_cost)
 from costarena.gadgets import build_pos_linear, build_pos_nharmonic
 from costarena.network import to_game
 from costarena.protocols import (
@@ -54,10 +63,12 @@ def gws(rng: random.Random, n: int) -> GeneralizedWeightedShapley:
 
 def rigged_table(rng: random.Random, model: GameModel) -> TableProtocol:
     """A Shapley-fallback table with unvalidated entries, which need not
-    balance, on about half of the game's cost functions."""
+    balance, on about half of the game's cost functions that are not zero
+    everywhere: an entry on a zero cost would charge for a resource that
+    costs nothing."""
     table = TableProtocol()
     for f in model.cost_fns:
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 and any(f.scaled_table() or f.scaled_counts()):
             for users in rng.sample(range(1, 1 << model.n), min(3, (1 << model.n) - 1)):
                 table.set_entry(f, users, {i: Fraction(rng.randint(0, 9), rng.randint(1, 4))
                                            for i in mask_members(users)}, validate=False)
@@ -104,3 +115,88 @@ def test_resource_order_and_names_change_no_answer(cost_class, label):
         before = answers(model, PROTOCOLS[label](random.Random(seed), model), start)
         after = answers(other, PROTOCOLS[label](random.Random(seed), model), start)
         assert before == after, (model, other)
+
+
+def with_free_resource(model: GameModel) -> GameModel:
+    """``model`` with one more resource, of zero cost, in every strategy."""
+    free = "free" + "_" * max(map(len, model.resources), default=0)
+    return GameModel(model.n, model.resources + (free,),
+                     tuple(tuple(s | {free} for s in sset) for sset in model.strategy_sets),
+                     model.cost_fns + (SetCostFunction.anonymous([0] * (model.n + 1)),))
+
+
+@pytest.mark.parametrize("label", list(PROTOCOLS))
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets"])
+def test_a_free_resource_in_every_strategy_changes_no_answer(cost_class, label):
+    rng = random.Random(f"free/{cost_class}/{label}")
+    for model in GADGETS if cost_class == "gadgets" else corpus(39, 12, cost_class,
+                                                                 max_players=5, max_resources=6):
+        seed = rng.random()
+        start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
+        before = answers(model, PROTOCOLS[label](random.Random(seed), model), start)
+        after = answers(with_free_resource(model),
+                        PROTOCOLS[label](random.Random(seed), model), start)
+        assert before == after, model
+
+
+def relabeled_mask(users: int, order: list) -> int:
+    """``users`` with player i renamed ``order[i]``."""
+    return sum(1 << order[i] for i in mask_members(users))
+
+
+def relabeled_profile(profile: tuple, order: list) -> tuple:
+    """``profile`` with player i's strategy played by player ``order[i]``."""
+    out = [0] * len(order)
+    for i, s in enumerate(profile):
+        out[order[i]] = s
+    return tuple(out)
+
+
+def relabeled(model: GameModel, order: list, protocol):
+    """``model`` and ``protocol`` with player i renamed ``order[i]``: player
+    ``order[i]`` has i's strategies, each table cost is restated over the new
+    names, and a share table's entries are moved to the new names and user
+    sets."""
+    inverse = sorted(range(model.n), key=order.__getitem__)  # new name -> old
+    costs = {}
+    for f in model.cost_fns:
+        if f not in costs:
+            costs[f] = f if f.scaled_table() is None else SetCostFunction(
+                f.n, [f.value(relabeled_mask(m, inverse)) for m in range(1 << f.n)])
+    sets = [None] * model.n
+    for i, sset in enumerate(model.strategy_sets):
+        sets[order[i]] = sset
+    other = GameModel(model.n, model.resources, tuple(sets), tuple(map(costs.get, model.cost_fns)))
+    if isinstance(protocol, TableProtocol):
+        table = TableProtocol()
+        for (f, users), shares in protocol.entries.items():
+            table.set_entry(costs[f], relabeled_mask(users, order),
+                            {order[i]: v for i, v in shares.items()}, validate=False)
+        protocol = table
+    return other, protocol
+
+
+@pytest.mark.parametrize("label", ["shapley", "table"])
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets"])
+def test_relabeled_players_map_every_answer_back(cost_class, label):
+    rng = random.Random(f"relabel/{cost_class}/{label}")
+    for model in GADGETS if cost_class == "gadgets" else corpus(40, 12, cost_class,
+                                                                 max_players=5, max_resources=6):
+        order = rng.sample(range(model.n), model.n)
+        protocol = PROTOCOLS[label](rng, model)
+        other, moved = relabeled(model, order, protocol)
+        report, mapped = analyze(model, protocol), analyze(other, moved)
+        assert {relabeled_profile(p, order): (c, phi) for p, c, phi in zip(
+            report.pne, report.pne_costs, report.potentials or [None] * len(report.pne))} == {
+            p: (c, phi) for p, c, phi in zip(
+                mapped.pne, mapped.pne_costs, mapped.potentials or [None] * len(mapped.pne))}
+        assert (report.optimum_cost, report.poa, report.pos) == (
+            mapped.optimum_cost, mapped.poa, mapped.pos)
+        assert social_cost(other, relabeled_profile(report.optimum, order)) == report.optimum_cost
+        for _ in range(3):
+            profile = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
+            there = relabeled_profile(profile, order)
+            paid = private_costs(other, moved, there)
+            assert private_costs(model, protocol, profile) == tuple(paid[j] for j in order)
+            assert [best_response(model, protocol, profile, i) for i in range(model.n)] == [
+                best_response(other, moved, there, j) for j in order]
