@@ -20,28 +20,28 @@ it. The protocol gives the pairs: the kernel asks ``protocol._rows(f, D,
 and a potential row or None. A protocol has one potential, used for
 everything or for nothing: Shapley gives the potential row Q as every
 player's row and base, since its share is Q(S) - Q(S - i) (Hart &
-Mas-Colell 1989), and these rows are also ``analyze``'s potentials, the
-``phi`` of ``best_response_dynamics`` and the rows ``potential_minimizer``
-walks. A share table with a fallback gives the fallback's pairs with its
-listed entries laid over each player's row, and no potential. Every other
-protocol, a Shapley subclass with its own share or potential methods
-included, is priced by its own shares: row is a ``core.Memo`` of (D /
-share_scale(f)) * protocol.scaled_share(f, mask, i), and base is one
-all-zero row, so an entry that charges a non-member is never read. The
-kernel reports potentials when every cost function's rows come with one.
+Mas-Colell 1989), and these rows are also ``analyze``'s potentials and the
+``phi`` of ``best_response_dynamics``. A share table with a fallback gives
+the fallback's pairs with its listed entries laid over each player's row,
+and no potential. Every other protocol, a Shapley subclass with its own
+share or potential methods included, is priced by its own shares: row is a
+``core.Memo`` of (D / share_scale(f)) * protocol.scaled_share(f, mask, i),
+and base is one all-zero row, so an entry that charges a non-member is
+never read. The kernel reports potentials when every cost function's rows
+come with one.
 
-A kernel compiled for a walk (``analyze``, ``social_optimum``,
-``potential_minimizer``) fills its cost and potential rows whole,
-as lists of 2^n entries, when 2^n is at most the number of profiles it
-walks: a table's cost row is its own integers (``scaled_table``), times
-the factor; an anonymous cost's rows are read by user count from n + 1
-integers (``scaled_counts``, Shapley's running sum); and a table's
-potential is the protocol's one-pass table (``scaled_potentials``). Every
-other row, and every row of any other kernel, fills one user-mask entry on
-first touch from the same stores, a potential row from the protocol's own
-(``scaled_potentials(f, whole=False)``, a table's lazy memo): it is that
-store itself for a table at factor 1, else a ``core.Memo`` over it. No row
-checks its masks, which are user sets by construction.
+A kernel compiled for a walk (``analyze``, ``social_optimum``) fills its
+cost and potential rows whole, as lists of 2^n entries, when 2^n is at
+most the number of profiles it walks: a table's cost row is its own
+integers (``scaled_table``), times the factor; an anonymous cost's rows
+are read by user count from n + 1 integers (``scaled_counts``, Shapley's
+running sum); and a table's potential is the protocol's one-pass table
+(``scaled_potentials``). Every other row, and every row of any other
+kernel, fills one user-mask entry on first touch from the same stores, a
+potential row from the protocol's own (``scaled_potentials(f,
+whole=False)``, a table's lazy memo): it is that store itself for a table
+at factor 1, else a ``core.Memo`` over it. No row checks its masks, which
+are user sets by construction.
 
 The walk visits profiles in reflected mixed-radix Gray order (Knuth,
 TAOCP 4A, 7.2.1.1, Algorithm H): each step moves one player to the next
@@ -51,24 +51,29 @@ while a slower player moves. So a step updates only the usage masks,
 and the running total, of the resources in which the mover's two adjacent
 strategies differ. The order in which players turn is free: the one whose
 adjacent strategies differ in the fewest resources on average turns
-fastest, and a player with one strategy never turns. When asked, it
-checks each profile's stability in the same loop: leaving strategy c for
-s, a player pays on the resources of s - c and saves what it pays on
-c - s, while the resources in both cancel, so only those two sets are
-read (per player, up to ``DEVIATION_CAP`` such pairs are kept; a player
-past it is checked by full sums). The walk hands its callers only the
-profiles they keep, each new minimum and each stable profile, and all of
-it compares Python ints; a ``Fraction`` over D is built only for a value
-that is reported. A best response, in contrast, prices each resource the
-player can reach once and then sums per strategy, since a network
-player's paths share most of their edges.
+fastest, and a player with one strategy never turns. A kernel compiled
+with a protocol checks each profile's stability in the same loop: leaving
+strategy c for s, a player pays on the resources of s - c and saves what
+it pays on c - s, while the resources in both cancel, so only those two
+sets are read (per player, up to ``DEVIATION_CAP`` such pairs are kept; a
+player past it is checked by full sums). The walk yields only the
+equilibria, each with its social cost, and keeps the least (cost, profile)
+of all it visits for the optimum; all of it compares Python ints, and a
+``Fraction`` over D is built only for a value that is reported. A best
+response, in contrast, prices each resource the player can reach once and
+then sums per strategy, since a network player's paths share most of their
+edges.
 
 ``analyze`` takes the equilibria, their social costs and potentials, and
-the optimum from one walk. The visit order is the walk's own, and no
-report shows it: ``analyze`` sorts the equilibria by profile, and every
-minimum is the least (value, profile) pair, so ties break
-lexicographically and reports are reproducible. The profile-space size
-is capped at ``PROFILE_CAP``.
+the optimum from one walk, and ``social_optimum`` the optimum from a walk
+that checks no stability. Every minimizer of Shapley's potential is an
+equilibrium, since a player's switch changes the potential by exactly its
+change in cost (Monderer & Shapley 1996), so ``potential_minimizer`` reads
+``analyze``'s equilibria. The visit order is the walk's own, and no report
+shows it: ``analyze`` sorts the equilibria by profile, and every minimum
+is the least (value, profile) pair, so ties break lexicographically and
+reports are reproducible. The profile-space size is capped at
+``PROFILE_CAP``.
 
 Each number of one profile (``is_pne``, ``best_response``, ``potential``
 under Shapley, ``private_cost(s)``, ``social_cost``) is a view of a kernel
@@ -83,8 +88,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 
-from .core import (CapExceededError, GameModel, Profile, ValidationError, player_mask,
-                   read_int, scale_lcm, scaled_row)
+from .core import (CapExceededError, GameModel, Profile, SetCostFunction, ValidationError,
+                   player_mask, read_int, scale_lcm, scaled_row)
 from .protocols import Protocol, ShapleyProtocol
 
 #: Most profiles a walk may visit; a larger space raises CapExceededError.
@@ -121,15 +126,19 @@ class _Kernel:
     protocol's potential of ``mask`` under r's cost function, and every
     entry of r is (r, potentials[r], potentials[r]), for a protocol whose
     rows come with a potential; for any other protocol, or none,
-    ``potentials`` is None. Resources with equal cost functions point at
-    the same rows. With ``whole``, cost and potential rows are filled whole
-    when 2^n is at most the profile-space size (module docstring).
-    ``profile`` is the current profile, a list of strategy indices, and
-    ``usage`` holds its user masks: ``at``, ``move``
+    ``potentials`` is None, and with no protocol ``options`` is None too.
+    Resources with equal cost functions point at the same rows. A game with
+    no resources still compiles the zero cost function of its players under
+    a protocol, so the protocol is sized to the game and says whether it
+    has a potential, as for any other game. With ``whole``, cost and
+    potential rows are filled whole when 2^n is at most the profile-space
+    size (module docstring). ``profile`` is the current profile, a list of
+    strategy indices, and ``usage`` holds its user masks: ``at``, ``move``
     and the walk change the two together, so they agree whenever a caller
     reads them.
 
-    A walk that checks stability sets ``deviations``: ``deviations[i][c]``,
+    ``least`` is the least (total, profile) of the last finished walk. A
+    walk under a protocol sets ``deviations``: ``deviations[i][c]``,
     built on first use, holds for each other strategy s of player i the
     pair (s - c, c - s) of entries, the resources that i adds and drops by
     leaving c for s. ``deviations[i]`` is None for a player with one
@@ -144,6 +153,8 @@ class _Kernel:
         self.model = model
         distinct = {}  # cost function -> its index; equal ones share rows
         ids = [distinct.setdefault(f, len(distinct)) for f in model.cost_fns]
+        if protocol is not None and not distinct:  # the protocol still sizes itself
+            distinct[SetCostFunction.zero(model.n)] = 0
         own = [] if protocol is None else list(map(protocol.share_scale, distinct))
         self.scale = scale = scale_lcm({f.denominator for f in distinct} | set(own),
                                        "common denominator of the game")
@@ -156,7 +167,7 @@ class _Kernel:
         self.costs = [costs[j] for j in ids]
         self.profile: list[int] = []
         self.usage: list[int] = []
-        self.potentials = None
+        self.potentials = self.options = None
         if protocol is None:
             return
         rows = [protocol._rows(f, scale, counts) for f in distinct]
@@ -173,23 +184,21 @@ class _Kernel:
         self.profile = list(profile)
         return self
 
-    def walk(self, rows, stable: bool = False):
+    def walk(self):
         """Walk every profile once, in reflected Gray order (module
-        docstring), and yield ``(profile, total, is_stable)`` for the ones
-        the callers keep, where ``total`` is the sum over resources r of
-        ``rows[r][usage[r]]``: each profile whose total is below every
-        earlier one, or equal to the lowest and lexicographically smaller
-        than the profile that set it, so the last of these is the
-        lexicographically first minimum, and, when ``stable`` is asked for,
-        each profile that no player can improve on (``is_stable`` is False
-        when it is not asked for). The kernel's current profile is the
+        docstring), and yield ``(profile, total)`` for each equilibrium,
+        where ``total`` is the profile's scaled social cost: stability is
+        checked when the kernel was compiled with a protocol, so a kernel
+        without one yields nothing. Once exhausted, the walk leaves
+        ``least``, the least ``(total, profile)`` of every profile, so ties
+        break lexicographically. The kernel's current profile is the
         yielded one while the caller reads it, and the last one visited
         after the walk. Raises CapExceededError before the first profile if
         the space is larger than the cap."""
         size = self.model.profile_space_size()
         if size > PROFILE_CAP:
             raise CapExceededError(f"profile space has {size} profiles, cap is {PROFILE_CAP}")
-        strategies = self.strategies
+        strategies, rows = self.strategies, self.costs
         self.at((0,) * len(strategies))
         usage, digits = self.usage, self.profile
         total = sum(row[mask] for row, mask in zip(rows, usage))
@@ -213,6 +222,7 @@ class _Kernel:
         wheel.sort()
         checked = []  # (player, bit, its deviation rows) per player with a table
         summed = []  # players checked by full sums
+        stable = self.options is not None
         if stable:
             self.deviations = [None] * len(strategies)
             for i, k in enumerate(map(len, strategies)):
@@ -256,9 +266,8 @@ class _Kernel:
                         break
             if total < best or total == best and digits < kept:
                 best, kept = total, digits.copy()
-                yield tuple(digits), total, calm
-            elif calm:
-                yield tuple(digits), total, calm
+            if calm:
+                yield tuple(digits), total
             for _, i, bit, turns in wheel:
                 turn = next(turns)
                 if turn:
@@ -272,6 +281,7 @@ class _Kernel:
                         total += row[mask]
                     break
             else:
+                self.least = best, tuple(kept)
                 return
 
     def _deviation_row(self, i: int, current: int) -> list:
@@ -484,19 +494,22 @@ def social_cost(model: GameModel, profile: Profile) -> Fraction:
 
 
 def social_optimum(model: GameModel) -> tuple[Profile, Fraction]:
-    """Profile of minimum social cost; lexicographically first on ties."""
+    """Profile of minimum social cost; lexicographically first on ties:
+    the least profile of a walk that checks no stability."""
     kernel = _Kernel(model, whole=True)
-    for profile, cost, _ in kernel.walk(kernel.costs):
-        pass  # the last profile reported is the first minimum
+    for _ in kernel.walk():
+        pass
+    cost, profile = kernel.least
     return profile, Fraction(cost, kernel.scale)
 
 
 def potential_minimizer(model: GameModel) -> Profile:
-    """Profile of minimum potential; lexicographically first on ties."""
-    kernel = _Kernel(model, ShapleyProtocol(), whole=True)
-    for profile, _, _ in kernel.walk(kernel.potentials):
-        pass  # the last profile reported is the first minimum
-    return profile
+    """Profile of minimum Shapley potential; lexicographically first on
+    ties. Every minimizer is an equilibrium, since a player's switch changes
+    the potential by exactly its change in cost (Monderer & Shapley 1996),
+    so this is the least (potential, profile) of ``analyze``'s equilibria."""
+    report = analyze(model, ShapleyProtocol())
+    return min(zip(report.potentials, report.pne))[1]
 
 
 def _ratio(target: int, opt: int):
@@ -530,24 +543,18 @@ class AnalysisReport:
 
 def analyze(model: GameModel, protocol: Protocol) -> AnalysisReport:
     """Equilibria, their costs and potentials, the optimum and both ratios
-    in one walk; ``potentials`` is None for a protocol without one
-    (``AnalysisReport``)."""
+    in one walk: the equilibria it yields and the least profile it keeps;
+    ``potentials`` is None for a protocol without one (``AnalysisReport``)."""
     kernel = _Kernel(model, protocol, whole=True)
-    pne = []
-    optimum = None  # (cost, profile), the least
-    for profile, cost, stable in kernel.walk(kernel.costs, stable=True):
-        if optimum is None or (cost, profile) < optimum:
-            optimum = cost, profile
-        if stable:
-            pne.append((profile, cost, kernel.potential()))
+    pne = [(p, c, kernel.potential()) for p, c in kernel.walk()]
     pne.sort()  # by profile, since no two are equal; the walk's order is its own
+    opt_cost, optimum = kernel.least
     costs = tuple(Fraction(cost, kernel.scale) for _, cost, _ in pne)
-    opt_cost = Fraction(optimum[0], kernel.scale)
     if pne:
-        poa = _ratio(max(cost for _, cost, _ in pne), optimum[0])
-        pos = _ratio(min(cost for _, cost, _ in pne), optimum[0])
+        poa = _ratio(max(cost for _, cost, _ in pne), opt_cost)
+        pos = _ratio(min(cost for _, cost, _ in pne), opt_cost)
     else:
         poa = pos = None
     return AnalysisReport(protocol.name, tuple(profile for profile, _, _ in pne), costs,
-                          optimum[1], opt_cost, poa, pos,
+                          optimum, Fraction(opt_cost, kernel.scale), poa, pos,
                           None if kernel.potentials is None else tuple(phi for _, _, phi in pne))

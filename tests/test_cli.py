@@ -338,6 +338,32 @@ def test_protocol_for_another_player_count_exits_2_unread(tmp_path, capsys, pref
         assert (rc, out, err) == (2, None, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("prefix, two, three, message", [
+    ("gws", {"lambda": ["1/1", "2/1"], "blocks": [[0, 1]]},
+     {"lambda": ["1/1", "2/1", "1/1"], "blocks": [[0, 1, 2]]},
+     "weight system covers 3 players, cost function 2"),
+    ("table", {"players": 2, "fallback": "shapley", "entries": []},
+     {"players": 3, "fallback": "shapley", "entries": []},
+     "share table covers 3 players, cost function 2"),
+])
+def test_a_game_with_no_resources_still_sizes_the_protocol(tmp_path, capsys, prefix, two,
+                                                           three, message):
+    # a 2-player game with no resources: a protocol for 2 players reports
+    # no potential, as for a game with a resource, and one for 3 exits 2
+    game = tmp_path / "free.json"
+    game.write_text(json.dumps({"players": 2, "resources": [], "strategies": [[[]], [[]]]}))
+    for name, doc in (("two", two), ("three", three)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert run(capsys, "analyze", str(game))[1]["potential"] == ["0/1"]
+    rc, out, _ = run(capsys, "analyze", str(game),
+                     "--protocol", f"{prefix}:{tmp_path / 'two.json'}")
+    assert (rc, [e["profile"] for e in out["pne"]], out["potential"]) == (0, [[0, 0]], None)
+    for command in ("analyze", "dynamics"):
+        rc, out, err = run(capsys, command, str(game),
+                           "--protocol", f"{prefix}:{tmp_path / 'three.json'}")
+        assert (rc, out, err) == (2, None, f"error: {message}\n")
+
+
 def test_analyze_unknown_protocol(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", tension_file(tmp_path),
                      "--protocol", "nucleolus")

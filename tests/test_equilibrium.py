@@ -35,6 +35,7 @@ from costarena.network import Edge, NetworkModel, to_game
 from costarena.protocols import (
     GeneralizedWeightedShapley,
     Protocol,
+    ProtocolError,
     ShapleyProtocol,
     TableProtocol,
     WeightSystem,
@@ -396,6 +397,26 @@ def test_analyze_has_no_potential_for_other_protocols():
         assert trace or protocol is table  # player 1 pays 1 on e1 or e2 under it
 
 
+def test_a_game_with_no_resources_still_asks_the_protocol():
+    # with nothing to price, the kernel still sizes the protocol to the game
+    # and asks it for its rows: only Shapley reports a potential, and a
+    # protocol for another player count is refused as for any other game
+    g = GameModel(2, (), ((frozenset(),), (frozenset(),)), ())
+    assert analyze(g, SHAPLEY).potentials == (0,)
+    assert potential_minimizer(g) == (0, 0)
+    for protocol in (GeneralizedWeightedShapley(WeightSystem.plain(2)), TableProtocol(),
+                     TableProtocol(players=2), HalfSplit()):
+        assert analyze(g, protocol).potentials is None
+    for protocol, message in ((GeneralizedWeightedShapley(WeightSystem.plain(3)),
+                               "weight system covers 3 players, cost function 2"),
+                              (TableProtocol(players=3),
+                               "share table covers 3 players, cost function 2")):
+        with pytest.raises(ProtocolError, match=message):
+            analyze(g, protocol)
+        with pytest.raises(ProtocolError, match=message):
+            best_response_dynamics(g, protocol, (0, 0))
+
+
 def reference_profiles(model):
     return list(itertools.product(*(range(len(s)) for s in model.strategy_sets)))
 
@@ -659,9 +680,9 @@ def test_walk_yields_every_profile_once_one_player_moving_per_step():
             g = GameModel(n, rids, random_bundles(rng, rids, counts),
                           (SetCostFunction.zero(n),) * len(rids))
             kernel = _Kernel(g, SHAPLEY, whole=True)
-            walked = list(kernel.walk(kernel.costs, stable=True))
-            assert all(total == 0 and calm for _, total, calm in walked)
-            profiles = [p for p, _, _ in walked]
+            walked = list(kernel.walk())
+            assert all(total == 0 for _, total in walked)
+            profiles = [p for p, _ in walked]
             assert sorted(profiles) == reference_profiles(g)
             for before, after in zip(profiles, profiles[1:]):
                 moves = [(a, b) for a, b in zip(before, after) if a != b]
@@ -693,8 +714,8 @@ def test_walk_flips_only_the_moving_players_changed_resources():
         n = len(counts)
         g = GameModel(n, rids, tuple(bundles), (SetCostFunction.zero(n),) * len(rids))
         kernel = _Kernel(g, SHAPLEY)
-        rows = list(map(CountedRow, kernel.costs))
-        profiles = [p for p, _, _ in kernel.walk(rows, stable=True)]
+        rows = kernel.costs = list(map(CountedRow, kernel.costs))
+        profiles = [p for p, _ in kernel.walk()]
         flips = dict.fromkeys(rids, 0)
         for before, after in zip(profiles, profiles[1:]):
             for i, (a, b) in enumerate(zip(before, after)):
@@ -750,7 +771,7 @@ def test_deviation_table_is_bounded(monkeypatch):
     g = GameModel(4, rids, sets, tuple(random_cost(rng, 4) for _ in rids))
     monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 12)
     kernel = _Kernel(g, SHAPLEY)
-    pne = sorted(p for p, _, stable in kernel.walk(kernel.costs, stable=True) if stable)
+    pne = sorted(p for p, _ in kernel.walk())
     assert deviation_pairs(kernel) == [None, 4 * 3, 3 * 2, None]
     for protocol in (SHAPLEY, rigged_table(g, rng), HalfSplit()):
         report = analyze(g, protocol)
@@ -769,9 +790,9 @@ def test_deviation_cap_only_moves_work():
     g = GameModel(2, rids, (tuple(subsets[:k + 1]), tuple(subsets[-k:])),
                   tuple(random_cost(rng, 2) for _ in rids))
     kernel = _Kernel(g, SHAPLEY)
-    walked = list(kernel.walk(kernel.costs, stable=True))
+    walked = list(kernel.walk())
     assert deviation_pairs(kernel) == [None, k * (k - 1)]
-    stable = sorted(p for p, _, calm in walked if calm)
+    stable = sorted(p for p, _ in walked)
     assert stable == [p for p in reference_profiles(g) if kernel.at(p).stable()]
     assert analyze(g, SHAPLEY).pne == tuple(stable)
 
@@ -782,7 +803,7 @@ def test_rows_read_once_are_not_built():
                                   (frozenset("b"),)),
                   (SetCostFunction.anonymous([0, 1, 2]), SetCostFunction.anonymous([0, 3, 4])))
     kernel = _Kernel(g, SHAPLEY)
-    stable = [p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm]
+    stable = [p for p, _ in kernel.walk()]
     assert deviation_pairs(kernel) == [None, None]
     assert stable == reference_analysis(g, SHAPLEY)[0] == [(0, 0)]
 
@@ -792,7 +813,7 @@ def test_full_sums_match_the_reference(monkeypatch):
     monkeypatch.setattr("costarena.equilibrium.DEVIATION_CAP", 0)
     for g, protocol in itertools.islice(reference_cases(), 0, None, 7):
         kernel = _Kernel(g, protocol)
-        stable = sorted(p for p, _, calm in kernel.walk(kernel.costs, stable=True) if calm)
+        stable = sorted(p for p, _ in kernel.walk())
         assert all(table is None for table in kernel.deviations)
         assert stable == reference_analysis(g, protocol)[0]
 
@@ -1192,7 +1213,7 @@ def test_kernel_profile_and_masks_change_together():
                     want[i] = rng.randrange(len(g.strategy_sets[i]))
                     kernel.move(i, want[i])
                     assert kernel_state(kernel) == fresh(want)
-                for profile, _, _ in kernel.walk(kernel.costs, stable=True):
+                for profile, _ in kernel.walk():
                     assert kernel_state(kernel) == fresh(profile)
                 assert kernel_state(kernel) == fresh(tuple(kernel.profile))
 

@@ -15,11 +15,21 @@ paired with the wrong resource. A restated game can:
   relabeled to match, maps every answer to the relabeled players: the
   equilibria with their costs and potentials, the optimum cost and both
   ratios, and each player's payment and best response, under Shapley and a
-  share table.
+  share table;
+* scaling every cost by a positive rational c keeps every choice: the
+  equilibria, the optimum, both ratios and every move of the dynamics stay
+  as they were, and every cost and potential is c times what it was, under
+  Shapley and a generalized weighted Shapley system (a share table's entries
+  are keyed by cost function, so it is left out).
+
+Each relation also runs on games of 10 to 12 players (``wide_games``), which
+the oracle cannot reach.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -30,7 +40,7 @@ from costarena.gadgets import build_pos_linear, build_pos_nharmonic
 from costarena.network import to_game
 from costarena.protocols import (
     GeneralizedWeightedShapley, ShapleyProtocol, TableProtocol, WeightSystem)
-from costarena.randomgames import COST_CLASSES, corpus
+from costarena.randomgames import COST_CLASSES, corpus, random_cost
 
 #: The games that the golden ``shares`` and ``dynamics`` digests sample:
 #: every 20th game of ``corpus(2026, 500, cost_class)`` (data/record_golden.py).
@@ -102,11 +112,43 @@ GADGETS = [to_game(build_pos_linear(3, Fraction(1, 4))),
            to_game(build_pos_nharmonic(4, Fraction(1, 4), WeightSystem.plain(4)))]
 
 
+def cost_of_kind(rng: random.Random, n: int, cost_class: str, table: bool) -> SetCostFunction:
+    """A cost of the class, drawn until it is a full table (``table``) or an
+    anonymous cost."""
+    while True:
+        f = random_cost(rng, n, cost_class)
+        if (f.anonymous_values is None) == table:
+            return f
+
+
+def wide_games() -> list:
+    """Games of 10, 11 and 12 players with 216, 324 and 324 profiles: over
+    six resources, a full table of each cost class and three anonymous costs,
+    and distinct strategies of one to three resources."""
+    rng = random.Random("wide")
+    resources = tuple(f"r{j}" for j in range(6))
+    bundles = [frozenset(c) for k in (1, 2, 3) for c in combinations(resources, k)]
+    models = []
+    for counts in ((3, 3, 3, 2, 2, 2, 1, 1, 1, 1), (3, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1),
+                   (3, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1)):
+        n = len(counts)
+        fns = [cost_of_kind(rng, n, cost_class, table) for table in (True, False)
+               for cost_class in COST_CLASSES]
+        rng.shuffle(fns)
+        models.append(GameModel(n, resources, tuple(tuple(rng.sample(bundles, k)) for k in counts),
+                                tuple(fns)))
+    return models
+
+
+#: The games a relation runs on in place of a corpus, by label
+NAMED = {"gadgets": GADGETS, "wide": wide_games()}
+
+
 @pytest.mark.parametrize("label", list(PROTOCOLS))
-@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets"])
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets", "wide"])
 def test_resource_order_and_names_change_no_answer(cost_class, label):
     rng = random.Random(f"{cost_class}/{label}")
-    for model in GADGETS if cost_class == "gadgets" else games(cost_class):
+    for model in NAMED.get(cost_class) or games(cost_class):
         other = restated(model, rng)
         seed = rng.random()
         start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
@@ -126,11 +168,11 @@ def with_free_resource(model: GameModel) -> GameModel:
 
 
 @pytest.mark.parametrize("label", list(PROTOCOLS))
-@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets"])
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets", "wide"])
 def test_a_free_resource_in_every_strategy_changes_no_answer(cost_class, label):
     rng = random.Random(f"free/{cost_class}/{label}")
-    for model in GADGETS if cost_class == "gadgets" else corpus(39, 12, cost_class,
-                                                                 max_players=5, max_resources=6):
+    for model in NAMED.get(cost_class) or corpus(39, 12, cost_class, max_players=5,
+                                                 max_resources=6):
         seed = rng.random()
         start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
         before = answers(model, PROTOCOLS[label](random.Random(seed), model), start)
@@ -177,11 +219,11 @@ def relabeled(model: GameModel, order: list, protocol):
 
 
 @pytest.mark.parametrize("label", ["shapley", "table"])
-@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets"])
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets", "wide"])
 def test_relabeled_players_map_every_answer_back(cost_class, label):
     rng = random.Random(f"relabel/{cost_class}/{label}")
-    for model in GADGETS if cost_class == "gadgets" else corpus(40, 12, cost_class,
-                                                                 max_players=5, max_resources=6):
+    for model in NAMED.get(cost_class) or corpus(40, 12, cost_class, max_players=5,
+                                                 max_resources=6):
         order = rng.sample(range(model.n), model.n)
         protocol = PROTOCOLS[label](rng, model)
         other, moved = relabeled(model, order, protocol)
@@ -200,3 +242,40 @@ def test_relabeled_players_map_every_answer_back(cost_class, label):
             assert private_costs(model, protocol, profile) == tuple(paid[j] for j in order)
             assert [best_response(model, protocol, profile, i) for i in range(model.n)] == [
                 best_response(other, moved, there, j) for j in order]
+
+
+def scaled(model: GameModel, c: Fraction) -> GameModel:
+    """``model`` with every cost times c."""
+    def times(f: SetCostFunction) -> SetCostFunction:
+        if f.anonymous_values is not None:
+            return SetCostFunction.anonymous([c * v for v in f.anonymous_values])
+        return SetCostFunction(f.n, [c * f.value(m) for m in range(1 << f.n)])
+    return GameModel(model.n, model.resources, model.strategy_sets,
+                     tuple(map(times, model.cost_fns)))
+
+
+def scaled_answers(c: Fraction, report, *runs) -> tuple:
+    """``answers`` with every cost and potential times c and all else as it
+    was: the equilibria, the optimum, both ratios and every move."""
+    def times(v):
+        return None if v is None else c * v
+    report = replace(report, pne_costs=tuple(map(times, report.pne_costs)),
+                     optimum_cost=c * report.optimum_cost,
+                     potentials=report.potentials and tuple(map(times, report.potentials)))
+    return (report, *(replace(run, social_cost=c * run.social_cost, trace=tuple(
+        replace(step, phi=times(step.phi), cost_before=c * step.cost_before,
+                cost_after=c * step.cost_after) for step in run.trace)) for run in runs))
+
+
+@pytest.mark.parametrize("label", ["shapley", "gws"])
+@pytest.mark.parametrize("cost_class", [*COST_CLASSES, "gadgets", "wide"])
+def test_scaled_costs_scale_every_cost_and_keep_every_choice(cost_class, label):
+    rng = random.Random(f"scale/{cost_class}/{label}")
+    for model in NAMED.get(cost_class) or corpus(41, 12, cost_class, max_players=5,
+                                                 max_resources=6):
+        seed = rng.random()
+        start = tuple(rng.randrange(len(s)) for s in model.strategy_sets)
+        before = answers(model, PROTOCOLS[label](random.Random(seed), model), start)
+        for c in (Fraction(3), Fraction(1, 2), Fraction(5, 7)):
+            after = answers(scaled(model, c), PROTOCOLS[label](random.Random(seed), model), start)
+            assert after == scaled_answers(c, *before), (model, c)
